@@ -1,25 +1,30 @@
 """Attention primitives: multi-head self-attention and deformable sampling.
 
-Self-attention follows the classic per-head form: each head projects the
-input rows with its own query/key/value matrices, applies scaled dot-product
-attention softmax(QK^T / sqrt(d_k)) V, and the concatenated head outputs go
-through a final output projection.  Both sublayer types are wrapped in
-residual connections with layer normalization, layernorm(Y + dropout(sub)).
+Self-attention follows the classic form: each head projects the input rows
+with its own query/key/value matrices, applies scaled dot-product attention
+softmax(QK^T / sqrt(d_k)) V, and the concatenated head outputs go through a
+final output projection.  Both sublayer types are wrapped in residual
+connections with layer normalization, layernorm(Y + dropout(sub)).
 
 Deformable attention reads a feature map at a handful of learned sampling
 locations around a per-query reference point instead of attending to every
 pixel.  For query row q with features z_q and normalized reference point
-P_q, each head h samples S offsets produced by a linear map of z_q, weights
-the (bilinear) samples by a softmax over that head's sampling weights, runs
-them through the head's value projection W'_h and mixes heads with output
-projections W_h:
+P_q, each head h predicts S offsets per level from a linear map of z_q and a
+softmax A_h over its L*S sampling weights.  The bilinear samples are pooled
+by A first and only then run through the head's value projection W'_h,
+which is the same sum by linearity; output projections W_h mix the heads:
 
-    out_q = sum_h W_h [ sum_s A_hs * W'_h F_bi(pix(P_q) + dP_hs) ]
+    out_q = sum_h W_h W'_h [ sum_{l,s} A_hls F_bi^l(pix_l(P_q) + dP_hls) ]
 
 Sampling locations are in pixel units: pix(P) = (P.x * (W_f - 1),
 P.y * (H_f - 1)) for an (C, H_f, W_f) map, with zero padding outside the
 map.  The multi-scale variant samples S points per pyramid level and
 normalizes A over all levels * S samples of a head.
+
+Each sublayer call is a single taped primitive with a hand-written
+vector-Jacobian product: the heads run batched, all points of a level are
+sampled with one gather, and the per-head parameter tuples are stacked
+inside the call, so the tape holds one node per sublayer.
 """
 
 from __future__ import annotations
@@ -96,18 +101,37 @@ class MultiHeadAttnParams:
 
 
 def multi_head_self_attention(y: Tensor, params: MultiHeadAttnParams) -> Tensor:
-    """Scaled dot-product self-attention over the rows of ``y`` (N, d)."""
+    """Scaled dot-product self-attention over the rows of ``y`` (N, d).
+
+    One taped primitive: the heads run as one batch of (H, N, .) products.
+    """
     if y.ndim != 2 or y.shape[1] != params.wq[0].shape[0]:
         raise ValueError(f"input shape {y.shape} does not match projections")
+    n = y.shape[0]
     inv_sqrt_dk = 1.0 / math.sqrt(params.head_dim)
-    heads = []
-    for wq, wk, wv in zip(params.wq, params.wk, params.wv):
-        q = tt.matmul(y, wq)
-        k = tt.matmul(y, wk)
-        v = tt.matmul(y, wv)
-        logits = tt.scale(tt.matmul(q, tt.transpose(k)), inv_sqrt_dk)
-        heads.append(tt.matmul(tt.softmax_rows(logits), v))
-    return tt.matmul(tt.concat_cols(heads), params.wo)
+    yd = y.data
+    wq, wk, wv = (np.stack([t.data for t in ws]) for ws in (params.wq, params.wk, params.wv))
+    wo = params.wo.data
+    q, k, v = yd @ wq, yd @ wk, yd @ wv  # (H, N, d_k)
+    p = _softmax_last((q @ k.transpose(0, 2, 1)) * inv_sqrt_dk)  # (H, N, N)
+    heads = (p @ v).transpose(1, 0, 2).reshape(n, -1)  # (N, H*d_k), head-major
+
+    def vjp(g):
+        g_heads = (g @ wo.T).reshape(n, params.num_heads, -1).transpose(1, 0, 2)
+        g_p = g_heads @ v.transpose(0, 2, 1)
+        g_v = p.transpose(0, 2, 1) @ g_heads
+        g_logits = p * (g_p - (g_p * p).sum(axis=2, keepdims=True)) * inv_sqrt_dk
+        g_q = g_logits @ k
+        g_k = g_logits.transpose(0, 2, 1) @ q
+        g_y = sum(
+            (gx @ wx.transpose(0, 2, 1)).sum(axis=0)
+            for gx, wx in ((g_q, wq), (g_k, wk), (g_v, wv))
+        )
+        yt = yd.T
+        return (g_y, *(yt @ g_q), *(yt @ g_k), *(yt @ g_v), heads.T @ g)
+
+    inputs = (y, *params.wq, *params.wk, *params.wv, params.wo)
+    return tt._emit(heads @ wo, inputs, vjp)
 
 
 def residual_layernorm(
@@ -201,15 +225,6 @@ def ring_offset_bias(num_heads: int, num_points: int, num_levels: int = 1) -> np
     return bias
 
 
-def _reference_pixels(
-    refs: Sequence[ReferencePoint], fmap: Tensor, num_points: int
-) -> np.ndarray:
-    """Pixel coordinates of each query's reference, tiled S times: (N*S, 2)."""
-    _, h, w = fmap.shape
-    px = np.array([r.to_pixels(w, h) for r in refs])
-    return np.repeat(px, num_points, axis=0)
-
-
 def _deform_core(
     z: Tensor,
     refs: Sequence[ReferencePoint],
@@ -217,45 +232,95 @@ def _deform_core(
     params: DeformAttnParams,
     ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
+    """One taped primitive for a whole deformable sublayer, any level count."""
     if z.ndim != 2 or z.shape[1] != params.query_width:
         raise ValueError(f"query shape {z.shape} does not match parameters")
     n = z.shape[0]
     h, s, lv = params.num_heads, params.num_points, params.num_levels
+    c = params.feature_channels
     if len(maps) != lv:
         raise ValueError(f"expected {lv} feature maps, got {len(maps)}")
     if len(refs) != n:
         raise ValueError("one reference point per query row is required")
     for fmap in maps:
-        if fmap.ndim != 3 or fmap.shape[0] != params.feature_channels:
+        if fmap.ndim != 3 or fmap.shape[0] != c:
             raise ValueError("feature maps must be (C, H, W) with matching C")
+    if ref_tensors is not None:
+        ref_tensors = tuple(ref_tensors)
+        if len(ref_tensors) != lv or any(t.shape != (n * s, 2) for t in ref_tensors):
+            raise ValueError(f"ref_tensors must be {lv} tensors of shape ({n * s}, 2)")
 
-    offsets = tt.matmul(z, params.w_offset) + params.b_offset  # (N, 2HSL)
-    logits = tt.matmul(z, params.w_weight) + params.b_weight  # (N, HSL)
+    zd = z.data
+    w_offset, w_weight = params.w_offset.data, params.w_weight.data
+    w_value = np.stack([t.data for t in params.w_value])  # (H, C, D/H)
+    w_out = np.concatenate([t.data for t in params.w_out])  # (D, D)
+    offsets = (zd @ w_offset + params.b_offset.data).reshape(n, h, lv, s, 2)
+    attn = deform_attention_weights(z, params)  # (N, H, L*S)
 
-    out = None
-    for head in range(h):
-        # One softmax per head over its S*L samples.
-        attn = tt.softmax_rows(tt.slice_cols(logits, head * s * lv, (head + 1) * s * lv))
-        for level in range(lv):
-            fmap = maps[level]
-            base = 2 * (head * lv * s + level * s)
-            block = tt.slice_cols(offsets, base, base + 2 * s)  # (N, 2S)
-            delta = tt.reshape(block, (n * s, 2))
-            if ref_tensors is not None:
-                points = delta + ref_tensors[level]
-            else:
-                points = tt.add(
-                    delta, Tensor(_reference_pixels(refs, fmap, s))
-                )
-            sampled = tt.bilinear_sample_rows(fmap, points)  # (N*S, C)
-            valued = tt.matmul(sampled, params.w_value[head])  # (N*S, D/H)
-            a = tt.reshape(
-                tt.slice_cols(attn, level * s, (level + 1) * s), (n * s, 1)
+    if ref_tensors is None:
+        unit_refs = np.array([(r.x, r.y) for r in refs]).reshape(n, 1, 1, 2)
+    samples = np.empty((n, h, lv, s, c))
+    kernels = []
+    for level, fmap in enumerate(maps):
+        if ref_tensors is None:
+            _, fh, fw = fmap.shape
+            base = unit_refs * (fw - 1.0, fh - 1.0)  # pix(P), (N, 1, 1, 2)
+        else:
+            base = ref_tensors[level].data.reshape(n, 1, s, 2)
+        points = (offsets[:, :, level] + base).reshape(-1, 2)  # (N*H*S, 2)
+        sampled, res = tt._bilinear_forward(fmap.data, points)
+        samples[:, :, level] = sampled.reshape(n, h, s, c)
+        kernels.append(res)
+    samples = samples.reshape(n, h, lv * s, c)
+    pooled = np.einsum("nhk,nhkc->nhc", attn, samples)  # (N, H, C)
+    valued = np.einsum("nhc,hcd->nhd", pooled, w_value).reshape(n, -1)  # (N, D)
+
+    def vjp(g):
+        g_w_out = valued.T @ g
+        g_valued = (g @ w_out.T).reshape(n, h, -1)
+        g_w_value = np.einsum("nhc,nhd->hcd", pooled, g_valued)
+        g_pooled = np.einsum("nhd,hcd->nhc", g_valued, w_value)
+        g_attn = np.einsum("nhc,nhkc->nhk", g_pooled, samples)
+        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
+        g_samples = (attn[..., None] * g_pooled[:, :, None, :]).reshape(n, h, lv, s, c)
+        g_offsets = np.empty((n, h, lv, s, 2))
+        g_maps, g_refs = [], []
+        for level, (fmap, res) in enumerate(zip(maps, kernels)):
+            g_map, g_points = tt._bilinear_vjp(
+                fmap.shape, res, g_samples[:, :, level].reshape(-1, c)
             )
-            pooled = tt.sum_row_groups(tt.mul(valued, a), s)  # (N, D/H)
-            contrib = tt.matmul(pooled, params.w_out[head])  # (N, D)
-            out = contrib if out is None else out + contrib
-    return out
+            g_points = g_points.reshape(n, h, s, 2)
+            g_offsets[:, :, level] = g_points
+            g_maps.append(g_map)
+            if ref_tensors is not None:
+                g_refs.append(g_points.sum(axis=1).reshape(n * s, 2))
+        g_offsets = g_offsets.reshape(n, -1)
+        g_logits = g_logits.reshape(n, -1)
+        g_z = g_offsets @ w_offset.T + g_logits @ w_weight.T
+        return (
+            g_z,
+            zd.T @ g_offsets,
+            g_offsets.sum(axis=0),
+            zd.T @ g_logits,
+            g_logits.sum(axis=0),
+            *g_w_value,
+            *g_w_out.reshape(h, -1, g_w_out.shape[1]),
+            *g_maps,
+            *g_refs,
+        )
+
+    inputs = (
+        z,
+        params.w_offset,
+        params.b_offset,
+        params.w_weight,
+        params.b_weight,
+        *params.w_value,
+        *params.w_out,
+        *maps,
+        *(ref_tensors or ()),
+    )
+    return tt._emit(valued @ w_out, inputs, vjp)
 
 
 def deform_attn(
@@ -293,13 +358,11 @@ def multiscale_deform_attn(
 
 def deform_attention_weights(z: Tensor, params: DeformAttnParams) -> np.ndarray:
     """Normalized sampling weights, shape (N, H, S*L); diagnostics helper."""
-    n = z.shape[0]
-    h, s, lv = params.num_heads, params.num_points, params.num_levels
-    logits = (tt.matmul(z, params.w_weight) + params.b_weight).data
-    out = np.zeros((n, h, s * lv))
-    for head in range(h):
-        block = logits[:, head * s * lv : (head + 1) * s * lv]
-        shifted = block - block.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out[:, head, :] = e / e.sum(axis=1, keepdims=True)
-    return out
+    n, h = z.shape[0], params.num_heads
+    logits = z.data @ params.w_weight.data + params.b_weight.data
+    return _softmax_last(logits.reshape(n, h, -1))
+
+
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

@@ -26,6 +26,7 @@ context, or k2 = 0, reproduce the plain ranking bit for bit.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -80,14 +81,19 @@ class QueryEntry:
 
 @dataclass
 class QueryResult:
-    """Ranked candidates of one query: parallel lists ordered by rank."""
+    """Ranked candidates of one query: parallel columns ordered by rank.
+
+    The columns are typed ``array.array``s (``'i'`` indices and scene ids,
+    ``'d'`` similarities, ``'b'`` 0/1 flags), which take far less memory
+    than lists of Python numbers; they index, slice and compare like lists.
+    """
 
     identity: int
     scene_id: int
-    entry_indices: list[int]
-    scene_ids: list[int]
-    sims: list[float]
-    correct: list[int]
+    entry_indices: array
+    scene_ids: array
+    sims: array
+    correct: array
     num_relevant: int
     ap: float
 
@@ -196,10 +202,10 @@ def _rank_query(
     return QueryResult(
         identity=query.identity,
         scene_id=query.scene_id,
-        entry_indices=[candidates[j] for j in order],
-        scene_ids=[gallery[candidates[j]].scene_id for j in order],
-        sims=[sims[j] for j in order],
-        correct=flags,
+        entry_indices=array("i", [candidates[j] for j in order]),
+        scene_ids=array("i", [gallery[candidates[j]].scene_id for j in order]),
+        sims=array("d", [sims[j] for j in order]),
+        correct=array("b", flags),
         num_relevant=num_relevant,
         ap=ap_single_query(flags, num_relevant),
     )
@@ -253,8 +259,9 @@ def gallery_sweep(
             if s != q.scene_id
             and any(gt_id == q.identity for _, gt_id in truth[s])
         ]
+        matching_set = set(matching)
         distractors = [
-            s for s in all_scenes if s != q.scene_id and s not in set(matching)
+            s for s in all_scenes if s != q.scene_id and s not in matching_set
         ]
         rng = np.random.default_rng([seed, qi, 23])
         order = rng.permutation(len(distractors))

@@ -13,6 +13,8 @@ The set of primitives is deliberately small: matrix products, the handful of
 shape tools the attention stack needs, row softmax, layer norm, bilinear
 feature-map sampling, and l2 normalization.  Each analytic gradient here is
 validated against central differences by ``central_diff_gradcheck``.
+Larger fused primitives elsewhere in the package (the attention sublayers)
+record themselves through the same ``_emit`` hook with their own VJPs.
 """
 
 from __future__ import annotations
@@ -458,62 +460,44 @@ def _l2_impl(x: Tensor) -> Tensor:
 # one, which fixes the subgradient choice at the (measure-zero) ties.
 
 
-def _corner_values(fmap: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # fmap is (C, H, W); ys/xs are integer index arrays of equal shape.
-    c, h, w = fmap.shape
-    inb = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    ysc = np.clip(ys, 0, h - 1)
-    xsc = np.clip(xs, 0, w - 1)
-    vals = fmap[:, ysc, xsc]  # (C, ...)
-    return np.where(inb, vals, 0.0)
-
-
 def _bilinear_forward(fmap: np.ndarray, pts: np.ndarray):
-    """Shared kernel: pts is (P, 2) as (x, y); returns (P, C) plus residuals."""
+    """Shared kernel: pts is (P, 2) as (x, y); returns (P, C) plus residuals.
+
+    The four corners of every point, in the order (x0, y0), (x0+1, y0),
+    (x0, y0+1), (x0+1, y0+1), are read with one gather from the flattened
+    map; corners outside it read as zero and get zero weight.
+    """
+    c, h, w = fmap.shape
     xs, ys = pts[:, 0], pts[:, 1]
     x0 = np.ceil(xs).astype(np.intp) - 1
     y0 = np.ceil(ys).astype(np.intp) - 1
     dx = xs - x0
     dy = ys - y0
-    v00 = _corner_values(fmap, y0, x0)  # (C, P)
-    v10 = _corner_values(fmap, y0, x0 + 1)
-    v01 = _corner_values(fmap, y0 + 1, x0)
-    v11 = _corner_values(fmap, y0 + 1, x0 + 1)
-    out = (
-        v00 * (1 - dx) * (1 - dy)
-        + v10 * dx * (1 - dy)
-        + v01 * (1 - dx) * dy
-        + v11 * dx * dy
-    ).T  # (P, C)
-    return out, (x0, y0, dx, dy, v00, v10, v01, v11)
+    cx = np.stack([x0, x0 + 1, x0, x0 + 1])  # (4, P)
+    cy = np.stack([y0, y0, y0 + 1, y0 + 1])
+    inb = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+    flat = np.minimum(np.maximum(cy, 0), h - 1) * w + np.minimum(np.maximum(cx, 0), w - 1)
+    vals = np.where(inb, fmap.reshape(c, h * w)[:, flat], 0.0)  # (C, 4, P)
+    ex, ey = 1.0 - dx, 1.0 - dy
+    wts = np.stack([ex * ey, dx * ey, ex * dy, dx * dy]) * inb  # (4, P)
+    out = np.einsum("ckp,kp->pc", vals, wts)  # (P, C)
+    return out, (flat, wts, dx, dy, vals)
 
 
 def _bilinear_vjp(fmap_shape, res, g):
     """Gradients for the batched kernel; g is (P, C)."""
-    x0, y0, dx, dy, v00, v10, v01, v11 = res
-    gt = g.T  # (C, P)
-    gx = (gt * ((1 - dy) * (v10 - v00) + dy * (v11 - v01))).sum(axis=0)
-    gy = (gt * ((1 - dx) * (v01 - v00) + dx * (v11 - v10))).sum(axis=0)
+    flat, wts, dx, dy, vals = res
+    gv = np.einsum("pc,ckp->kp", g, vals)  # g . corner value, (4, P)
+    gx = (1.0 - dy) * (gv[1] - gv[0]) + dy * (gv[3] - gv[2])
+    gy = (1.0 - dx) * (gv[2] - gv[0]) + dx * (gv[3] - gv[1])
     g_pts = np.stack([gx, gy], axis=1)  # (P, 2)
 
+    # One scatter for all channels and corners: channel c of flat pixel i
+    # lands in bin c * H * W + i.
     c, h, w = fmap_shape
-    g_map = np.zeros(fmap_shape)
-    for oy, ox, wgt in (
-        (0, 0, (1 - dx) * (1 - dy)),
-        (0, 1, dx * (1 - dy)),
-        (1, 0, (1 - dx) * dy),
-        (1, 1, dx * dy),
-    ):
-        ys = y0 + oy
-        xs = x0 + ox
-        inb = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-        if not inb.any():
-            continue
-        np.add.at(
-            g_map,
-            (slice(None), ys[inb], xs[inb]),
-            gt[:, inb] * wgt[inb],
-        )
+    bins = (np.arange(c)[:, None, None] * (h * w) + flat).reshape(-1)
+    contrib = (g.T[:, None, :] * wts).reshape(-1)
+    g_map = np.bincount(bins, weights=contrib, minlength=c * h * w).reshape(fmap_shape)
     return g_map, g_pts
 
 

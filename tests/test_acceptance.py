@@ -193,8 +193,8 @@ def test_criterion_3_evaluation_matches_naive_protocol():
             emb, qscene, gid, entries_o, truth_o
         )
         qr = evaluate([q], entries, truth).per_query[0]
-        exact &= qr.correct == flags
-        exact &= qr.sims == sims
+        exact &= list(qr.correct) == flags
+        exact &= list(qr.sims) == sims
         exact &= qr.ap == ap_oracle(flags, num_rel)
 
     # Superset growth: per-query AP never increases as distractors pile in.

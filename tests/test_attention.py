@@ -288,45 +288,62 @@ class TestDeformAttn:
         np.testing.assert_allclose(pts[0], [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(pts[1], [0.0, 1.0], atol=1e-12)
 
-    def test_gradients_all_parameter_groups(self):
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_gradients_all_parameter_groups(self, levels):
+        # Every parameter tensor, every map and every reference-pixel tensor
+        # against central differences, single- and multi-level.
         rng = np.random.default_rng(32)
-        d, c, heads, points = 4, 3, 2, 2
-        base = random_deform_params(rng, d, c, heads, points)
-        fmap = Tensor(rng.standard_normal((c, 6, 6)))
-        z = Tensor(rng.standard_normal((3, d)))
-        refs = [ReferencePoint(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)) for _ in range(3)]
-        w = Tensor(rng.standard_normal((3, d)))
-
-        def rebuild(name, t):
-            return DeformAttnParams(
-                w_offset=t if name == "w_offset" else base.w_offset,
-                b_offset=t if name == "b_offset" else base.b_offset,
-                w_weight=t if name == "w_weight" else base.w_weight,
-                b_weight=t if name == "b_weight" else base.b_weight,
-                w_value=(t if name == "w_value0" else base.w_value[0], base.w_value[1]),
-                w_out=(base.w_out[0], t if name == "w_out1" else base.w_out[1]),
-                num_points=points,
-            )
+        d, c, heads, points, n = 4, 3, 2, 2, 3
+        base = random_deform_params(rng, d, c, heads, points, levels)
+        maps = [Tensor(rng.standard_normal((c, size, size))) for size in (6, 4, 3)[:levels]]
+        z = Tensor(rng.standard_normal((n, d)))
+        refs = [ReferencePoint(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)) for _ in range(n)]
+        w = Tensor(rng.standard_normal((n, d)))
+        ref_px = [
+            Tensor(np.repeat([r.to_pixels(m.shape[2], m.shape[1]) for r in refs], points, axis=0))
+            for m in maps
+        ]
 
         leaves = {
             "z": z,
-            "fmap": fmap,
             "w_offset": base.w_offset,
             "b_offset": base.b_offset,
             "w_weight": base.w_weight,
             "b_weight": base.b_weight,
-            "w_value0": base.w_value[0],
-            "w_out1": base.w_out[1],
+            **{f"w_value{h}": t for h, t in enumerate(base.w_value)},
+            **{f"w_out{h}": t for h, t in enumerate(base.w_out)},
+            **{f"map{lv}": m for lv, m in enumerate(maps)},
+            **{f"ref{lv}": t for lv, t in enumerate(ref_px)},
         }
+
+        def f(t, name):
+            def pick(key, current):
+                return t if key == name else current
+
+            p = DeformAttnParams(
+                w_offset=pick("w_offset", base.w_offset),
+                b_offset=pick("b_offset", base.b_offset),
+                w_weight=pick("w_weight", base.w_weight),
+                b_weight=pick("b_weight", base.b_weight),
+                w_value=tuple(pick(f"w_value{h}", x) for h, x in enumerate(base.w_value)),
+                w_out=tuple(pick(f"w_out{h}", x) for h, x in enumerate(base.w_out)),
+                num_points=points,
+                num_levels=levels,
+            )
+            zz = pick("z", z)
+            mm = [pick(f"map{lv}", m) for lv, m in enumerate(maps)]
+            # Reference pixels enter as constants unless one is under test.
+            rt = None
+            if name.startswith("ref"):
+                rt = [pick(f"ref{lv}", r) for lv, r in enumerate(ref_px)]
+            if levels == 1:
+                out = deform_attn(zz, refs, mm[0], p, rt)
+            else:
+                out = multiscale_deform_attn(zz, refs, mm, p, rt)
+            return T.sum_all(T.mul(out, w))
+
         for name, leaf in leaves.items():
-
-            def f(t, name=name):
-                zz = t if name == "z" else z
-                mm = t if name == "fmap" else fmap
-                p = rebuild(name, t) if name not in ("z", "fmap") else base
-                return T.sum_all(T.mul(deform_attn(zz, refs, mm, p), w))
-
-            err = T.central_diff_gradcheck(f, leaf)
+            err = T.central_diff_gradcheck(lambda t, name=name: f(t, name), leaf)
             assert err < 1e-6, f"{name}: {err:.2e}"
 
     def test_shape_validation(self):

@@ -95,8 +95,8 @@ class TestEvaluateAgainstOracle:
             )
             result = evaluate([q], entries, truth)
             qr = result.per_query[0]
-            assert qr.correct == flags
-            assert qr.sims == sims
+            assert list(qr.correct) == flags
+            assert list(qr.sims) == sims
             assert qr.num_relevant == num_rel
             assert qr.ap == ap_oracle(flags, num_rel)
             for k in (1, 5, 10):
@@ -131,7 +131,7 @@ class TestProtocolDetails:
         e = np.array([1.0, 0.0])
         entries = [GalleryEntry(0, b0, 0.9, e), GalleryEntry(1, b1, 0.9, e)]
         result = evaluate([QueryEntry(0, b0, 0, e)], entries, truth)
-        assert result.per_query[0].entry_indices == [1]
+        assert list(result.per_query[0].entry_indices) == [1]
 
     def test_greedy_claiming_counts_one_hit_per_truth_box(self):
         b1 = Box(0.6, 0.6, 0.8, 0.8)
@@ -144,7 +144,7 @@ class TestProtocolDetails:
         ]
         q = QueryEntry(0, truth[0][0][0], 0, np.array([1.0, 0.0]))
         qr = evaluate([q], entries, truth).per_query[0]
-        assert qr.correct == [1, 0]
+        assert list(qr.correct) == [1, 0]
         assert qr.num_relevant == 1
         assert qr.ap == 1.0
 
@@ -157,7 +157,7 @@ class TestProtocolDetails:
         q = QueryEntry(0, truth[0][0][0], 0, e)
         for det, expect in ((barely, [0]), (enough, [1])):
             qr = evaluate([q], [GalleryEntry(1, det, 0.9, e)], truth).per_query[0]
-            assert qr.correct == expect
+            assert list(qr.correct) == expect
 
     def test_missed_detection_still_counts_in_denominator(self):
         b1 = Box(0.6, 0.6, 0.8, 0.8)

@@ -7,7 +7,7 @@ from persearch.data import BenchmarkConfig, make_benchmark
 from persearch.errors import ConfigError, NumericError
 from persearch.evaluation import evaluate
 from persearch.losses import BACKGROUND, UNLABELED
-from persearch.tensor import Tensor
+from persearch.tensor import GradTape, Tensor
 from persearch.training import (
     TrainSettings,
     build_gallery,
@@ -107,6 +107,24 @@ class TestTrainLoop:
         assert [r["step"] for r in res.curve] == list(range(5))
         for row in res.curve:
             assert all(np.isfinite(row[k]) for k in ("l_cls", "l_iou", "l_l1", "l_oim", "total"))
+
+    def test_default_shared_step_tape_budget(self, bench, monkeypatch):
+        # Each attention sublayer is one taped primitive, so a default shared
+        # step stays under 100 nodes; taping per-head or per-level ops would
+        # push it past 800.  Widths do not change the count.
+        counts = []
+        replay = GradTape.gradients
+
+        def counting(tape, loss, sources):
+            counts.append(len(tape._nodes))
+            return replay(tape, loss, sources)
+
+        monkeypatch.setattr(GradTape, "gradients", counting)
+        model = ReIDTransformer.init(ReIDConfig(dim=bench.config.feature_dim), seed=1)
+        assert model.config.scheme == "shared"
+        train(model, bench, tiny_settings(steps=3), run_seed=5)
+        assert len(counts) == 3
+        assert max(counts) <= 100, counts
 
     def test_zero_steps_still_evaluates_once(self, bench):
         model = tiny_model()
