@@ -22,9 +22,17 @@ map.  The multi-scale variant samples S points per pyramid level and
 normalizes A over all levels * S samples of a head.
 
 Each sublayer call is a single taped primitive with a hand-written
-vector-Jacobian product: the heads run batched, all points of a level are
-sampled with one gather, and the per-head parameter tuples are stacked
+vector-Jacobian product: the heads run batched, all points of all levels
+are sampled with one gather, and the per-head parameter tuples are stacked
 inside the call, so the tape holds one node per sublayer.
+
+Every sublayer also accepts one parameter set per row group.  The input
+rows then form G equal blocks that run as one batch, and block g uses only
+parameter set g (and, for the deformable sublayers, only its own maps);
+self-attention never mixes rows of different blocks.  The re-ID
+transformer runs the three pyramid levels of its per-level schemes this
+way.  The deformable VJP skips the feature-map scatter for maps that do
+not depend on a gradient source.
 """
 
 from __future__ import annotations
@@ -100,49 +108,89 @@ class MultiHeadAttnParams:
         return self.wq[0].shape[1]
 
 
-def multi_head_self_attention(y: Tensor, params: MultiHeadAttnParams) -> Tensor:
+def _groups(params, kind) -> tuple:
+    """One parameter set, or a non-empty sequence of them, as a tuple."""
+    groups = (params,) if isinstance(params, kind) else tuple(params)
+    if not groups or not all(isinstance(p, kind) for p in groups):
+        raise ValueError(f"expected one {kind.__name__} or a sequence of them")
+    return groups
+
+
+def _row_blocks(x: Tensor, groups: int) -> int:
+    """Rows per block when the rows of ``x`` form ``groups`` equal blocks."""
+    if x.ndim != 2 or x.shape[0] % groups != 0:
+        raise ValueError(f"{x.shape[0]} rows do not split into {groups} equal blocks")
+    return x.shape[0] // groups
+
+
+def multi_head_self_attention(
+    y: Tensor, params: MultiHeadAttnParams | Sequence[MultiHeadAttnParams]
+) -> Tensor:
     """Scaled dot-product self-attention over the rows of ``y`` (N, d).
 
-    One taped primitive: the heads run as one batch of (H, N, .) products.
+    ``params`` may also hold one parameter set per row group: with G sets,
+    ``y`` is G blocks of N rows, and a row attends only to the rows of its
+    own block, under that block's projections.
+
+    One taped primitive: the (group, head) pairs run as one batch of
+    (N, .) products, and the parameter sets are stacked inside the call.
     """
-    if y.ndim != 2 or y.shape[1] != params.wq[0].shape[0]:
+    groups = _groups(params, MultiHeadAttnParams)
+    first = groups[0]
+    if y.ndim != 2 or y.shape[1] != first.wq[0].shape[0]:
         raise ValueError(f"input shape {y.shape} does not match projections")
-    n = y.shape[0]
-    inv_sqrt_dk = 1.0 / math.sqrt(params.head_dim)
-    yd = y.data
-    wq, wk, wv = (np.stack([t.data for t in ws]) for ws in (params.wq, params.wk, params.wv))
-    wo = params.wo.data
-    q, k, v = yd @ wq, yd @ wk, yd @ wv  # (H, N, d_k)
-    p = _softmax_last((q @ k.transpose(0, 2, 1)) * inv_sqrt_dk)  # (H, N, N)
-    heads = (p @ v).transpose(1, 0, 2).reshape(n, -1)  # (N, H*d_k), head-major
+    if any(ps.wo.shape != first.wo.shape or ps.num_heads != first.num_heads for ps in groups):
+        raise ValueError("every group's projections must share one shape")
+    g_count, h = len(groups), first.num_heads
+    n = _row_blocks(y, g_count)
+    inv_sqrt_dk = 1.0 / math.sqrt(first.head_dim)
+    yd = y.data.reshape(g_count, 1, n, -1)
+    wq, wk, wv = (
+        np.array([[t.data for t in getattr(ps, name)] for ps in groups])  # (G, H, d, d_k)
+        for name in ("wq", "wk", "wv")
+    )
+    wo = np.array([ps.wo.data for ps in groups])  # (G, H*d_k, d)
+    q, k, v = yd @ wq, yd @ wk, yd @ wv  # (G, H, N, d_k)
+    p = _softmax_last((q @ k.swapaxes(2, 3)) * inv_sqrt_dk)  # (G, H, N, N)
+    heads = (p @ v).transpose(0, 2, 1, 3).reshape(g_count, n, -1)  # (G, N, H*d_k), head-major
 
     def vjp(g):
-        g_heads = (g @ wo.T).reshape(n, params.num_heads, -1).transpose(1, 0, 2)
-        g_p = g_heads @ v.transpose(0, 2, 1)
-        g_v = p.transpose(0, 2, 1) @ g_heads
-        g_logits = p * (g_p - (g_p * p).sum(axis=2, keepdims=True)) * inv_sqrt_dk
+        g = g.reshape(g_count, n, -1)
+        g_heads = (g @ wo.swapaxes(1, 2)).reshape(g_count, n, h, -1).transpose(0, 2, 1, 3)
+        g_p = g_heads @ v.swapaxes(2, 3)
+        g_v = p.swapaxes(2, 3) @ g_heads
+        g_logits = p * (g_p - (g_p * p).sum(axis=3, keepdims=True)) * inv_sqrt_dk
         g_q = g_logits @ k
-        g_k = g_logits.transpose(0, 2, 1) @ q
+        g_k = g_logits.swapaxes(2, 3) @ q
         g_y = sum(
-            (gx @ wx.transpose(0, 2, 1)).sum(axis=0)
+            (gx @ wx.swapaxes(2, 3)).sum(axis=1)
             for gx, wx in ((g_q, wq), (g_k, wk), (g_v, wv))
         )
-        yt = yd.T
-        return (g_y, *(yt @ g_q), *(yt @ g_k), *(yt @ g_v), heads.T @ g)
+        yt = yd.swapaxes(2, 3)
+        g_wq, g_wk, g_wv = yt @ g_q, yt @ g_k, yt @ g_v  # (G, H, d, d_k)
+        g_wo = heads.swapaxes(1, 2) @ g
+        per_group = (
+            t for i in range(g_count) for t in (*g_wq[i], *g_wk[i], *g_wv[i], g_wo[i])
+        )
+        return (g_y.reshape(y.shape), *per_group)
 
-    inputs = (y, *params.wq, *params.wk, *params.wv, params.wo)
-    return tt._emit(heads @ wo, inputs, vjp)
+    inputs = (y, *(t for ps in groups for t in (*ps.wq, *ps.wk, *ps.wv, ps.wo)))
+    return tt._emit((heads @ wo).reshape(y.shape), inputs, vjp)
 
 
 def residual_layernorm(
     y: Tensor,
     sublayer_out: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
+    gamma: Tensor | Sequence[Tensor],
+    beta: Tensor | Sequence[Tensor],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """layernorm(y + dropout(sublayer_out)); rate 0 skips the dropout."""
+    """layernorm(y + dropout(sublayer_out)); rate 0 skips the dropout.
+
+    ``gamma`` and ``beta`` may hold one tensor per block of rows, as
+    :func:`persearch.tensor.layer_norm` describes.
+    """
     if y.shape != sublayer_out.shape:
         raise ValueError("residual branches must have equal shapes")
     return tt.layer_norm(y + tt.dropout(sublayer_out, dropout_rate, rng), gamma, beta)
@@ -229,17 +277,28 @@ def _deform_core(
     z: Tensor,
     refs: Sequence[ReferencePoint],
     maps: Sequence[Tensor],
-    params: DeformAttnParams,
+    params: tuple[DeformAttnParams, ...],
     ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
-    """One taped primitive for a whole deformable sublayer, any level count."""
-    if z.ndim != 2 or z.shape[1] != params.query_width:
+    """One taped primitive for a whole deformable sublayer.
+
+    With G parameter sets of L levels each, ``z`` is G blocks of N rows and
+    block g samples only its own levels, ``maps[g*L:(g+1)*L]``, under
+    parameter set g; ``ref_tensors``, when given, is ordered the same way.
+    The reference points are shared by every block.
+    """
+    first = params[0]
+    if z.ndim != 2 or z.shape[1] != first.query_width:
         raise ValueError(f"query shape {z.shape} does not match parameters")
-    n = z.shape[0]
-    h, s, lv = params.num_heads, params.num_points, params.num_levels
-    c = params.feature_channels
-    if len(maps) != lv:
-        raise ValueError(f"expected {lv} feature maps, got {len(maps)}")
+    layout = lambda p: (p.w_offset.shape, p.w_value[0].shape, p.num_heads, p.num_points, p.num_levels)
+    if any(layout(p) != layout(first) for p in params):
+        raise ValueError("every group's deformable parameters must share one shape")
+    g_count = len(params)
+    n = _row_blocks(z, g_count)
+    h, s, lv = first.num_heads, first.num_points, first.num_levels
+    c = first.feature_channels
+    if len(maps) != g_count * lv:
+        raise ValueError(f"expected {g_count * lv} feature maps, got {len(maps)}")
     if len(refs) != n:
         raise ValueError("one reference point per query row is required")
     for fmap in maps:
@@ -247,113 +306,134 @@ def _deform_core(
             raise ValueError("feature maps must be (C, H, W) with matching C")
     if ref_tensors is not None:
         ref_tensors = tuple(ref_tensors)
-        if len(ref_tensors) != lv or any(t.shape != (n * s, 2) for t in ref_tensors):
-            raise ValueError(f"ref_tensors must be {lv} tensors of shape ({n * s}, 2)")
+        if len(ref_tensors) != len(maps) or any(t.shape != (n * s, 2) for t in ref_tensors):
+            raise ValueError(
+                f"ref_tensors must be {len(maps)} tensors of shape ({n * s}, 2)"
+            )
 
-    zd = z.data
-    w_offset, w_weight = params.w_offset.data, params.w_weight.data
-    w_value = np.stack([t.data for t in params.w_value])  # (H, C, D/H)
-    w_out = np.concatenate([t.data for t in params.w_out])  # (D, D)
-    offsets = (zd @ w_offset + params.b_offset.data).reshape(n, h, lv, s, 2)
-    attn = deform_attention_weights(z, params)  # (N, H, L*S)
+    zd = z.data.reshape(g_count, n, -1)
+    stacked = lambda name: np.array([getattr(p, name).data for p in params])
+    w_offset, w_weight = stacked("w_offset"), stacked("w_weight")  # (G, D, .)
+    b_offset, b_weight = stacked("b_offset")[:, None], stacked("b_weight")[:, None]
+    w_value = np.array([[t.data for t in p.w_value] for p in params])  # (G, H, C, D/H)
+    w_out = np.array([[t.data for t in p.w_out] for p in params]).reshape(g_count, -1, z.shape[1])
+    offsets = (zd @ w_offset + b_offset).reshape(g_count, n, h, lv, s, 2)
+    attn = _softmax_last((zd @ w_weight + b_weight).reshape(g_count * n, h, -1))  # (G*N, H, L*S)
 
+    # Every (group, level) map is sampled at its own block of N*H*S points,
+    # all with one kernel call; the blocks run group-major, then level.
     if ref_tensors is None:
-        unit_refs = np.array([(r.x, r.y) for r in refs]).reshape(n, 1, 1, 2)
-    samples = np.empty((n, h, lv, s, c))
-    kernels = []
-    for level, fmap in enumerate(maps):
-        if ref_tensors is None:
-            _, fh, fw = fmap.shape
-            base = unit_refs * (fw - 1.0, fh - 1.0)  # pix(P), (N, 1, 1, 2)
-        else:
-            base = ref_tensors[level].data.reshape(n, 1, s, 2)
-        points = (offsets[:, :, level] + base).reshape(-1, 2)  # (N*H*S, 2)
-        sampled, res = tt._bilinear_forward(fmap.data, points)
-        samples[:, :, level] = sampled.reshape(n, h, s, c)
-        kernels.append(res)
-    samples = samples.reshape(n, h, lv * s, c)
-    pooled = np.einsum("nhk,nhkc->nhc", attn, samples)  # (N, H, C)
-    valued = np.einsum("nhc,hcd->nhd", pooled, w_value).reshape(n, -1)  # (N, D)
+        unit_refs = np.array([(r.x, r.y) for r in refs])
+        extent = np.array([(f.shape[2] - 1.0, f.shape[1] - 1.0) for f in maps])
+        base = unit_refs * extent[:, None]  # pix(P) per map, (G*L, N, 2)
+        base = base.reshape(g_count, lv, n, 1, 1, 2)
+    else:
+        base = np.array([t.data for t in ref_tensors]).reshape(g_count, lv, n, 1, s, 2)
+    points = offsets.transpose(0, 3, 1, 2, 4, 5) + base  # (G, L, N, H, S, 2)
+    sampled, kernel = tt._bilinear_forward([f.data for f in maps], points.reshape(-1, 2))
+    samples = (
+        sampled.reshape(g_count, lv, n, h, s, c)
+        .transpose(0, 2, 3, 1, 4, 5)
+        .reshape(g_count * n, h, lv * s, c)
+    )
+    pooled = np.einsum("nhk,nhkc->nhc", attn, samples).reshape(g_count, n, h, c)
+    valued = np.einsum("gnhc,ghcd->gnhd", pooled, w_value).reshape(g_count, n, -1)  # (G, N, D)
+    maps_at = 1 + len(params) * (4 + 2 * h)  # index of maps[0] among the inputs
 
-    def vjp(g):
-        g_w_out = valued.T @ g
-        g_valued = (g @ w_out.T).reshape(n, h, -1)
-        g_w_value = np.einsum("nhc,nhd->hcd", pooled, g_valued)
-        g_pooled = np.einsum("nhd,hcd->nhc", g_valued, w_value)
+    def vjp(g, needs):
+        g = g.reshape(g_count, n, -1)
+        g_w_out = valued.swapaxes(1, 2) @ g
+        g_valued = (g @ w_out.swapaxes(1, 2)).reshape(g_count, n, h, -1)
+        g_w_value = np.einsum("gnhc,gnhd->ghcd", pooled, g_valued)
+        g_pooled = np.einsum("gnhd,ghcd->gnhc", g_valued, w_value).reshape(g_count * n, h, c)
         g_attn = np.einsum("nhc,nhkc->nhk", g_pooled, samples)
         g_logits = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
-        g_samples = (attn[..., None] * g_pooled[:, :, None, :]).reshape(n, h, lv, s, c)
-        g_offsets = np.empty((n, h, lv, s, 2))
-        g_maps, g_refs = [], []
-        for level, (fmap, res) in enumerate(zip(maps, kernels)):
-            g_map, g_points = tt._bilinear_vjp(
-                fmap.shape, res, g_samples[:, :, level].reshape(-1, c)
-            )
-            g_points = g_points.reshape(n, h, s, 2)
-            g_offsets[:, :, level] = g_points
-            g_maps.append(g_map)
-            if ref_tensors is not None:
-                g_refs.append(g_points.sum(axis=1).reshape(n * s, 2))
-        g_offsets = g_offsets.reshape(n, -1)
-        g_logits = g_logits.reshape(n, -1)
-        g_z = g_offsets @ w_offset.T + g_logits @ w_weight.T
-        return (
-            g_z,
-            zd.T @ g_offsets,
-            g_offsets.sum(axis=0),
-            zd.T @ g_logits,
-            g_logits.sum(axis=0),
-            *g_w_value,
-            *g_w_out.reshape(h, -1, g_w_out.shape[1]),
-            *g_maps,
-            *g_refs,
+        g_samples = (
+            (attn[..., None] * g_pooled[:, :, None, :])
+            .reshape(g_count, n, h, lv, s, c)
+            .transpose(0, 3, 1, 2, 4, 5)
+            .reshape(-1, c)
         )
+        g_maps, g_points = tt._bilinear_vjp(
+            [f.shape for f in maps], kernel, g_samples, needs[maps_at : maps_at + len(maps)]
+        )
+        g_points = g_points.reshape(g_count, lv, n, h, s, 2)
+        g_refs = g_points.sum(axis=3).reshape(len(maps), n * s, 2) if ref_tensors else ()
+        g_offsets = g_points.transpose(0, 2, 3, 1, 4, 5).reshape(g_count, n, -1)
+        g_logits = g_logits.reshape(g_count, n, -1)
+        g_z = g_offsets @ w_offset.swapaxes(1, 2) + g_logits @ w_weight.swapaxes(1, 2)
+        zt = zd.swapaxes(1, 2)
+        g_w_offset, g_w_weight = zt @ g_offsets, zt @ g_logits
+        g_b_offset, g_b_weight = g_offsets.sum(axis=1), g_logits.sum(axis=1)
+        g_w_out = g_w_out.reshape(g_count, h, -1, g_w_out.shape[2])
+        per_group = (
+            t
+            for i in range(g_count)
+            for t in (
+                g_w_offset[i], g_b_offset[i], g_w_weight[i], g_b_weight[i],
+                *g_w_value[i], *g_w_out[i],
+            )
+        )
+        return (g_z.reshape(z.shape), *per_group, *g_maps, *g_refs)
 
     inputs = (
         z,
-        params.w_offset,
-        params.b_offset,
-        params.w_weight,
-        params.b_weight,
-        *params.w_value,
-        *params.w_out,
+        *(
+            t
+            for p in params
+            for t in (p.w_offset, p.b_offset, p.w_weight, p.b_weight, *p.w_value, *p.w_out)
+        ),
         *maps,
         *(ref_tensors or ()),
     )
-    return tt._emit(valued @ w_out, inputs, vjp)
+    return tt._emit((valued @ w_out).reshape(z.shape), inputs, vjp, selective=True)
 
 
 def deform_attn(
     z: Tensor,
     refs: Sequence[ReferencePoint],
-    fmap: Tensor,
-    params: DeformAttnParams,
+    fmap: Tensor | Sequence[Tensor],
+    params: DeformAttnParams | Sequence[DeformAttnParams],
     ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
     """Single-level deformable attention: (N, D) queries -> (N, D).
 
+    ``fmap`` and ``params`` may also hold one map and one parameter set per
+    row group: ``z`` is then G blocks of N rows, and block g samples only
+    map g, under parameter set g.  The shared and parallel schemes run the
+    three pyramid levels this way, as one call.
+
     ``ref_tensors`` optionally supplies the tiled reference pixel
-    coordinates as leaf tensors so their gradients can be inspected; by
-    default the reference points enter as constants (stop-gradient).
+    coordinates, one tensor per map, as leaf tensors so their gradients can
+    be inspected; by default the reference points enter as constants
+    (stop-gradient).
     """
-    if params.num_levels != 1:
+    groups = _groups(params, DeformAttnParams)
+    maps = [fmap] if isinstance(fmap, Tensor) else list(fmap)
+    if any(p.num_levels != 1 for p in groups):
         raise ValueError("deform_attn expects single-level parameters")
-    return _deform_core(z, refs, [fmap], params, ref_tensors)
+    return _deform_core(z, refs, maps, groups, ref_tensors)
 
 
 def multiscale_deform_attn(
     z: Tensor,
     refs: Sequence[ReferencePoint],
     pyramid: Sequence[Tensor],
-    params: DeformAttnParams,
+    params: DeformAttnParams | Sequence[DeformAttnParams],
     ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
-    """Multi-level deformable attention; A normalizes over levels * points."""
-    if params.num_levels != len(pyramid):
+    """Multi-level deformable attention; A normalizes over levels * points.
+
+    Row groups work as in :func:`deform_attn`, each reading its own
+    ``num_levels`` consecutive maps of ``pyramid``.
+    """
+    groups = _groups(params, DeformAttnParams)
+    if groups[0].num_levels * len(groups) != len(pyramid):
         raise ValueError(
-            f"parameters built for {params.num_levels} levels, got {len(pyramid)}"
+            f"parameters built for {groups[0].num_levels} levels per group, "
+            f"got {len(pyramid)} maps for {len(groups)} groups"
         )
-    return _deform_core(z, refs, list(pyramid), params, ref_tensors)
+    return _deform_core(z, refs, list(pyramid), groups, ref_tensors)
 
 
 def deform_attention_weights(z: Tensor, params: DeformAttnParams) -> np.ndarray:

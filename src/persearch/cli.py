@@ -93,11 +93,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _retrieval_inputs(args):
+def _retrieval_inputs(args, detection_seed: int | None = None):
+    """Gallery and query entries; detection uses the checkpoint's run seed
+    unless ``detection_seed`` overrides it."""
     model, _, meta = load_checkpoint(args.checkpoint)
     bench = load_benchmark(args.data)
-    seed = args.seed if args.seed is not None else meta.get("run_seed", 0)
-    entries, truth, per_scene = build_gallery(model, bench, seed)
+    if detection_seed is None:
+        detection_seed = meta.get("run_seed", 0)
+    entries, truth, per_scene = build_gallery(model, bench, detection_seed)
     queries = build_query_entries(bench, per_scene)
     return queries, entries, truth
 
@@ -110,7 +113,7 @@ def _metrics_dict(result) -> dict:
 
 
 def cmd_eval(args) -> int:
-    queries, entries, truth = _retrieval_inputs(args)
+    queries, entries, truth = _retrieval_inputs(args, args.seed)
     if args.cbgm:
         result = cbgm_rerank(queries, entries, truth, k1=args.k1, k2=args.k2)
     else:
@@ -139,6 +142,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --gallery-sizes {args.gallery_sizes!r}") from None
     if not sizes:
         raise ConfigError("--gallery-sizes must name at least one size")
+    # --seed picks the distractors only; detection keeps the run seed.
     queries, entries, truth = _retrieval_inputs(args)
     seed = args.seed if args.seed is not None else 0
     swept = gallery_sweep(queries, entries, truth, sizes, seed=seed)

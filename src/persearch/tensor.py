@@ -19,6 +19,8 @@ record themselves through the same ``_emit`` hook with their own VJPs.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -39,6 +41,8 @@ __all__ = [
     "mean_all",
     "sum_row_groups",
     "concat_cols",
+    "tile_rows",
+    "split_rows",
     "slice_cols",
     "take_rows",
     "gather_pairs",
@@ -123,12 +127,13 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "vjp")
+    __slots__ = ("out", "inputs", "vjp", "selective")
 
-    def __init__(self, out, inputs, vjp):
+    def __init__(self, out, inputs, vjp, selective):
         self.out = out
         self.inputs = inputs
         self.vjp = vjp
+        self.selective = selective
 
 
 _ACTIVE_TAPE: "GradTape | None" = None
@@ -158,24 +163,36 @@ class GradTape:
         _ACTIVE_TAPE = None
         return False
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        self._nodes.append(_Node(out, inputs, vjp))
+    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp, selective) -> None:
+        self._nodes.append(_Node(out, inputs, vjp, selective))
 
     def gradients(self, loss: Tensor, sources: Iterable[Tensor]) -> list[np.ndarray]:
         """Gradient of the scalar ``loss`` for each source tensor.
 
         Sources that did not participate in the computation get zeros of
         their own shape.  The tape may be replayed multiple times.
+
+        Before the replay one forward sweep marks every tensor that depends
+        on a source.  Only those need a gradient: nodes whose output depends
+        on none are skipped, and a node recorded with ``selective=True`` is
+        told which of its inputs to differentiate.
         """
         if loss.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
+        sources = list(sources)
+        live = {id(src) for src in sources}
+        for node in self._nodes:
+            if any(id(inp) in live for inp in node.inputs):
+                live.add(id(node.out))
         grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
         for node in reversed(self._nodes):
             g_out = grads.get(id(node.out))
-            if g_out is None:
+            if g_out is None or id(node.out) not in live:
                 continue
-            for inp, g_in in zip(node.inputs, node.vjp(g_out)):
-                if g_in is None:
+            needs = tuple(id(inp) in live for inp in node.inputs)
+            g_ins = node.vjp(g_out, needs) if node.selective else node.vjp(g_out)
+            for inp, need, g_in in zip(node.inputs, needs, g_ins):
+                if g_in is None or not need:
                     continue
                 key = id(inp)
                 if key in grads:
@@ -189,10 +206,17 @@ class GradTape:
         return out
 
 
-def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
+def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], vjp, selective: bool = False) -> Tensor:
+    """Wrap ``data`` and record it on the active tape.
+
+    ``vjp(g)`` returns one gradient (or None) per input.  With
+    ``selective`` it is called as ``vjp(g, needs)``, where ``needs[i]``
+    says whether input i depends on a gradient source, so it can skip the
+    gradients nothing reads.
+    """
     out = Tensor(data)
     if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE._record(out, inputs, vjp)
+        _ACTIVE_TAPE._record(out, inputs, vjp, selective)
     return out
 
 
@@ -321,6 +345,46 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts], axis=1), parts, vjp)
 
 
+def tile_rows(x: Tensor, reps: int) -> Tensor:
+    """Stack ``reps`` copies of a rank-2 tensor: (n, d) -> (reps * n, d).
+
+    One copy is ``x`` itself and records nothing.
+    """
+    if x.ndim != 2 or reps < 1:
+        raise ValueError(f"cannot tile {x.shape} {reps} times")
+    if reps == 1:
+        return x
+    n = x.shape[0]
+    return _emit(
+        np.tile(x.data, (reps, 1)),
+        (x,),
+        lambda g: (g.reshape(reps, n, -1).sum(axis=0),),
+    )
+
+
+def split_rows(x: Tensor, parts: int) -> tuple[Tensor, ...]:
+    """Cut a rank-2 tensor into ``parts`` equal blocks of consecutive rows.
+
+    One block is ``x`` itself and records nothing.
+    """
+    if x.ndim != 2 or parts < 1 or x.shape[0] % parts != 0:
+        raise ValueError(f"cannot split the rows of {x.shape} into {parts} blocks")
+    if parts == 1:
+        return (x,)
+    n = x.shape[0] // parts
+    shape = x.shape
+
+    def block(i):
+        def vjp(g):
+            full = np.zeros(shape)
+            full[i * n : (i + 1) * n] = g
+            return (full,)
+
+        return _emit(x.data[i * n : (i + 1) * n].copy(), (x,), vjp)
+
+    return tuple(block(i) for i in range(parts))
+
+
 def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
     if x.ndim != 2 or not (0 <= j0 < j1 <= x.shape[1]):
         raise ValueError(f"bad column slice [{j0}:{j1}] of {x.shape}")
@@ -389,31 +453,50 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(p, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(
+    x: Tensor,
+    gamma: Tensor | Sequence[Tensor],
+    beta: Tensor | Sequence[Tensor],
+    eps: float = 1e-5,
+) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    ``gamma`` and ``beta`` may also be equal-length sequences with one
+    tensor per block of rows: a rank-2 ``x`` then holds that many equal
+    blocks of rows, and block i is scaled by gamma[i] and shifted by
+    beta[i].
+    """
+    grouped = not isinstance(gamma, Tensor)
+    gammas = tuple(gamma) if grouped else (gamma,)
+    betas = tuple(beta) if grouped else (beta,)
     if x.ndim not in (1, 2):
         raise ValueError("layer_norm expects a rank-1 or rank-2 tensor")
     n = x.shape[-1]
-    if gamma.shape != (n,) or beta.shape != (n,):
+    if len(betas) != len(gammas) or any(t.shape != (n,) for t in gammas + betas):
         raise ValueError("gamma/beta must have the normalized-axis length")
+    blocks = len(gammas)
+    if grouped and (x.ndim != 2 or x.shape[0] % blocks != 0):
+        raise ValueError(f"cannot split the rows of {x.shape} into {blocks} blocks")
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
-    gd = gamma.data
+    gd = np.array([t.data for t in gammas])[:, None]  # (blocks, 1, n)
+    bd = np.array([t.data for t in betas])[:, None]
+    by_block = lambda a: a.reshape(blocks, -1, n)
 
     def vjp(g):
-        gx = g * gd
+        gx = (by_block(g) * gd).reshape(g.shape)
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         dx = (gx - m1 - xhat * m2) * inv
-        axis0 = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axis0) if g.ndim > 1 else g * xhat
-        dbeta = g.sum(axis=axis0) if g.ndim > 1 else g
-        return dx, dgamma, dbeta
+        dgamma = (by_block(g) * by_block(xhat)).sum(axis=1)
+        dbeta = by_block(g).sum(axis=1)
+        return dx, *dgamma, *dbeta
 
-    return _emit(xhat * gd + beta.data, (x, gamma, beta), vjp)
+    out = (by_block(xhat) * gd + bd).reshape(xd.shape)
+    return _emit(out, (x, *gammas, *betas), vjp)
 
 
 def _normalize_rows_impl(xd: np.ndarray):
@@ -460,45 +543,78 @@ def _l2_impl(x: Tensor) -> Tensor:
 # one, which fixes the subgradient choice at the (measure-zero) ties.
 
 
-def _bilinear_forward(fmap: np.ndarray, pts: np.ndarray):
-    """Shared kernel: pts is (P, 2) as (x, y); returns (P, C) plus residuals.
+# Corner offsets in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1).
+_CORNER_X = np.array([0, 1, 0, 1]).reshape(4, 1, 1)
+_CORNER_Y = np.array([0, 0, 1, 1]).reshape(4, 1, 1)
 
-    The four corners of every point, in the order (x0, y0), (x0+1, y0),
-    (x0, y0+1), (x0+1, y0+1), are read with one gather from the flattened
-    map; corners outside it read as zero and get zero weight.
+
+def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
+    """Shared kernel: sample M (C, H_m, W_m) maps at M equal blocks of points.
+
+    ``pts`` is (P, 2) as (x, y); its m-th block of P / M rows samples
+    ``maps[m]``.  Returns (P, C) plus residuals.  The four corners of every
+    point are read with one gather from the maps' flattened concatenation;
+    corners outside their map read as zero and get zero weight.
     """
-    c, h, w = fmap.shape
-    xs, ys = pts[:, 0], pts[:, 1]
+    m = len(maps)
+    c = maps[0].shape[0]
+    hs = np.array([f.shape[1] for f in maps])[:, None]  # (M, 1)
+    ws = np.array([f.shape[2] for f in maps])[:, None]
+    starts = np.cumsum(hs * ws) - hs[:, 0] * ws[:, 0]
+    flat_maps = (
+        maps[0].reshape(c, -1)
+        if m == 1
+        else np.concatenate([f.reshape(c, -1) for f in maps], axis=1)
+    )
+    xs, ys = pts[:, 0].reshape(m, -1), pts[:, 1].reshape(m, -1)
     x0 = np.ceil(xs).astype(np.intp) - 1
     y0 = np.ceil(ys).astype(np.intp) - 1
-    dx = xs - x0
-    dy = ys - y0
-    cx = np.stack([x0, x0 + 1, x0, x0 + 1])  # (4, P)
-    cy = np.stack([y0, y0, y0 + 1, y0 + 1])
-    inb = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-    flat = np.minimum(np.maximum(cy, 0), h - 1) * w + np.minimum(np.maximum(cx, 0), w - 1)
-    vals = np.where(inb, fmap.reshape(c, h * w)[:, flat], 0.0)  # (C, 4, P)
+    cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, M, P/M)
+    inb = ((cx >= 0) & (cx < ws) & (cy >= 0) & (cy < hs)).reshape(4, -1)
+    flat = (
+        starts[:, None]
+        + np.minimum(np.maximum(cy, 0), hs - 1) * ws
+        + np.minimum(np.maximum(cx, 0), ws - 1)
+    ).reshape(4, -1)
+    vals = np.where(inb, flat_maps[:, flat], 0.0)  # (C, 4, P)
+    dx, dy = (xs - x0).reshape(-1), (ys - y0).reshape(-1)
     ex, ey = 1.0 - dx, 1.0 - dy
-    wts = np.stack([ex * ey, dx * ey, ex * dy, dx * dy]) * inb  # (4, P)
+    wts = np.array([ex * ey, dx * ey, ex * dy, dx * dy]) * inb  # (4, P)
     out = np.einsum("ckp,kp->pc", vals, wts)  # (P, C)
     return out, (flat, wts, dx, dy, vals)
 
 
-def _bilinear_vjp(fmap_shape, res, g):
-    """Gradients for the batched kernel; g is (P, C)."""
+def _bilinear_vjp(map_shapes, res, g, want_maps: Sequence[bool] | None = None):
+    """Gradients for the batched kernel; g is (P, C).
+
+    Returns (one gradient per map, point gradient).  ``want_maps`` says
+    which maps need a gradient (default: all); the others get None, and
+    when none does the scatter is skipped.
+    """
+    if want_maps is None:
+        want_maps = [True] * len(map_shapes)
     flat, wts, dx, dy, vals = res
     gv = np.einsum("pc,ckp->kp", g, vals)  # g . corner value, (4, P)
     gx = (1.0 - dy) * (gv[1] - gv[0]) + dy * (gv[3] - gv[2])
     gy = (1.0 - dx) * (gv[2] - gv[0]) + dx * (gv[3] - gv[1])
     g_pts = np.stack([gx, gy], axis=1)  # (P, 2)
+    if not any(want_maps):
+        return [None] * len(map_shapes), g_pts
 
-    # One scatter for all channels and corners: channel c of flat pixel i
-    # lands in bin c * H * W + i.
-    c, h, w = fmap_shape
-    bins = (np.arange(c)[:, None, None] * (h * w) + flat).reshape(-1)
+    # One scatter for all channels, corners and maps: channel c of flat
+    # pixel i of the concatenation lands in bin c * total + i.
+    c = map_shapes[0][0]
+    sizes = [h * w for _, h, w in map_shapes]
+    total = sum(sizes)
+    bins = (np.arange(c)[:, None, None] * total + flat).reshape(-1)
     contrib = (g.T[:, None, :] * wts).reshape(-1)
-    g_map = np.bincount(bins, weights=contrib, minlength=c * h * w).reshape(fmap_shape)
-    return g_map, g_pts
+    g_flat = np.bincount(bins, weights=contrib, minlength=c * total).reshape(c, total)
+    ends = np.cumsum(sizes)
+    g_maps = [
+        g_flat[:, end - size : end].reshape(shape) if want else None
+        for shape, size, end, want in zip(map_shapes, sizes, ends, want_maps)
+    ]
+    return g_maps, g_pts
 
 
 def bilinear_sample(fmap: Tensor, point) -> Tensor:
@@ -516,11 +632,11 @@ def bilinear_sample(fmap: Tensor, point) -> Tensor:
         pts = point.data.reshape(1, 2)
     else:
         pts = np.array([[float(point[0]), float(point[1])]])
-    out, res = _bilinear_forward(fmap.data, pts)
+    out, res = _bilinear_forward([fmap.data], pts)
     fshape = fmap.shape
 
     def vjp(g):
-        g_map, g_pts = _bilinear_vjp(fshape, res, g.reshape(1, -1))
+        (g_map,), g_pts = _bilinear_vjp([fshape], res, g.reshape(1, -1))
         return (g_map, g_pts[0]) if as_tensor else (g_map,)
 
     inputs = (fmap, point) if as_tensor else (fmap,)
@@ -533,11 +649,12 @@ def bilinear_sample_rows(fmap: Tensor, points: Tensor) -> Tensor:
         raise ValueError("bilinear_sample_rows expects a (C, H, W) map")
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must have shape (P, 2)")
-    out, res = _bilinear_forward(fmap.data, points.data)
+    out, res = _bilinear_forward([fmap.data], points.data)
     fshape = fmap.shape
 
     def vjp(g):
-        return _bilinear_vjp(fshape, res, g)
+        (g_map,), g_pts = _bilinear_vjp([fshape], res, g)
+        return g_map, g_pts
 
     return _emit(out, (fmap, points), vjp)
 
@@ -632,19 +749,38 @@ def write_blob(path, t: Tensor) -> None:
 
 
 def read_blob(path) -> Tensor:
+    """Read a blob written by :func:`write_blob`.
+
+    The header, the dims and the data must have exactly the lengths the
+    header implies; a short or over-long file raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != _BLOB_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, dtype, ndim = struct.unpack("<IBB", fh.read(6))
+        header = fh.read(6)
+        if len(header) != 6:
+            raise ValueError(f"{path}: truncated blob header")
+        version, dtype, ndim = struct.unpack("<IBB", header)
         if version != _BLOB_VERSION:
             raise ValueError(f"{path}: unsupported blob version {version}")
         if dtype != _DTYPE_F64:
             raise ValueError(f"{path}: unsupported dtype code {dtype}")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        count = int(np.prod(dims)) if ndim else 1
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
+        raw_dims = fh.read(8 * ndim)
+        if len(raw_dims) != 8 * ndim:
+            raise ValueError(f"{path}: truncated blob dims")
+        dims = struct.unpack(f"<{ndim}Q", raw_dims)
+        # Check the length against the file size before reading, so a
+        # corrupt dim cannot ask for a huge buffer.
+        expected = 8 * math.prod(dims)
+        remaining = size - fh.tell()
+        if remaining != expected:
+            raise ValueError(
+                f"{path}: blob holds {remaining} data bytes, its header implies {expected}"
+            )
+        raw = fh.read(expected)
+        if len(raw) != expected:
             raise ValueError(f"{path}: truncated blob")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     return Tensor(arr)

@@ -43,6 +43,7 @@ from .losses import (
     LossWeights,
     OIMState,
     focal_oim_loss,
+    total_loss,
 )
 from .tensor import GradTape, Tensor, read_blob, write_blob
 from .transformer import ReIDTransformer
@@ -195,10 +196,7 @@ def _scene_losses(
         l_oim = tt.add(l_oim, extra)
     l_oim = tt.scale(l_oim, 1.0 / len(scale_losses))
 
-    w = settings.weights
-    total = tt.add_scalar(
-        tt.scale(l_oim, w.oim), w.cls * l_cls + w.iou * l_iou + w.l1 * l_l1
-    )
+    total = total_loss(l_cls, l_iou, l_l1, l_oim, settings.weights)
     if not np.isfinite(float(total.data)):
         raise NumericError(f"non-finite loss {float(total.data)}")
     row = {

@@ -16,6 +16,14 @@ Four multi-scale schemes cover how the three pyramid levels are consumed:
 * ``multi_scale_3d`` - as above but the queries and stack live in width 3d,
                   one (N, 3d).
 
+The two per-level schemes run their three levels as one batch: the queries
+are tiled into three blocks of N rows, one per level, and each sublayer is a
+single call over all 3N rows.  Block l samples only level l and sees only
+its own block in self-attention, under level l's parameters (the same
+tensors three times for ``shared``), so every block computes exactly what
+a separate pass over level l would.  The blocks are split back into the
+three per-scale embeddings at the end.
+
 For matching, per-scale embeddings are concatenated per row and
 l2-normalized, so shared/parallel match in 3d dimensions, multi_scale_d in
 d, and multi_scale_3d in 3d.
@@ -142,24 +150,39 @@ def reid_layer_forward(
     y: Tensor,
     refs: Sequence[ReferencePoint],
     maps: Sequence[Tensor],
-    layer: ReIDLayerParams,
+    layer: ReIDLayerParams | Sequence[ReIDLayerParams],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
-    """One transformer layer: optional self-attention, then K cross sublayers."""
-    if layer.self_attn is not None:
-        gamma, beta = layer.self_attn_norm
+    """One transformer layer: optional self-attention, then K cross sublayers.
+
+    ``layer`` may also hold one parameter view per row group: ``y`` is then
+    one block of rows per group, block g reads the g-th run of
+    ``num_levels`` maps, and self-attention mixes rows only within a block.
+    """
+    groups = (layer,) if isinstance(layer, ReIDLayerParams) else tuple(layer)
+    if groups[0].self_attn is not None:
         y = residual_layernorm(
-            y, multi_head_self_attention(y, layer.self_attn), gamma, beta,
-            dropout_rate, rng,
+            y,
+            multi_head_self_attention(y, [v.self_attn for v in groups]),
+            [v.self_attn_norm[0] for v in groups],
+            [v.self_attn_norm[1] for v in groups],
+            dropout_rate,
+            rng,
         )
-    for attn_params, (gamma, beta) in zip(layer.cross, layer.cross_norms):
-        if attn_params.num_levels == 1:
-            sub = deform_attn(y, refs, maps[0], attn_params, ref_tensors)
-        else:
-            sub = multiscale_deform_attn(y, refs, maps, attn_params, ref_tensors)
-        y = residual_layernorm(y, sub, gamma, beta, dropout_rate, rng)
+    for k, attn_params in enumerate(groups[0].cross):
+        cross = [v.cross[k] for v in groups]
+        deform = deform_attn if attn_params.num_levels == 1 else multiscale_deform_attn
+        sub = deform(y, refs, maps, cross, ref_tensors)
+        y = residual_layernorm(
+            y,
+            sub,
+            [v.cross_norms[k][0] for v in groups],
+            [v.cross_norms[k][1] for v in groups],
+            dropout_rate,
+            rng,
+        )
     return y
 
 
@@ -344,6 +367,7 @@ class ReIDTransformer:
             )
 
     def _ref_tensors(self, refs, maps) -> list[Tensor] | None:
+        """Reference pixels of every level as leaf tensors, when tracked."""
         if not self.config.track_reference_gradients:
             return None
         out = []
@@ -361,33 +385,24 @@ class ReIDTransformer:
         refs: Sequence[ReferencePoint],
         rng: np.random.Generator | None = None,
     ) -> ReIDEmbeddings:
-        """Refine the query set against the pyramid; returns per-scale rows."""
+        """Refine the query set against the pyramid; returns per-scale rows.
+
+        The per-level schemes run one block of query rows per level through
+        the stack together (see the module docstring).
+        """
         cfg = self.config
         self._check_inputs(pyramid, refs)
         self.last_ref_tensors = {}
-        queries = self.params["queries"]
-        if cfg.scheme in ("shared", "parallel"):
-            per_scale = []
-            for lvl in range(NUM_LEVELS):
-                stack = "stack" if cfg.scheme == "shared" else f"stack{lvl}"
-                maps = [pyramid[lvl]]
-                ref_t = self._ref_tensors(refs, maps)
-                y = queries
-                for m in range(cfg.m_layers):
-                    y = reid_layer_forward(
-                        y, refs, maps, self._layer_view(stack, m),
-                        cfg.dropout, rng, ref_t,
-                    )
-                per_scale.append(y)
-            return ReIDEmbeddings(tuple(per_scale), cfg.scheme)
         maps = list(pyramid)
         ref_t = self._ref_tensors(refs, maps)
-        y = queries
+        blocks = cfg.output_scales
+        y = tt.tile_rows(self.params["queries"], blocks)
         for m in range(cfg.m_layers):
-            y = reid_layer_forward(
-                y, refs, maps, self._layer_view("stack", m), cfg.dropout, rng, ref_t
-            )
-        return ReIDEmbeddings((y,), cfg.scheme)
+            views = [self._layer_view(stack, m) for stack in _stack_names(cfg)]
+            if cfg.scheme == "shared":
+                views *= NUM_LEVELS
+            y = reid_layer_forward(y, refs, maps, views, cfg.dropout, rng, ref_t)
+        return ReIDEmbeddings(tt.split_rows(y, blocks), cfg.scheme)
 
     def matching_embeddings(
         self,

@@ -358,6 +358,108 @@ class TestDeformAttn:
             )
 
 
+def _param_leaves(params):
+    if isinstance(params, MultiHeadAttnParams):
+        return [*params.wq, *params.wk, *params.wv, params.wo]
+    return [
+        params.w_offset, params.b_offset, params.w_weight, params.b_weight,
+        *params.w_value, *params.w_out,
+    ]
+
+
+def _norm_rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestRowGroups:
+    """One call over G blocks of rows equals G separate calls, block by block."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_grouped_sublayers_match_separate_calls(self, shared, levels):
+        rng = np.random.default_rng(61 + levels)
+        g, n, d, c, heads, points = 3, 3, 6, 4, 2, 2
+        maps = [Tensor(rng.standard_normal((c, 2 + i % 5, 3 + i % 4))) for i in range(g * levels)]
+        refs = [ReferencePoint(*rng.uniform(0.1, 0.9, 2)) for _ in range(n)]
+        count = 1 if shared else g
+        dps = [random_deform_params(rng, d, c, heads, points, levels) for _ in range(count)]
+        mhas = [random_mha_params(rng, d, heads) for _ in range(count)]
+        gammas = [Tensor(rng.standard_normal(d)) for _ in range(count)]
+        betas = [Tensor(rng.standard_normal(d)) for _ in range(count)]
+        if shared:
+            dps, mhas, gammas, betas = dps * g, mhas * g, gammas * g, betas * g
+        z = Tensor(rng.standard_normal((g * n, d)))
+        weigh = Tensor(rng.standard_normal((g * n, d)))
+        deform = deform_attn if levels == 1 else multiscale_deform_attn
+
+        def grouped():
+            y = residual_layernorm(z, deform(z, refs, maps, dps), gammas, betas)
+            return multi_head_self_attention(y, mhas)
+
+        def separate():
+            outs = []
+            for i, block in enumerate(T.split_rows(z, g)):
+                own = maps[i * levels : (i + 1) * levels]
+                sub = deform(block, refs, own[0] if levels == 1 else own, dps[i])
+                y = residual_layernorm(block, sub, gammas[i], betas[i])
+                outs.append(multi_head_self_attention(y, mhas[i]))
+            return outs
+
+        sources = [z, *maps, *gammas[:count], *betas[:count]]
+        sources += [t for p in dps[:count] + mhas[:count] for t in _param_leaves(p)]
+        with GradTape() as tape:
+            got = grouped()
+            loss = T.sum_all(T.mul(got, weigh))
+            got_grads = tape.gradients(loss, sources)
+        with GradTape() as tape:
+            want = separate()
+            parts = [T.sum_all(T.mul(o, w)) for o, w in zip(want, T.split_rows(weigh, g))]
+            loss = T.add(T.add(parts[0], parts[1]), parts[2])
+            want_grads = tape.gradients(loss, sources)
+        assert np.array_equal(got.data, np.concatenate([o.data for o in want]))
+        for a, b in zip(got_grads, want_grads):
+            assert np.abs(b).max() > 0
+            assert _norm_rel(a, b) <= 1e-12
+
+    def test_map_gradient_only_for_maps_that_are_sources(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        maps = [Tensor(rng.standard_normal((3, 5, 6))) for _ in range(3)]
+        refs = [ReferencePoint(0.3, 0.6), ReferencePoint(0.7, 0.2)]
+        dps = [random_deform_params(rng, 4, 3, 2, 2) for _ in range(3)]
+        z = Tensor(rng.standard_normal((6, 4)))
+        wanted = []
+        kernel_vjp = T._bilinear_vjp
+
+        def recording(shapes, res, g, want_maps=None):
+            wanted.append(list(want_maps))
+            return kernel_vjp(shapes, res, g, want_maps)
+
+        monkeypatch.setattr(T, "_bilinear_vjp", recording)
+        with GradTape() as tape:
+            loss = T.sum_all(T.powc(deform_attn(z, refs, maps, dps), 2.0))
+        params = _param_leaves(dps[1])
+        data_only = tape.gradients(loss, [z, *params])
+        with_maps = tape.gradients(loss, [z, *params, maps[1]])
+        all_maps = tape.gradients(loss, maps)
+        assert wanted == [[False] * 3, [False, True, False], [True] * 3]
+        for a, b in zip(data_only, with_maps):
+            assert np.array_equal(a, b)
+        assert np.array_equal(with_maps[-1], all_maps[1])
+        assert np.abs(with_maps[-1]).max() > 0
+
+    def test_blocks_must_divide_rows(self):
+        rng = np.random.default_rng(64)
+        dp = random_deform_params(rng, 4, 3, 2, 2)
+        fmap = Tensor(rng.standard_normal((3, 4, 4)))
+        refs = [ReferencePoint(0.5, 0.5)] * 2
+        with pytest.raises(ValueError):
+            deform_attn(Tensor(np.zeros((5, 4))), refs, [fmap, fmap], [dp, dp])
+        with pytest.raises(ValueError):
+            multi_head_self_attention(
+                Tensor(np.zeros((5, 4))), [random_mha_params(rng, 4, 2)] * 2
+            )
+
+
 class TestReferencePoint:
     def test_clamps_into_unit_square(self):
         r = ReferencePoint(-0.5, 1.5)

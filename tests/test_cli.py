@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
 import json
+import shutil
 
 import pytest
 
@@ -110,6 +111,27 @@ class TestArtifacts:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["results"]) == {"6", "9"}
 
+    def test_seeded_sweep_at_full_size_matches_eval(self, workspace, tmp_path):
+        # --seed picks the sweep's distractors only: with every scene in the
+        # gallery, the sweep ranks the boxes eval ranks, whatever the seed.
+        common = [
+            "--checkpoint",
+            str(workspace["run"] / "checkpoint"),
+            "--data",
+            str(workspace["data"]),
+        ]
+        assert main(["eval", *common, "--out", str(tmp_path / "e")]) == 0
+        rc = main(
+            [
+                "sweep", *common, "--out", str(tmp_path / "s"),
+                "--seed", "123", "--gallery-sizes", "9",
+            ]
+        )
+        assert rc == 0
+        evaluated = json.loads((tmp_path / "e" / "summary.json").read_text())
+        swept = json.loads((tmp_path / "s" / "summary.json").read_text())
+        assert swept["results"]["9"]["map"] == evaluated["map"]
+
     def test_train_steps_override_zero_gives_single_row(self, workspace, tmp_path):
         out = tmp_path / "run0"
         rc = main(
@@ -185,6 +207,26 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    def test_truncated_scene_blob_exits_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        for blob in data.rglob("*.sqt"):
+            blob.write_bytes(blob.read_bytes()[:7])
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(workspace["run"] / "checkpoint"),
+                "--data",
+                str(data),
+                "--out",
+                str(tmp_path / "e"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         rc = main(

@@ -270,6 +270,28 @@ class TestGradients:
         x = rand(self.rng, 3, 6)
         check_grads(lambda x: T.sum_all(T.powc(T.slice_cols(x, 1, 4), 2.0)), [x])
 
+    def test_tile_and_split_rows(self):
+        x = rand(self.rng, 2, 3)
+        w = rand(self.rng, 6, 3)
+
+        def f(x):
+            a, b, c = T.split_rows(T.mul(T.tile_rows(x, 3), w), 3)
+            return T.sum_all(T.powc(T.add(T.add(a, T.scale(b, 2.0)), c), 2.0))
+
+        check_grads(f, [x])
+
+    def test_grouped_layer_norm(self):
+        x = rand(self.rng, 6, 4)
+        gammas = [Tensor(1.0 + 0.1 * self.rng.standard_normal(4)) for _ in range(3)]
+        betas = [rand(self.rng, 4) for _ in range(3)]
+        w = rand(self.rng, 6, 4)
+        check_grads(
+            lambda x, g1, b2: T.sum_all(
+                T.mul(T.layer_norm(x, [gammas[0], g1, gammas[2]], [betas[0], betas[1], b2]), w)
+            ),
+            [x, gammas[1], betas[2]],
+        )
+
     def test_take_rows_with_repeats(self):
         x = rand(self.rng, 5, 3)
         check_grads(
@@ -373,6 +395,43 @@ class TestGradTape:
         np.testing.assert_array_equal(gx, [[1.0, 1.0]])
         np.testing.assert_array_equal(gz, [[0.0, 0.0]])
 
+    def test_selective_vjp_told_which_inputs_depend_on_a_source(self):
+        seen = []
+
+        def probe(a, b):
+            def vjp(g, needs):
+                seen.append(needs)
+                return g, None if not needs[1] else g
+
+            return T._emit(a.data + b.data, (a, b), vjp, selective=True)
+
+        x, data = Tensor([1.0]), Tensor([2.0])
+        with GradTape() as tape:
+            out = T.sum_all(probe(T.scale(x, 2.0), T.scale(data, 3.0)))
+        (gx,) = tape.gradients(out, [x])
+        assert seen == [(True, False)]
+        np.testing.assert_array_equal(gx, [2.0])
+        gx, gd = tape.gradients(out, [x, data])
+        assert seen[-1] == (True, True)
+        np.testing.assert_array_equal(gd, [3.0])
+
+    def test_nodes_off_every_source_path_are_not_replayed(self):
+        calls = []
+
+        def traced(x):
+            def vjp(g):
+                calls.append(1)
+                return (g,)
+
+            return T._emit(x.data.copy(), (x,), vjp)
+
+        x, data = Tensor([1.0]), Tensor([2.0])
+        with GradTape() as tape:
+            out = T.sum_all(T.add(traced(data), T.scale(x, 2.0)))
+        (gx,) = tape.gradients(out, [x])
+        np.testing.assert_array_equal(gx, [2.0])
+        assert calls == []
+
     def test_no_tape_is_eager(self):
         a = Tensor([[1.0]])
         out = T.scale(a, 2.0)
@@ -439,5 +498,30 @@ class TestBlobIO:
         T.write_blob(path, Tensor(np.ones((4, 4))))
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError):
+            T.read_blob(path)
+
+    @pytest.mark.parametrize("keep", [0, 3, 4, 7, 9, 10, 17, 26, 33])
+    def test_every_truncation_rejected(self, tmp_path, keep):
+        # Cuts inside the magic, the header, the dims and the data.
+        path = tmp_path / "t.sqt"
+        T.write_blob(path, Tensor(np.ones((2, 3))))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError):
+            T.read_blob(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "t.sqt"
+        T.write_blob(path, Tensor(np.ones((2, 3))))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError):
+            T.read_blob(path)
+
+    def test_huge_dim_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "t.sqt"
+        T.write_blob(path, Tensor(np.ones((2, 3))))
+        raw = bytearray(path.read_bytes())
+        raw[10:18] = (2**40).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             T.read_blob(path)

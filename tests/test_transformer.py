@@ -9,8 +9,10 @@ from persearch.tensor import GradTape, Tensor
 from persearch.transformer import (
     SCHEMES,
     ReIDConfig,
+    ReIDEmbeddings,
     ReIDTransformer,
     concat_inference_embeddings,
+    reid_layer_forward,
 )
 
 
@@ -179,15 +181,65 @@ class TestForward:
         refs = make_refs(rng, 3)
         with GradTape() as tape:
             out = T.sum_all(model.matching_embeddings(pyramid, refs))
-        assert set(model.last_ref_tensors) == {0}  # single level per pass
+        # One pass over all three levels: one reference tensor per level.
+        assert set(model.last_ref_tensors) == {0, 1, 2}
         grads = tape.gradients(out, list(model.last_ref_tensors.values()))
-        assert any(np.abs(g).max() > 0 for g in grads)
+        assert all(np.abs(g).max() > 0 for g in grads)
 
     def test_stop_gradient_default(self):
         model = ReIDTransformer.init(tiny_config(), seed=6)
         rng = np.random.default_rng(46)
         model.forward(make_pyramid(rng), make_refs(rng, 3))
         assert model.last_ref_tensors == {}
+
+
+def per_level_reference(model, pyramid, refs):
+    """Each level through its own stack alone, one layer call at a time."""
+    cfg = model.config
+    per_scale = []
+    for lvl, fmap in enumerate(pyramid):
+        stack = "stack" if cfg.scheme == "shared" else f"stack{lvl}"
+        y = model.params["queries"]
+        for m in range(cfg.m_layers):
+            y = reid_layer_forward(y, refs, [fmap], model._layer_view(stack, m))
+        per_scale.append(y)
+    return ReIDEmbeddings(tuple(per_scale), cfg.scheme)
+
+
+class TestLevelBatching:
+    """The per-level schemes run their three levels as one batch of rows."""
+
+    @pytest.mark.parametrize("skip_first", [True, False])
+    @pytest.mark.parametrize("scheme", ["shared", "parallel"])
+    def test_forward_bit_identical_to_per_level_reference(self, scheme, skip_first):
+        rng = np.random.default_rng(48)
+        cfg = tiny_config(scheme=scheme, skip_first_self_attention=skip_first)
+        model = ReIDTransformer.init(cfg, seed=10, style="random")
+        pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
+        got = model.forward(pyramid, refs).per_scale
+        want = per_level_reference(model, pyramid, refs).per_scale
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("scheme", ["shared", "parallel"])
+    def test_gradients_match_per_level_reference(self, scheme):
+        rng = np.random.default_rng(49)
+        cfg = tiny_config(scheme=scheme, skip_first_self_attention=False)
+        model = ReIDTransformer.init(cfg, seed=11, style="random")
+        pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
+        weigh = Tensor(rng.standard_normal((3, cfg.match_dim)))
+        names = sorted(model.params)
+        grads = []
+        for forward in (model.forward, lambda p, r: per_level_reference(model, p, r)):
+            with GradTape() as tape:
+                emb = concat_inference_embeddings(forward(pyramid, refs))
+                loss = T.sum_all(T.mul(emb, weigh))
+                grads.append(tape.gradients(loss, [model.params[n] for n in names]))
+        for name, got, want in zip(names, *grads):
+            assert np.abs(want).max() > 0, name
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel <= 1e-12, (name, rel)
 
 
 class TestCheckpoint:
