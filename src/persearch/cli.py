@@ -166,8 +166,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    def report(block, seconds, results):
+        print(f"{block}: {len(results)} checks in {seconds:.2f}s", flush=True)
+
     t0 = time.perf_counter()
-    results = run_gradcheck(corrupt=args.corrupt)
+    results = run_gradcheck(corrupt=args.corrupt, progress=report)
     print(format_results(results))
     print(f"{len(results)} checks in {time.perf_counter() - t0:.1f}s")
     raise_on_failure(results)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import Box, iou
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 from .losses import UNLABELED
 from .tensor import Tensor, read_blob, write_blob
 
@@ -409,17 +409,18 @@ def load_benchmark(root) -> Benchmark:
         raise DataError(f"corrupt benchmark manifest at {path}: {e}") from e
     if manifest.get("kind") != "persearch_benchmark":
         raise DataError(f"{path} is not a benchmark manifest")
-    cfg = BenchmarkConfig(**manifest["config"])
     try:
         bank_t = read_blob(os.path.join(root, "bank.sqt"))
     except (FileNotFoundError, ValueError) as e:
         raise DataError(f"bad identity bank in {root}: {e}") from e
-    bank = IdentityBank(np.array(bank_t.data), manifest["num_labeled"])
-    scenes: dict[int, SceneMeta] = {}
-    for entry in manifest["scenes"]:
-        persons = tuple(
-            Person(Box(*rec["box"]), rec["label"], rec["bank"])
-            for rec in entry["persons"]
-        )
-        scenes[entry["id"]] = SceneMeta(entry["id"], entry["split"], persons)
-    return Benchmark(root, cfg, bank, scenes, manifest["queries"])
+    with reading(path):
+        cfg = BenchmarkConfig(**manifest["config"])
+        bank = IdentityBank(np.array(bank_t.data), manifest["num_labeled"])
+        scenes: dict[int, SceneMeta] = {}
+        for entry in manifest["scenes"]:
+            persons = tuple(
+                Person(Box(*rec["box"]), rec["label"], rec["bank"])
+                for rec in entry["persons"]
+            )
+            scenes[entry["id"]] = SceneMeta(entry["id"], entry["split"], persons)
+        return Benchmark(root, cfg, bank, scenes, manifest["queries"])

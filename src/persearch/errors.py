@@ -5,7 +5,9 @@ corrupt data exits 2, numeric failures during training exit 3, and a failed
 gradient check exits 4.
 """
 
-__all__ = ["ConfigError", "DataError", "NumericError", "GradcheckFailure"]
+from contextlib import contextmanager
+
+__all__ = ["ConfigError", "DataError", "NumericError", "GradcheckFailure", "reading"]
 
 
 class ConfigError(Exception):
@@ -22,3 +24,17 @@ class NumericError(Exception):
 
 class GradcheckFailure(Exception):
     """Analytic gradients disagree with central differences."""
+
+
+@contextmanager
+def reading(path):
+    """Report a malformed artifact met while reading ``path`` as a DataError.
+
+    A missing key (KeyError), an unknown key or a wrong type (TypeError)
+    and a bad value or corrupt blob (ValueError) all mean the file is not
+    what this program wrote; the DataError names it.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed {path}: {type(e).__name__}: {e}") from e

@@ -14,7 +14,9 @@ entry before comparison, proving the harness can fail.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +68,7 @@ def check_primitives() -> list[CheckResult]:
     beta = Tensor(rng.standard_normal(4))
     fmap = Tensor(rng.standard_normal((3, 5, 6)))
     point = Tensor(np.array([2.3, 1.7]))
+    wide = Tensor(rng.standard_normal((3, 8)))
     checks = [
         ("matmul", lambda x: tt.sum_all(tt.matmul(x, b)), a),
         ("add", lambda x: tt.sum_all(tt.add(x, a)), Tensor(rng.standard_normal((3, 4)))),
@@ -75,12 +78,11 @@ def check_primitives() -> list[CheckResult]:
         ("powc", lambda x: tt.sum_all(tt.powc(x, 2.5)), pos),
         ("log", lambda x: tt.sum_all(tt.log(x)), pos),
         ("mean_all", tt.mean_all, a),
-        ("sum_row_groups", lambda x: tt.sum_all(tt.sum_row_groups(x, 2)), Tensor(rng.standard_normal((6, 3)))),
         ("softmax_rows", lambda x: tt.sum_all(tt.mul(tt.softmax_rows(x), a)), Tensor(rng.standard_normal((3, 4)))),
         ("layer_norm_x", lambda x: tt.sum_all(tt.mul(tt.layer_norm(x, gamma, beta), a)), Tensor(rng.standard_normal((3, 4)))),
         ("layer_norm_gamma", lambda g: tt.sum_all(tt.mul(tt.layer_norm(a, g, beta), a)), gamma),
         ("l2_normalize_rows", lambda x: tt.sum_all(tt.mul(tt.l2_normalize_rows(x), a)), Tensor(rng.standard_normal((3, 4)))),
-        ("concat_slice", lambda x: tt.sum_all(tt.slice_cols(tt.concat_cols((x, a)), 2, 6)), Tensor(rng.standard_normal((3, 4)))),
+        ("concat_cols", lambda x: tt.sum_all(tt.mul(tt.concat_cols((x, a)), wide)), Tensor(rng.standard_normal((3, 4)))),
         ("take_gather", lambda x: tt.sum_all(tt.gather_pairs(tt.softmax_rows(tt.take_rows(x, [0, 2])), [0, 1], [1, 3])), Tensor(rng.standard_normal((3, 4)))),
         ("bilinear_map", lambda m: tt.sum_all(tt.bilinear_sample(m, point)), fmap),
         ("bilinear_point", lambda p: tt.sum_all(tt.bilinear_sample(fmap, p)), point),
@@ -223,9 +225,11 @@ def _gradcheck_scene(dim: int, image_size: int):
 
 
 def check_full_model(corrupt: bool = False) -> list[CheckResult]:
-    """Every model parameter against central differences, one at a time.
+    """Every model parameter against central differences.
 
     Random init style so no gradient path hides behind a zero projection.
+    The 2 * size probes of each parameter tensor run as one batched
+    forward, with one loss per probe.
     """
     cfg = ReIDConfig(
         dim=8,
@@ -248,8 +252,7 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
         st.lut[:] = lut
         states.append(st)
 
-    def loss() -> Tensor:
-        emb = model.forward(pyramid, refs)
+    def loss(emb) -> Tensor:
         total = None
         for scale, st in zip(emb.per_scale, states):
             l, _ = focal_oim_loss(tt.l2_normalize_rows(scale), labels, st, gamma=2.0)
@@ -258,42 +261,51 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
 
     names = sorted(model.params)
     with GradTape() as tape:
-        out = loss()
+        out = loss(model.forward(pyramid, refs))
         analytic = tape.gradients(out, [model.params[n] for n in names])
     if corrupt:
         analytic[0] = analytic[0] + 1e-3
 
-    results = []
-    h = 1e-6
-    for name, grad in zip(names, analytic):
-        base = model.params[name].data
-        numeric = np.zeros_like(base).reshape(-1)
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            for sign, slot in ((+1, 0), (-1, 1)):
-                probe = flat.copy()
-                probe[i] += sign * h
-                model.params[name] = Tensor(probe.reshape(base.shape))
-                if slot == 0:
-                    f_hi = loss().item()
-                else:
-                    f_lo = loss().item()
-            numeric[i] = (f_hi - f_lo) / (2.0 * h)
-        model.params[name] = Tensor(base)
-        results.append(
-            CheckResult(
-                f"full_model.{name}",
-                max_rel_error(grad, numeric.reshape(base.shape)),
-                FULL_MODEL_TOL,
-            )
+    def probe_losses(name):
+        """All probes of one tensor through one batched forward."""
+
+        def f(probes):
+            sets = [{**model.params, name: p} for p in probes]
+            return [loss(emb) for emb in model.forward(pyramid, refs, param_sets=sets)]
+
+        return f
+
+    return [
+        CheckResult(
+            f"full_model.{name}",
+            max_rel_error(grad, tt.numeric_gradient(probe_losses(name), model.params[name])),
+            FULL_MODEL_TOL,
         )
-    return results
+        for name, grad in zip(names, analytic)
+    ]
 
 
-def run_gradcheck(corrupt: bool = False) -> list[CheckResult]:
-    results = check_primitives()
-    results += check_attention()
-    results += check_full_model(corrupt=corrupt)
+def run_gradcheck(
+    corrupt: bool = False,
+    progress: Callable[[str, float, list[CheckResult]], None] | None = None,
+) -> list[CheckResult]:
+    """Every block of checks in order: primitives, attention, full model.
+
+    ``progress(block, seconds, results)``, when given, is called after
+    each block with its wall-clock seconds and its results.
+    """
+    blocks = (
+        ("primitives", check_primitives),
+        ("attention", check_attention),
+        ("full model", lambda: check_full_model(corrupt=corrupt)),
+    )
+    results = []
+    for block, check in blocks:
+        start = time.perf_counter()
+        block_results = check()
+        if progress is not None:
+            progress(block, time.perf_counter() - start, block_results)
+        results += block_results
     return results
 
 

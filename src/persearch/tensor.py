@@ -30,7 +30,6 @@ __all__ = [
     "Tensor",
     "GradTape",
     "matmul",
-    "transpose",
     "add",
     "add_scalar",
     "scale",
@@ -39,14 +38,11 @@ __all__ = [
     "log",
     "sum_all",
     "mean_all",
-    "sum_row_groups",
     "concat_cols",
     "tile_rows",
     "split_rows",
-    "slice_cols",
     "take_rows",
     "gather_pairs",
-    "reshape",
     "softmax_rows",
     "layer_norm",
     "l2_normalize",
@@ -239,12 +235,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(ad @ bd, (a, b), vjp)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ValueError("transpose expects a rank-2 tensor")
-    return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a rank-1 bias broadcast over rows."""
     if a.shape == b.shape:
@@ -321,16 +311,6 @@ def mean_all(x: Tensor) -> Tensor:
     )
 
 
-def sum_row_groups(x: Tensor, group: int) -> Tensor:
-    """Sum consecutive groups of ``group`` rows: (G*group, n) -> (G, n)."""
-    if x.ndim != 2 or x.shape[0] % group != 0:
-        raise ValueError(f"cannot group rows of {x.shape} by {group}")
-    g_rows = x.shape[0] // group
-    n = x.shape[1]
-    data = x.data.reshape(g_rows, group, n).sum(axis=1)
-    return _emit(data, (x,), lambda g: (np.repeat(g, group, axis=0),))
-
-
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate rank-2 tensors with equal row counts along columns."""
     parts = tuple(parts)
@@ -345,20 +325,23 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts], axis=1), parts, vjp)
 
 
-def tile_rows(x: Tensor, reps: int) -> Tensor:
+def tile_rows(x: Tensor | Sequence[Tensor], reps: int) -> Tensor:
     """Stack ``reps`` copies of a rank-2 tensor: (n, d) -> (reps * n, d).
 
-    One copy is ``x`` itself and records nothing.
+    ``x`` may also be a sequence of K equal-shape tensors; each is then
+    repeated ``reps`` times in turn, giving (K * reps * n, d).  One copy of
+    one tensor is ``x`` itself and records nothing.
     """
-    if x.ndim != 2 or reps < 1:
-        raise ValueError(f"cannot tile {x.shape} {reps} times")
-    if reps == 1:
-        return x
-    n = x.shape[0]
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    if not parts or reps < 1 or parts[0].ndim != 2 or any(p.shape != parts[0].shape for p in parts):
+        raise ValueError(f"cannot tile {len(parts)} equal rank-2 tensors {reps} times")
+    if len(parts) == 1 and reps == 1:
+        return parts[0]
+    k, (n, d) = len(parts), parts[0].shape
     return _emit(
-        np.tile(x.data, (reps, 1)),
-        (x,),
-        lambda g: (g.reshape(reps, n, -1).sum(axis=0),),
+        np.repeat(np.array([p.data for p in parts]), reps, axis=0).reshape(-1, d),
+        parts,
+        lambda g: tuple(g.reshape(k, reps, n, d).sum(axis=1)),
     )
 
 
@@ -383,19 +366,6 @@ def split_rows(x: Tensor, parts: int) -> tuple[Tensor, ...]:
         return _emit(x.data[i * n : (i + 1) * n].copy(), (x,), vjp)
 
     return tuple(block(i) for i in range(parts))
-
-
-def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
-    if x.ndim != 2 or not (0 <= j0 < j1 <= x.shape[1]):
-        raise ValueError(f"bad column slice [{j0}:{j1}] of {x.shape}")
-    shape = x.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[:, j0:j1] = g
-        return (full,)
-
-    return _emit(x.data[:, j0:j1].copy(), (x,), vjp)
 
 
 def take_rows(x: Tensor, idx: Sequence[int]) -> Tensor:
@@ -424,12 +394,6 @@ def gather_pairs(x: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
         return (full,)
 
     return _emit(x.data[rows, cols].copy(), (x,), vjp)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    old = x.shape
-    return _emit(x.data.reshape(shape).copy(), (x,), lambda g: (g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +442,12 @@ def layer_norm(
     if grouped and (x.ndim != 2 or x.shape[0] % blocks != 0):
         raise ValueError(f"cannot split the rows of {x.shape} into {blocks} blocks")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # np.mean / np.var arithmetic without their Python wrappers, which
+    # would also centre the rows twice; the values are bit-identical.
+    xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    xhat = xc * inv
     gd = np.array([t.data for t in gammas])[:, None]  # (blocks, 1, n)
     bd = np.array([t.data for t in betas])[:, None]
     by_block = lambda a: a.reshape(blocks, -1, n)
@@ -690,21 +656,25 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def numeric_gradient(
-    f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-6
+    f: Callable[[list[Tensor]], Sequence[Tensor]], x: Tensor, h: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar-valued function at ``x``."""
-    base = x.data
-    grad = np.zeros(base.shape)
-    flat = grad.reshape(-1)
-    for i in range(base.size):
-        lo = base.copy().reshape(-1)
-        hi = base.copy().reshape(-1)
-        lo[i] -= h
-        hi[i] += h
-        f_hi = f(Tensor(hi.reshape(base.shape))).item()
-        f_lo = f(Tensor(lo.reshape(base.shape))).item()
-        flat[i] = (f_hi - f_lo) / (2.0 * h)
-    return grad
+    """Central-difference gradient of a scalar-valued function at ``x``.
+
+    The probes are x + h e_i and x - h e_i for every coordinate i in turn.
+    ``f`` takes the list of all 2 * x.size probes and returns their scalar
+    values in the same order, so a caller can evaluate them in one batch.
+    """
+    flat = x.data.reshape(-1)
+    probes = []
+    for i in range(flat.size):
+        for step in (h, -h):
+            probe = flat.copy()
+            probe[i] += step
+            probes.append(Tensor(probe.reshape(x.shape)))
+    values = np.array([v.item() for v in f(probes)])
+    if values.shape != (len(probes),):
+        raise ValueError(f"expected {len(probes)} probe values, got {values.shape}")
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(x.shape)
 
 
 def central_diff_gradcheck(
@@ -722,7 +692,7 @@ def central_diff_gradcheck(
         if not np.isfinite(out.item()):
             raise FloatingPointError("non-finite function value in gradcheck")
         (analytic,) = tape.gradients(out, [x])
-    numeric = numeric_gradient(f, x, h)
+    numeric = numeric_gradient(lambda probes: [f(p) for p in probes], x, h)
     return max_rel_error(analytic, numeric)
 
 

@@ -34,7 +34,7 @@ from .detector import (
     jitter_detect,
     smooth_l1,
 )
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, reading
 from .evaluation import GalleryEntry, QueryEntry, select_query_embedding
 from .losses import (
     BACKGROUND,
@@ -376,21 +376,22 @@ def load_checkpoint(ckpt_dir):
         raise DataError(f"{path} is not a checkpoint manifest")
     model = ReIDTransformer.load(os.path.join(ckpt_dir, "model"))
     oim_states = []
-    for i, entry in enumerate(manifest["oim"]):
-        lut = read_blob(os.path.join(ckpt_dir, f"oim{i}_lut.sqt")).data
-        queue = deque(maxlen=entry["queue_capacity"])
-        if entry["queue_len"]:
-            qmat = read_blob(os.path.join(ckpt_dir, f"oim{i}_queue.sqt")).data
-            for row in qmat:
-                queue.append(row)
-        oim_states.append(
-            OIMState(
-                lut=lut,
-                queue=queue,
-                momentum=entry["momentum"],
-                tau=entry["tau"],
+    with reading(path):
+        for i, entry in enumerate(manifest["oim"]):
+            lut = read_blob(os.path.join(ckpt_dir, f"oim{i}_lut.sqt")).data
+            queue = deque(maxlen=entry["queue_capacity"])
+            if entry["queue_len"]:
+                qmat = read_blob(os.path.join(ckpt_dir, f"oim{i}_queue.sqt")).data
+                for row in qmat:
+                    queue.append(row)
+            oim_states.append(
+                OIMState(
+                    lut=lut,
+                    queue=queue,
+                    momentum=entry["momentum"],
+                    tau=entry["tau"],
+                )
             )
-        )
     return model, oim_states, manifest.get("meta", {})
 
 

@@ -49,6 +49,7 @@ from .attention import (
     residual_layernorm,
     ring_offset_bias,
 )
+from .errors import reading
 from .tensor import Tensor, read_blob, write_blob
 
 __all__ = [
@@ -320,9 +321,12 @@ class ReIDTransformer:
     # forward
     # ------------------------------------------------------------------
 
-    def _layer_view(self, stack: str, m: int) -> ReIDLayerParams:
+    def _layer_view(
+        self, stack: str, m: int, params: dict[str, Tensor] | None = None
+    ) -> ReIDLayerParams:
+        """Layer m of ``stack`` in ``params`` (default: the model's own)."""
         cfg = self.config
-        p = self.params
+        p = self.params if params is None else params
         base = f"{stack}.layer{m}"
         sa = sa_norm = None
         if cfg.has_self_attention(m):
@@ -384,25 +388,44 @@ class ReIDTransformer:
         pyramid: Sequence[Tensor],
         refs: Sequence[ReferencePoint],
         rng: np.random.Generator | None = None,
-    ) -> ReIDEmbeddings:
+        param_sets: Sequence[dict[str, Tensor]] | None = None,
+    ) -> ReIDEmbeddings | list[ReIDEmbeddings]:
         """Refine the query set against the pyramid; returns per-scale rows.
 
         The per-level schemes run one block of query rows per level through
         the stack together (see the module docstring).
+
+        ``param_sets`` evaluates B parameter dicts, each with the names and
+        shapes of ``self.params``, in place of the model's own, in the same
+        pass over the same scene: each set adds its own row blocks (set b
+        at level l is one block for the per-level schemes) under its own
+        layer views.  The result is then a list of one ``ReIDEmbeddings``
+        per set, each bit-identical to that set's own forward; with dropout
+        the masks are drawn over the whole batch.  The gradient check
+        evaluates its probes this way.
         """
         cfg = self.config
         self._check_inputs(pyramid, refs)
+        sets = [self.params] if param_sets is None else list(param_sets)
         self.last_ref_tensors = {}
-        maps = list(pyramid)
-        ref_t = self._ref_tensors(refs, maps)
+        maps = list(pyramid) * len(sets)
+        ref_t = self._ref_tensors(refs, pyramid)
+        if ref_t is not None:
+            ref_t *= len(sets)
         blocks = cfg.output_scales
-        y = tt.tile_rows(self.params["queries"], blocks)
+        y = tt.tile_rows([ps["queries"] for ps in sets], blocks)
+        repeats = NUM_LEVELS if cfg.scheme == "shared" else 1
         for m in range(cfg.m_layers):
-            views = [self._layer_view(stack, m) for stack in _stack_names(cfg)]
-            if cfg.scheme == "shared":
-                views *= NUM_LEVELS
+            views = []
+            for ps in sets:
+                views += [self._layer_view(stack, m, ps) for stack in _stack_names(cfg)] * repeats
             y = reid_layer_forward(y, refs, maps, views, cfg.dropout, rng, ref_t)
-        return ReIDEmbeddings(tt.split_rows(y, blocks), cfg.scheme)
+        rows = tt.split_rows(y, len(sets) * blocks)
+        out = [
+            ReIDEmbeddings(rows[b * blocks : (b + 1) * blocks], cfg.scheme)
+            for b in range(len(sets))
+        ]
+        return out[0] if param_sets is None else out
 
     def matching_embeddings(
         self,
@@ -444,16 +467,19 @@ class ReIDTransformer:
 
     @classmethod
     def load(cls, directory) -> "ReIDTransformer":
-        with open(os.path.join(directory, "model.json")) as fh:
-            manifest = json.load(fh)
-        if manifest.get("kind") != "reid_transformer":
-            raise ValueError(f"{directory}: not a model checkpoint")
-        config = ReIDConfig(**manifest["config"])
-        params = {
-            name: read_blob(os.path.join(directory, fname))
-            for name, fname in manifest["tensors"].items()
-        }
-        return cls(config, params)
+        """Read a model saved by :meth:`save`; raises DataError when malformed."""
+        path = os.path.join(directory, "model.json")
+        with reading(path):
+            with open(path) as fh:
+                manifest = json.load(fh)
+            if manifest.get("kind") != "reid_transformer":
+                raise ValueError("not a model checkpoint")
+            config = ReIDConfig(**manifest["config"])
+            params = {
+                name: read_blob(os.path.join(directory, fname))
+                for name, fname in manifest["tensors"].items()
+            }
+            return cls(config, params)
 
 
 def _stack_names(config: ReIDConfig) -> list[str]:

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -228,6 +229,44 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error:"), err
 
+    @pytest.mark.parametrize(
+        "artifact, edit, named",
+        [
+            ("checkpoint/model/model.json", lambda m: m["config"].update(bogus=1), "model.json"),
+            ("checkpoint/model/model.json", lambda m: m.update(kind="other"), "model.json"),
+            ("checkpoint/model/t0000.sqt", None, "t0000.sqt"),
+            ("checkpoint/checkpoint.json", lambda m: m.pop("oim"), "checkpoint.json"),
+            ("data/manifest.json", lambda m: m["config"].update(bogus=1), "manifest.json"),
+        ],
+        ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt",
+             "checkpoint-missing-oim", "manifest-unknown-key"],
+    )
+    def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
+        shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")
+        shutil.copytree(workspace["data"], tmp_path / "data")
+        target = tmp_path / artifact
+        if edit is None:
+            target.write_bytes(target.read_bytes()[:20])
+        else:
+            manifest = json.loads(target.read_text())
+            edit(manifest)
+            target.write_text(json.dumps(manifest))
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(tmp_path / "checkpoint"),
+                "--data",
+                str(tmp_path / "data"),
+                "--out",
+                str(tmp_path / "e"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert named in err[0]
+
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         rc = main(
             [
@@ -267,10 +306,26 @@ class TestExitCodes:
         from persearch.gradcheck import CheckResult
 
         monkeypatch.setattr(
-            cli, "run_gradcheck", lambda corrupt=False: [CheckResult("x", 1.0, 1e-6)]
+            cli,
+            "run_gradcheck",
+            lambda corrupt=False, progress=None: [CheckResult("x", 1.0, 1e-6)],
         )
         rc = main(["gradcheck"])
         assert rc == 4
+
+    def test_gradcheck_prints_seconds_and_count_per_block(self, monkeypatch, capsys):
+        import persearch.gradcheck as gradcheck
+        from persearch.gradcheck import CheckResult
+
+        stub = [CheckResult("full_model.x", 0.0, 1e-4)] * 2
+        monkeypatch.setattr(gradcheck, "check_full_model", lambda corrupt=False: stub)
+        assert main(["gradcheck"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        counts = {"primitives": len(gradcheck.check_primitives()),
+                  "attention": len(gradcheck.check_attention()), "full model": 2}
+        for line, (block, count) in zip(out, counts.items()):
+            assert re.fullmatch(rf"{block}: {count} checks in \d+\.\d\ds", line), line
+        assert out[-1].startswith(f"{sum(counts.values())} checks in ")
 
     def test_bad_gallery_sizes_exit_1(self, workspace, tmp_path):
         rc = main(

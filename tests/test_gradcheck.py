@@ -1,7 +1,9 @@
 """Gradient-verification suite: positive runs and the corrupt control."""
 
+import numpy as np
 import pytest
 
+from persearch import tensor as T
 from persearch.errors import GradcheckFailure
 from persearch.gradcheck import (
     ATTENTION_TOL,
@@ -14,6 +16,8 @@ from persearch.gradcheck import (
     format_results,
     raise_on_failure,
 )
+from persearch.tensor import Tensor
+from persearch.transformer import ReIDTransformer
 
 
 class TestBlocks:
@@ -57,6 +61,63 @@ class TestBlocks:
         assert any(not r.passed for r in results)
         with pytest.raises(GradcheckFailure, match="max_rel"):
             raise_on_failure(results)
+
+
+def one_probe_at_a_time(f, x, h=1e-6):
+    """Central differences with one call of ``f`` per probe."""
+    flat = x.data.reshape(-1)
+    grad = np.zeros(flat.size)
+    for i in range(flat.size):
+        hi, lo = flat.copy(), flat.copy()
+        hi[i] += h
+        lo[i] -= h
+        (f_hi,) = f([Tensor(hi.reshape(x.shape))])
+        (f_lo,) = f([Tensor(lo.reshape(x.shape))])
+        grad[i] = (f_hi.item() - f_lo.item()) / (2.0 * h)
+    return grad.reshape(x.shape)
+
+
+class TestBatchedProbes:
+    """The full-model check evaluates each tensor's probes as one batch."""
+
+    def test_numeric_gradients_equal_one_probe_at_a_time(self, monkeypatch):
+        batched = T.numeric_gradient
+        calls = []
+
+        def recording(f, x, h=1e-6):
+            grad = batched(f, x, h)
+            calls.append((f, x, grad))
+            return grad
+
+        monkeypatch.setattr(T, "numeric_gradient", recording)
+        results = check_full_model()
+        names = [r.name.removeprefix("full_model.") for r in results]
+        assert len(calls) == len(names)
+        checked = 0
+        for name, (f, x, grad) in zip(names, calls):
+            if name in (
+                "queries",
+                "stack.layer0.cross1.w_out1",
+                "stack.layer1.sa.wq0",
+                "stack.layer0.cross0_norm.beta",
+            ):
+                assert np.array_equal(grad, one_probe_at_a_time(f, x)), name
+                checked += 1
+        assert checked == 4
+
+    def test_one_forward_per_parameter_tensor(self, monkeypatch):
+        forward = ReIDTransformer.forward
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(kwargs.get("param_sets") or [None]))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReIDTransformer, "forward", counting)
+        results = check_full_model()
+        assert len(calls) <= len(results) + 1
+        # Every probe still runs: 2 per scalar, plus the analytic pass.
+        assert sum(calls) == 1 + 2 * 1576
 
 
 class TestReporting:

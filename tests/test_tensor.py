@@ -101,6 +101,19 @@ class TestForwardOracles:
         np.testing.assert_allclose(out.mean(axis=1), np.zeros(6), atol=1e-12)
         np.testing.assert_allclose(out.var(axis=1), np.ones(6), atol=1e-4)
 
+    @pytest.mark.parametrize("shape", [(12, 32), (1000, 33), (7,)])
+    def test_layer_norm_bit_identical_to_mean_var_form(self, shape):
+        rng = np.random.default_rng(8)
+        x = 3.0 * rng.standard_normal(shape) + 1.5
+        n = shape[-1]
+        gamma, beta = rng.standard_normal(n), rng.standard_normal(n)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+        out = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert np.array_equal(out, xhat * gamma + beta)
+        plain = T.layer_norm(Tensor(x), Tensor(np.ones(n)), Tensor(np.zeros(n))).data
+        assert np.array_equal(plain, xhat)
+
     def test_l2_normalize(self):
         out = T.l2_normalize(Tensor([3.0, 4.0])).data
         np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
@@ -115,17 +128,12 @@ class TestForwardOracles:
             np.linalg.norm(out, axis=1), np.ones(4), atol=1e-12
         )
 
-    def test_sum_row_groups(self):
-        x = Tensor(np.arange(12.0).reshape(6, 2))
-        out = T.sum_row_groups(x, 3).data
-        np.testing.assert_array_equal(out, [[6.0, 9.0], [24.0, 27.0]])
-
     def test_concat_slice_round_trip(self):
         rng = np.random.default_rng(6)
         a, b = rng.standard_normal((3, 2)), rng.standard_normal((3, 4))
         cat = T.concat_cols([Tensor(a), Tensor(b)])
-        np.testing.assert_array_equal(T.slice_cols(cat, 0, 2).data, a)
-        np.testing.assert_array_equal(T.slice_cols(cat, 2, 6).data, b)
+        np.testing.assert_array_equal(cat.data[:, :2], a)
+        np.testing.assert_array_equal(cat.data[:, 2:], b)
 
     def test_gather_pairs(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
@@ -215,10 +223,6 @@ class TestGradients:
         w = rand(self.rng, 3, 2)
         check_grads(lambda a, b: T.sum_all(T.mul(T.matmul(a, b), w)), [a, b])
 
-    def test_transpose(self):
-        x = rand(self.rng, 3, 5)
-        check_grads(lambda x: T.sum_all(T.powc(T.transpose(x), 2.0)), [x])
-
     def test_add_same_shape(self):
         a, b = rand(self.rng, 4, 3), rand(self.rng, 4, 3)
         check_grads(lambda a, b: T.sum_all(T.powc(T.add(a, b), 2.0)), [a, b])
@@ -256,19 +260,11 @@ class TestGradients:
         x = rand(self.rng, 3, 4)
         check_grads(lambda x: T.mean_all(T.powc(x, 2.0)), [x])
 
-    def test_sum_row_groups(self):
-        x = rand(self.rng, 6, 3)
-        check_grads(lambda x: T.sum_all(T.powc(T.sum_row_groups(x, 2), 2.0)), [x])
-
     def test_concat_cols(self):
         a, b = rand(self.rng, 3, 2), rand(self.rng, 3, 3)
         check_grads(
             lambda a, b: T.sum_all(T.powc(T.concat_cols([a, b]), 2.0)), [a, b]
         )
-
-    def test_slice_cols(self):
-        x = rand(self.rng, 3, 6)
-        check_grads(lambda x: T.sum_all(T.powc(T.slice_cols(x, 1, 4), 2.0)), [x])
 
     def test_tile_and_split_rows(self):
         x = rand(self.rng, 2, 3)
@@ -304,10 +300,6 @@ class TestGradients:
             lambda x: T.sum_all(T.powc(T.gather_pairs(x, [0, 1, 1], [2, 3, 3]), 2.0)),
             [x],
         )
-
-    def test_reshape(self):
-        x = rand(self.rng, 4, 6)
-        check_grads(lambda x: T.sum_all(T.powc(T.reshape(x, (8, 3)), 2.0)), [x])
 
     def test_softmax_rows(self):
         x = rand(self.rng, 4, 5)
@@ -457,7 +449,9 @@ class TestGradTape:
         with GradTape() as tape:
             out = T.sum_all(T.powc(x, 2.0))
         (analytic,) = tape.gradients(out, [x])
-        numeric = T.numeric_gradient(lambda t: T.sum_all(T.powc(t, 2.0)), x)
+        numeric = T.numeric_gradient(
+            lambda probes: [T.sum_all(T.powc(t, 2.0)) for t in probes], x
+        )
         corrupted = analytic + 0.5
         assert T.max_rel_error(corrupted, numeric) > 1e-2
 

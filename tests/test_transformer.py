@@ -242,6 +242,39 @@ class TestLevelBatching:
             assert rel <= 1e-12, (name, rel)
 
 
+class TestParameterSets:
+    """``forward(param_sets=...)`` runs several parameter sets as one batch."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_batched_forward_bit_identical_to_each_sets_own(self, scheme):
+        rng = np.random.default_rng(50)
+        cfg = tiny_config(scheme=scheme, skip_first_self_attention=False)
+        model = ReIDTransformer.init(cfg, seed=12, style="random")
+        pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
+        stack = sorted(model.params)[-1].split(".")[0]  # stack2 for parallel
+        nudged = lambda name: {
+            **model.params,
+            name: Tensor(model.params[name].data + 0.1 * rng.standard_normal(model.params[name].shape)),
+        }
+        sets = [
+            model.params,
+            nudged("queries"),
+            nudged(f"{stack}.layer1.cross0.w_offset"),
+            nudged(f"{stack}.layer1.sa.wq0"),
+        ]
+        batched = model.forward(pyramid, refs, param_sets=sets)
+        assert len(batched) == len(sets)
+        for params, emb in zip(sets, batched):
+            own = ReIDTransformer(cfg, params).forward(pyramid, refs)
+            assert emb.scheme == scheme
+            assert len(emb.per_scale) == len(own.per_scale) == cfg.output_scales
+            for a, b in zip(emb.per_scale, own.per_scale):
+                assert np.array_equal(a.data, b.data)
+        base = batched[0].per_scale[-1].data
+        for emb in batched[1:]:
+            assert not np.array_equal(emb.per_scale[-1].data, base)
+
+
 class TestCheckpoint:
     def test_save_load_bit_exact(self, tmp_path):
         model = ReIDTransformer.init(tiny_config(scheme="parallel"), seed=7, style="random")
