@@ -1,7 +1,8 @@
 """Command-line entry points: data generation, training, retrieval, checks.
 
 Exit codes: 0 success, 1 configuration errors, 2 data or filesystem errors,
-3 numerical divergence during training, 4 failed gradient verification.
+3 numerical divergence during training, 4 failed gradient verification,
+5 any other (internal) error.
 Run artifacts (manifests, loss curves, result tables, summaries) contain no
 wall-clock values, so identical seeds reproduce them byte for byte; timing
 is printed to stdout only.
@@ -297,6 +298,10 @@ def main(argv=None) -> int:
     except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # Anything else is a fault in persearch, not in its inputs.
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ entry before comparison, proving the harness can fail.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -32,7 +33,7 @@ from .attention import (
 from .data import IdentityBank, Person, render_scene
 from .detector import Box
 from .errors import GradcheckFailure
-from .losses import OIMState, focal_oim_loss
+from .losses import OIMState, focal_oim_rows
 from .tensor import GradTape, Tensor, max_rel_error
 from .transformer import ReIDConfig, ReIDTransformer
 
@@ -224,12 +225,11 @@ def _gradcheck_scene(dim: int, image_size: int):
     return pyramid, refs, labels
 
 
-def check_full_model(corrupt: bool = False) -> list[CheckResult]:
-    """Every model parameter against central differences.
+def _full_model_problem():
+    """The full-model check's model, scene, labels and one OIM state per
+    output scale.
 
     Random init style so no gradient path hides behind a zero projection.
-    The 2 * size probes of each parameter tensor run as one batched
-    forward, with one loss per probe.
     """
     cfg = ReIDConfig(
         dim=8,
@@ -251,27 +251,48 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
         st = OIMState.initial(2, cfg.query_width, queue_capacity=4)
         st.lut[:] = lut
         states.append(st)
+    return model, pyramid, refs, labels, states
 
-    def loss(emb) -> Tensor:
-        total = None
-        for scale, st in zip(emb.per_scale, states):
-            l, _ = focal_oim_loss(tt.l2_normalize_rows(scale), labels, st, gamma=2.0)
-            total = l if total is None else tt.add(total, l)
-        return tt.scale(total, 1.0 / len(states))
+
+def check_full_model(corrupt: bool = False) -> list[CheckResult]:
+    """Every model parameter against central differences.
+
+    The loss is focal OIM per output scale, averaged over the scales.  The
+    2 * size probes of each parameter tensor run as one batched forward,
+    with one focal-OIM evaluation per scale over all probes of a tensor.
+    """
+    model, pyramid, refs, labels, states = _full_model_problem()
+
+    def scale_rows(embs, scale: int) -> Tensor:
+        """Focal OIM of every labeled row at one scale, set after set."""
+        rows = tt.tile_rows([emb.per_scale[scale] for emb in embs], 1)
+        return focal_oim_rows(
+            tt.l2_normalize_rows(rows), labels * len(embs), states[scale], gamma=2.0
+        )
 
     names = sorted(model.params)
     with GradTape() as tape:
-        out = loss(model.forward(pyramid, refs))
+        emb = model.forward(pyramid, refs)
+        means = [tt.mean_all(scale_rows([emb], s)) for s in range(len(states))]
+        out = tt.scale(functools.reduce(tt.add, means), 1.0 / len(states))
         analytic = tape.gradients(out, [model.params[n] for n in names])
     if corrupt:
         analytic[0] = analytic[0] + 1e-3
 
     def probe_losses(name):
-        """All probes of one tensor through one batched forward."""
+        """All probes of one tensor through one batched forward, and each
+        scale's loss over all of them at once.  The per-probe means add up
+        in the order of the taped loss above, so a probe's value equals
+        that loss evaluated at the probe."""
 
         def f(probes):
             sets = [{**model.params, name: p} for p in probes]
-            return [loss(emb) for emb in model.forward(pyramid, refs, param_sets=sets)]
+            embs = model.forward(pyramid, refs, param_sets=sets)
+            means = [
+                scale_rows(embs, s).data.reshape(len(embs), -1).mean(axis=1)
+                for s in range(len(states))
+            ]
+            return [Tensor(v) for v in functools.reduce(np.add, means) * (1.0 / len(states))]
 
         return f
 

@@ -11,6 +11,8 @@ queue, evicting the oldest.
 The focal variant reweights each labeled row by (1 - p_t)^gamma, applied to
 the final softmax probability, so easy rows fade out of the gradient.  With
 gamma = 0 it is exactly the plain OIM loss, state updates included.
+``focal_oim_rows`` gives the per-row values without the state update, so a
+caller can score many batches stacked into one.
 
 ``total_loss`` combines the four training components cls/iou/l1/oim with
 the standard weights (2.0, 5.0, 2.0, 0.5).
@@ -33,7 +35,7 @@ __all__ = [
     "DEFAULT_TAU",
     "DEFAULT_MOMENTUM",
     "OIMState",
-    "oim_loss",
+    "focal_oim_rows",
     "focal_oim_loss",
     "LossWeights",
     "total_loss",
@@ -134,27 +136,25 @@ def _check_oim_inputs(features: Tensor, labels: Sequence[int], state: OIMState):
             )
 
 
-def focal_oim_loss(
+def focal_oim_rows(
     features: Tensor,
     id_labels: Sequence[int],
     state: OIMState,
     gamma: float = 2.0,
-) -> tuple[Tensor, OIMState]:
-    """Focal OIM over the labeled rows of a batch.
+) -> Tensor:
+    """Focal OIM NLL of each labeled row of a batch, in row order.
 
-    Returns the scalar loss and the post-batch state.  Batches without any
-    labeled row yield a constant 0 (no gradient); the state still absorbs
-    unlabeled rows.
+    Runs every input check and leaves ``state`` as it is.  Returns a rank-1
+    tensor with one value per labeled row; it is empty (and records
+    nothing) when no row is labeled.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     labels = [int(l) for l in id_labels]
     _check_oim_inputs(features, labels, state)
-    new_state = state.update(features.data, labels)
-
     labeled_rows = [i for i, l in enumerate(labels) if l >= 0]
     if not labeled_rows:
-        return Tensor(0.0), new_state
+        return Tensor(np.zeros(0))
 
     classes = Tensor(state.class_matrix().T)  # (dim, L + queue_len), constant
     picked = tt.take_rows(features, labeled_rows)
@@ -165,17 +165,29 @@ def focal_oim_loss(
     nll = tt.scale(tt.log(p_t), -1.0)
     if gamma > 0.0:
         hard = tt.powc(tt.add_scalar(tt.scale(p_t, -1.0), 1.0), gamma)
-        per_row = tt.mul(nll, hard)
-    else:
-        per_row = nll
-    return tt.mean_all(per_row), new_state
+        return tt.mul(nll, hard)
+    return nll
 
 
-def oim_loss(
-    features: Tensor, id_labels: Sequence[int], state: OIMState
+def focal_oim_loss(
+    features: Tensor,
+    id_labels: Sequence[int],
+    state: OIMState,
+    gamma: float = 2.0,
 ) -> tuple[Tensor, OIMState]:
-    """Plain OIM cross-entropy: the focal loss at gamma = 0."""
-    return focal_oim_loss(features, id_labels, state, gamma=0.0)
+    """Focal OIM over the labeled rows of a batch: the mean of
+    :func:`focal_oim_rows`.
+
+    Returns the scalar loss and the post-batch state.  Batches without any
+    labeled row yield a constant 0 (no gradient); the state still absorbs
+    unlabeled rows.
+    """
+    labels = [int(l) for l in id_labels]
+    per_row = focal_oim_rows(features, labels, state, gamma)
+    new_state = state.update(features.data, labels)
+    if per_row.size == 0:
+        return Tensor(0.0), new_state
+    return tt.mean_all(per_row), new_state
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ __all__ = [
     "gather_pairs",
     "softmax_rows",
     "layer_norm",
-    "l2_normalize",
     "l2_normalize_rows",
     "bilinear_sample",
     "bilinear_sample_rows",
@@ -465,30 +464,16 @@ def layer_norm(
     return _emit(out, (x, *gammas, *betas), vjp)
 
 
-def _normalize_rows_impl(xd: np.ndarray):
-    norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
-    safe = np.where(norms > _NORM_EPS, norms, 1.0)
-    y = np.where(norms > _NORM_EPS, xd / safe, 0.0)
-    return y, norms, safe
-
-
-def l2_normalize(v: Tensor) -> Tensor:
-    """Unit-norm copy of a vector; inputs with norm <= 1e-12 map to zeros."""
-    if v.ndim != 1:
-        raise ValueError("l2_normalize expects a rank-1 tensor")
-    return _l2_impl(v)
-
-
 def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Row-wise l2 normalization of a rank-2 tensor."""
+    """Row-wise l2 normalization of a rank-2 tensor; rows with norm <= 1e-12
+    map to zeros."""
     if x.ndim != 2:
         raise ValueError("l2_normalize_rows expects a rank-2 tensor")
-    return _l2_impl(x)
-
-
-def _l2_impl(x: Tensor) -> Tensor:
-    y, norms, safe = _normalize_rows_impl(x.data)
+    xd = x.data
+    norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
     live = norms > _NORM_EPS
+    safe = np.where(live, norms, 1.0)
+    y = np.where(live, xd / safe, 0.0)
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)

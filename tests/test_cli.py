@@ -327,6 +327,26 @@ class TestExitCodes:
             assert re.fullmatch(rf"{block}: {count} checks in \d+\.\d\ds", line), line
         assert out[-1].startswith(f"{sum(counts.values())} checks in ")
 
+    def test_unexpected_exception_exits_5(self, monkeypatch, capsys):
+        def boom(*a, **kw):
+            raise RuntimeError("index drifted")
+
+        monkeypatch.setattr(cli, "run_gradcheck", boom)
+        rc = main(["gradcheck"])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().split("\n") == ["error: internal error: RuntimeError: index drifted"]
+
+    @pytest.mark.parametrize("exc", [SystemExit(7), KeyboardInterrupt()])
+    def test_exit_and_interrupt_pass_through(self, monkeypatch, exc):
+        def stop(*a, **kw):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_gradcheck", stop)
+        with pytest.raises(type(exc)):
+            main(["gradcheck"])
+
     def test_bad_gallery_sizes_exit_1(self, workspace, tmp_path):
         rc = main(
             [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from persearch import gradcheck
 from persearch import tensor as T
 from persearch.errors import GradcheckFailure
 from persearch.gradcheck import (
@@ -10,12 +11,14 @@ from persearch.gradcheck import (
     FULL_MODEL_TOL,
     PRIMITIVE_TOL,
     CheckResult,
+    _full_model_problem,
     check_attention,
     check_full_model,
     check_primitives,
     format_results,
     raise_on_failure,
 )
+from persearch.losses import focal_oim_loss
 from persearch.tensor import Tensor
 from persearch.transformer import ReIDTransformer
 
@@ -118,6 +121,67 @@ class TestBatchedProbes:
         assert len(calls) <= len(results) + 1
         # Every probe still runs: 2 per scalar, plus the analytic pass.
         assert sum(calls) == 1 + 2 * 1576
+
+
+def old_probe_loss(emb, labels, states):
+    """The loss of one probe as one focal_oim_loss per scale."""
+    total = None
+    for scale, st in zip(emb.per_scale, states):
+        l, _ = focal_oim_loss(T.l2_normalize_rows(scale), labels, st, gamma=2.0)
+        total = l if total is None else T.add(total, l)
+    return T.scale(total, 1.0 / len(states))
+
+
+class TestBatchedLoss:
+    """The full-model check scores all probes of a tensor with one focal-OIM
+    evaluation per scale."""
+
+    def test_probe_values_equal_one_loss_per_probe_and_scale(self, monkeypatch):
+        batched = T.numeric_gradient
+        calls = []
+
+        def recording(f, x, h=1e-6):
+            def f_recorded(probes):
+                values = f(probes)
+                calls.append((probes, [v.item() for v in values]))
+                return values
+
+            return batched(f_recorded, x, h)
+
+        monkeypatch.setattr(T, "numeric_gradient", recording)
+        results = check_full_model()
+        names = [r.name.removeprefix("full_model.") for r in results]
+        assert len(calls) == len(names)
+        model, pyramid, refs, labels, states = _full_model_problem()
+        checked = 0
+        for name, (probes, values) in zip(names, calls):
+            if name in (
+                "queries",
+                "stack.layer0.cross1.w_out1",
+                "stack.layer1.sa.wq0",
+                "stack.layer0.cross0_norm.beta",
+            ):
+                sets = [{**model.params, name: p} for p in probes]
+                embs = model.forward(pyramid, refs, param_sets=sets)
+                want = [old_probe_loss(emb, labels, states).item() for emb in embs]
+                assert np.array_equal(values, want), name
+                checked += 1
+        assert checked == 4
+
+    def test_one_loss_evaluation_per_scale_and_parameter_tensor(self, monkeypatch):
+        rows = gradcheck.focal_oim_rows
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "focal_oim_rows", counting)
+        results = check_full_model()
+        assert len(results) == 59
+        assert len(calls) <= 3 * (len(results) + 1)
+        # Every probe's rows are still scored: 3 rows per probe and scale.
+        assert sum(calls) == 3 * 3 * (1 + 2 * 1576)
 
 
 class TestReporting:

@@ -12,7 +12,7 @@ from persearch.losses import (
     LossWeights,
     OIMState,
     focal_oim_loss,
-    oim_loss,
+    focal_oim_rows,
     total_loss,
 )
 from persearch.tensor import GradTape, Tensor
@@ -95,14 +95,14 @@ class TestOIMLoss:
         rng = np.random.default_rng(65)
         s = OIMState.initial(5, 8, 0)
         feats = Tensor(unit_rows(rng, 2, 8))
-        loss, _ = oim_loss(feats, [0, 3], s)
+        loss, _ = focal_oim_loss(feats, [0, 3], s, gamma=0.0)
         assert loss.item() == pytest.approx(math.log(5), abs=1e-12)
 
     def test_empty_labeled_set_zero_loss(self):
         rng = np.random.default_rng(66)
         s = fresh_state(rng)
         feats = Tensor(unit_rows(rng, 2, 6))
-        loss, s2 = oim_loss(feats, [UNLABELED, BACKGROUND], s)
+        loss, s2 = focal_oim_loss(feats, [UNLABELED, BACKGROUND], s, gamma=0.0)
         assert loss.item() == 0.0
         assert len(s2.queue) == 1  # unlabeled row still queued
 
@@ -112,7 +112,7 @@ class TestOIMLoss:
         s = s.update(unit_rows(rng, 2, 6), [UNLABELED, UNLABELED])
         feats = unit_rows(rng, 3, 6)
         labels = [2, 0, UNLABELED]
-        loss, _ = oim_loss(Tensor(feats), labels, s)
+        loss, _ = focal_oim_loss(Tensor(feats), labels, s, gamma=0.0)
         cm = s.class_matrix()
         want = 0.0
         for i, l in enumerate(labels):
@@ -130,8 +130,8 @@ class TestOIMLoss:
         s = fresh_state(rng)
         feats = unit_rows(rng, 2, 6)
         with_bg = np.vstack([feats, rng.standard_normal((1, 6)) * 5])
-        l1, s1 = oim_loss(Tensor(feats), [0, 1], s)
-        l2, s2 = oim_loss(Tensor(with_bg), [0, 1, BACKGROUND], s)
+        l1, s1 = focal_oim_loss(Tensor(feats), [0, 1], s, gamma=0.0)
+        l2, s2 = focal_oim_loss(Tensor(with_bg), [0, 1, BACKGROUND], s, gamma=0.0)
         assert l1.item() == pytest.approx(l2.item(), abs=1e-15)
         np.testing.assert_array_equal(s1.lut, s2.lut)
 
@@ -139,10 +139,10 @@ class TestOIMLoss:
         rng = np.random.default_rng(69)
         s = fresh_state(rng, capacity=4)
         feats = unit_rows(rng, 1, 6)
-        base, _ = oim_loss(Tensor(feats), [0], s)
+        base, _ = focal_oim_loss(Tensor(feats), [0], s, gamma=0.0)
         # Push the query's own direction into the queue: it now competes.
         s_hard = s.update(feats, [UNLABELED])
-        harder, _ = oim_loss(Tensor(feats), [0], s_hard)
+        harder, _ = focal_oim_loss(Tensor(feats), [0], s_hard, gamma=0.0)
         assert harder.item() > base.item()
 
     def test_non_unit_feature_rejected(self):
@@ -150,14 +150,14 @@ class TestOIMLoss:
         s = fresh_state(rng)
         bad = Tensor(rng.standard_normal((1, 6)) * 2)
         with pytest.raises(ValueError):
-            oim_loss(bad, [0], s)
+            focal_oim_loss(bad, [0], s, gamma=0.0)
 
     def test_out_of_range_identity_rejected(self):
         rng = np.random.default_rng(71)
         s = fresh_state(rng)
         feats = Tensor(unit_rows(rng, 1, 6))
         with pytest.raises(ValueError):
-            oim_loss(feats, [4], s)
+            focal_oim_loss(feats, [4], s, gamma=0.0)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(72)
@@ -167,7 +167,9 @@ class TestOIMLoss:
 
         def f(x):
             # Normalize inside so arbitrary perturbations stay legal.
-            loss, _ = oim_loss(T.l2_normalize_rows(x), [1, 3, UNLABELED], s)
+            loss, _ = focal_oim_loss(
+                T.l2_normalize_rows(x), [1, 3, UNLABELED], s, gamma=0.0
+            )
             return loss
 
         err = T.central_diff_gradcheck(f, raw)
@@ -186,17 +188,65 @@ class TestOIMLoss:
         assert err < 1e-6
 
 
+class TestFocalOIMRows:
+    def test_loss_is_mean_of_rows_and_rows_leave_state_alone(self):
+        rng = np.random.default_rng(77)
+        s = fresh_state(rng, capacity=2)
+        feats = Tensor(unit_rows(rng, 4, 6))
+        labels = [3, UNLABELED, 0, 1]
+        lut, queue = s.lut.copy(), list(s.queue)
+        rows = focal_oim_rows(feats, labels, s, gamma=2.0)
+        assert rows.shape == (3,)
+        np.testing.assert_array_equal(s.lut, lut)
+        assert list(s.queue) == queue
+        loss, s2 = focal_oim_loss(feats, labels, s, gamma=2.0)
+        assert loss.item() == rows.data.mean()
+        want = s.update(feats.data, labels)
+        np.testing.assert_array_equal(s2.lut, want.lut)
+        np.testing.assert_array_equal(np.array(list(s2.queue)), np.array(list(want.queue)))
+
+    def test_no_labeled_row_gives_no_rows(self):
+        rng = np.random.default_rng(78)
+        s = fresh_state(rng)
+        rows = focal_oim_rows(Tensor(unit_rows(rng, 2, 6)), [UNLABELED, BACKGROUND], s)
+        assert rows.shape == (0,)
+
+    def test_checks_inputs(self):
+        rng = np.random.default_rng(79)
+        s = fresh_state(rng)
+        with pytest.raises(ValueError, match="unit-norm"):
+            focal_oim_rows(Tensor(2.0 * unit_rows(rng, 1, 6)), [0], s)
+        with pytest.raises(ValueError, match="outside table"):
+            focal_oim_rows(Tensor(unit_rows(rng, 1, 6)), [4], s)
+        with pytest.raises(ValueError, match="gamma"):
+            focal_oim_rows(Tensor(unit_rows(rng, 1, 6)), [0], s, gamma=-1.0)
+
+
 class TestFocalOIM:
     def test_gamma_zero_equals_plain(self):
+        # At gamma = 0 the loss is the plain OIM cross-entropy over the
+        # prototypes and the queue, and the state takes the plain update.
         rng = np.random.default_rng(74)
         s = fresh_state(rng, capacity=2)
-        feats = Tensor(unit_rows(rng, 3, 6))
+        s = s.update(unit_rows(rng, 2, 6), [UNLABELED, UNLABELED])
+        feats = unit_rows(rng, 3, 6)
         labels = [0, UNLABELED, 2]
-        a, sa = oim_loss(feats, labels, s)
-        b, sb = focal_oim_loss(feats, labels, s, gamma=0.0)
-        assert a.item() == b.item()
-        np.testing.assert_array_equal(sa.lut, sb.lut)
-        np.testing.assert_array_equal(np.array(list(sa.queue)), np.array(list(sb.queue)))
+        loss, s2 = focal_oim_loss(Tensor(feats), labels, s, gamma=0.0)
+        cm = s.class_matrix()
+        want = 0.0
+        for i in (0, 2):
+            logits = cm @ feats[i] / s.tau
+            want -= logits[labels[i]] - math.log(np.exp(logits).sum())
+        assert loss.item() == pytest.approx(want / 2, abs=1e-12)
+        lut = s.lut.copy()
+        for i in (0, 2):
+            mixed = s.momentum * lut[labels[i]] + (1.0 - s.momentum) * feats[i]
+            lut[labels[i]] = mixed / np.linalg.norm(mixed)
+        np.testing.assert_allclose(s2.lut, lut, atol=1e-15)
+        assert not np.array_equal(s2.lut, s.lut)
+        # The queue was full: the oldest entry leaves, the unlabeled row enters.
+        queue = list(s.queue)
+        np.testing.assert_array_equal(np.array(list(s2.queue)), np.array([queue[1], feats[1]]))
 
     def test_focal_downweights_easy_rows(self):
         # An easy row (feature equals its prototype) shrinks under focal
@@ -204,7 +254,7 @@ class TestFocalOIM:
         rng = np.random.default_rng(75)
         s = fresh_state(rng)
         easy = Tensor(s.lut[0].reshape(1, -1))
-        plain, _ = oim_loss(easy, [0], s)
+        plain, _ = focal_oim_loss(easy, [0], s, gamma=0.0)
         focal, _ = focal_oim_loss(easy, [0], s, gamma=2.0)
         assert focal.item() < 0.05 * plain.item()
 

@@ -115,10 +115,11 @@ class TestForwardOracles:
         assert np.array_equal(plain, xhat)
 
     def test_l2_normalize(self):
-        out = T.l2_normalize(Tensor([3.0, 4.0])).data
-        np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
-        zero = T.l2_normalize(Tensor([0.0, 0.0])).data
-        np.testing.assert_array_equal(zero, [0.0, 0.0])
+        # One (1, n) row; a zero row maps to zeros.
+        out = T.l2_normalize_rows(Tensor([[3.0, 4.0]])).data
+        np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
+        zero = T.l2_normalize_rows(Tensor([[0.0, 0.0]])).data
+        np.testing.assert_array_equal(zero, [[0.0, 0.0]])
 
     def test_l2_normalize_rows(self):
         rng = np.random.default_rng(5)
@@ -318,9 +319,9 @@ class TestGradients:
         )
 
     def test_l2_normalize(self):
-        v = rand(self.rng, 5)
-        w = rand(self.rng, 5)
-        check_grads(lambda v: T.sum_all(T.mul(T.l2_normalize(v), w)), [v])
+        v = rand(self.rng, 1, 5)
+        w = rand(self.rng, 1, 5)
+        check_grads(lambda v: T.sum_all(T.mul(T.l2_normalize_rows(v), w)), [v])
 
     def test_l2_normalize_rows(self):
         x = rand(self.rng, 3, 4)
