@@ -21,10 +21,12 @@ P.y * (H_f - 1)) for an (C, H_f, W_f) map, with zero padding outside the
 map.  The multi-scale variant samples S points per pyramid level and
 normalizes A over all levels * S samples of a head.
 
-Each sublayer call is a single taped primitive with a hand-written
-vector-Jacobian product: the heads run batched, all points of all levels
-are sampled with one gather, and the per-head parameter tuples are stacked
-inside the call, so the tape holds one node per sublayer.
+Each projection is stored as one tensor with a leading head axis (or, for
+the output projections, one row block per head), as in Deformable DETR
+(Zhu et al., arXiv 2010.04159).  Each sublayer call is a single taped
+primitive with a hand-written vector-Jacobian product: the heads run
+batched and all points of all levels are sampled with one gather, so the
+tape holds one node per sublayer.
 
 Every sublayer also accepts one parameter set per row group.  The input
 rows then form G equal blocks that run as one batch, and block g uses only
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -76,24 +78,22 @@ class ReferencePoint:
 
 @dataclass(frozen=True)
 class MultiHeadAttnParams:
-    """Per-head projections plus the shared output projection.
+    """Stacked per-head projections plus the shared output projection.
 
-    wq/wk/wv are H tensors of shape (d, d_k); wo is (H * d_k, d).
+    wq/wk/wv are (H, d, d_k), slice h being head h; wo is (H * d_k, d).
     """
 
-    wq: tuple[Tensor, ...]
-    wk: tuple[Tensor, ...]
-    wv: tuple[Tensor, ...]
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
 
     def __post_init__(self):
-        h = len(self.wq)
-        if h < 1 or len(self.wk) != h or len(self.wv) != h:
-            raise ValueError("wq/wk/wv must hold the same positive head count")
-        d, dk = self.wq[0].shape
-        for t in (*self.wq, *self.wk, *self.wv):
-            if t.shape != (d, dk):
-                raise ValueError("all head projections must share one shape")
+        if self.wq.ndim != 3 or self.wq.shape[0] < 1:
+            raise ValueError(f"wq must be (H, d, d_k), got {self.wq.shape}")
+        if self.wk.shape != self.wq.shape or self.wv.shape != self.wq.shape:
+            raise ValueError("wq/wk/wv must share one shape")
+        h, d, dk = self.wq.shape
         if self.wo.shape != (h * dk, d):
             raise ValueError(
                 f"wo must be ({h * dk}, {d}), got {self.wo.shape}"
@@ -101,11 +101,11 @@ class MultiHeadAttnParams:
 
     @property
     def num_heads(self) -> int:
-        return len(self.wq)
+        return self.wq.shape[0]
 
     @property
     def head_dim(self) -> int:
-        return self.wq[0].shape[1]
+        return self.wq.shape[2]
 
 
 def _groups(params, kind) -> tuple:
@@ -133,23 +133,22 @@ def multi_head_self_attention(
     own block, under that block's projections.
 
     One taped primitive: the (group, head) pairs run as one batch of
-    (N, .) products, and the parameter sets are stacked inside the call.
+    (N, .) products.
     """
     groups = _groups(params, MultiHeadAttnParams)
     first = groups[0]
-    if y.ndim != 2 or y.shape[1] != first.wq[0].shape[0]:
+    if y.ndim != 2 or y.shape[1] != first.wq.shape[1]:
         raise ValueError(f"input shape {y.shape} does not match projections")
-    if any(ps.wo.shape != first.wo.shape or ps.num_heads != first.num_heads for ps in groups):
+    if any(ps.wq.shape != first.wq.shape for ps in groups):
         raise ValueError("every group's projections must share one shape")
     g_count, h = len(groups), first.num_heads
     n = _row_blocks(y, g_count)
     inv_sqrt_dk = 1.0 / math.sqrt(first.head_dim)
     yd = y.data.reshape(g_count, 1, n, -1)
-    wq, wk, wv = (
-        np.array([[t.data for t in getattr(ps, name)] for ps in groups])  # (G, H, d, d_k)
-        for name in ("wq", "wk", "wv")
+    wq, wk, wv, wo = (
+        np.array([getattr(ps, name).data for ps in groups])  # (G, H, d, d_k), (G, H*d_k, d)
+        for name in ("wq", "wk", "wv", "wo")
     )
-    wo = np.array([ps.wo.data for ps in groups])  # (G, H*d_k, d)
     q, k, v = yd @ wq, yd @ wk, yd @ wv  # (G, H, N, d_k)
     p = _softmax_last((q @ k.swapaxes(2, 3)) * inv_sqrt_dk)  # (G, H, N, N)
     heads = (p @ v).transpose(0, 2, 1, 3).reshape(g_count, n, -1)  # (G, N, H*d_k), head-major
@@ -169,12 +168,10 @@ def multi_head_self_attention(
         yt = yd.swapaxes(2, 3)
         g_wq, g_wk, g_wv = yt @ g_q, yt @ g_k, yt @ g_v  # (G, H, d, d_k)
         g_wo = heads.swapaxes(1, 2) @ g
-        per_group = (
-            t for i in range(g_count) for t in (*g_wq[i], *g_wk[i], *g_wv[i], g_wo[i])
-        )
+        per_group = (gr[i] for i in range(g_count) for gr in (g_wq, g_wk, g_wv, g_wo))
         return (g_y.reshape(y.shape), *per_group)
 
-    inputs = (y, *(t for ps in groups for t in (*ps.wq, *ps.wk, *ps.wv, ps.wo)))
+    inputs = (y, *(t for ps in groups for t in (ps.wq, ps.wk, ps.wv, ps.wo)))
     return tt._emit((heads @ wo).reshape(y.shape), inputs, vjp)
 
 
@@ -203,30 +200,37 @@ class DeformAttnParams:
     With query width D, feature channels C, H heads, S points and L levels:
     w_offset (D, 2*H*S*L) and b_offset predict per-sample pixel offsets,
     w_weight (D, H*S*L) and b_weight the (pre-softmax) sampling weights,
-    w_value holds H value projections (C, D // H) and w_out H output
-    projections (D // H, D).  Columns of the offset head are laid out
-    head-major, then level, then sample, with x before y; the weight head
-    is head-major, then level, then sample.
+    w_value (H, C, D // H) stacks the H value projections and w_out (D, D)
+    the H output projections, rows h*D/H to (h+1)*D/H being head h.
+    Columns of the offset head are laid out head-major, then level, then
+    sample, with x before y; the weight head is head-major, then level,
+    then sample.
     """
 
     w_offset: Tensor
     b_offset: Tensor
     w_weight: Tensor
     b_weight: Tensor
-    w_value: tuple[Tensor, ...]
-    w_out: tuple[Tensor, ...]
+    w_value: Tensor
+    w_out: Tensor
     num_points: int
     num_levels: int = 1
 
+    # The tensor fields, in order.
+    TENSORS: ClassVar[tuple[str, ...]] = (
+        "w_offset", "b_offset", "w_weight", "b_weight", "w_value", "w_out"
+    )
+
     def __post_init__(self):
-        h = len(self.w_value)
+        if self.w_value.ndim != 3:
+            raise ValueError(f"w_value must be (H, C, D/H), got {self.w_value.shape}")
+        h, c, dh = self.w_value.shape
         s, lv = self.num_points, self.num_levels
-        if h < 1 or len(self.w_out) != h or s < 1 or lv < 1:
+        if h < 1 or s < 1 or lv < 1:
             raise ValueError("bad head/point/level counts")
         d = self.w_offset.shape[0]
-        if d % h != 0:
-            raise ValueError(f"head count {h} must divide query width {d}")
-        dh = d // h
+        if d != h * dh:
+            raise ValueError(f"w_value must be ({h}, {c}, {d // h}) for query width {d}")
         if self.w_offset.shape != (d, 2 * h * s * lv):
             raise ValueError(f"w_offset must be ({d}, {2 * h * s * lv})")
         if self.b_offset.shape != (2 * h * s * lv,):
@@ -235,17 +239,12 @@ class DeformAttnParams:
             raise ValueError(f"w_weight must be ({d}, {h * s * lv})")
         if self.b_weight.shape != (h * s * lv,):
             raise ValueError("b_weight shape mismatch")
-        c = self.w_value[0].shape[0]
-        for t in self.w_value:
-            if t.shape != (c, dh):
-                raise ValueError("w_value tensors must share shape (C, D/H)")
-        for t in self.w_out:
-            if t.shape != (dh, d):
-                raise ValueError("w_out tensors must share shape (D/H, D)")
+        if self.w_out.shape != (d, d):
+            raise ValueError(f"w_out must be ({d}, {d})")
 
     @property
     def num_heads(self) -> int:
-        return len(self.w_value)
+        return self.w_value.shape[0]
 
     @property
     def query_width(self) -> int:
@@ -253,7 +252,7 @@ class DeformAttnParams:
 
     @property
     def feature_channels(self) -> int:
-        return self.w_value[0].shape[0]
+        return self.w_value.shape[1]
 
 
 def ring_offset_bias(num_heads: int, num_points: int, num_levels: int = 1) -> np.ndarray:
@@ -290,7 +289,7 @@ def _deform_core(
     first = params[0]
     if z.ndim != 2 or z.shape[1] != first.query_width:
         raise ValueError(f"query shape {z.shape} does not match parameters")
-    layout = lambda p: (p.w_offset.shape, p.w_value[0].shape, p.num_heads, p.num_points, p.num_levels)
+    layout = lambda p: (p.w_offset.shape, p.w_value.shape, p.num_points, p.num_levels)
     if any(layout(p) != layout(first) for p in params):
         raise ValueError("every group's deformable parameters must share one shape")
     g_count = len(params)
@@ -312,11 +311,12 @@ def _deform_core(
             )
 
     zd = z.data.reshape(g_count, n, -1)
-    stacked = lambda name: np.array([getattr(p, name).data for p in params])
-    w_offset, w_weight = stacked("w_offset"), stacked("w_weight")  # (G, D, .)
-    b_offset, b_weight = stacked("b_offset")[:, None], stacked("b_weight")[:, None]
-    w_value = np.array([[t.data for t in p.w_value] for p in params])  # (G, H, C, D/H)
-    w_out = np.array([[t.data for t in p.w_out] for p in params]).reshape(g_count, -1, z.shape[1])
+    # Each field stacked over the groups: (G, D, .) weights, (G, H, C, D/H)
+    # value and (G, D, D) output projections, (G, 1, .) biases.
+    w_offset, b_offset, w_weight, b_weight, w_value, w_out = (
+        np.array([getattr(p, f).data for p in params]) for f in DeformAttnParams.TENSORS
+    )
+    b_offset, b_weight = b_offset[:, None], b_weight[:, None]
     offsets = (zd @ w_offset + b_offset).reshape(g_count, n, h, lv, s, 2)
     attn = _softmax_last((zd @ w_weight + b_weight).reshape(g_count * n, h, -1))  # (G*N, H, L*S)
 
@@ -338,7 +338,7 @@ def _deform_core(
     )
     pooled = np.einsum("nhk,nhkc->nhc", attn, samples).reshape(g_count, n, h, c)
     valued = np.einsum("gnhc,ghcd->gnhd", pooled, w_value).reshape(g_count, n, -1)  # (G, N, D)
-    maps_at = 1 + len(params) * (4 + 2 * h)  # index of maps[0] among the inputs
+    maps_at = 1 + 6 * g_count  # index of maps[0] among the inputs
 
     def vjp(g, needs):
         g = g.reshape(g_count, n, -1)
@@ -365,27 +365,12 @@ def _deform_core(
         zt = zd.swapaxes(1, 2)
         g_w_offset, g_w_weight = zt @ g_offsets, zt @ g_logits
         g_b_offset, g_b_weight = g_offsets.sum(axis=1), g_logits.sum(axis=1)
-        g_w_out = g_w_out.reshape(g_count, h, -1, g_w_out.shape[2])
-        per_group = (
-            t
-            for i in range(g_count)
-            for t in (
-                g_w_offset[i], g_b_offset[i], g_w_weight[i], g_b_weight[i],
-                *g_w_value[i], *g_w_out[i],
-            )
-        )
+        grads = (g_w_offset, g_b_offset, g_w_weight, g_b_weight, g_w_value, g_w_out)
+        per_group = (gr[i] for i in range(g_count) for gr in grads)
         return (g_z.reshape(z.shape), *per_group, *g_maps, *g_refs)
 
-    inputs = (
-        z,
-        *(
-            t
-            for p in params
-            for t in (p.w_offset, p.b_offset, p.w_weight, p.b_weight, *p.w_value, *p.w_out)
-        ),
-        *maps,
-        *(ref_tensors or ()),
-    )
+    weights = (getattr(p, f) for p in params for f in DeformAttnParams.TENSORS)
+    inputs = (z, *weights, *maps, *(ref_tensors or ()))
     return tt._emit((valued @ w_out).reshape(z.shape), inputs, vjp, selective=True)
 
 

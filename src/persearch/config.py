@@ -1,4 +1,4 @@
-"""Run configuration: one JSON file driving data, model, training and eval.
+"""Run configuration: one JSON file driving data, model and training.
 
 Every section is optional and falls back to defaults, but unknown keys are
 rejected with their full path so typos cannot silently revert a setting to
@@ -18,28 +18,7 @@ from .losses import LossWeights
 from .training import TrainSettings
 from .transformer import ReIDConfig
 
-__all__ = ["EvalSettings", "RunConfig", "load_run_config"]
-
-
-@dataclass
-class EvalSettings:
-    cbgm: bool = False
-    k1: int = 30
-    k2: int = 3
-    topk: tuple = (1, 5, 10)
-    gallery_sizes: tuple | None = None
-
-    def validate(self) -> None:
-        if self.k1 < 0 or self.k2 < 0:
-            raise ConfigError("k1 and k2 must be non-negative")
-        if not self.topk or any(
-            not isinstance(k, int) or k < 1 for k in self.topk
-        ):
-            raise ConfigError("topk must be positive integers")
-        if self.gallery_sizes is not None and any(
-            not isinstance(s, int) or s < 1 for s in self.gallery_sizes
-        ):
-            raise ConfigError("gallery_sizes must be positive integers")
+__all__ = ["RunConfig", "load_run_config"]
 
 
 @dataclass
@@ -48,28 +27,17 @@ class RunConfig:
     data: BenchmarkConfig = field(default_factory=BenchmarkConfig)
     model: ReIDConfig = field(default_factory=ReIDConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
-    eval: EvalSettings = field(default_factory=EvalSettings)
 
     def validate(self) -> None:
         try:
             self.data.validate()
             self.model.validate()
             self.train.validate()
-            self.eval.validate()
         except (ValueError, ConfigError) as e:
             raise ConfigError(str(e)) from None
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return _tuples_to_lists(d)
-
-
-def _tuples_to_lists(value):
-    if isinstance(value, dict):
-        return {k: _tuples_to_lists(v) for k, v in value.items()}
-    if isinstance(value, tuple):
-        return [_tuples_to_lists(v) for v in value]
-    return value
+        return dataclasses.asdict(self)
 
 
 def _build_section(cls, section, path):
@@ -83,8 +51,6 @@ def _build_section(cls, section, path):
             raise ConfigError(f"unknown config key {path}.{key}")
         if key == "weights":
             value = _build_section(LossWeights, value, f"{path}.weights")
-        elif isinstance(value, list):
-            value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -96,7 +62,6 @@ _SECTIONS = {
     "data": BenchmarkConfig,
     "model": ReIDConfig,
     "train": TrainSettings,
-    "eval": EvalSettings,
 }
 
 

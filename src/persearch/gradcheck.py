@@ -14,6 +14,7 @@ entry before comparison, proving the harness can fail.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import time
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ def check_primitives() -> list[CheckResult]:
     gamma = Tensor(rng.standard_normal(4))
     beta = Tensor(rng.standard_normal(4))
     fmap = Tensor(rng.standard_normal((3, 5, 6)))
-    point = Tensor(np.array([2.3, 1.7]))
+    point = Tensor(np.array([[2.3, 1.7]]))
     wide = Tensor(rng.standard_normal((3, 8)))
     checks = [
         ("matmul", lambda x: tt.sum_all(tt.matmul(x, b)), a),
@@ -85,33 +86,36 @@ def check_primitives() -> list[CheckResult]:
         ("l2_normalize_rows", lambda x: tt.sum_all(tt.mul(tt.l2_normalize_rows(x), a)), Tensor(rng.standard_normal((3, 4)))),
         ("concat_cols", lambda x: tt.sum_all(tt.mul(tt.concat_cols((x, a)), wide)), Tensor(rng.standard_normal((3, 4)))),
         ("take_gather", lambda x: tt.sum_all(tt.gather_pairs(tt.softmax_rows(tt.take_rows(x, [0, 2])), [0, 1], [1, 3])), Tensor(rng.standard_normal((3, 4)))),
-        ("bilinear_map", lambda m: tt.sum_all(tt.bilinear_sample(m, point)), fmap),
-        ("bilinear_point", lambda p: tt.sum_all(tt.bilinear_sample(fmap, p)), point),
+        ("bilinear_map", lambda m: tt.sum_all(tt.bilinear_sample_rows(m, point)), fmap),
+        ("bilinear_point", lambda p: tt.sum_all(tt.bilinear_sample_rows(fmap, p)), point),
         ("bilinear_rows", lambda p: tt.sum_all(tt.bilinear_sample_rows(fmap, p)), Tensor(rng.uniform(0.5, 4.0, (4, 2)))),
     ]
     return [_check(f"primitive.{n}", f, x, PRIMITIVE_TOL) for n, f, x in checks]
 
 
+def _gauss(rng, *shape, fan_in=None):
+    """Standard normals scaled by 1/sqrt(fan_in), fan_in defaulting to shape[0]."""
+    return Tensor(rng.standard_normal(shape) / np.sqrt(fan_in or shape[0]))
+
+
 def _mha_params(rng, d=6, heads=2):
     dk = d // heads
-    g = lambda *s: Tensor(rng.standard_normal(s) / np.sqrt(s[0]))
     return MultiHeadAttnParams(
-        wq=tuple(g(d, dk) for _ in range(heads)),
-        wk=tuple(g(d, dk) for _ in range(heads)),
-        wv=tuple(g(d, dk) for _ in range(heads)),
-        wo=g(heads * dk, d),
+        wq=_gauss(rng, heads, d, dk, fan_in=d),
+        wk=_gauss(rng, heads, d, dk, fan_in=d),
+        wv=_gauss(rng, heads, d, dk, fan_in=d),
+        wo=_gauss(rng, heads * dk, d),
     )
 
 
 def _deform_params(rng, d=6, c=4, heads=2, points=2):
-    g = lambda *s: Tensor(rng.standard_normal(s) / np.sqrt(s[0]))
     return DeformAttnParams(
-        w_offset=g(d, 2 * heads * points),
+        w_offset=_gauss(rng, d, 2 * heads * points),
         b_offset=Tensor(rng.standard_normal(2 * heads * points)),
-        w_weight=g(d, heads * points),
+        w_weight=_gauss(rng, d, heads * points),
         b_weight=Tensor(rng.standard_normal(heads * points)),
-        w_value=tuple(g(c, d // heads) for _ in range(heads)),
-        w_out=tuple(g(d // heads, d) for _ in range(heads)),
+        w_value=_gauss(rng, heads, c, d // heads, fan_in=c),
+        w_out=_gauss(rng, d, d, fan_in=d // heads),
         num_points=points,
     )
 
@@ -133,15 +137,10 @@ def check_attention() -> list[CheckResult]:
     for attr in ("wq", "wk", "wv", "wo"):
 
         def f(x, attr=attr):
-            kw = {
-                k: (getattr(mha, k) if k != attr else ((x,) + getattr(mha, k)[1:] if k != "wo" else x))
-                for k in ("wq", "wk", "wv", "wo")
-            }
-            out = multi_head_self_attention(y, MultiHeadAttnParams(**kw))
+            out = multi_head_self_attention(y, dataclasses.replace(mha, **{attr: x}))
             return tt.sum_all(tt.mul(out, weigh))
 
-        base = getattr(mha, attr) if attr == "wo" else getattr(mha, attr)[0]
-        results.append(_check(f"attention.mha_{attr}", f, base, ATTENTION_TOL))
+        results.append(_check(f"attention.mha_{attr}", f, getattr(mha, attr), ATTENTION_TOL))
 
     gamma = Tensor(rng.standard_normal(d))
     beta = Tensor(rng.standard_normal(d))
@@ -164,37 +163,16 @@ def check_attention() -> list[CheckResult]:
     wz = Tensor(rng.standard_normal((3, d)))
 
     def deform_with(field, x):
-        kw = {
-            "w_offset": dp.w_offset,
-            "b_offset": dp.b_offset,
-            "w_weight": dp.w_weight,
-            "b_weight": dp.b_weight,
-            "w_value": dp.w_value,
-            "w_out": dp.w_out,
-            "num_points": dp.num_points,
-        }
-        if field in ("w_value", "w_out"):
-            kw[field] = (x,) + kw[field][1:]
-        elif field != "z":
-            kw[field] = x
-        params = DeformAttnParams(**kw)
+        params = dp if field == "z" else dataclasses.replace(dp, **{field: x})
         zz = x if field == "z" else z
         return tt.sum_all(tt.mul(deform_attn(zz, refs, fmap, params), wz))
 
-    for field, base in (
-        ("z", z),
-        ("w_offset", dp.w_offset),
-        ("b_offset", dp.b_offset),
-        ("w_weight", dp.w_weight),
-        ("b_weight", dp.b_weight),
-        ("w_value", dp.w_value[0]),
-        ("w_out", dp.w_out[0]),
-    ):
+    for field in ("z", *DeformAttnParams.TENSORS):
         results.append(
             _check(
                 f"attention.deform_{field}",
                 lambda x, field=field: deform_with(field, x),
-                base,
+                z if field == "z" else getattr(dp, field),
                 ATTENTION_TOL,
             )
         )

@@ -46,7 +46,6 @@ __all__ = [
     "softmax_rows",
     "layer_norm",
     "l2_normalize_rows",
-    "bilinear_sample",
     "bilinear_sample_rows",
     "dropout",
     "central_diff_gradcheck",
@@ -566,32 +565,6 @@ def _bilinear_vjp(map_shapes, res, g, want_maps: Sequence[bool] | None = None):
         for shape, size, end, want in zip(map_shapes, sizes, ends, want_maps)
     ]
     return g_maps, g_pts
-
-
-def bilinear_sample(fmap: Tensor, point) -> Tensor:
-    """Sample one location of a (C, H, W) map, returning a (C,) tensor.
-
-    ``point`` is (x, y) in pixel units, either a rank-1 Tensor of length 2
-    (gradients then flow into the coordinates) or a plain pair of floats.
-    """
-    if fmap.ndim != 3:
-        raise ValueError("bilinear_sample expects a (C, H, W) map")
-    as_tensor = isinstance(point, Tensor)
-    if as_tensor:
-        if point.shape != (2,):
-            raise ValueError("point tensor must have shape (2,)")
-        pts = point.data.reshape(1, 2)
-    else:
-        pts = np.array([[float(point[0]), float(point[1])]])
-    out, res = _bilinear_forward([fmap.data], pts)
-    fshape = fmap.shape
-
-    def vjp(g):
-        (g_map,), g_pts = _bilinear_vjp([fshape], res, g.reshape(1, -1))
-        return (g_map, g_pts[0]) if as_tensor else (g_map,)
-
-    inputs = (fmap, point) if as_tensor else (fmap,)
-    return _emit(out[0], inputs, vjp)
 
 
 def bilinear_sample_rows(fmap: Tensor, points: Tensor) -> Tensor:

@@ -65,6 +65,8 @@ __all__ = [
 
 SCHEMES = ("shared", "parallel", "multi_scale_d", "multi_scale_3d")
 NUM_LEVELS = 3
+# Version 2 stores each attention projection as one stacked tensor.
+_FORMAT_VERSION = 2
 
 _QUERY_INIT_STD = 0.02
 
@@ -200,7 +202,12 @@ class ReIDTransformer:
     Naming: ``queries`` and then per stack ``stack`` (``stack0..2`` for the
     parallel scheme), per layer ``.layer{m}``, with ``sa.*`` / ``sa_norm.*``
     for self-attention and ``cross{k}.*`` / ``cross{k}_norm.*`` for the
-    deformable sublayers.
+    deformable sublayers.  The last part of a name is the field of
+    :class:`MultiHeadAttnParams` or :class:`DeformAttnParams` it fills, or
+    ``gamma`` / ``beta`` of a layer norm.  Each projection is one tensor
+    for all heads: ``sa.wq``, ``sa.wk`` and ``sa.wv`` are (H, D, D/H),
+    ``cross{k}.w_value`` is (H, C, D/H) and ``cross{k}.w_out`` is (D, D)
+    with one block of D/H rows per head.
     """
 
     def __init__(self, config: ReIDConfig, params: dict[str, Tensor]):
@@ -229,92 +236,67 @@ class ReIDTransformer:
             raise ValueError(f"unknown init style {style!r}")
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
-
-        def xavier(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-        def gauss(*shape):
-            fan_in = shape[0] if len(shape) > 1 else max(shape[0], 1)
-            return rng.standard_normal(shape) * (0.5 / np.sqrt(fan_in))
-
         train = style == "train"
+
+        def xavier(shape):
+            limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
+            return rng.uniform(-limit, limit, size=shape)
+
+        def gauss(shape):
+            return rng.standard_normal(shape) * (0.5 / np.sqrt(shape[-2]))
+
+        def normal(std):
+            return lambda shape: std * rng.standard_normal(shape)
+
+        def fill(prefix, table, heads=1):
+            """Add the tensors of ``table`` rows (name, shape, train init,
+            random init) under ``prefix``, drawn in row order.
+
+            With ``heads`` > 1 each tensor is that many equal blocks along
+            its first axis, one per head, and the blocks are drawn head by
+            head: head 0 of every row, then head 1, and so on.
+            """
+            blocks = [
+                [
+                    (train_init if train else random_init)((shape[0] // heads, *shape[1:]))
+                    for _, shape, train_init, random_init in table
+                ]
+                for _ in range(heads)
+            ]
+            for (name, *_), parts in zip(table, zip(*blocks)):
+                params[f"{prefix}{name}"] = Tensor(np.concatenate(parts))
+
         width = config.query_width
-        c_feat = config.dim
         h, s, lv = config.heads, config.points, config.cross_levels
         dh = width // h
-
-        params["queries"] = Tensor(
-            rng.standard_normal((config.num_queries, width)) * _QUERY_INIT_STD
-            if train
-            else rng.standard_normal((config.num_queries, width)) * 0.5
-        )
-
+        ring = ring_offset_bias(h, s, lv)
+        zeros, ones = np.zeros, np.ones
+        norm = lambda prefix: [
+            (f"{prefix}.gamma", (width,), ones, lambda shape: 1.0 + normal(0.1)(shape)),
+            (f"{prefix}.beta", (width,), zeros, normal(0.1)),
+        ]
+        fill("", [("queries", (config.num_queries, width), normal(_QUERY_INIT_STD), normal(0.5))])
         for stack in _stack_names(config):
             for m in range(config.m_layers):
-                base = f"{stack}.layer{m}"
+                base = f"{stack}.layer{m}."
                 if config.has_self_attention(m):
-                    for head in range(h):
-                        params[f"{base}.sa.wq{head}"] = Tensor(
-                            xavier(width, dh) if train else gauss(width, dh)
-                        )
-                        params[f"{base}.sa.wk{head}"] = Tensor(
-                            xavier(width, dh) if train else gauss(width, dh)
-                        )
-                        params[f"{base}.sa.wv{head}"] = Tensor(
-                            xavier(width, dh) if train else gauss(width, dh)
-                        )
-                    params[f"{base}.sa.wo"] = Tensor(
-                        np.zeros((h * dh, width)) if train else gauss(h * dh, width)
-                    )
-                    params[f"{base}.sa_norm.gamma"] = Tensor(
-                        np.ones(width)
-                        if train
-                        else 1.0 + 0.1 * rng.standard_normal(width)
-                    )
-                    params[f"{base}.sa_norm.beta"] = Tensor(
-                        np.zeros(width)
-                        if train
-                        else 0.1 * rng.standard_normal(width)
-                    )
+                    sa = [(f"sa.{n}", (h, width, dh), xavier, gauss) for n in ("wq", "wk", "wv")]
+                    fill(base, sa, heads=h)
+                    fill(base, [("sa.wo", (width, width), zeros, gauss), *norm("sa_norm")])
                 for k in range(config.k_cross):
-                    cb = f"{base}.cross{k}"
-                    ring = ring_offset_bias(h, s, lv)
-                    params[f"{cb}.w_offset"] = Tensor(
-                        np.zeros((width, 2 * h * s * lv))
-                        if train
-                        else gauss(width, 2 * h * s * lv)
-                    )
-                    params[f"{cb}.b_offset"] = Tensor(
-                        ring if train else ring + 0.3 * rng.standard_normal(ring.shape)
-                    )
-                    params[f"{cb}.w_weight"] = Tensor(
-                        np.zeros((width, h * s * lv))
-                        if train
-                        else gauss(width, h * s * lv)
-                    )
-                    params[f"{cb}.b_weight"] = Tensor(
-                        np.zeros(h * s * lv)
-                        if train
-                        else 0.3 * rng.standard_normal(h * s * lv)
-                    )
-                    for head in range(h):
-                        params[f"{cb}.w_value{head}"] = Tensor(
-                            xavier(c_feat, dh) if train else gauss(c_feat, dh)
-                        )
-                        params[f"{cb}.w_out{head}"] = Tensor(
-                            np.zeros((dh, width)) if train else gauss(dh, width)
-                        )
-                    params[f"{cb}_norm.gamma"] = Tensor(
-                        np.ones(width)
-                        if train
-                        else 1.0 + 0.1 * rng.standard_normal(width)
-                    )
-                    params[f"{cb}_norm.beta"] = Tensor(
-                        np.zeros(width)
-                        if train
-                        else 0.1 * rng.standard_normal(width)
-                    )
+                    cross = f"{base}cross{k}."
+                    fill(cross, [
+                        ("w_offset", (width, 2 * h * s * lv), zeros, gauss),
+                        ("b_offset", ring.shape, lambda _: ring,
+                         lambda shape: ring + normal(0.3)(shape)),
+                        ("w_weight", (width, h * s * lv), zeros, gauss),
+                        ("b_weight", (h * s * lv,), zeros, normal(0.3)),
+                    ])
+                    fill(cross, [
+                        ("w_value", (h, config.dim, dh), xavier, gauss),
+                        ("w_out", (width, width), zeros, gauss),
+                    ], heads=h)
+                    fill(base, norm(f"cross{k}_norm"))
         return cls(config, params)
 
     # ------------------------------------------------------------------
@@ -330,29 +312,14 @@ class ReIDTransformer:
         base = f"{stack}.layer{m}"
         sa = sa_norm = None
         if cfg.has_self_attention(m):
-            sa = MultiHeadAttnParams(
-                wq=tuple(p[f"{base}.sa.wq{h}"] for h in range(cfg.heads)),
-                wk=tuple(p[f"{base}.sa.wk{h}"] for h in range(cfg.heads)),
-                wv=tuple(p[f"{base}.sa.wv{h}"] for h in range(cfg.heads)),
-                wo=p[f"{base}.sa.wo"],
-            )
+            sa = MultiHeadAttnParams(*(p[f"{base}.sa.{n}"] for n in ("wq", "wk", "wv", "wo")))
             sa_norm = (p[f"{base}.sa_norm.gamma"], p[f"{base}.sa_norm.beta"])
         cross = []
         norms = []
         for k in range(cfg.k_cross):
             cb = f"{base}.cross{k}"
-            cross.append(
-                DeformAttnParams(
-                    w_offset=p[f"{cb}.w_offset"],
-                    b_offset=p[f"{cb}.b_offset"],
-                    w_weight=p[f"{cb}.w_weight"],
-                    b_weight=p[f"{cb}.b_weight"],
-                    w_value=tuple(p[f"{cb}.w_value{h}"] for h in range(cfg.heads)),
-                    w_out=tuple(p[f"{cb}.w_out{h}"] for h in range(cfg.heads)),
-                    num_points=cfg.points,
-                    num_levels=cfg.cross_levels,
-                )
-            )
+            fields = (p[f"{cb}.{f}"] for f in DeformAttnParams.TENSORS)
+            cross.append(DeformAttnParams(*fields, cfg.points, cfg.cross_levels))
             norms.append((p[f"{cb}_norm.gamma"], p[f"{cb}_norm.beta"]))
         return ReIDLayerParams(sa, sa_norm, tuple(cross), tuple(norms))
 
@@ -456,7 +423,7 @@ class ReIDTransformer:
             write_blob(os.path.join(directory, fname), self.params[name])
             tensors[name] = fname
         manifest = {
-            "format_version": 1,
+            "format_version": _FORMAT_VERSION,
             "kind": "reid_transformer",
             "config": asdict(self.config),
             "tensors": tensors,
@@ -467,18 +434,35 @@ class ReIDTransformer:
 
     @classmethod
     def load(cls, directory) -> "ReIDTransformer":
-        """Read a model saved by :meth:`save`; raises DataError when malformed."""
+        """Read a model saved by :meth:`save`; raises DataError when malformed.
+
+        The manifest must be of the current format and list exactly the
+        tensors :meth:`init` builds for its config, each of that shape.
+        """
         path = os.path.join(directory, "model.json")
         with reading(path):
             with open(path) as fh:
                 manifest = json.load(fh)
             if manifest.get("kind") != "reid_transformer":
                 raise ValueError("not a model checkpoint")
+            version = manifest.get("format_version")
+            if version != _FORMAT_VERSION:
+                raise ValueError(
+                    f"format_version {version!r} is not supported (expected {_FORMAT_VERSION})"
+                )
             config = ReIDConfig(**manifest["config"])
-            params = {
-                name: read_blob(os.path.join(directory, fname))
-                for name, fname in manifest["tensors"].items()
-            }
+            expected = {name: t.shape for name, t in cls.init(config, seed=0).params.items()}
+            files = dict(manifest["tensors"])
+            missing, extra = sorted(expected.keys() - files), sorted(files.keys() - expected)
+            if missing or extra:
+                raise ValueError(f"tensors missing: {missing}, unexpected: {extra}")
+            params = {}
+            for name, fname in files.items():
+                params[name] = read_blob(os.path.join(directory, fname))
+                if params[name].shape != expected[name]:
+                    raise ValueError(
+                        f"tensor {name} has shape {params[name].shape}, expected {expected[name]}"
+                    )
             return cls(config, params)
 
 

@@ -93,9 +93,9 @@ def _random_mha(rng, d, heads):
     dk = d // heads
     g = lambda *s: Tensor(rng.standard_normal(s))
     return MultiHeadAttnParams(
-        wq=tuple(g(d, dk) for _ in range(heads)),
-        wk=tuple(g(d, dk) for _ in range(heads)),
-        wv=tuple(g(d, dk) for _ in range(heads)),
+        wq=g(heads, d, dk),
+        wk=g(heads, d, dk),
+        wv=g(heads, d, dk),
         wo=g(heads * dk, d),
     )
 
@@ -107,8 +107,8 @@ def _random_deform(rng, d, c, heads, points, levels):
         b_offset=g(2 * heads * points * levels),
         w_weight=g(d, heads * points * levels),
         b_weight=g(heads * points * levels),
-        w_value=tuple(g(c, d // heads) for _ in range(heads)),
-        w_out=tuple(g(d // heads, d) for _ in range(heads)),
+        w_value=g(heads, c, d // heads),
+        w_out=g(d, d),
         num_points=points,
         num_levels=levels,
     )
@@ -126,9 +126,9 @@ def test_criterion_2_attention_matches_brute_force_oracles():
         got = multi_head_self_attention(Tensor(y), p).data
         want = mha_oracle(
             y,
-            [w.data for w in p.wq],
-            [w.data for w in p.wk],
-            [w.data for w in p.wv],
+            p.wq.data,
+            p.wk.data,
+            p.wv.data,
             p.wo.data,
         )
         worst_mha = max(worst_mha, float(np.abs(got - want).max()))
@@ -165,8 +165,8 @@ def test_criterion_2_attention_matches_brute_force_oracles():
             p.b_offset.data,
             p.w_weight.data,
             p.b_weight.data,
-            [w.data for w in p.w_value],
-            [w.data for w in p.w_out],
+            p.w_value.data,
+            np.split(p.w_out.data, heads),
         )
         worst_def = max(worst_def, float(np.abs(got - want).max()))
     _report(

@@ -1,5 +1,7 @@
 """Attention sublayers vs brute-force oracles and gradient checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,9 @@ def random_mha_params(rng, d, heads, dk=None):
     dk = dk or d // heads
     mk = lambda *s: Tensor(rng.standard_normal(s) * 0.5)
     return MultiHeadAttnParams(
-        wq=tuple(mk(d, dk) for _ in range(heads)),
-        wk=tuple(mk(d, dk) for _ in range(heads)),
-        wv=tuple(mk(d, dk) for _ in range(heads)),
+        wq=mk(heads, d, dk),
+        wk=mk(heads, d, dk),
+        wv=mk(heads, d, dk),
         wo=mk(heads * dk, d),
     )
 
@@ -38,8 +40,8 @@ def random_deform_params(rng, d, c, heads, points, levels=1):
         b_offset=mk(2 * heads * points * levels),
         w_weight=mk(d, heads * points * levels),
         b_weight=mk(heads * points * levels),
-        w_value=tuple(mk(c, d // heads) for _ in range(heads)),
-        w_out=tuple(mk(d // heads, d) for _ in range(heads)),
+        w_value=mk(heads, c, d // heads),
+        w_out=mk(d, d),
         num_points=points,
         num_levels=levels,
     )
@@ -51,9 +53,9 @@ class TestMultiHeadSelfAttention:
         # then average the input rows.
         d = 3
         params = MultiHeadAttnParams(
-            wq=(Tensor(np.zeros((d, d))),),
-            wk=(Tensor(np.zeros((d, d))),),
-            wv=(Tensor(np.eye(d)),),
+            wq=Tensor(np.zeros((1, d, d))),
+            wk=Tensor(np.zeros((1, d, d))),
+            wv=Tensor(np.eye(d)[None]),
             wo=Tensor(np.eye(d)),
         )
         y = Tensor([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [2.0, 2.0, 2.0]])
@@ -72,9 +74,9 @@ class TestMultiHeadSelfAttention:
             got = multi_head_self_attention(Tensor(y), params).data
             want = mha_oracle(
                 y,
-                [t.data for t in params.wq],
-                [t.data for t in params.wk],
-                [t.data for t in params.wv],
+                params.wq.data,
+                params.wk.data,
+                params.wv.data,
                 params.wo.data,
             )
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -93,21 +95,10 @@ class TestMultiHeadSelfAttention:
         params = random_mha_params(rng, 4, 2)
         y = Tensor(rng.standard_normal((3, 4)))
         w = Tensor(rng.standard_normal((3, 4)))
-        leaves = {
-            "y": y,
-            "wq0": params.wq[0],
-            "wk1": params.wk[1],
-            "wv0": params.wv[0],
-            "wo": params.wo,
-        }
+        leaves = {"y": y, "wq": params.wq, "wk": params.wk, "wv": params.wv, "wo": params.wo}
 
         def loss_with(name, t):
-            p = MultiHeadAttnParams(
-                wq=(t if name == "wq0" else params.wq[0], params.wq[1]),
-                wk=(params.wk[0], t if name == "wk1" else params.wk[1]),
-                wv=(t if name == "wv0" else params.wv[0], params.wv[1]),
-                wo=t if name == "wo" else params.wo,
-            )
+            p = params if name == "y" else dataclasses.replace(params, **{name: t})
             yy = t if name == "y" else y
             return T.sum_all(T.mul(multi_head_self_attention(yy, p), w))
 
@@ -168,10 +159,10 @@ class TestDeformAttn:
         out = deform_attn(z, refs, fmap, params).data
         for q, r in enumerate(refs):
             px, py = r.to_pixels(5, 6)
-            f = T.bilinear_sample(fmap, (px, py)).data
+            f = T.bilinear_sample_rows(fmap, Tensor([[px, py]])).data[0]
             want = sum(
-                (f @ params.w_value[h].data) @ params.w_out[h].data
-                for h in range(heads)
+                (f @ params.w_value.data[h]) @ w_out
+                for h, w_out in enumerate(np.split(params.w_out.data, heads))
             )
             np.testing.assert_allclose(out[q], want, atol=1e-12)
 
@@ -198,8 +189,8 @@ class TestDeformAttn:
                 params.b_offset.data,
                 params.w_weight.data,
                 params.b_weight.data,
-                [t.data for t in params.w_value],
-                [t.data for t in params.w_out],
+                params.w_value.data,
+                np.split(params.w_out.data, heads),
             )
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -230,8 +221,8 @@ class TestDeformAttn:
                 params.b_offset.data,
                 params.w_weight.data,
                 params.b_weight.data,
-                [t.data for t in params.w_value],
-                [t.data for t in params.w_out],
+                params.w_value.data,
+                np.split(params.w_out.data, heads),
             )
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -310,8 +301,8 @@ class TestDeformAttn:
             "b_offset": base.b_offset,
             "w_weight": base.w_weight,
             "b_weight": base.b_weight,
-            **{f"w_value{h}": t for h, t in enumerate(base.w_value)},
-            **{f"w_out{h}": t for h, t in enumerate(base.w_out)},
+            "w_value": base.w_value,
+            "w_out": base.w_out,
             **{f"map{lv}": m for lv, m in enumerate(maps)},
             **{f"ref{lv}": t for lv, t in enumerate(ref_px)},
         }
@@ -325,8 +316,8 @@ class TestDeformAttn:
                 b_offset=pick("b_offset", base.b_offset),
                 w_weight=pick("w_weight", base.w_weight),
                 b_weight=pick("b_weight", base.b_weight),
-                w_value=tuple(pick(f"w_value{h}", x) for h, x in enumerate(base.w_value)),
-                w_out=tuple(pick(f"w_out{h}", x) for h, x in enumerate(base.w_out)),
+                w_value=pick("w_value", base.w_value),
+                w_out=pick("w_out", base.w_out),
                 num_points=points,
                 num_levels=levels,
             )
@@ -360,11 +351,8 @@ class TestDeformAttn:
 
 def _param_leaves(params):
     if isinstance(params, MultiHeadAttnParams):
-        return [*params.wq, *params.wk, *params.wv, params.wo]
-    return [
-        params.w_offset, params.b_offset, params.w_weight, params.b_weight,
-        *params.w_value, *params.w_out,
-    ]
+        return [params.wq, params.wk, params.wv, params.wo]
+    return [getattr(params, f) for f in DeformAttnParams.TENSORS]
 
 
 def _norm_rel(a, b):

@@ -235,11 +235,28 @@ class TestExitCodes:
             ("checkpoint/model/model.json", lambda m: m["config"].update(bogus=1), "model.json"),
             ("checkpoint/model/model.json", lambda m: m.update(kind="other"), "model.json"),
             ("checkpoint/model/t0000.sqt", None, "t0000.sqt"),
+            (
+                "checkpoint/model/model.json",
+                lambda m: m.update(format_version=1),
+                "model.json: ValueError: format_version 1 ",
+            ),
+            (
+                "checkpoint/model/model.json",
+                lambda m: m["tensors"].pop("stack.layer0.cross0.w_out"),
+                "model.json: ValueError: tensors missing: ['stack.layer0.cross0.w_out']",
+            ),
+            (
+                # queries read from another tensor's blob, of another shape
+                "checkpoint/model/model.json",
+                lambda m: m["tensors"].update(queries=m["tensors"]["stack.layer0.cross0.b_weight"]),
+                "model.json: ValueError: tensor queries has shape (4,)",
+            ),
             ("checkpoint/checkpoint.json", lambda m: m.pop("oim"), "checkpoint.json"),
             ("data/manifest.json", lambda m: m["config"].update(bogus=1), "manifest.json"),
         ],
-        ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt",
-             "checkpoint-missing-oim", "manifest-unknown-key"],
+        ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1",
+             "model-missing-tensor", "model-wrong-shape", "checkpoint-missing-oim",
+             "manifest-unknown-key"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
         shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")

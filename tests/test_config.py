@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from persearch.config import EvalSettings, RunConfig, load_run_config, run_config_from_dict
+from persearch.config import RunConfig, load_run_config, run_config_from_dict
 from persearch.errors import ConfigError
 
 
@@ -16,7 +16,6 @@ class TestDefaults:
         assert cfg.model.dim == 32
         assert cfg.data.num_train == 200
         assert cfg.train.steps == 2000
-        assert cfg.eval.topk == (1, 5, 10)
 
     def test_empty_dict_gives_defaults(self):
         cfg = run_config_from_dict({})
@@ -31,7 +30,6 @@ class TestParsing:
                 "model": {"dim": 16, "heads": 2, "scheme": "parallel"},
                 "data": {"num_train": 10, "feature_dim": 16},
                 "train": {"steps": 50, "weights": {"oim": 1.0}},
-                "eval": {"cbgm": True, "k1": 10, "topk": [1, 3]},
             }
         )
         assert cfg.seed == 7
@@ -40,11 +38,13 @@ class TestParsing:
         assert cfg.train.steps == 50
         assert cfg.train.weights.oim == 1.0
         assert cfg.train.weights.cls == 2.0
-        assert cfg.eval.topk == (1, 3)
 
     def test_unknown_root_key_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key trian"):
             run_config_from_dict({"trian": {}})
+        # eval and sweep take their settings as flags; there is no section.
+        with pytest.raises(ConfigError, match="unknown config key eval"):
+            run_config_from_dict({"eval": {"cbgm": True}})
 
     def test_unknown_nested_key_names_its_path(self):
         with pytest.raises(ConfigError, match="model.dims"):
@@ -64,8 +64,6 @@ class TestParsing:
             {"model": {"scheme": "stacked"}},
             {"train": {"optimizer": "lbfgs"}},
             {"data": {"num_train": 0}},
-            {"eval": {"k1": -2}},
-            {"eval": {"topk": [0]}},
         ):
             with pytest.raises(ConfigError):
                 run_config_from_dict(raw)
@@ -93,11 +91,5 @@ class TestEcho:
     def test_to_dict_is_json_ready_and_complete(self):
         d = RunConfig().to_dict()
         json.dumps(d)
-        assert set(d) == {"seed", "data", "model", "train", "eval"}
-        assert d["eval"]["topk"] == [1, 5, 10]
+        assert set(d) == {"seed", "data", "model", "train"}
         assert d["train"]["weights"] == {"cls": 2.0, "iou": 5.0, "l1": 2.0, "oim": 0.5}
-
-    def test_eval_settings_validate(self):
-        EvalSettings().validate()
-        with pytest.raises(ConfigError):
-            EvalSettings(gallery_sizes=(0,)).validate()

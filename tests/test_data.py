@@ -18,7 +18,7 @@ from persearch.data import (
 from persearch.detector import Box, iou
 from persearch.errors import ConfigError, DataError
 from persearch.losses import UNLABELED
-from persearch.tensor import Tensor, bilinear_sample
+from persearch.tensor import Tensor, bilinear_sample_rows
 
 
 def small_cfg(**kw):
@@ -74,7 +74,7 @@ class TestRenderScene:
         side = fine.shape[1]
         for p in persons:
             cx, cy = p.box.center
-            sample = bilinear_sample(fine, (cx * (side - 1), cy * (side - 1))).data
+            sample = bilinear_sample_rows(fine, Tensor([[cx * (side - 1), cy * (side - 1)]])).data[0]
             cos = sample @ bank.vectors[p.bank_index] / np.linalg.norm(sample)
             assert cos > 0.99
 

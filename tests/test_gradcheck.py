@@ -100,8 +100,8 @@ class TestBatchedProbes:
         for name, (f, x, grad) in zip(names, calls):
             if name in (
                 "queries",
-                "stack.layer0.cross1.w_out1",
-                "stack.layer1.sa.wq0",
+                "stack.layer0.cross1.w_out",
+                "stack.layer1.sa.wq",
                 "stack.layer0.cross0_norm.beta",
             ):
                 assert np.array_equal(grad, one_probe_at_a_time(f, x)), name
@@ -157,8 +157,8 @@ class TestBatchedLoss:
         for name, (probes, values) in zip(names, calls):
             if name in (
                 "queries",
-                "stack.layer0.cross1.w_out1",
-                "stack.layer1.sa.wq0",
+                "stack.layer0.cross1.w_out",
+                "stack.layer1.sa.wq",
                 "stack.layer0.cross0_norm.beta",
             ):
                 sets = [{**model.params, name: p} for p in probes]
@@ -178,7 +178,7 @@ class TestBatchedLoss:
 
         monkeypatch.setattr(gradcheck, "focal_oim_rows", counting)
         results = check_full_model()
-        assert len(results) == 59
+        assert len(results) == 45
         assert len(calls) <= 3 * (len(results) + 1)
         # Every probe's rows are still scored: 3 rows per probe and scale.
         assert sum(calls) == 3 * 3 * (1 + 2 * 1576)

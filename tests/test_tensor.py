@@ -142,6 +142,11 @@ class TestForwardOracles:
         np.testing.assert_array_equal(out, [1.0, 11.0])
 
 
+def sample_at(fmap, x, y):
+    """The (C,) feature at one pixel location, through the rows form."""
+    return T.bilinear_sample_rows(fmap, Tensor([[x, y]])).data[0]
+
+
 class TestBilinear:
     def make_map(self, rng, c=3, h=5, w=6):
         return Tensor(rng.standard_normal((c, h, w)))
@@ -149,26 +154,26 @@ class TestBilinear:
     def test_integer_point_exact(self):
         rng = np.random.default_rng(7)
         fmap = self.make_map(rng)
-        out = T.bilinear_sample(fmap, (4.0, 2.0)).data
+        out = sample_at(fmap, 4.0, 2.0)
         np.testing.assert_array_equal(out, fmap.data[:, 2, 4])
 
     def test_midpoint_average(self):
         # Halfway between two horizontal neighbours on one row.
         fmap = Tensor(np.arange(8.0).reshape(1, 2, 4))
-        out = T.bilinear_sample(fmap, (1.5, 0.0)).data
+        out = sample_at(fmap, 1.5, 0.0)
         np.testing.assert_allclose(out, [(1.0 + 2.0) / 2], atol=1e-15)
 
     def test_far_out_of_bounds_zero(self):
         rng = np.random.default_rng(8)
         fmap = self.make_map(rng)
-        out = T.bilinear_sample(fmap, (-10.0, -10.0)).data
+        out = sample_at(fmap, -10.0, -10.0)
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_edge_partial_zero_padding(self):
         fmap = Tensor(np.ones((1, 3, 3)))
         # Half a pixel past the left edge: only the right corners are in
         # bounds, each weighted 0.5.
-        out = T.bilinear_sample(fmap, (-0.5, 1.0)).data
+        out = sample_at(fmap, -0.5, 1.0)
         np.testing.assert_allclose(out, [0.5], atol=1e-15)
 
     def test_matches_four_corner_formula(self):
@@ -178,7 +183,7 @@ class TestBilinear:
         for _ in range(50):
             x = rng.uniform(-1.0, 5.0)
             y = rng.uniform(-1.0, 4.0)
-            got = T.bilinear_sample(fmap, (x, y)).data
+            got = sample_at(fmap, x, y)
             x0, y0 = int(np.ceil(x)) - 1, int(np.ceil(y)) - 1
             dx, dy = x - x0, y - y0
 
@@ -201,17 +206,17 @@ class TestBilinear:
         pts = rng.uniform(-1.0, 6.0, size=(9, 2))
         batched = T.bilinear_sample_rows(fmap, Tensor(pts)).data
         for i, (x, y) in enumerate(pts):
-            single = T.bilinear_sample(fmap, (x, y)).data
+            single = sample_at(fmap, x, y)
             np.testing.assert_allclose(batched[i], single, atol=1e-15)
 
     def test_grid_line_uses_left_cell_derivative(self):
         # On an integer x the kink's left-cell slope is v[x] - v[x-1].
         fmap = Tensor(np.array([[[1.0, 4.0, 9.0]]]))  # (1,1,3)
-        pt = Tensor([1.0, 0.0])
+        pt = Tensor([[1.0, 0.0]])
         with GradTape() as tape:
-            out = T.sum_all(T.bilinear_sample(fmap, pt))
+            out = T.sum_all(T.bilinear_sample_rows(fmap, pt))
         (g,) = tape.gradients(out, [pt])
-        assert g[0] == pytest.approx(4.0 - 1.0, abs=1e-12)
+        assert g[0, 0] == pytest.approx(4.0 - 1.0, abs=1e-12)
 
 
 class TestGradients:
@@ -330,10 +335,10 @@ class TestGradients:
 
     def test_bilinear_map_and_point(self):
         fmap = rand(self.rng, 3, 5, 6)
-        pt = Tensor([2.3, 1.7])
-        w = rand(self.rng, 3)
+        pt = Tensor([[2.3, 1.7]])
+        w = rand(self.rng, 1, 3)
         check_grads(
-            lambda m, p: T.sum_all(T.mul(T.bilinear_sample(m, p), w)), [fmap, pt]
+            lambda m, p: T.sum_all(T.mul(T.bilinear_sample_rows(m, p), w)), [fmap, pt]
         )
 
     def test_bilinear_rows(self):
@@ -348,10 +353,10 @@ class TestGradients:
     def test_bilinear_point_out_of_bounds_edge(self):
         # Straddling the boundary: gradient flows only through in-bounds corners.
         fmap = rand(self.rng, 2, 4, 4)
-        pt = Tensor([-0.4, 1.3])
-        w = rand(self.rng, 2)
+        pt = Tensor([[-0.4, 1.3]])
+        w = rand(self.rng, 1, 2)
         check_grads(
-            lambda m, p: T.sum_all(T.mul(T.bilinear_sample(m, p), w)), [fmap, pt]
+            lambda m, p: T.sum_all(T.mul(T.bilinear_sample_rows(m, p), w)), [fmap, pt]
         )
 
     def test_dropout_mask_consistent(self):

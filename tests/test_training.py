@@ -127,6 +127,23 @@ class TestTrainLoop:
         assert len(counts) == 3
         assert max(counts) <= 70, counts
 
+    def test_default_shared_step_tape_width(self, bench, monkeypatch):
+        # Each projection is one stacked tensor, so the deformable node takes
+        # z, 6 parameter tensors per level and 3 maps (22 inputs) and the
+        # self-attention node y and 4 per level (13).
+        widths = []
+        replay = GradTape.gradients
+
+        def recording(tape, loss, sources):
+            widths.append(max(len(node.inputs) for node in tape._nodes))
+            return replay(tape, loss, sources)
+
+        monkeypatch.setattr(GradTape, "gradients", recording)
+        model = ReIDTransformer.init(ReIDConfig(dim=bench.config.feature_dim), seed=1)
+        train(model, bench, tiny_settings(steps=3), run_seed=5)
+        assert len(widths) == 3
+        assert max(widths) <= 22, widths
+
     def test_zero_steps_still_evaluates_once(self, bench):
         model = tiny_model()
         before = {n: t.data.copy() for n, t in model.params.items()}
@@ -173,7 +190,7 @@ class TestTrainLoop:
 
     def test_non_finite_loss_raises_numeric_error(self, bench):
         model = tiny_model()
-        poisoned = "stack.layer0.cross0.w_out0"
+        poisoned = "stack.layer0.cross0.w_out"
         model.params[poisoned] = Tensor(
             np.full(model.params[poisoned].shape, np.nan)
         )

@@ -260,7 +260,7 @@ class TestParameterSets:
             model.params,
             nudged("queries"),
             nudged(f"{stack}.layer1.cross0.w_offset"),
-            nudged(f"{stack}.layer1.sa.wq0"),
+            nudged(f"{stack}.layer1.sa.wq"),
         ]
         batched = model.forward(pyramid, refs, param_sets=sets)
         assert len(batched) == len(sets)
