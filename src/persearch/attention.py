@@ -4,7 +4,7 @@ Self-attention follows the classic form: each head projects the input rows
 with its own query/key/value matrices, applies scaled dot-product attention
 softmax(QK^T / sqrt(d_k)) V, and the concatenated head outputs go through a
 final output projection.  Both sublayer types are wrapped in residual
-connections with layer normalization, layernorm(Y + dropout(sub)).
+connections with layer normalization, layernorm(Y + sub).
 
 Deformable attention reads a feature map at a handful of learned sampling
 locations around a per-query reference point instead of attending to every
@@ -180,17 +180,15 @@ def residual_layernorm(
     sublayer_out: Tensor,
     gamma: Tensor | Sequence[Tensor],
     beta: Tensor | Sequence[Tensor],
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """layernorm(y + dropout(sublayer_out)); rate 0 skips the dropout.
+    """layernorm(y + sublayer_out).
 
     ``gamma`` and ``beta`` may hold one tensor per block of rows, as
     :func:`persearch.tensor.layer_norm` describes.
     """
     if y.shape != sublayer_out.shape:
         raise ValueError("residual branches must have equal shapes")
-    return tt.layer_norm(y + tt.dropout(sublayer_out, dropout_rate, rng), gamma, beta)
+    return tt.layer_norm(y + sublayer_out, gamma, beta)
 
 
 @dataclass(frozen=True)
@@ -277,14 +275,13 @@ def _deform_core(
     refs: Sequence[ReferencePoint],
     maps: Sequence[Tensor],
     params: tuple[DeformAttnParams, ...],
-    ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
     """One taped primitive for a whole deformable sublayer.
 
     With G parameter sets of L levels each, ``z`` is G blocks of N rows and
     block g samples only its own levels, ``maps[g*L:(g+1)*L]``, under
-    parameter set g; ``ref_tensors``, when given, is ordered the same way.
-    The reference points are shared by every block.
+    parameter set g.  The reference points are shared by every block and
+    enter as constants (stop-gradient), as in Deformable DETR.
     """
     first = params[0]
     if z.ndim != 2 or z.shape[1] != first.query_width:
@@ -303,12 +300,6 @@ def _deform_core(
     for fmap in maps:
         if fmap.ndim != 3 or fmap.shape[0] != c:
             raise ValueError("feature maps must be (C, H, W) with matching C")
-    if ref_tensors is not None:
-        ref_tensors = tuple(ref_tensors)
-        if len(ref_tensors) != len(maps) or any(t.shape != (n * s, 2) for t in ref_tensors):
-            raise ValueError(
-                f"ref_tensors must be {len(maps)} tensors of shape ({n * s}, 2)"
-            )
 
     zd = z.data.reshape(g_count, n, -1)
     # Each field stacked over the groups: (G, D, .) weights, (G, H, C, D/H)
@@ -322,13 +313,10 @@ def _deform_core(
 
     # Every (group, level) map is sampled at its own block of N*H*S points,
     # all with one kernel call; the blocks run group-major, then level.
-    if ref_tensors is None:
-        unit_refs = np.array([(r.x, r.y) for r in refs])
-        extent = np.array([(f.shape[2] - 1.0, f.shape[1] - 1.0) for f in maps])
-        base = unit_refs * extent[:, None]  # pix(P) per map, (G*L, N, 2)
-        base = base.reshape(g_count, lv, n, 1, 1, 2)
-    else:
-        base = np.array([t.data for t in ref_tensors]).reshape(g_count, lv, n, 1, s, 2)
+    unit_refs = np.array([(r.x, r.y) for r in refs])
+    extent = np.array([(f.shape[2] - 1.0, f.shape[1] - 1.0) for f in maps])
+    base = unit_refs * extent[:, None]  # pix(P) per map, (G*L, N, 2)
+    base = base.reshape(g_count, lv, n, 1, 1, 2)
     points = offsets.transpose(0, 3, 1, 2, 4, 5) + base  # (G, L, N, H, S, 2)
     sampled, kernel = tt._bilinear_forward([f.data for f in maps], points.reshape(-1, 2))
     samples = (
@@ -358,7 +346,6 @@ def _deform_core(
             [f.shape for f in maps], kernel, g_samples, needs[maps_at : maps_at + len(maps)]
         )
         g_points = g_points.reshape(g_count, lv, n, h, s, 2)
-        g_refs = g_points.sum(axis=3).reshape(len(maps), n * s, 2) if ref_tensors else ()
         g_offsets = g_points.transpose(0, 2, 3, 1, 4, 5).reshape(g_count, n, -1)
         g_logits = g_logits.reshape(g_count, n, -1)
         g_z = g_offsets @ w_offset.swapaxes(1, 2) + g_logits @ w_weight.swapaxes(1, 2)
@@ -367,10 +354,10 @@ def _deform_core(
         g_b_offset, g_b_weight = g_offsets.sum(axis=1), g_logits.sum(axis=1)
         grads = (g_w_offset, g_b_offset, g_w_weight, g_b_weight, g_w_value, g_w_out)
         per_group = (gr[i] for i in range(g_count) for gr in grads)
-        return (g_z.reshape(z.shape), *per_group, *g_maps, *g_refs)
+        return (g_z.reshape(z.shape), *per_group, *g_maps)
 
     weights = (getattr(p, f) for p in params for f in DeformAttnParams.TENSORS)
-    inputs = (z, *weights, *maps, *(ref_tensors or ()))
+    inputs = (z, *weights, *maps)
     return tt._emit((valued @ w_out).reshape(z.shape), inputs, vjp, selective=True)
 
 
@@ -379,7 +366,6 @@ def deform_attn(
     refs: Sequence[ReferencePoint],
     fmap: Tensor | Sequence[Tensor],
     params: DeformAttnParams | Sequence[DeformAttnParams],
-    ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
     """Single-level deformable attention: (N, D) queries -> (N, D).
 
@@ -387,17 +373,12 @@ def deform_attn(
     row group: ``z`` is then G blocks of N rows, and block g samples only
     map g, under parameter set g.  The shared and parallel schemes run the
     three pyramid levels this way, as one call.
-
-    ``ref_tensors`` optionally supplies the tiled reference pixel
-    coordinates, one tensor per map, as leaf tensors so their gradients can
-    be inspected; by default the reference points enter as constants
-    (stop-gradient).
     """
     groups = _groups(params, DeformAttnParams)
     maps = [fmap] if isinstance(fmap, Tensor) else list(fmap)
     if any(p.num_levels != 1 for p in groups):
         raise ValueError("deform_attn expects single-level parameters")
-    return _deform_core(z, refs, maps, groups, ref_tensors)
+    return _deform_core(z, refs, maps, groups)
 
 
 def multiscale_deform_attn(
@@ -405,7 +386,6 @@ def multiscale_deform_attn(
     refs: Sequence[ReferencePoint],
     pyramid: Sequence[Tensor],
     params: DeformAttnParams | Sequence[DeformAttnParams],
-    ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
     """Multi-level deformable attention; A normalizes over levels * points.
 
@@ -418,7 +398,7 @@ def multiscale_deform_attn(
             f"parameters built for {groups[0].num_levels} levels per group, "
             f"got {len(pyramid)} maps for {len(groups)} groups"
         )
-    return _deform_core(z, refs, list(pyramid), groups, ref_tensors)
+    return _deform_core(z, refs, list(pyramid), groups)
 
 
 def deform_attention_weights(z: Tensor, params: DeformAttnParams) -> np.ndarray:

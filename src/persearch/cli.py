@@ -182,6 +182,8 @@ def cmd_bench(args) -> int:
     from .data import BenchmarkConfig
     from .transformer import ReIDConfig, SCHEMES
 
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     data_dir = os.path.join(args.out, "bench_data")
     cfg = BenchmarkConfig(
         num_train=20, num_gallery=12, num_queries=4, seed=0

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import Box, iou
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, read_manifest, reading
 from .losses import UNLABELED
 from .tensor import Tensor, read_blob, write_blob
 
@@ -400,15 +400,7 @@ def _scene_blob_path(root: str, scene_id: int, level: int) -> str:
 def load_benchmark(root) -> Benchmark:
     root = str(root)
     path = os.path.join(root, "manifest.json")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as e:
-        raise DataError(f"no benchmark manifest at {path}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt benchmark manifest at {path}: {e}") from e
-    if manifest.get("kind") != "persearch_benchmark":
-        raise DataError(f"{path} is not a benchmark manifest")
+    manifest = read_manifest(path, "persearch_benchmark")
     try:
         bank_t = read_blob(os.path.join(root, "bank.sqt"))
     except (FileNotFoundError, ValueError) as e:

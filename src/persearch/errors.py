@@ -5,9 +5,10 @@ corrupt data exits 2, numeric failures during training exit 3, and a failed
 gradient check exits 4.
 """
 
+import json
 from contextlib import contextmanager
 
-__all__ = ["ConfigError", "DataError", "NumericError", "GradcheckFailure", "reading"]
+__all__ = ["ConfigError", "DataError", "NumericError", "GradcheckFailure", "reading", "read_manifest"]
 
 
 class ConfigError(Exception):
@@ -38,3 +39,17 @@ def reading(path):
         yield
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed {path}: {type(e).__name__}: {e}") from e
+
+
+def read_manifest(path, kind: str) -> dict:
+    """The JSON object in ``path``, whose ``kind`` entry must be ``kind``;
+    a missing or unreadable file, invalid JSON, a root that is not an object
+    and a wrong ``kind`` each raise a DataError that names the file."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+    if not isinstance(manifest, dict) or manifest.get("kind") != kind:
+        raise DataError(f"{path} is not a {kind} manifest")
+    return manifest

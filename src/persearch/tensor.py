@@ -47,7 +47,6 @@ __all__ = [
     "layer_norm",
     "l2_normalize_rows",
     "bilinear_sample_rows",
-    "dropout",
     "central_diff_gradcheck",
     "write_blob",
     "read_blob",
@@ -581,23 +580,6 @@ def bilinear_sample_rows(fmap: Tensor, points: Tensor) -> Tensor:
         return g_map, g_pts
 
     return _emit(out, (fmap, points), vjp)
-
-
-# ---------------------------------------------------------------------------
-# dropout
-# ---------------------------------------------------------------------------
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout.  rate 0 is the identity and needs no generator."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("nonzero dropout rate requires a seeded generator")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return _emit(x.data * keep, (x,), lambda g: (g * keep,))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .detector import (
     jitter_detect,
     smooth_l1,
 )
-from .errors import ConfigError, DataError, NumericError, reading
+from .errors import ConfigError, DataError, NumericError, read_manifest, reading
 from .evaluation import GalleryEntry, QueryEntry, select_query_embedding
 from .losses import (
     BACKGROUND,
@@ -367,13 +367,7 @@ def load_checkpoint(ckpt_dir):
     """Returns (model, oim_states, meta); raises DataError when malformed."""
     ckpt_dir = str(ckpt_dir)
     path = os.path.join(ckpt_dir, "checkpoint.json")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read checkpoint manifest {path}: {e}") from e
-    if manifest.get("kind") != "checkpoint":
-        raise DataError(f"{path} is not a checkpoint manifest")
+    manifest = read_manifest(path, "checkpoint")
     model = ReIDTransformer.load(os.path.join(ckpt_dir, "model"))
     oim_states = []
     with reading(path):

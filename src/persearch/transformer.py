@@ -49,7 +49,7 @@ from .attention import (
     residual_layernorm,
     ring_offset_bias,
 )
-from .errors import reading
+from .errors import read_manifest, reading
 from .tensor import Tensor, read_blob, write_blob
 
 __all__ = [
@@ -65,8 +65,8 @@ __all__ = [
 
 SCHEMES = ("shared", "parallel", "multi_scale_d", "multi_scale_3d")
 NUM_LEVELS = 3
-# Version 2 stores each attention projection as one stacked tensor.
-_FORMAT_VERSION = 2
+# Version 3: stacked attention projections, no dropout or reference-gradient keys.
+_FORMAT_VERSION = 3
 
 _QUERY_INIT_STD = 0.02
 
@@ -84,8 +84,6 @@ class ReIDConfig:
     scheme: str = "shared"
     skip_first_self_attention: bool = True
     use_self_attention: bool = True
-    dropout: float = 0.0
-    track_reference_gradients: bool = False
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -95,8 +93,6 @@ class ReIDConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.dim % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide dim ({self.dim})")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
 
     @property
     def query_width(self) -> int:
@@ -112,10 +108,6 @@ class ReIDConfig:
     def cross_levels(self) -> int:
         """Pyramid levels one cross-attention call consumes."""
         return NUM_LEVELS if self.scheme in ("multi_scale_d", "multi_scale_3d") else 1
-
-    @property
-    def num_stacks(self) -> int:
-        return NUM_LEVELS if self.scheme == "parallel" else 1
 
     @property
     def output_scales(self) -> int:
@@ -154,9 +146,6 @@ def reid_layer_forward(
     refs: Sequence[ReferencePoint],
     maps: Sequence[Tensor],
     layer: ReIDLayerParams | Sequence[ReIDLayerParams],
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    ref_tensors: Sequence[Tensor] | None = None,
 ) -> Tensor:
     """One transformer layer: optional self-attention, then K cross sublayers.
 
@@ -171,20 +160,16 @@ def reid_layer_forward(
             multi_head_self_attention(y, [v.self_attn for v in groups]),
             [v.self_attn_norm[0] for v in groups],
             [v.self_attn_norm[1] for v in groups],
-            dropout_rate,
-            rng,
         )
     for k, attn_params in enumerate(groups[0].cross):
         cross = [v.cross[k] for v in groups]
         deform = deform_attn if attn_params.num_levels == 1 else multiscale_deform_attn
-        sub = deform(y, refs, maps, cross, ref_tensors)
+        sub = deform(y, refs, maps, cross)
         y = residual_layernorm(
             y,
             sub,
             [v.cross_norms[k][0] for v in groups],
             [v.cross_norms[k][1] for v in groups],
-            dropout_rate,
-            rng,
         )
     return y
 
@@ -214,7 +199,6 @@ class ReIDTransformer:
         config.validate()
         self.config = config
         self.params = params
-        self.last_ref_tensors: dict[int, Tensor] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -337,24 +321,10 @@ class ReIDTransformer:
                 f"need {cfg.num_queries} reference points, got {len(refs)}"
             )
 
-    def _ref_tensors(self, refs, maps) -> list[Tensor] | None:
-        """Reference pixels of every level as leaf tensors, when tracked."""
-        if not self.config.track_reference_gradients:
-            return None
-        out = []
-        for lvl, fmap in enumerate(maps):
-            _, fh, fw = fmap.shape
-            px = np.array([r.to_pixels(fw, fh) for r in refs])
-            t = Tensor(np.repeat(px, self.config.points, axis=0))
-            self.last_ref_tensors[lvl] = t
-            out.append(t)
-        return out
-
     def forward(
         self,
         pyramid: Sequence[Tensor],
         refs: Sequence[ReferencePoint],
-        rng: np.random.Generator | None = None,
         param_sets: Sequence[dict[str, Tensor]] | None = None,
     ) -> ReIDEmbeddings | list[ReIDEmbeddings]:
         """Refine the query set against the pyramid; returns per-scale rows.
@@ -367,18 +337,13 @@ class ReIDTransformer:
         pass over the same scene: each set adds its own row blocks (set b
         at level l is one block for the per-level schemes) under its own
         layer views.  The result is then a list of one ``ReIDEmbeddings``
-        per set, each bit-identical to that set's own forward; with dropout
-        the masks are drawn over the whole batch.  The gradient check
-        evaluates its probes this way.
+        per set, each bit-identical to that set's own forward.  The gradient
+        check evaluates its probes this way.
         """
         cfg = self.config
         self._check_inputs(pyramid, refs)
         sets = [self.params] if param_sets is None else list(param_sets)
-        self.last_ref_tensors = {}
         maps = list(pyramid) * len(sets)
-        ref_t = self._ref_tensors(refs, pyramid)
-        if ref_t is not None:
-            ref_t *= len(sets)
         blocks = cfg.output_scales
         y = tt.tile_rows([ps["queries"] for ps in sets], blocks)
         repeats = NUM_LEVELS if cfg.scheme == "shared" else 1
@@ -386,7 +351,7 @@ class ReIDTransformer:
             views = []
             for ps in sets:
                 views += [self._layer_view(stack, m, ps) for stack in _stack_names(cfg)] * repeats
-            y = reid_layer_forward(y, refs, maps, views, cfg.dropout, rng, ref_t)
+            y = reid_layer_forward(y, refs, maps, views)
         rows = tt.split_rows(y, len(sets) * blocks)
         out = [
             ReIDEmbeddings(rows[b * blocks : (b + 1) * blocks], cfg.scheme)
@@ -398,10 +363,9 @@ class ReIDTransformer:
         self,
         pyramid: Sequence[Tensor],
         refs: Sequence[ReferencePoint],
-        rng: np.random.Generator | None = None,
     ) -> Tensor:
         """(N, match_dim) unit-norm rows used for similarity search."""
-        return concat_inference_embeddings(self.forward(pyramid, refs, rng))
+        return concat_inference_embeddings(self.forward(pyramid, refs))
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -440,11 +404,8 @@ class ReIDTransformer:
         tensors :meth:`init` builds for its config, each of that shape.
         """
         path = os.path.join(directory, "model.json")
+        manifest = read_manifest(path, "reid_transformer")
         with reading(path):
-            with open(path) as fh:
-                manifest = json.load(fh)
-            if manifest.get("kind") != "reid_transformer":
-                raise ValueError("not a model checkpoint")
             version = manifest.get("format_version")
             if version != _FORMAT_VERSION:
                 raise ValueError(

@@ -241,6 +241,15 @@ class TestExitCodes:
                 "model.json: ValueError: format_version 1 ",
             ),
             (
+                # a format-2 model still echoes the removed config keys
+                "checkpoint/model/model.json",
+                lambda m: (
+                    m.update(format_version=2),
+                    m["config"].update(dropout=0.0, track_reference_gradients=False),
+                ),
+                "model.json: ValueError: format_version 2 ",
+            ),
+            (
                 "checkpoint/model/model.json",
                 lambda m: m["tensors"].pop("stack.layer0.cross0.w_out"),
                 "model.json: ValueError: tensors missing: ['stack.layer0.cross0.w_out']",
@@ -253,10 +262,15 @@ class TestExitCodes:
             ),
             ("checkpoint/checkpoint.json", lambda m: m.pop("oim"), "checkpoint.json"),
             ("data/manifest.json", lambda m: m["config"].update(bogus=1), "manifest.json"),
+            # a string edit is the whole new file
+            ("checkpoint/model/model.json", "[1, 2]", "model.json"),
+            ("checkpoint/checkpoint.json", "[1, 2]", "checkpoint.json"),
+            ("data/manifest.json", '"x"', "manifest.json"),
         ],
-        ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1",
+        ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1", "model-v2",
              "model-missing-tensor", "model-wrong-shape", "checkpoint-missing-oim",
-             "manifest-unknown-key"],
+             "manifest-unknown-key", "model-root-array", "checkpoint-root-array",
+             "manifest-root-array"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
         shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")
@@ -264,6 +278,8 @@ class TestExitCodes:
         target = tmp_path / artifact
         if edit is None:
             target.write_bytes(target.read_bytes()[:20])
+        elif isinstance(edit, str):
+            target.write_text(edit)
         else:
             manifest = json.loads(target.read_text())
             edit(manifest)
@@ -363,6 +379,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_gradcheck", stop)
         with pytest.raises(type(exc)):
             main(["gradcheck"])
+
+    def test_bench_without_steps_exits_1(self, tmp_path, capsys):
+        # Zero steps would time nothing and write nan for every scheme.
+        rc = main(["bench", "--out", str(tmp_path / "b"), "--steps", "0"])
+        assert rc == 1
+        assert "--steps" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_bad_gallery_sizes_exit_1(self, workspace, tmp_path):
         rc = main(

@@ -51,6 +51,10 @@ class TestParsing:
             run_config_from_dict({"model": {"dims": 16}})
         with pytest.raises(ConfigError, match="train.weights.l2"):
             run_config_from_dict({"train": {"weights": {"l2": 1.0}}})
+        with pytest.raises(ConfigError, match="model.dropout"):
+            run_config_from_dict({"model": {"dropout": 0.1}})
+        with pytest.raises(ConfigError, match="model.track_reference_gradients"):
+            run_config_from_dict({"model": {"track_reference_gradients": True}})
 
     def test_non_object_section_is_rejected(self):
         with pytest.raises(ConfigError, match="must be an object"):

@@ -359,22 +359,6 @@ class TestGradients:
             lambda m, p: T.sum_all(T.mul(T.bilinear_sample_rows(m, p), w)), [fmap, pt]
         )
 
-    def test_dropout_mask_consistent(self):
-        x = rand(self.rng, 4, 4)
-        w = rand(self.rng, 4, 4)
-        seed_rng = np.random.default_rng(11)
-        keep_seed = seed_rng.integers(1 << 31)
-
-        def f(x):
-            # Same mask each evaluation keeps the function deterministic.
-            return T.sum_all(T.mul(T.dropout(x, 0.3, np.random.default_rng(keep_seed)), w))
-
-        check_grads(f, [x])
-
-    def test_dropout_rate_zero_identity(self):
-        x = rand(self.rng, 3, 3)
-        assert T.dropout(x, 0.0) is x
-
 
 class TestGradTape:
     def test_shared_subexpression_accumulates(self):

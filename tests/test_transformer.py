@@ -1,5 +1,7 @@
 """Transformer assembly: schemes, structure, determinism, checkpoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,29 @@ def make_refs(rng, n):
     return [ReferencePoint(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)) for _ in range(n)]
 
 
+# One valid value other than the default for every ReIDConfig field.
+NON_DEFAULT = {
+    "dim": 16,
+    "heads": 2,
+    "points": 2,
+    "m_layers": 1,
+    "k_cross": 1,
+    "num_queries": 2,
+    "scheme": "parallel",
+    "skip_first_self_attention": False,
+    "use_self_attention": False,
+}
+
+
+def build_effect(cfg):
+    """The (name, shape) set a config builds, and its embeddings of a fixed
+    scene drawn for its width and query count."""
+    model = ReIDTransformer.init(cfg, seed=0, style="random")
+    rng = np.random.default_rng(47)
+    emb = model.matching_embeddings(make_pyramid(rng, cfg.dim), make_refs(rng, cfg.num_queries))
+    return {(name, t.shape) for name, t in model.params.items()}, emb.data
+
+
 class TestStructure:
     def test_parallel_params_are_three_times_shared(self):
         shared = ReIDTransformer.init(tiny_config(scheme="shared"), seed=0)
@@ -49,6 +74,14 @@ class TestStructure:
         assert model.params["queries"].shape == (3, 24)
         assert cfg.query_width == 3 * cfg.dim
         assert cfg.match_dim == 3 * cfg.dim
+
+    def test_every_config_field_has_an_effect(self):
+        default_shapes, default_emb = build_effect(ReIDConfig())
+        for f in dataclasses.fields(ReIDConfig):
+            assert f.name in NON_DEFAULT, f"no non-default value for ReIDConfig.{f.name}"
+            assert NON_DEFAULT[f.name] != f.default
+            shapes, emb = build_effect(ReIDConfig(**{f.name: NON_DEFAULT[f.name]}))
+            assert shapes != default_shapes or not np.array_equal(emb, default_emb), f.name
 
     def test_match_dims_per_scheme(self):
         dims = {s: tiny_config(scheme=s).match_dim for s in SCHEMES}
@@ -172,25 +205,6 @@ class TestForward:
         permuted.params["queries"] = Tensor(model.params["queries"].data[perm])
         out_p = permuted.matching_embeddings(pyramid, [refs[i] for i in perm]).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
-
-    def test_reference_gradient_tracking_flag(self):
-        rng = np.random.default_rng(45)
-        cfg = tiny_config(track_reference_gradients=True)
-        model = ReIDTransformer.init(cfg, seed=6, style="random")
-        pyramid = make_pyramid(rng)
-        refs = make_refs(rng, 3)
-        with GradTape() as tape:
-            out = T.sum_all(model.matching_embeddings(pyramid, refs))
-        # One pass over all three levels: one reference tensor per level.
-        assert set(model.last_ref_tensors) == {0, 1, 2}
-        grads = tape.gradients(out, list(model.last_ref_tensors.values()))
-        assert all(np.abs(g).max() > 0 for g in grads)
-
-    def test_stop_gradient_default(self):
-        model = ReIDTransformer.init(tiny_config(), seed=6)
-        rng = np.random.default_rng(46)
-        model.forward(make_pyramid(rng), make_refs(rng, 3))
-        assert model.last_ref_tensors == {}
 
 
 def per_level_reference(model, pyramid, refs):
