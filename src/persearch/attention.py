@@ -28,13 +28,14 @@ primitive with a hand-written vector-Jacobian product: the heads run
 batched and all points of all levels are sampled with one gather, so the
 tape holds one node per sublayer.
 
-Every sublayer also accepts one parameter set per row group.  The input
-rows then form G equal blocks that run as one batch, and block g uses only
-parameter set g (and, for the deformable sublayers, only its own maps);
-self-attention never mixes rows of different blocks.  The re-ID
-transformer runs the three pyramid levels of its per-level schemes this
-way.  The deformable VJP skips the feature-map scatter for maps that do
-not depend on a gradient source.
+With ``blocks`` G, a sublayer runs G equal blocks of rows as one batch
+under one parameter set, each tensor field shared by every block or one
+value per block along a leading axis of G; self-attention never mixes
+rows of different blocks.  The deformable sublayers read ``maps`` as R
+runs of L maps, block g reading run g mod R, so each distinct map is
+gathered from once per call.  The re-ID transformer runs the levels of
+its per-level schemes this way.  The deformable VJP skips the
+feature-map scatter for maps that do not depend on a gradient source.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class MultiHeadAttnParams:
     """Stacked per-head projections plus the shared output projection.
 
     wq/wk/wv are (H, d, d_k), slice h being head h; wo is (H * d_k, d).
+    Each may also carry a leading block axis, one value per row block.
     """
 
     wq: Tensor
@@ -89,106 +91,103 @@ class MultiHeadAttnParams:
     wo: Tensor
 
     def __post_init__(self):
-        if self.wq.ndim != 3 or self.wq.shape[0] < 1:
+        if self.wq.ndim not in (3, 4) or self.wq.shape[-3] < 1:
             raise ValueError(f"wq must be (H, d, d_k), got {self.wq.shape}")
-        if self.wk.shape != self.wq.shape or self.wv.shape != self.wq.shape:
-            raise ValueError("wq/wk/wv must share one shape")
-        h, d, dk = self.wq.shape
-        if self.wo.shape != (h * dk, d):
-            raise ValueError(
-                f"wo must be ({h * dk}, {d}), got {self.wo.shape}"
-            )
+        _fields(self)
+
+    def block_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each tensor field's shape for one row block, in field order."""
+        h, d, dk = self.wq.shape[-3:]
+        return {"wq": (h, d, dk), "wk": (h, d, dk), "wv": (h, d, dk), "wo": (h * dk, d)}
 
     @property
     def num_heads(self) -> int:
-        return self.wq.shape[0]
+        return self.wq.shape[-3]
 
     @property
     def head_dim(self) -> int:
-        return self.wq.shape[2]
+        return self.wq.shape[-1]
 
 
-def _groups(params, kind) -> tuple:
-    """One parameter set, or a non-empty sequence of them, as a tuple."""
-    groups = (params,) if isinstance(params, kind) else tuple(params)
-    if not groups or not all(isinstance(p, kind) for p in groups):
-        raise ValueError(f"expected one {kind.__name__} or a sequence of them")
-    return groups
+def _fields(params, blocks: int | None = None) -> tuple[list[np.ndarray], list[bool]]:
+    """Each tensor field's data, and whether it holds one value per row
+    block rather than one that every block shares.  Raises unless a field
+    has its one-block shape or that shape behind a leading block axis (of
+    ``blocks`` entries, when given)."""
+    data, own = [], []
+    for name, shape in params.block_shapes().items():
+        a = getattr(params, name).data
+        own.append(a.shape != shape)
+        if own[-1] and (a.shape[1:] != shape or blocks not in (None, a.shape[0])):
+            raise ValueError(f"{name} must be {shape}, or one per row block ({blocks}), got {a.shape}")
+        data.append(a)
+    return data, own
 
 
-def _row_blocks(x: Tensor, groups: int) -> int:
-    """Rows per block when the rows of ``x`` form ``groups`` equal blocks."""
-    if x.ndim != 2 or x.shape[0] % groups != 0:
-        raise ValueError(f"{x.shape[0]} rows do not split into {groups} equal blocks")
-    return x.shape[0] // groups
+def _fold(grads, own) -> tuple[np.ndarray, ...]:
+    """Per-block field gradients, (G, ...) each, summed over the blocks in
+    block order for the fields every block shares."""
+    return tuple(g if o else g.sum(axis=0) for g, o in zip(grads, own))
 
 
-def multi_head_self_attention(
-    y: Tensor, params: MultiHeadAttnParams | Sequence[MultiHeadAttnParams]
-) -> Tensor:
+def _row_blocks(x: Tensor, blocks: int) -> int:
+    """Rows per block when the rows of ``x`` form ``blocks`` equal blocks."""
+    if x.ndim != 2 or blocks < 1 or x.shape[0] % blocks != 0:
+        raise ValueError(f"{x.shape[0]} rows do not split into {blocks} equal blocks")
+    return x.shape[0] // blocks
+
+
+def multi_head_self_attention(y: Tensor, params: MultiHeadAttnParams, blocks: int = 1) -> Tensor:
     """Scaled dot-product self-attention over the rows of ``y`` (N, d).
 
-    ``params`` may also hold one parameter set per row group: with G sets,
-    ``y`` is G blocks of N rows, and a row attends only to the rows of its
-    own block, under that block's projections.
+    With ``blocks`` G, ``y`` is G blocks of N rows, and a row attends only
+    to the rows of its own block, under that block's projections.
 
-    One taped primitive: the (group, head) pairs run as one batch of
+    One taped primitive: the (block, head) pairs run as one batch of
     (N, .) products.
     """
-    groups = _groups(params, MultiHeadAttnParams)
-    first = groups[0]
-    if y.ndim != 2 or y.shape[1] != first.wq.shape[1]:
+    if y.ndim != 2 or y.shape[1] != params.wq.shape[-2]:
         raise ValueError(f"input shape {y.shape} does not match projections")
-    if any(ps.wq.shape != first.wq.shape for ps in groups):
-        raise ValueError("every group's projections must share one shape")
-    g_count, h = len(groups), first.num_heads
-    n = _row_blocks(y, g_count)
-    inv_sqrt_dk = 1.0 / math.sqrt(first.head_dim)
-    yd = y.data.reshape(g_count, 1, n, -1)
-    wq, wk, wv, wo = (
-        np.array([getattr(ps, name).data for ps in groups])  # (G, H, d, d_k), (G, H*d_k, d)
-        for name in ("wq", "wk", "wv", "wo")
-    )
+    n = _row_blocks(y, blocks)
+    (wq, wk, wv, wo), own = _fields(params, blocks)
+    h = params.num_heads
+    inv_sqrt_dk = 1.0 / math.sqrt(params.head_dim)
+    yd = y.data.reshape(blocks, 1, n, -1)
     q, k, v = yd @ wq, yd @ wk, yd @ wv  # (G, H, N, d_k)
     p = _softmax_last((q @ k.swapaxes(2, 3)) * inv_sqrt_dk)  # (G, H, N, N)
-    heads = (p @ v).transpose(0, 2, 1, 3).reshape(g_count, n, -1)  # (G, N, H*d_k), head-major
+    heads = (p @ v).transpose(0, 2, 1, 3).reshape(blocks, n, -1)  # (G, N, H*d_k), head-major
 
     def vjp(g):
-        g = g.reshape(g_count, n, -1)
-        g_heads = (g @ wo.swapaxes(1, 2)).reshape(g_count, n, h, -1).transpose(0, 2, 1, 3)
+        g = g.reshape(blocks, n, -1)
+        g_heads = (g @ wo.swapaxes(-1, -2)).reshape(blocks, n, h, -1).transpose(0, 2, 1, 3)
         g_p = g_heads @ v.swapaxes(2, 3)
         g_v = p.swapaxes(2, 3) @ g_heads
         g_logits = p * (g_p - (g_p * p).sum(axis=3, keepdims=True)) * inv_sqrt_dk
         g_q = g_logits @ k
         g_k = g_logits.swapaxes(2, 3) @ q
         g_y = sum(
-            (gx @ wx.swapaxes(2, 3)).sum(axis=1)
+            (gx @ wx.swapaxes(-1, -2)).sum(axis=1)
             for gx, wx in ((g_q, wq), (g_k, wk), (g_v, wv))
         )
         yt = yd.swapaxes(2, 3)
-        g_wq, g_wk, g_wv = yt @ g_q, yt @ g_k, yt @ g_v  # (G, H, d, d_k)
-        g_wo = heads.swapaxes(1, 2) @ g
-        per_group = (gr[i] for i in range(g_count) for gr in (g_wq, g_wk, g_wv, g_wo))
-        return (g_y.reshape(y.shape), *per_group)
+        grads = (yt @ g_q, yt @ g_k, yt @ g_v, heads.swapaxes(1, 2) @ g)
+        return (g_y.reshape(y.shape), *_fold(grads, own))
 
-    inputs = (y, *(t for ps in groups for t in (ps.wq, ps.wk, ps.wv, ps.wo)))
+    inputs = (y, *(getattr(params, f) for f in params.block_shapes()))
     return tt._emit((heads @ wo).reshape(y.shape), inputs, vjp)
 
 
 def residual_layernorm(
-    y: Tensor,
-    sublayer_out: Tensor,
-    gamma: Tensor | Sequence[Tensor],
-    beta: Tensor | Sequence[Tensor],
+    y: Tensor, sublayer_out: Tensor, gamma: Tensor, beta: Tensor, blocks: int = 1
 ) -> Tensor:
     """layernorm(y + sublayer_out).
 
-    ``gamma`` and ``beta`` may hold one tensor per block of rows, as
+    ``gamma`` and ``beta`` may hold one row per block of rows, as
     :func:`persearch.tensor.layer_norm` describes.
     """
     if y.shape != sublayer_out.shape:
         raise ValueError("residual branches must have equal shapes")
-    return tt.layer_norm(y + sublayer_out, gamma, beta)
+    return tt.layer_norm(y + sublayer_out, gamma, beta, blocks)
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,8 @@ class DeformAttnParams:
     w_offset (D, 2*H*S*L) and b_offset predict per-sample pixel offsets,
     w_weight (D, H*S*L) and b_weight the (pre-softmax) sampling weights,
     w_value (H, C, D // H) stacks the H value projections and w_out (D, D)
-    the H output projections, rows h*D/H to (h+1)*D/H being head h.
+    the H output projections, rows h*D/H to (h+1)*D/H being head h.  Each
+    may also carry a leading block axis, one value per row block.
     Columns of the offset head are laid out head-major, then level, then
     sample, with x before y; the weight head is head-major, then level,
     then sample.
@@ -220,37 +220,31 @@ class DeformAttnParams:
     )
 
     def __post_init__(self):
-        if self.w_value.ndim != 3:
+        if self.w_value.ndim not in (3, 4):
             raise ValueError(f"w_value must be (H, C, D/H), got {self.w_value.shape}")
-        h, c, dh = self.w_value.shape
-        s, lv = self.num_points, self.num_levels
-        if h < 1 or s < 1 or lv < 1:
+        if self.w_value.shape[-3] < 1 or self.num_points < 1 or self.num_levels < 1:
             raise ValueError("bad head/point/level counts")
-        d = self.w_offset.shape[0]
-        if d != h * dh:
-            raise ValueError(f"w_value must be ({h}, {c}, {d // h}) for query width {d}")
-        if self.w_offset.shape != (d, 2 * h * s * lv):
-            raise ValueError(f"w_offset must be ({d}, {2 * h * s * lv})")
-        if self.b_offset.shape != (2 * h * s * lv,):
-            raise ValueError("b_offset shape mismatch")
-        if self.w_weight.shape != (d, h * s * lv):
-            raise ValueError(f"w_weight must be ({d}, {h * s * lv})")
-        if self.b_weight.shape != (h * s * lv,):
-            raise ValueError("b_weight shape mismatch")
-        if self.w_out.shape != (d, d):
-            raise ValueError(f"w_out must be ({d}, {d})")
+        _fields(self)
+
+    def block_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each tensor field's shape for one row block, in field order; the
+        query width is H * D/H, from ``w_value``."""
+        h, c, dh = self.w_value.shape[-3:]
+        d, k = h * dh, h * self.num_points * self.num_levels
+        shapes = ((d, 2 * k), (2 * k,), (d, k), (k,), (h, c, dh), (d, d))
+        return dict(zip(self.TENSORS, shapes))
 
     @property
     def num_heads(self) -> int:
-        return self.w_value.shape[0]
+        return self.w_value.shape[-3]
 
     @property
     def query_width(self) -> int:
-        return self.w_offset.shape[0]
+        return self.w_offset.shape[-2]
 
     @property
     def feature_channels(self) -> int:
-        return self.w_value.shape[1]
+        return self.w_value.shape[-2]
 
 
 def ring_offset_bias(num_heads: int, num_points: int, num_levels: int = 1) -> np.ndarray:
@@ -274,66 +268,58 @@ def _deform_core(
     z: Tensor,
     refs: Sequence[ReferencePoint],
     maps: Sequence[Tensor],
-    params: tuple[DeformAttnParams, ...],
+    params: DeformAttnParams,
+    blocks: int,
 ) -> Tensor:
     """One taped primitive for a whole deformable sublayer.
 
-    With G parameter sets of L levels each, ``z`` is G blocks of N rows and
-    block g samples only its own levels, ``maps[g*L:(g+1)*L]``, under
-    parameter set g.  The reference points are shared by every block and
-    enter as constants (stop-gradient), as in Deformable DETR.
+    ``z`` is G = ``blocks`` blocks of len(refs) rows, ``maps`` R runs of
+    L = num_levels maps, and block g samples run g mod R under its own
+    values of ``params``.  The reference points are shared by every block
+    and enter as constants (stop-gradient), as in Deformable DETR.
     """
-    first = params[0]
-    if z.ndim != 2 or z.shape[1] != first.query_width:
+    if z.ndim != 2 or z.shape[1] != params.query_width:
         raise ValueError(f"query shape {z.shape} does not match parameters")
-    layout = lambda p: (p.w_offset.shape, p.w_value.shape, p.num_points, p.num_levels)
-    if any(layout(p) != layout(first) for p in params):
-        raise ValueError("every group's deformable parameters must share one shape")
-    g_count = len(params)
-    n = _row_blocks(z, g_count)
-    h, s, lv = first.num_heads, first.num_points, first.num_levels
-    c = first.feature_channels
-    if len(maps) != g_count * lv:
-        raise ValueError(f"expected {g_count * lv} feature maps, got {len(maps)}")
+    g_count, n = blocks, _row_blocks(z, blocks)
     if len(refs) != n:
-        raise ValueError("one reference point per query row is required")
-    for fmap in maps:
-        if fmap.ndim != 3 or fmap.shape[0] != c:
-            raise ValueError("feature maps must be (C, H, W) with matching C")
+        raise ValueError("one reference point per query row of a block is required")
+    h, s, lv, c = params.num_heads, params.num_points, params.num_levels, params.feature_channels
+    runs = len(maps) // lv
+    if runs < 1 or len(maps) % lv or g_count % runs or any(f.ndim != 3 or f.shape[0] != c for f in maps):
+        shapes = [f.shape for f in maps]
+        raise ValueError(f"{g_count} blocks need runs of {lv} ({c}, H, W) feature maps, got {shapes}")
+    (w_offset, b_offset, w_weight, b_weight, w_value, w_out), own = _fields(params, g_count)
+    # A block axis leads every per-block field: (G, 1, .) biases and a
+    # (G, H, C, D/H) value projection.
+    b_offset, b_weight = (b if b.ndim == 1 else b[:, None] for b in (b_offset, b_weight))
+    value = "ghcd" if w_value.ndim == 4 else "hcd"
 
     zd = z.data.reshape(g_count, n, -1)
-    # Each field stacked over the groups: (G, D, .) weights, (G, H, C, D/H)
-    # value and (G, D, D) output projections, (G, 1, .) biases.
-    w_offset, b_offset, w_weight, b_weight, w_value, w_out = (
-        np.array([getattr(p, f).data for p in params]) for f in DeformAttnParams.TENSORS
-    )
-    b_offset, b_weight = b_offset[:, None], b_weight[:, None]
     offsets = (zd @ w_offset + b_offset).reshape(g_count, n, h, lv, s, 2)
     attn = _softmax_last((zd @ w_weight + b_weight).reshape(g_count * n, h, -1))  # (G*N, H, L*S)
 
-    # Every (group, level) map is sampled at its own block of N*H*S points,
-    # all with one kernel call; the blocks run group-major, then level.
+    # Every (block, level) pair samples its map at N*H*S points, all with
+    # one kernel call; the point blocks run block-major, then level.
     unit_refs = np.array([(r.x, r.y) for r in refs])
     extent = np.array([(f.shape[2] - 1.0, f.shape[1] - 1.0) for f in maps])
-    base = unit_refs * extent[:, None]  # pix(P) per map, (G*L, N, 2)
-    base = base.reshape(g_count, lv, n, 1, 1, 2)
-    points = offsets.transpose(0, 3, 1, 2, 4, 5) + base  # (G, L, N, H, S, 2)
-    sampled, kernel = tt._bilinear_forward([f.data for f in maps], points.reshape(-1, 2))
+    base = (unit_refs * extent[:, None]).reshape(runs, lv, n, 1, 1, 2)  # pix(P) per map
+    points = offsets.transpose(0, 3, 1, 2, 4, 5).reshape(-1, runs, lv, n, h, s, 2) + base
+    sampled, kernel = tt._bilinear_forward([f.data for f in maps], points.reshape(g_count * lv, -1, 2))
     samples = (
         sampled.reshape(g_count, lv, n, h, s, c)
         .transpose(0, 2, 3, 1, 4, 5)
         .reshape(g_count * n, h, lv * s, c)
     )
     pooled = np.einsum("nhk,nhkc->nhc", attn, samples).reshape(g_count, n, h, c)
-    valued = np.einsum("gnhc,ghcd->gnhd", pooled, w_value).reshape(g_count, n, -1)  # (G, N, D)
-    maps_at = 1 + 6 * g_count  # index of maps[0] among the inputs
+    valued = np.einsum(f"gnhc,{value}->gnhd", pooled, w_value).reshape(g_count, n, -1)  # (G, N, D)
+    maps_at = 1 + len(own)  # index of maps[0] among the inputs
 
     def vjp(g, needs):
         g = g.reshape(g_count, n, -1)
         g_w_out = valued.swapaxes(1, 2) @ g
-        g_valued = (g @ w_out.swapaxes(1, 2)).reshape(g_count, n, h, -1)
+        g_valued = (g @ w_out.swapaxes(-1, -2)).reshape(g_count, n, h, -1)
         g_w_value = np.einsum("gnhc,gnhd->ghcd", pooled, g_valued)
-        g_pooled = np.einsum("gnhd,ghcd->gnhc", g_valued, w_value).reshape(g_count * n, h, c)
+        g_pooled = np.einsum(f"gnhd,{value}->gnhc", g_valued, w_value).reshape(g_count * n, h, c)
         g_attn = np.einsum("nhc,nhkc->nhk", g_pooled, samples)
         g_logits = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
         g_samples = (
@@ -348,16 +334,15 @@ def _deform_core(
         g_points = g_points.reshape(g_count, lv, n, h, s, 2)
         g_offsets = g_points.transpose(0, 2, 3, 1, 4, 5).reshape(g_count, n, -1)
         g_logits = g_logits.reshape(g_count, n, -1)
-        g_z = g_offsets @ w_offset.swapaxes(1, 2) + g_logits @ w_weight.swapaxes(1, 2)
+        g_z = g_offsets @ w_offset.swapaxes(-1, -2) + g_logits @ w_weight.swapaxes(-1, -2)
         zt = zd.swapaxes(1, 2)
-        g_w_offset, g_w_weight = zt @ g_offsets, zt @ g_logits
-        g_b_offset, g_b_weight = g_offsets.sum(axis=1), g_logits.sum(axis=1)
-        grads = (g_w_offset, g_b_offset, g_w_weight, g_b_weight, g_w_value, g_w_out)
-        per_group = (gr[i] for i in range(g_count) for gr in grads)
-        return (g_z.reshape(z.shape), *per_group, *g_maps)
+        grads = (
+            zt @ g_offsets, g_offsets.sum(axis=1), zt @ g_logits, g_logits.sum(axis=1),
+            g_w_value, g_w_out,
+        )
+        return (g_z.reshape(z.shape), *_fold(grads, own), *g_maps)
 
-    weights = (getattr(p, f) for p in params for f in DeformAttnParams.TENSORS)
-    inputs = (z, *weights, *maps)
+    inputs = (z, *(getattr(params, f) for f in DeformAttnParams.TENSORS), *maps)
     return tt._emit((valued @ w_out).reshape(z.shape), inputs, vjp, selective=True)
 
 
@@ -365,40 +350,35 @@ def deform_attn(
     z: Tensor,
     refs: Sequence[ReferencePoint],
     fmap: Tensor | Sequence[Tensor],
-    params: DeformAttnParams | Sequence[DeformAttnParams],
+    params: DeformAttnParams,
+    blocks: int = 1,
 ) -> Tensor:
     """Single-level deformable attention: (N, D) queries -> (N, D).
 
-    ``fmap`` and ``params`` may also hold one map and one parameter set per
-    row group: ``z`` is then G blocks of N rows, and block g samples only
-    map g, under parameter set g.  The shared and parallel schemes run the
-    three pyramid levels this way, as one call.
+    With ``blocks`` G, ``z`` is G blocks of N rows and ``fmap`` may hold R
+    maps: block g then samples map g mod R, under its own values of
+    ``params``.  The shared and parallel schemes run the three pyramid
+    levels this way, as one call.
     """
-    groups = _groups(params, DeformAttnParams)
     maps = [fmap] if isinstance(fmap, Tensor) else list(fmap)
-    if any(p.num_levels != 1 for p in groups):
+    if params.num_levels != 1:
         raise ValueError("deform_attn expects single-level parameters")
-    return _deform_core(z, refs, maps, groups)
+    return _deform_core(z, refs, maps, params, blocks)
 
 
 def multiscale_deform_attn(
     z: Tensor,
     refs: Sequence[ReferencePoint],
     pyramid: Sequence[Tensor],
-    params: DeformAttnParams | Sequence[DeformAttnParams],
+    params: DeformAttnParams,
+    blocks: int = 1,
 ) -> Tensor:
     """Multi-level deformable attention; A normalizes over levels * points.
 
-    Row groups work as in :func:`deform_attn`, each reading its own
-    ``num_levels`` consecutive maps of ``pyramid``.
+    Row blocks work as in :func:`deform_attn`, block g reading run g mod R
+    of the R runs of ``num_levels`` consecutive maps in ``pyramid``.
     """
-    groups = _groups(params, DeformAttnParams)
-    if groups[0].num_levels * len(groups) != len(pyramid):
-        raise ValueError(
-            f"parameters built for {groups[0].num_levels} levels per group, "
-            f"got {len(pyramid)} maps for {len(groups)} groups"
-        )
-    return _deform_core(z, refs, list(pyramid), groups)
+    return _deform_core(z, refs, list(pyramid), params, blocks)
 
 
 def deform_attention_weights(z: Tensor, params: DeformAttnParams) -> np.ndarray:

@@ -415,4 +415,9 @@ def load_benchmark(root) -> Benchmark:
                 for rec in entry["persons"]
             )
             scenes[entry["id"]] = SceneMeta(entry["id"], entry["split"], persons)
+        for q in manifest["queries"]:
+            meta, person = scenes.get(q["scene"]), q["person"]
+            persons = range(len(meta.persons)) if meta and meta.split == "gallery" else ()
+            if not isinstance(person, int) or person not in persons:
+                raise ValueError(f"query person {person!r} of scene {q['scene']!r} is not a gallery person")
         return Benchmark(root, cfg, bank, scenes, manifest["queries"])

@@ -258,14 +258,14 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
         analytic[0] = analytic[0] + 1e-3
 
     def probe_losses(name):
-        """All probes of one tensor through one batched forward, and each
-        scale's loss over all of them at once.  The per-probe means add up
+        """All probes of one tensor through one forward, as that tensor's
+        variants, and each scale's loss over all of them at once.  The per-probe means add up
         in the order of the taped loss above, so a probe's value equals
         that loss evaluated at the probe."""
 
         def f(probes):
-            sets = [{**model.params, name: p} for p in probes]
-            embs = model.forward(pyramid, refs, param_sets=sets)
+            values = Tensor(np.array([p.data for p in probes]))
+            embs = model.forward(pyramid, refs, variants={name: values})
             means = [
                 scale_rows(embs, s).data.reshape(len(embs), -1).mean(axis=1)
                 for s in range(len(states))

@@ -41,6 +41,7 @@ __all__ = [
     "concat_cols",
     "tile_rows",
     "split_rows",
+    "stack",
     "take_rows",
     "gather_pairs",
     "softmax_rows",
@@ -96,27 +97,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # Small amount of operator sugar so call sites stay readable.  All of it
-    # routes through the module-level primitives and therefore the tape.
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
+    # ``+`` routes through ``add`` and therefore the tape; residual
+    # connections read as ``y + sub``.
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 class _Node:
@@ -325,21 +309,20 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 def tile_rows(x: Tensor | Sequence[Tensor], reps: int) -> Tensor:
     """Stack ``reps`` copies of a rank-2 tensor: (n, d) -> (reps * n, d).
 
-    ``x`` may also be a sequence of K equal-shape tensors; each is then
-    repeated ``reps`` times in turn, giving (K * reps * n, d).  One copy of
-    one tensor is ``x`` itself and records nothing.
+    ``x`` may also be a (K, n, d) tensor or a sequence of K equal-shape
+    tensors; each (n, d) block is then repeated ``reps`` times in turn,
+    giving (K * reps * n, d).  One copy of one rank-2 tensor is ``x`` itself
+    and records nothing.
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
-    if not parts or reps < 1 or parts[0].ndim != 2 or any(p.shape != parts[0].shape for p in parts):
-        raise ValueError(f"cannot tile {len(parts)} equal rank-2 tensors {reps} times")
-    if len(parts) == 1 and reps == 1:
+    if not parts or reps < 1 or parts[0].ndim not in (2, 3) or any(p.shape != parts[0].shape for p in parts):
+        raise ValueError(f"cannot tile {len(parts)} equal rank-2 or rank-3 tensors {reps} times")
+    if len(parts) == 1 and reps == 1 and parts[0].ndim == 2:
         return parts[0]
-    k, (n, d) = len(parts), parts[0].shape
-    return _emit(
-        np.repeat(np.array([p.data for p in parts]), reps, axis=0).reshape(-1, d),
-        parts,
-        lambda g: tuple(g.reshape(k, reps, n, d).sum(axis=1)),
-    )
+    n, d = parts[0].shape[-2:]
+    data = np.array([p.data for p in parts]).reshape(-1, n, d)
+    split = lambda g: tuple(g.reshape(-1, reps, n, d).sum(axis=1).reshape(len(parts), *parts[0].shape))
+    return _emit(np.repeat(data, reps, axis=0).reshape(-1, d), parts, split)
 
 
 def split_rows(x: Tensor, parts: int) -> tuple[Tensor, ...]:
@@ -360,9 +343,34 @@ def split_rows(x: Tensor, parts: int) -> tuple[Tensor, ...]:
             full[i * n : (i + 1) * n] = g
             return (full,)
 
-        return _emit(x.data[i * n : (i + 1) * n].copy(), (x,), vjp)
+        return _emit(x.data[i * n : (i + 1) * n], (x,), vjp)
 
     return tuple(block(i) for i in range(parts))
+
+
+def stack(parts: Sequence[Tensor], shape: tuple[int, ...], sets: int = 1) -> Tensor:
+    """Stack K tensors of ``shape`` along a new leading block axis: (K, *shape).
+
+    With ``sets`` = B, a part may also be a (B, *shape) stack of B values,
+    one per set, and the result is (B * K, *shape): block b * K + k holds
+    part k's value for set b, a part of plain ``shape`` serving every set.
+    Each part's gradient is the sum of its blocks' gradients over the sets
+    it serves.
+    """
+    parts, shape = tuple(parts), tuple(shape)
+    per_set = [p.shape == (sets, *shape) for p in parts]
+    if not parts or any(not b and p.shape != shape for p, b in zip(parts, per_set)):
+        raise ValueError(f"cannot stack {[p.shape for p in parts]} as {sets} sets of {shape}")
+    k = len(parts)
+    out = np.empty((sets, k, *shape))
+    for i, p in enumerate(parts):
+        out[:, i] = p.data
+
+    def vjp(g):
+        g = g.reshape(sets, k, *shape)
+        return tuple(g[:, i] if b else g[:, i].sum(axis=0) for i, b in enumerate(per_set))
+
+    return _emit(out.reshape(sets * k, *shape), parts, vjp)
 
 
 def take_rows(x: Tensor, idx: Sequence[int]) -> Tensor:
@@ -414,29 +422,20 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(p, (x,), vjp)
 
 
-def layer_norm(
-    x: Tensor,
-    gamma: Tensor | Sequence[Tensor],
-    beta: Tensor | Sequence[Tensor],
-    eps: float = 1e-5,
-) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, blocks: int = 1, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    ``gamma`` and ``beta`` may also be equal-length sequences with one
-    tensor per block of rows: a rank-2 ``x`` then holds that many equal
-    blocks of rows, and block i is scaled by gamma[i] and shifted by
-    beta[i].
+    A rank-2 ``x`` may hold ``blocks`` equal blocks of rows.  ``gamma`` and
+    ``beta`` are each either shared by every block, with the normalized-axis
+    length n, or one row per block, (blocks, n).  A shared tensor's gradient
+    is summed within each block first and then over the blocks, in order.
     """
-    grouped = not isinstance(gamma, Tensor)
-    gammas = tuple(gamma) if grouped else (gamma,)
-    betas = tuple(beta) if grouped else (beta,)
     if x.ndim not in (1, 2):
         raise ValueError("layer_norm expects a rank-1 or rank-2 tensor")
     n = x.shape[-1]
-    if len(betas) != len(gammas) or any(t.shape != (n,) for t in gammas + betas):
-        raise ValueError("gamma/beta must have the normalized-axis length")
-    blocks = len(gammas)
-    if grouped and (x.ndim != 2 or x.shape[0] % blocks != 0):
+    if any(t.shape not in ((n,), (blocks, n)) for t in (gamma, beta)):
+        raise ValueError(f"gamma/beta must be ({n},) or ({blocks}, {n})")
+    if (x.shape[0] if x.ndim == 2 else 1) % blocks != 0:
         raise ValueError(f"cannot split the rows of {x.shape} into {blocks} blocks")
     xd = x.data
     # np.mean / np.var arithmetic without their Python wrappers, which
@@ -445,9 +444,9 @@ def layer_norm(
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    gd = np.array([t.data for t in gammas])[:, None]  # (blocks, 1, n)
-    bd = np.array([t.data for t in betas])[:, None]
+    gd, bd = (t.data if t.ndim == 1 else t.data[:, None] for t in (gamma, beta))
     by_block = lambda a: a.reshape(blocks, -1, n)
+    fold = lambda d, t: d.sum(axis=0) if t.ndim == 1 else d
 
     def vjp(g):
         gx = (by_block(g) * gd).reshape(g.shape)
@@ -456,10 +455,10 @@ def layer_norm(
         dx = (gx - m1 - xhat * m2) * inv
         dgamma = (by_block(g) * by_block(xhat)).sum(axis=1)
         dbeta = by_block(g).sum(axis=1)
-        return dx, *dgamma, *dbeta
+        return dx, fold(dgamma, gamma), fold(dbeta, beta)
 
     out = (by_block(xhat) * gd + bd).reshape(xd.shape)
-    return _emit(out, (x, *gammas, *betas), vjp)
+    return _emit(out, (x, gamma, beta), vjp)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -498,10 +497,11 @@ _CORNER_Y = np.array([0, 0, 1, 1]).reshape(4, 1, 1)
 
 
 def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
-    """Shared kernel: sample M (C, H_m, W_m) maps at M equal blocks of points.
+    """Shared kernel: sample M (C, H_m, W_m) maps at B blocks of points.
 
-    ``pts`` is (P, 2) as (x, y); its m-th block of P / M rows samples
-    ``maps[m]``.  Returns (P, C) plus residuals.  The four corners of every
+    ``pts`` is (B, Q, 2) as (x, y), with B a multiple of M; block b samples
+    ``maps[b % M]``, so each map is read once however many blocks share
+    it.  Returns (B * Q, C) plus residuals.  The four corners of every
     point are read with one gather from the maps' flattened concatenation;
     corners outside their map read as zero and get zero weight.
     """
@@ -515,10 +515,13 @@ def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
         if m == 1
         else np.concatenate([f.reshape(c, -1) for f in maps], axis=1)
     )
-    xs, ys = pts[:, 0].reshape(m, -1), pts[:, 1].reshape(m, -1)
+    # Each block's map extent, (B, 1), and start in the concatenation, (B,).
+    reps = pts.shape[0] // m
+    hs, ws, starts = np.tile(hs, (reps, 1)), np.tile(ws, (reps, 1)), np.tile(starts, reps)
+    xs, ys = pts[..., 0], pts[..., 1]
     x0 = np.ceil(xs).astype(np.intp) - 1
     y0 = np.ceil(ys).astype(np.intp) - 1
-    cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, M, P/M)
+    cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, B, Q)
     inb = ((cx >= 0) & (cx < ws) & (cy >= 0) & (cy < hs)).reshape(4, -1)
     flat = (
         starts[:, None]
@@ -534,11 +537,12 @@ def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
 
 
 def _bilinear_vjp(map_shapes, res, g, want_maps: Sequence[bool] | None = None):
-    """Gradients for the batched kernel; g is (P, C).
+    """Gradients for the batched kernel; g is (B * Q, C).
 
-    Returns (one gradient per map, point gradient).  ``want_maps`` says
-    which maps need a gradient (default: all); the others get None, and
-    when none does the scatter is skipped.
+    Returns (one gradient per map, summed over the blocks that read it,
+    and the (B * Q, 2) point gradient).  ``want_maps`` says which maps need
+    a gradient (default: all); the others get None, and when none does the
+    scatter is skipped.
     """
     if want_maps is None:
         want_maps = [True] * len(map_shapes)
@@ -572,7 +576,7 @@ def bilinear_sample_rows(fmap: Tensor, points: Tensor) -> Tensor:
         raise ValueError("bilinear_sample_rows expects a (C, H, W) map")
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must have shape (P, 2)")
-    out, res = _bilinear_forward([fmap.data], points.data)
+    out, res = _bilinear_forward([fmap.data], points.data[None])
     fshape = fmap.shape
 
     def vjp(g):

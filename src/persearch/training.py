@@ -371,6 +371,9 @@ def load_checkpoint(ckpt_dir):
     model = ReIDTransformer.load(os.path.join(ckpt_dir, "model"))
     oim_states = []
     with reading(path):
+        meta = manifest.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be an object, got {type(meta).__name__}")
         for i, entry in enumerate(manifest["oim"]):
             lut = read_blob(os.path.join(ckpt_dir, f"oim{i}_lut.sqt")).data
             queue = deque(maxlen=entry["queue_capacity"])
@@ -386,7 +389,7 @@ def load_checkpoint(ckpt_dir):
                     tau=entry["tau"],
                 )
             )
-    return model, oim_states, manifest.get("meta", {})
+    return model, oim_states, meta
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,11 @@ Four multi-scale schemes cover how the three pyramid levels are consumed:
 The two per-level schemes run their three levels as one batch: the queries
 are tiled into three blocks of N rows, one per level, and each sublayer is a
 single call over all 3N rows.  Block l samples only level l and sees only
-its own block in self-attention, under level l's parameters (the same
-tensors three times for ``shared``), so every block computes exactly what
-a separate pass over level l would.  The blocks are split back into the
-three per-scale embeddings at the end.
+its own block in self-attention, under level l's parameters: ``shared``
+passes each of its tensors once for all three blocks, and ``parallel``
+stacks its three stacks' tensors along a leading block axis.  So every
+block computes exactly what a separate pass over level l would.  The
+blocks are split back into the three per-scale embeddings at the end.
 
 For matching, per-scale embeddings are concatenated per row and
 l2-normalized, so shared/parallel match in 3d dimensions, multi_scale_d in
@@ -145,32 +146,24 @@ def reid_layer_forward(
     y: Tensor,
     refs: Sequence[ReferencePoint],
     maps: Sequence[Tensor],
-    layer: ReIDLayerParams | Sequence[ReIDLayerParams],
+    layer: ReIDLayerParams,
 ) -> Tensor:
     """One transformer layer: optional self-attention, then K cross sublayers.
 
-    ``layer`` may also hold one parameter view per row group: ``y`` is then
-    one block of rows per group, block g reads the g-th run of
+    ``y`` may also hold G blocks of len(refs) rows.  Each tensor of
+    ``layer`` is then shared by every block or holds one value per block
+    along a leading axis of G, block g reads run g mod R of the R runs of
     ``num_levels`` maps, and self-attention mixes rows only within a block.
     """
-    groups = (layer,) if isinstance(layer, ReIDLayerParams) else tuple(layer)
-    if groups[0].self_attn is not None:
-        y = residual_layernorm(
-            y,
-            multi_head_self_attention(y, [v.self_attn for v in groups]),
-            [v.self_attn_norm[0] for v in groups],
-            [v.self_attn_norm[1] for v in groups],
-        )
-    for k, attn_params in enumerate(groups[0].cross):
-        cross = [v.cross[k] for v in groups]
-        deform = deform_attn if attn_params.num_levels == 1 else multiscale_deform_attn
-        sub = deform(y, refs, maps, cross)
-        y = residual_layernorm(
-            y,
-            sub,
-            [v.cross_norms[k][0] for v in groups],
-            [v.cross_norms[k][1] for v in groups],
-        )
+    if y.ndim != 2 or not refs or y.shape[0] % len(refs) != 0:
+        raise ValueError(f"{y.shape} rows do not form blocks of {len(refs)} queries")
+    blocks = y.shape[0] // len(refs)
+    if layer.self_attn is not None:
+        sub = multi_head_self_attention(y, layer.self_attn, blocks)
+        y = residual_layernorm(y, sub, *layer.self_attn_norm, blocks)
+    for params, norm in zip(layer.cross, layer.cross_norms):
+        deform = deform_attn if params.num_levels == 1 else multiscale_deform_attn
+        y = residual_layernorm(y, deform(y, refs, maps, params, blocks), *norm, blocks)
     return y
 
 
@@ -298,8 +291,7 @@ class ReIDTransformer:
         if cfg.has_self_attention(m):
             sa = MultiHeadAttnParams(*(p[f"{base}.sa.{n}"] for n in ("wq", "wk", "wv", "wo")))
             sa_norm = (p[f"{base}.sa_norm.gamma"], p[f"{base}.sa_norm.beta"])
-        cross = []
-        norms = []
+        cross, norms = [], []
         for k in range(cfg.k_cross):
             cb = f"{base}.cross{k}"
             fields = (p[f"{cb}.{f}"] for f in DeformAttnParams.TENSORS)
@@ -313,51 +305,62 @@ class ReIDTransformer:
             raise ValueError(f"expected a {NUM_LEVELS}-level pyramid")
         for fmap in pyramid:
             if fmap.ndim != 3 or fmap.shape[0] != cfg.dim:
-                raise ValueError(
-                    f"feature maps must be ({cfg.dim}, H, W), got {fmap.shape}"
-                )
+                raise ValueError(f"feature maps must be ({cfg.dim}, H, W), got {fmap.shape}")
         if len(refs) != cfg.num_queries:
-            raise ValueError(
-                f"need {cfg.num_queries} reference points, got {len(refs)}"
-            )
+            raise ValueError(f"need {cfg.num_queries} reference points, got {len(refs)}")
+
+    def _block_params(self, variants: dict[str, Tensor], sets: int) -> dict[str, Tensor]:
+        """The tensors :meth:`forward` reads: the model's own, except that a
+        stack tensor that differs between row blocks (each of the parallel
+        scheme's, or one ``variants`` names) has a leading block axis and
+        the name ``stack.<field>``.  Block b * S + l, for set b and output
+        scale l of S, holds set b's value of stack l's tensor."""
+        cfg = self.config
+        stacks = _stack_names(cfg)
+        if len(stacks) == 1 and not variants:
+            return self.params
+        params = {**self.params, **variants}
+        repeats = cfg.output_scales // len(stacks)
+        for name in self.params if len(stacks) > 1 else variants:
+            first, _, field = name.partition(".")
+            if first == stacks[0]:
+                parts = [variants.get(f"{s}.{field}", self.params[f"{s}.{field}"]) for s in stacks]
+                params[f"stack.{field}"] = tt.stack(parts * repeats, self.params[name].shape, sets)
+        return params
 
     def forward(
         self,
         pyramid: Sequence[Tensor],
         refs: Sequence[ReferencePoint],
-        param_sets: Sequence[dict[str, Tensor]] | None = None,
+        variants: dict[str, Tensor] | None = None,
     ) -> ReIDEmbeddings | list[ReIDEmbeddings]:
         """Refine the query set against the pyramid; returns per-scale rows.
 
         The per-level schemes run one block of query rows per level through
         the stack together (see the module docstring).
 
-        ``param_sets`` evaluates B parameter dicts, each with the names and
-        shapes of ``self.params``, in place of the model's own, in the same
-        pass over the same scene: each set adds its own row blocks (set b
-        at level l is one block for the per-level schemes) under its own
-        layer views.  The result is then a list of one ``ReIDEmbeddings``
-        per set, each bit-identical to that set's own forward.  The gradient
-        check evaluates its probes this way.
+        ``variants`` maps a few parameter names to B values each, (B, *shape),
+        and evaluates the B parameter sets they define in one pass over the
+        scene: set b is the model's own parameters with each named tensor at
+        its b-th value, and adds its own row blocks.  The result is then a
+        list of one ``ReIDEmbeddings`` per set, each bit-identical to that
+        set's own forward.  The gradient check evaluates its probes this way.
         """
         cfg = self.config
         self._check_inputs(pyramid, refs)
-        sets = [self.params] if param_sets is None else list(param_sets)
-        maps = list(pyramid) * len(sets)
-        blocks = cfg.output_scales
-        y = tt.tile_rows([ps["queries"] for ps in sets], blocks)
-        repeats = NUM_LEVELS if cfg.scheme == "shared" else 1
+        named = variants or {}
+        sets, *others = {t.shape[0] for t in named.values()} or {1}
+        if others or any(n not in self.params or t.shape[1:] != self.params[n].shape for n, t in named.items()):
+            raise ValueError("each variant must stack B values of a model tensor, one B for all")
+        params = self._block_params(named, sets)
+        scales = cfg.output_scales
+        queries = params["queries"]  # (N, d), or (B, N, d) when it varies
+        y = tt.tile_rows(queries, scales if queries.ndim == 3 else sets * scales)
         for m in range(cfg.m_layers):
-            views = []
-            for ps in sets:
-                views += [self._layer_view(stack, m, ps) for stack in _stack_names(cfg)] * repeats
-            y = reid_layer_forward(y, refs, maps, views)
-        rows = tt.split_rows(y, len(sets) * blocks)
-        out = [
-            ReIDEmbeddings(rows[b * blocks : (b + 1) * blocks], cfg.scheme)
-            for b in range(len(sets))
-        ]
-        return out[0] if param_sets is None else out
+            y = reid_layer_forward(y, refs, pyramid, self._layer_view("stack", m, params))
+        rows = tt.split_rows(y, sets * scales)
+        out = [ReIDEmbeddings(rows[b * scales : (b + 1) * scales], cfg.scheme) for b in range(sets)]
+        return out[0] if variants is None else out
 
     def matching_embeddings(
         self,

@@ -326,6 +326,14 @@ def _param_leaves(params):
     return [getattr(params, f) for f in DeformAttnParams.TENSORS]
 
 
+def stack_sets(sets):
+    """One parameter set whose tensor fields stack those of ``sets`` along a
+    leading block axis, set g serving row block g."""
+    shapes = sets[0].block_shapes()
+    stacked = {f: T.stack([getattr(p, f) for p in sets], shape) for f, shape in shapes.items()}
+    return dataclasses.replace(sets[0], **stacked)
+
+
 def _norm_rel(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
@@ -352,8 +360,11 @@ class TestRowGroups:
         deform = deform_attn if levels == 1 else multiscale_deform_attn
 
         def grouped():
-            y = residual_layernorm(z, deform(z, refs, maps, dps), gammas, betas)
-            return multi_head_self_attention(y, mhas)
+            # Shared: the one set; distinct: the sets stacked along a block axis.
+            dp, mha = (ps[0] if shared else stack_sets(ps) for ps in (dps, mhas))
+            gamma, beta = (ts[0] if shared else T.stack(ts, (d,)) for ts in (gammas, betas))
+            y = residual_layernorm(z, deform(z, refs, maps, dp, g), gamma, beta, g)
+            return multi_head_self_attention(y, mha, g)
 
         def separate():
             outs = []
@@ -395,7 +406,7 @@ class TestRowGroups:
 
         monkeypatch.setattr(T, "_bilinear_vjp", recording)
         with GradTape() as tape:
-            loss = T.sum_all(T.powc(deform_attn(z, refs, maps, dps), 2.0))
+            loss = T.sum_all(T.powc(deform_attn(z, refs, maps, stack_sets(dps), 3), 2.0))
         params = _param_leaves(dps[1])
         data_only = tape.gradients(loss, [z, *params])
         with_maps = tape.gradients(loss, [z, *params, maps[1]])
@@ -412,11 +423,9 @@ class TestRowGroups:
         fmap = Tensor(rng.standard_normal((3, 4, 4)))
         refs = [ReferencePoint(0.5, 0.5)] * 2
         with pytest.raises(ValueError):
-            deform_attn(Tensor(np.zeros((5, 4))), refs, [fmap, fmap], [dp, dp])
+            deform_attn(Tensor(np.zeros((5, 4))), refs, [fmap, fmap], dp, 2)
         with pytest.raises(ValueError):
-            multi_head_self_attention(
-                Tensor(np.zeros((5, 4))), [random_mha_params(rng, 4, 2)] * 2
-            )
+            multi_head_self_attention(Tensor(np.zeros((5, 4))), random_mha_params(rng, 4, 2), 2)
 
 
 class TestReferencePoint:

@@ -266,11 +266,23 @@ class TestExitCodes:
             ("checkpoint/model/model.json", "[1, 2]", "model.json"),
             ("checkpoint/checkpoint.json", "[1, 2]", "checkpoint.json"),
             ("data/manifest.json", '"x"', "manifest.json"),
+            ("checkpoint/checkpoint.json", lambda m: m.update(meta=[1]), "checkpoint.json"),
+            (
+                "data/manifest.json",
+                lambda m: m["queries"][0].update(scene=99999),
+                "manifest.json: ValueError: query person ",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["queries"][0].update(person=99),
+                "manifest.json: ValueError: query person 99 of scene ",
+            ),
         ],
         ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1", "model-v2",
              "model-missing-tensor", "model-wrong-shape", "checkpoint-missing-oim",
              "manifest-unknown-key", "model-root-array", "checkpoint-root-array",
-             "manifest-root-array"],
+             "manifest-root-array", "checkpoint-meta-array", "manifest-query-scene",
+             "manifest-query-person"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
         shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")

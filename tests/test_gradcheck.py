@@ -113,7 +113,8 @@ class TestBatchedProbes:
         calls = []
 
         def counting(self, *args, **kwargs):
-            calls.append(len(kwargs.get("param_sets") or [None]))
+            variants = kwargs.get("variants")
+            calls.append(len(next(iter(variants.values())).data) if variants else 1)
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(ReIDTransformer, "forward", counting)
@@ -121,6 +122,35 @@ class TestBatchedProbes:
         assert len(calls) <= len(results) + 1
         # Every probe still runs: 2 per scalar, plus the analytic pass.
         assert sum(calls) == 1 + 2 * 1576
+
+
+    def test_shared_tensors_and_maps_pass_once_per_call(self, monkeypatch):
+        # One layer view per stack and layer of each forward, and each
+        # bilinear kernel call reads the pyramid's three maps once, however
+        # many probe sets share them.
+        forward, layer_view, kernel = ReIDTransformer.forward, ReIDTransformer._layer_view, T._bilinear_forward
+        forwards, views, kernel_maps = [], [], []
+
+        def counting_forward(self, *args, **kwargs):
+            forwards.append(1)
+            return forward(self, *args, **kwargs)
+
+        def counting_view(self, *args, **kwargs):
+            views.append(args)
+            return layer_view(self, *args, **kwargs)
+
+        def counting_kernel(maps, pts):
+            kernel_maps.append(len(maps))
+            return kernel(maps, pts)
+
+        monkeypatch.setattr(ReIDTransformer, "forward", counting_forward)
+        monkeypatch.setattr(ReIDTransformer, "_layer_view", counting_view)
+        monkeypatch.setattr(T, "_bilinear_forward", counting_kernel)
+        check_full_model()
+        model = _full_model_problem()[0]
+        assert len(forwards) == 46
+        assert len(views) == len(forwards) * model.config.m_layers <= 92
+        assert kernel_maps and max(kernel_maps) <= 3
 
 
 def old_probe_loss(emb, labels, states):
@@ -161,8 +191,8 @@ class TestBatchedLoss:
                 "stack.layer1.sa.wq",
                 "stack.layer0.cross0_norm.beta",
             ):
-                sets = [{**model.params, name: p} for p in probes]
-                embs = model.forward(pyramid, refs, param_sets=sets)
+                variants = {name: Tensor(np.array([p.data for p in probes]))}
+                embs = model.forward(pyramid, refs, variants=variants)
                 want = [old_probe_loss(emb, labels, states).item() for emb in embs]
                 assert np.array_equal(values, want), name
                 checked += 1

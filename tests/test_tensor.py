@@ -289,10 +289,34 @@ class TestGradients:
         w = rand(self.rng, 6, 4)
         check_grads(
             lambda x, g1, b2: T.sum_all(
-                T.mul(T.layer_norm(x, [gammas[0], g1, gammas[2]], [betas[0], betas[1], b2]), w)
+                T.mul(
+                    T.layer_norm(
+                        x,
+                        T.stack([gammas[0], g1, gammas[2]], (4,)),
+                        T.stack([betas[0], betas[1], b2], (4,)),
+                        blocks=3,
+                    ),
+                    w,
+                )
             ),
             [x, gammas[1], betas[2]],
         )
+
+    def test_tile_rows_of_a_rank_3_tensor(self):
+        x, w = rand(self.rng, 2, 2, 3), rand(self.rng, 12, 3)
+        assert np.array_equal(T.tile_rows(x, 3).data[6:8], x.data[1])
+        check_grads(lambda x: T.sum_all(T.powc(T.mul(T.tile_rows(x, 3), w), 2.0)), [x])
+
+    def test_stack_blocks_per_set(self):
+        shared, per_set = rand(self.rng, 2, 3), rand(self.rng, 2, 2, 3)
+        out = T.stack([shared, per_set], (2, 3), sets=2)
+        # Block b * K + k holds part k's value for set b.
+        want = [shared.data, per_set.data[0], shared.data, per_set.data[1]]
+        assert np.array_equal(out.data, np.array(want))
+        w = rand(self.rng, 4, 2, 3)
+        check_grads(lambda a, b: T.sum_all(T.mul(T.stack([a, b], (2, 3), sets=2), w)), [shared, per_set])
+        with pytest.raises(ValueError):
+            T.stack([shared, rand(self.rng, 3, 2, 3)], (2, 3), sets=2)
 
     def test_take_rows_with_repeats(self):
         x = rand(self.rng, 5, 3)

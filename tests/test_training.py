@@ -1,12 +1,14 @@
 """Training loop, checkpointing, and the retrieval pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from persearch.data import BenchmarkConfig, make_benchmark
 from persearch.errors import ConfigError, NumericError
 from persearch.evaluation import evaluate
-from persearch.losses import BACKGROUND, UNLABELED
+from persearch.losses import BACKGROUND, UNLABELED, LossWeights
 from persearch.tensor import GradTape, Tensor
 from persearch.training import (
     TrainSettings,
@@ -51,6 +53,41 @@ def tiny_settings(**overrides):
     kw = dict(steps=4, learning_rate=0.01, queue_size=4)
     kw.update(overrides)
     return TrainSettings(**kw)
+
+
+# One valid value per TrainSettings field (LossWeights fields under
+# "weights") that differs from the short run's in tiny_settings.
+NON_DEFAULT = {
+    "steps": 26,
+    "learning_rate": 0.02,
+    "optimizer": "adam",
+    "weight_decay": 1e-3,
+    "grad_clip": 0.01,
+    "queue_size": 1,
+    "oim_momentum": 0.9,
+    "oim_tau": 0.1,
+    "focal_gamma": 1.0,
+    "weights": {"cls": 1.0, "iou": 1.0, "l1": 1.0, "oim": 1.0},
+}
+
+
+def run_outputs(bench, settings):
+    """Loss curve, final parameters and OIM states of a short run."""
+    res = train(tiny_model(), bench, settings, run_seed=5)
+    params = {n: t.data for n, t in res.model.params.items()}
+    return res.curve, params, [(st.lut, list(st.queue)) for st in res.oim_states]
+
+
+def same_outputs(a, b) -> bool:
+    (curve_a, params_a, states_a), (curve_b, params_b, states_b) = a, b
+    return (
+        curve_a == curve_b
+        and all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
+        and all(
+            np.array_equal(lut_a, lut_b) and np.array_equal(queue_a, queue_b)
+            for (lut_a, queue_a), (lut_b, queue_b) in zip(states_a, states_b)
+        )
+    )
 
 
 class TestSceneSetup:
@@ -128,21 +165,45 @@ class TestTrainLoop:
         assert max(counts) <= 70, counts
 
     def test_default_shared_step_tape_width(self, bench, monkeypatch):
-        # Each projection is one stacked tensor, so the deformable node takes
-        # z, 6 parameter tensors per level and 3 maps (22 inputs) and the
-        # self-attention node y and 4 per level (13).
-        widths = []
+        # The shared scheme passes its one parameter set once for all three
+        # level blocks and each distinct map once, so the deformable node
+        # takes z, its 6 parameter tensors and the 3 maps (10 inputs) and
+        # the self-attention node y and its 4 projections (5).
+        replays, widths = [], {}
         replay = GradTape.gradients
 
         def recording(tape, loss, sources):
-            widths.append(max(len(node.inputs) for node in tape._nodes))
+            replays.append(len(tape._nodes))
+            for node in tape._nodes:
+                op = node.vjp.__qualname__.split(".")[0]
+                widths[op] = max(widths.get(op, 0), len(node.inputs))
             return replay(tape, loss, sources)
 
         monkeypatch.setattr(GradTape, "gradients", recording)
         model = ReIDTransformer.init(ReIDConfig(dim=bench.config.feature_dim), seed=1)
         train(model, bench, tiny_settings(steps=3), run_seed=5)
-        assert len(widths) == 3
-        assert max(widths) <= 22, widths
+        assert len(replays) == 3
+        assert widths["_deform_core"] == 10, widths
+        assert widths["multi_head_self_attention"] == 5, widths
+        assert max(widths.values()) <= 10, widths
+
+    def test_every_train_setting_has_an_effect(self, bench):
+        base = tiny_settings(steps=25)
+        want = run_outputs(bench, base)
+        cases = []
+        for f in dataclasses.fields(TrainSettings):
+            assert f.name in NON_DEFAULT, f"no non-default value for TrainSettings.{f.name}"
+            if f.name != "weights":
+                cases.append((f.name, {f.name: NON_DEFAULT[f.name]}))
+        for f in dataclasses.fields(LossWeights):
+            assert f.name in NON_DEFAULT["weights"], f"no non-default value for LossWeights.{f.name}"
+            weights = LossWeights(**{f.name: NON_DEFAULT["weights"][f.name]})
+            cases.append((f"weights.{f.name}", {"weights": weights}))
+        for name, change in cases:
+            settings = dataclasses.replace(base, **change)
+            assert settings != base, name
+            settings.validate()
+            assert not same_outputs(run_outputs(bench, settings), want), name
 
     def test_zero_steps_still_evaluates_once(self, bench):
         model = tiny_model()

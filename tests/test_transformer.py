@@ -257,7 +257,7 @@ class TestLevelBatching:
 
 
 class TestParameterSets:
-    """``forward(param_sets=...)`` runs several parameter sets as one batch."""
+    """``forward(variants=...)`` runs several parameter sets as one batch."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_batched_forward_bit_identical_to_each_sets_own(self, scheme):
@@ -276,7 +276,9 @@ class TestParameterSets:
             nudged(f"{stack}.layer1.cross0.w_offset"),
             nudged(f"{stack}.layer1.sa.wq"),
         ]
-        batched = model.forward(pyramid, refs, param_sets=sets)
+        names = ["queries", f"{stack}.layer1.cross0.w_offset", f"{stack}.layer1.sa.wq"]
+        variants = {n: Tensor(np.array([ps[n].data for ps in sets])) for n in names}
+        batched = model.forward(pyramid, refs, variants=variants)
         assert len(batched) == len(sets)
         for params, emb in zip(sets, batched):
             own = ReIDTransformer(cfg, params).forward(pyramid, refs)
