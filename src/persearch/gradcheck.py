@@ -241,17 +241,15 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
     """
     model, pyramid, refs, labels, states = _full_model_problem()
 
-    def scale_rows(embs, scale: int) -> Tensor:
+    def scale_rows(emb, scale: int, sets: int = 1) -> Tensor:
         """Focal OIM of every labeled row at one scale, set after set."""
-        rows = tt.tile_rows([emb.per_scale[scale] for emb in embs], 1)
-        return focal_oim_rows(
-            tt.l2_normalize_rows(rows), labels * len(embs), states[scale], gamma=2.0
-        )
+        rows = tt.l2_normalize_rows(emb.per_scale[scale])
+        return focal_oim_rows(rows, labels * sets, states[scale], gamma=2.0)
 
     names = sorted(model.params)
     with GradTape() as tape:
         emb = model.forward(pyramid, refs)
-        means = [tt.mean_all(scale_rows([emb], s)) for s in range(len(states))]
+        means = [tt.mean_all(scale_rows(emb, s)) for s in range(len(states))]
         out = tt.scale(functools.reduce(tt.add, means), 1.0 / len(states))
         analytic = tape.gradients(out, [model.params[n] for n in names])
     if corrupt:
@@ -259,15 +257,16 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
 
     def probe_losses(name):
         """All probes of one tensor through one forward, as that tensor's
-        variants, and each scale's loss over all of them at once.  The per-probe means add up
-        in the order of the taped loss above, so a probe's value equals
-        that loss evaluated at the probe."""
+        variants, and each scale's loss over all of them at once.  The
+        forward runs each probe only from the first sublayer it changes.
+        The per-probe means add up in the order of the taped loss above, so
+        a probe's value equals that loss evaluated at the probe."""
 
         def f(probes):
             values = Tensor(np.array([p.data for p in probes]))
-            embs = model.forward(pyramid, refs, variants={name: values})
+            emb = model.forward(pyramid, refs, variants={name: values})
             means = [
-                scale_rows(embs, s).data.reshape(len(embs), -1).mean(axis=1)
+                scale_rows(emb, s, len(probes)).data.reshape(len(probes), -1).mean(axis=1)
                 for s in range(len(states))
             ]
             return [Tensor(v) for v in functools.reduce(np.add, means) * (1.0 / len(states))]

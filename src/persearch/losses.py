@@ -125,15 +125,17 @@ def _check_oim_inputs(features: Tensor, labels: Sequence[int], state: OIMState):
     if len(labels) != features.shape[0]:
         raise ValueError("one label per feature row is required")
     norms = np.linalg.norm(features.data, axis=1)
-    for i, label in enumerate(labels):
-        if label >= state.num_labeled:
-            raise ValueError(f"identity {label} outside table of {state.num_labeled}")
-        if label < BACKGROUND:
-            raise ValueError(f"unknown label marker {label}")
-        if label != BACKGROUND and abs(norms[i] - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(
-                f"row {i} entering OIM must be unit-norm, got {norms[i]:.8f}"
-            )
+    table = state.num_labeled
+    ids = np.array(labels, dtype=np.int64).reshape(-1)
+    off_norm = (ids != BACKGROUND) & (np.abs(norms - 1.0) > _UNIT_NORM_TOL)
+    bad = np.flatnonzero((ids >= table) | (ids < BACKGROUND) | off_norm)
+    if bad.size:
+        i = int(bad[0])  # the first bad row, checked in the order below
+        if labels[i] >= table:
+            raise ValueError(f"identity {labels[i]} outside table of {table}")
+        if labels[i] < BACKGROUND:
+            raise ValueError(f"unknown label marker {labels[i]}")
+        raise ValueError(f"row {i} entering OIM must be unit-norm, got {norms[i]:.8f}")
 
 
 def focal_oim_rows(

@@ -306,23 +306,20 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _emit(np.concatenate([p.data for p in parts], axis=1), parts, vjp)
 
 
-def tile_rows(x: Tensor | Sequence[Tensor], reps: int) -> Tensor:
+def tile_rows(x: Tensor, reps: int) -> Tensor:
     """Stack ``reps`` copies of a rank-2 tensor: (n, d) -> (reps * n, d).
 
-    ``x`` may also be a (K, n, d) tensor or a sequence of K equal-shape
-    tensors; each (n, d) block is then repeated ``reps`` times in turn,
-    giving (K * reps * n, d).  One copy of one rank-2 tensor is ``x`` itself
-    and records nothing.
+    ``x`` may also be a (K, n, d) tensor; each (n, d) block is then
+    repeated ``reps`` times in turn, giving (K * reps * n, d).  One copy of
+    a rank-2 tensor is ``x`` itself and records nothing.
     """
-    parts = (x,) if isinstance(x, Tensor) else tuple(x)
-    if not parts or reps < 1 or parts[0].ndim not in (2, 3) or any(p.shape != parts[0].shape for p in parts):
-        raise ValueError(f"cannot tile {len(parts)} equal rank-2 or rank-3 tensors {reps} times")
-    if len(parts) == 1 and reps == 1 and parts[0].ndim == 2:
-        return parts[0]
-    n, d = parts[0].shape[-2:]
-    data = np.array([p.data for p in parts]).reshape(-1, n, d)
-    split = lambda g: tuple(g.reshape(-1, reps, n, d).sum(axis=1).reshape(len(parts), *parts[0].shape))
-    return _emit(np.repeat(data, reps, axis=0).reshape(-1, d), parts, split)
+    if reps < 1 or x.ndim not in (2, 3):
+        raise ValueError(f"cannot tile a {x.shape} tensor {reps} times")
+    if reps == 1 and x.ndim == 2:
+        return x
+    n, d = x.shape[-2:]
+    split = lambda g: (g.reshape(-1, reps, n, d).sum(axis=1).reshape(x.shape),)
+    return _emit(np.repeat(x.data.reshape(-1, n, d), reps, axis=0).reshape(-1, d), (x,), split)
 
 
 def split_rows(x: Tensor, parts: int) -> tuple[Tensor, ...]:
@@ -489,6 +486,13 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 # index uses ceil(x) - 1 rather than floor(x): the interpolated value is
 # identical, but exactly on a grid line the derivative becomes the left-cell
 # one, which fixes the subgradient choice at the (measure-zero) ties.
+#
+# The kernel reads corners from one channel-last table: the pixels of every
+# map, one row each, then a single zero row that every out-of-bounds corner
+# indexes.  The padding is exact: an out-of-bounds corner reads that zero
+# row, never a pixel times a zero weight, so a non-finite pixel cannot leak
+# into it.  The map gradient is scattered into the same layout, and the
+# pad row's bins are dropped.
 
 
 # Corner offsets in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1).
@@ -502,20 +506,17 @@ def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
     ``pts`` is (B, Q, 2) as (x, y), with B a multiple of M; block b samples
     ``maps[b % M]``, so each map is read once however many blocks share
     it.  Returns (B * Q, C) plus residuals.  The four corners of every
-    point are read with one gather from the maps' flattened concatenation;
-    corners outside their map read as zero and get zero weight.
+    point are read with one gather from the zero-padded table above;
+    corners outside their map read the zero row and get zero weight.
     """
     m = len(maps)
     c = maps[0].shape[0]
     hs = np.array([f.shape[1] for f in maps])[:, None]  # (M, 1)
     ws = np.array([f.shape[2] for f in maps])[:, None]
-    starts = np.cumsum(hs * ws) - hs[:, 0] * ws[:, 0]
-    flat_maps = (
-        maps[0].reshape(c, -1)
-        if m == 1
-        else np.concatenate([f.reshape(c, -1) for f in maps], axis=1)
-    )
-    # Each block's map extent, (B, 1), and start in the concatenation, (B,).
+    sizes = hs[:, 0] * ws[:, 0]
+    starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
+    table = np.concatenate([f.reshape(c, -1).T for f in maps] + [np.zeros((1, c))])  # (total + 1, C)
+    # Each block's map extent, (B, 1), and first row in the table, (B,).
     reps = pts.shape[0] // m
     hs, ws, starts = np.tile(hs, (reps, 1)), np.tile(ws, (reps, 1)), np.tile(starts, reps)
     xs, ys = pts[..., 0], pts[..., 1]
@@ -523,16 +524,12 @@ def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
     y0 = np.ceil(ys).astype(np.intp) - 1
     cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, B, Q)
     inb = ((cx >= 0) & (cx < ws) & (cy >= 0) & (cy < hs)).reshape(4, -1)
-    flat = (
-        starts[:, None]
-        + np.minimum(np.maximum(cy, 0), hs - 1) * ws
-        + np.minimum(np.maximum(cx, 0), ws - 1)
-    ).reshape(4, -1)
-    vals = np.where(inb, flat_maps[:, flat], 0.0)  # (C, 4, P)
+    flat = np.where(inb, (starts[:, None] + cy * ws + cx).reshape(4, -1), total)  # (4, P)
+    vals = np.take(table, flat, axis=0)  # (4, P, C)
     dx, dy = (xs - x0).reshape(-1), (ys - y0).reshape(-1)
     ex, ey = 1.0 - dx, 1.0 - dy
     wts = np.array([ex * ey, dx * ey, ex * dy, dx * dy]) * inb  # (4, P)
-    out = np.einsum("ckp,kp->pc", vals, wts)  # (P, C)
+    out = np.einsum("kpc,kp->pc", vals, wts)  # (P, C)
     return out, (flat, wts, dx, dy, vals)
 
 
@@ -547,24 +544,24 @@ def _bilinear_vjp(map_shapes, res, g, want_maps: Sequence[bool] | None = None):
     if want_maps is None:
         want_maps = [True] * len(map_shapes)
     flat, wts, dx, dy, vals = res
-    gv = np.einsum("pc,ckp->kp", g, vals)  # g . corner value, (4, P)
+    gv = np.einsum("pc,kpc->kp", g, vals)  # g . corner value, (4, P)
     gx = (1.0 - dy) * (gv[1] - gv[0]) + dy * (gv[3] - gv[2])
     gy = (1.0 - dx) * (gv[2] - gv[0]) + dx * (gv[3] - gv[1])
     g_pts = np.stack([gx, gy], axis=1)  # (P, 2)
     if not any(want_maps):
         return [None] * len(map_shapes), g_pts
 
-    # One scatter for all channels, corners and maps: channel c of flat
-    # pixel i of the concatenation lands in bin c * total + i.
+    # One scatter for all channels, corners and maps: channel c of table
+    # row i lands in bin i * C + c, and the pad row's bins are dropped.
     c = map_shapes[0][0]
     sizes = [h * w for _, h, w in map_shapes]
     total = sum(sizes)
-    bins = (np.arange(c)[:, None, None] * total + flat).reshape(-1)
-    contrib = (g.T[:, None, :] * wts).reshape(-1)
-    g_flat = np.bincount(bins, weights=contrib, minlength=c * total).reshape(c, total)
+    bins = (flat[..., None] * c + np.arange(c)).reshape(-1)
+    contrib = (wts[..., None] * g).reshape(-1)
+    g_table = np.bincount(bins, weights=contrib, minlength=c * (total + 1))[: c * total].reshape(total, c)
     ends = np.cumsum(sizes)
     g_maps = [
-        g_flat[:, end - size : end].reshape(shape) if want else None
+        g_table[end - size : end].T.reshape(shape) if want else None
         for shape, size, end, want in zip(map_shapes, sizes, ends, want_maps)
     ]
     return g_maps, g_pts

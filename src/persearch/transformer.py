@@ -147,6 +147,7 @@ def reid_layer_forward(
     refs: Sequence[ReferencePoint],
     maps: Sequence[Tensor],
     layer: ReIDLayerParams,
+    sublayers: slice = slice(None),
 ) -> Tensor:
     """One transformer layer: optional self-attention, then K cross sublayers.
 
@@ -154,16 +155,20 @@ def reid_layer_forward(
     ``layer`` is then shared by every block or holds one value per block
     along a leading axis of G, block g reads run g mod R of the R runs of
     ``num_levels`` maps, and self-attention mixes rows only within a block.
+    ``sublayers`` runs only that slice of the layer's sublayers, in the
+    order self-attention (when present), cross0, cross1, ...
     """
     if y.ndim != 2 or not refs or y.shape[0] % len(refs) != 0:
         raise ValueError(f"{y.shape} rows do not form blocks of {len(refs)} queries")
     blocks = y.shape[0] // len(refs)
+    steps = []  # (sublayer, its residual norm) in order
     if layer.self_attn is not None:
-        sub = multi_head_self_attention(y, layer.self_attn, blocks)
-        y = residual_layernorm(y, sub, *layer.self_attn_norm, blocks)
+        steps.append((lambda y: multi_head_self_attention(y, layer.self_attn, blocks), layer.self_attn_norm))
     for params, norm in zip(layer.cross, layer.cross_norms):
         deform = deform_attn if params.num_levels == 1 else multiscale_deform_attn
-        y = residual_layernorm(y, deform(y, refs, maps, params, blocks), *norm, blocks)
+        steps.append((lambda y, f=deform, p=params: f(y, refs, maps, p, blocks), norm))
+    for attend, norm in steps[sublayers]:
+        y = residual_layernorm(y, attend(y), *norm, blocks)
     return y
 
 
@@ -328,12 +333,24 @@ class ReIDTransformer:
                 params[f"stack.{field}"] = tt.stack(parts * repeats, self.params[name].shape, sets)
         return params
 
+    def _first_reader(self, name: str) -> tuple[int, int]:
+        """(layer, sublayer) of the first sublayer that reads parameter
+        ``name``, counting sublayers as :func:`reid_layer_forward` does;
+        (0, 0) for the queries."""
+        if name == "queries":
+            return 0, 0
+        _, layer, sub, _ = name.split(".")
+        m = int(layer.removeprefix("layer"))
+        if sub in ("sa", "sa_norm"):
+            return m, 0
+        return m, int(sub.removeprefix("cross").removesuffix("_norm")) + self.config.has_self_attention(m)
+
     def forward(
         self,
         pyramid: Sequence[Tensor],
         refs: Sequence[ReferencePoint],
         variants: dict[str, Tensor] | None = None,
-    ) -> ReIDEmbeddings | list[ReIDEmbeddings]:
+    ) -> ReIDEmbeddings:
         """Refine the query set against the pyramid; returns per-scale rows.
 
         The per-level schemes run one block of query rows per level through
@@ -342,25 +359,49 @@ class ReIDTransformer:
         ``variants`` maps a few parameter names to B values each, (B, *shape),
         and evaluates the B parameter sets they define in one pass over the
         scene: set b is the model's own parameters with each named tensor at
-        its b-th value, and adds its own row blocks.  The result is then a
-        list of one ``ReIDEmbeddings`` per set, each bit-identical to that
-        set's own forward.  The gradient check evaluates its probes this way.
+        its b-th value.  The sublayers before the first one that reads a
+        named tensor compute the same rows for every set, so they run once
+        on the model's own parameters; their output is then tiled to B sets,
+        and each set adds its own row blocks from there on.  ``per_scale[s]``
+        of the result is then (B * N, d), the N rows of each set in turn,
+        and each set's rows are bit-identical to that set's own forward.
+        The gradient check evaluates its probes this way.
         """
         cfg = self.config
         self._check_inputs(pyramid, refs)
-        named = variants or {}
-        sets, *others = {t.shape[0] for t in named.values()} or {1}
-        if others or any(n not in self.params or t.shape[1:] != self.params[n].shape for n, t in named.items()):
-            raise ValueError("each variant must stack B values of a model tensor, one B for all")
-        params = self._block_params(named, sets)
         scales = cfg.output_scales
-        queries = params["queries"]  # (N, d), or (B, N, d) when it varies
-        y = tt.tile_rows(queries, scales if queries.ndim == 3 else sets * scales)
+        variants = variants or {}
+        sets, *others = {t.shape[0] for t in variants.values()} or {1}
+        if not sets or others or any(
+            n not in self.params or t.shape[1:] != self.params[n].shape for n, t in variants.items()
+        ):
+            raise ValueError("each variant must stack B values of a model tensor, one B for all")
+        one = self._block_params({}, 1)
+        many = self._block_params(variants, sets) if variants else one
+        # With no variants every layer runs on ``one`` and nothing is tiled.
+        tile_layer, tile_at = min((self._first_reader(n) for n in variants), default=(cfg.m_layers, 0))
+        # (B, N, d) queries when they vary, so every block is its own from the start.
+        y = tt.tile_rows(many["queries"], scales)
         for m in range(cfg.m_layers):
-            y = reid_layer_forward(y, refs, pyramid, self._layer_view("stack", m, params))
-        rows = tt.split_rows(y, sets * scales)
-        out = [ReIDEmbeddings(rows[b * scales : (b + 1) * scales], cfg.scheme) for b in range(sets)]
-        return out[0] if variants is None else out
+            if m < tile_layer:
+                y = reid_layer_forward(y, refs, pyramid, self._layer_view("stack", m, one))
+                continue
+            layer = self._layer_view("stack", m, many)
+            if m == tile_layer and "queries" not in variants:
+                # With one stack, ``many`` holds the model's own tensors for
+                # every sublayer before the tile, so one view serves both.
+                before = layer if one is self.params else self._layer_view("stack", m, one)
+                y = tt.tile_rows(reid_layer_forward(y, refs, pyramid, before, slice(tile_at)), sets)
+                y = reid_layer_forward(y, refs, pyramid, layer, slice(tile_at, None))
+            else:
+                y = reid_layer_forward(y, refs, pyramid, layer)
+        if sets == 1 or scales == 1:
+            return ReIDEmbeddings(tt.split_rows(y, scales), cfg.scheme)
+        # Block b * S + s holds scale s of set b.
+        rows = np.arange(y.shape[0]).reshape(sets, scales, -1)
+        return ReIDEmbeddings(
+            tuple(tt.take_rows(y, rows[:, s].reshape(-1)) for s in range(scales)), cfg.scheme
+        )
 
     def matching_embeddings(
         self,

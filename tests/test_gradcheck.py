@@ -20,7 +20,7 @@ from persearch.gradcheck import (
 )
 from persearch.losses import focal_oim_loss
 from persearch.tensor import Tensor
-from persearch.transformer import ReIDTransformer
+from persearch.transformer import ReIDEmbeddings, ReIDTransformer
 
 
 class TestBlocks:
@@ -192,8 +192,12 @@ class TestBatchedLoss:
                 "stack.layer0.cross0_norm.beta",
             ):
                 variants = {name: Tensor(np.array([p.data for p in probes]))}
-                embs = model.forward(pyramid, refs, variants=variants)
-                want = [old_probe_loss(emb, labels, states).item() for emb in embs]
+                emb = model.forward(pyramid, refs, variants=variants)
+                n = len(refs)
+                own = lambda b: ReIDEmbeddings(
+                    tuple(Tensor(t.data[b * n : (b + 1) * n]) for t in emb.per_scale), emb.scheme
+                )
+                want = [old_probe_loss(own(b), labels, states).item() for b in range(len(probes))]
                 assert np.array_equal(values, want), name
                 checked += 1
         assert checked == 4

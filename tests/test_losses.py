@@ -222,6 +222,37 @@ class TestFocalOIMRows:
             focal_oim_rows(Tensor(unit_rows(rng, 1, 6)), [0], s, gamma=-1.0)
 
 
+    def test_reports_the_first_bad_row_as_a_row_loop_would(self):
+        def loop_message(feats, labels, state):
+            """The message of a check row by row, in row order; None if none fails."""
+            norms = np.linalg.norm(feats, axis=1)
+            for i, label in enumerate(labels):
+                if label >= state.num_labeled:
+                    return f"identity {label} outside table of {state.num_labeled}"
+                if label < BACKGROUND:
+                    return f"unknown label marker {label}"
+                if label != BACKGROUND and abs(norms[i] - 1.0) > 1e-6:
+                    return f"row {i} entering OIM must be unit-norm, got {norms[i]:.8f}"
+            return None
+
+        rng = np.random.default_rng(80)
+        s = fresh_state(rng)
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            feats = unit_rows(rng, n, 6) * rng.choice([1.0, 1.0, 1.0, 1.5], size=(n, 1))
+            labels = rng.integers(-4, 6, size=n).tolist()
+            want = loop_message(feats, labels, s)
+            if want is None:
+                focal_oim_rows(Tensor(feats), labels, s)
+                continue
+            with pytest.raises(ValueError) as err:
+                focal_oim_rows(Tensor(feats), labels, s)
+            assert str(err.value) == want
+            raised += 1
+        assert 0 < raised < 300
+
+
 class TestFocalOIM:
     def test_gamma_zero_equals_plain(self):
         # At gamma = 0 the loss is the plain OIM cross-entropy over the

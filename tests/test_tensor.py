@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import bilinear_oracle
 from persearch import tensor as T
 from persearch.tensor import GradTape, Tensor
 
@@ -169,6 +170,14 @@ class TestBilinear:
         out = sample_at(fmap, -10.0, -10.0)
         np.testing.assert_array_equal(out, np.zeros(3))
 
+    def test_out_of_bounds_corners_ignore_non_finite_pixels(self):
+        # Every corner of (-10, -10) is outside the map, so the sample is
+        # exactly zero, however non-finite the nearest pixel is.
+        fmap = np.ones((3, 5, 6))
+        fmap[:, 0, 0] = np.inf
+        out = sample_at(Tensor(fmap), -10.0, -10.0)
+        assert np.array_equal(out, np.zeros(3))
+
     def test_edge_partial_zero_padding(self):
         fmap = Tensor(np.ones((1, 3, 3)))
         # Half a pixel past the left edge: only the right corners are in
@@ -217,6 +226,40 @@ class TestBilinear:
             out = T.sum_all(T.bilinear_sample_rows(fmap, pt))
         (g,) = tape.gradients(out, [pt])
         assert g[0, 0] == pytest.approx(4.0 - 1.0, abs=1e-12)
+
+
+def kernel_rows(maps, pts):
+    """The multi-map kernel as one taped op: block b of the (B, Q, 2)
+    points samples maps[b % len(maps)]."""
+    out, res = T._bilinear_forward([m.data for m in maps], pts.data)
+    shapes = [m.shape for m in maps]
+
+    def vjp(g):
+        g_maps, g_pts = T._bilinear_vjp(shapes, res, g)
+        return (*g_maps, g_pts.reshape(pts.shape))
+
+    return T._emit(out, (*maps, pts), vjp)
+
+
+class TestBilinearKernel:
+    """Several maps of different sizes in one call, points straddling the
+    2x2 map's edges, so every map has corners in and out of bounds."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(14)
+        self.maps = [rand(self.rng, 2, *hw) for hw in ((2, 2), (3, 4), (4, 3))]
+        self.pts = Tensor(self.rng.uniform(-1.2, 2.2, size=(6, 5, 2)))
+
+    def test_matches_oracle_per_block(self):
+        out = kernel_rows(self.maps, self.pts).data.reshape(6, 5, 2)
+        for b in range(6):
+            fmap = self.maps[b % 3].data
+            for q, (x, y) in enumerate(self.pts.data[b]):
+                np.testing.assert_allclose(out[b, q], bilinear_oracle(fmap, x, y), rtol=0, atol=1e-12)
+
+    def test_point_and_map_gradients(self):
+        w = rand(self.rng, 30, 2)
+        check_grads(lambda *args: T.sum_all(T.mul(kernel_rows(args[:3], args[3]), w)), [*self.maps, self.pts])
 
 
 class TestGradients:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from persearch import tensor as T
+from persearch import transformer
 from persearch.attention import ReferencePoint
 from persearch.tensor import GradTape, Tensor
 from persearch.transformer import (
@@ -256,6 +257,13 @@ class TestLevelBatching:
             assert rel <= 1e-12, (name, rel)
 
 
+def set_rows(emb, sets):
+    """Each set's per-scale rows in a ``forward(variants=...)`` result,
+    whose ``per_scale[s]`` holds the rows of every set in turn."""
+    n = emb.per_scale[0].shape[0] // sets
+    return [[t.data[b * n : (b + 1) * n] for t in emb.per_scale] for b in range(sets)]
+
+
 class TestParameterSets:
     """``forward(variants=...)`` runs several parameter sets as one batch."""
 
@@ -279,16 +287,58 @@ class TestParameterSets:
         names = ["queries", f"{stack}.layer1.cross0.w_offset", f"{stack}.layer1.sa.wq"]
         variants = {n: Tensor(np.array([ps[n].data for ps in sets])) for n in names}
         batched = model.forward(pyramid, refs, variants=variants)
-        assert len(batched) == len(sets)
-        for params, emb in zip(sets, batched):
+        assert batched.scheme == scheme
+        assert all(t.shape[0] == len(sets) * cfg.num_queries for t in batched.per_scale)
+        per_set = set_rows(batched, len(sets))
+        for params, rows in zip(sets, per_set):
             own = ReIDTransformer(cfg, params).forward(pyramid, refs)
-            assert emb.scheme == scheme
-            assert len(emb.per_scale) == len(own.per_scale) == cfg.output_scales
-            for a, b in zip(emb.per_scale, own.per_scale):
-                assert np.array_equal(a.data, b.data)
-        base = batched[0].per_scale[-1].data
-        for emb in batched[1:]:
-            assert not np.array_equal(emb.per_scale[-1].data, base)
+            assert len(rows) == len(own.per_scale) == cfg.output_scales
+            for a, b in zip(rows, own.per_scale):
+                assert np.array_equal(a, b.data)
+        base = per_set[0][-1]
+        for rows in per_set[1:]:
+            assert not np.array_equal(rows[-1], base)
+
+    # Each name with the index of the first sublayer that reads it, counting
+    # layer0.sa (when the config has it), layer0.cross0, layer0.cross1,
+    # layer1.sa (when it has it), ...
+    @pytest.mark.parametrize(
+        "attn, name, first",
+        [
+            ({"skip_first_self_attention": False}, "layer0.sa_norm.beta", 0),
+            ({"skip_first_self_attention": False}, "layer0.cross1.w_out", 2),
+            ({"skip_first_self_attention": False}, "layer1.cross0_norm.gamma", 4),
+            ({"skip_first_self_attention": True}, "layer0.cross1.w_out", 1),
+            ({"skip_first_self_attention": True}, "layer1.sa_norm.beta", 2),
+            ({"skip_first_self_attention": True}, "layer1.cross0_norm.gamma", 3),
+            ({"use_self_attention": False}, "layer1.cross0_norm.gamma", 2),
+        ],
+    )
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sets_run_from_the_first_sublayer_they_vary(self, scheme, attn, name, first, monkeypatch):
+        rng = np.random.default_rng(51)
+        cfg = tiny_config(scheme=scheme, **attn)
+        total = cfg.m_layers * cfg.k_cross + sum(map(cfg.has_self_attention, range(cfg.m_layers)))
+        model = ReIDTransformer.init(cfg, seed=13, style="random")
+        pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
+        name = ("stack1." if scheme == "parallel" else "stack.") + name
+        values = model.params[name].data + 0.1 * rng.standard_normal((3, *model.params[name].shape))
+        blocks = []
+        norm = transformer.residual_layernorm
+
+        def counting(y, sub, gamma, beta, g):
+            blocks.append(g)
+            return norm(y, sub, gamma, beta, g)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(transformer, "residual_layernorm", counting)
+            batched = model.forward(pyramid, refs, variants={name: Tensor(values)})
+        scales = cfg.output_scales
+        assert blocks == [scales] * first + [3 * scales] * (total - first)
+        for value, rows in zip(values, set_rows(batched, 3)):
+            own = ReIDTransformer(cfg, {**model.params, name: Tensor(value)}).forward(pyramid, refs)
+            for a, b in zip(rows, own.per_scale, strict=True):
+                assert np.array_equal(a, b.data)
 
 
 class TestCheckpoint:
