@@ -57,7 +57,6 @@ __all__ = [
     "residual_layernorm",
     "deform_attn",
     "multiscale_deform_attn",
-    "deform_attention_weights",
     "ring_offset_bias",
 ]
 
@@ -154,7 +153,7 @@ def multi_head_self_attention(y: Tensor, params: MultiHeadAttnParams, blocks: in
     inv_sqrt_dk = 1.0 / math.sqrt(params.head_dim)
     yd = y.data.reshape(blocks, 1, n, -1)
     q, k, v = yd @ wq, yd @ wk, yd @ wv  # (G, H, N, d_k)
-    p = _softmax_last((q @ k.swapaxes(2, 3)) * inv_sqrt_dk)  # (G, H, N, N)
+    p = tt._softmax_last((q @ k.swapaxes(2, 3)) * inv_sqrt_dk)  # (G, H, N, N)
     heads = (p @ v).transpose(0, 2, 1, 3).reshape(blocks, n, -1)  # (G, N, H*d_k), head-major
 
     def vjp(g):
@@ -296,7 +295,7 @@ def _deform_core(
 
     zd = z.data.reshape(g_count, n, -1)
     offsets = (zd @ w_offset + b_offset).reshape(g_count, n, h, lv, s, 2)
-    attn = _softmax_last((zd @ w_weight + b_weight).reshape(g_count * n, h, -1))  # (G*N, H, L*S)
+    attn = tt._softmax_last((zd @ w_weight + b_weight).reshape(g_count * n, h, -1))  # (G*N, H, L*S)
 
     # Every (block, level) pair samples its map at N*H*S points, all with
     # one kernel call; the point blocks run block-major, then level.
@@ -379,15 +378,3 @@ def multiscale_deform_attn(
     of the R runs of ``num_levels`` consecutive maps in ``pyramid``.
     """
     return _deform_core(z, refs, list(pyramid), params, blocks)
-
-
-def deform_attention_weights(z: Tensor, params: DeformAttnParams) -> np.ndarray:
-    """Normalized sampling weights, shape (N, H, S*L); diagnostics helper."""
-    n, h = z.shape[0], params.num_heads
-    logits = z.data @ params.w_weight.data + params.b_weight.data
-    return _softmax_last(logits.reshape(n, h, -1))
-
-
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)

@@ -11,7 +11,6 @@ is printed to stdout only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -20,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig, load_run_config
 from .data import load_benchmark, make_benchmark
-from .errors import ConfigError, DataError, GradcheckFailure, NumericError
+from .errors import ConfigError, DataError, GradcheckFailure, NumericError, write_manifest
 from .evaluation import cbgm_rerank, evaluate, gallery_sweep, write_results_csv
 from .gradcheck import format_results, raise_on_failure, run_gradcheck
 from .training import (
@@ -35,12 +34,6 @@ from .training import (
 from .transformer import ReIDTransformer
 
 __all__ = ["main"]
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _load_config(args) -> RunConfig:
@@ -86,7 +79,7 @@ def cmd_train(args) -> int:
         "initial": result.curve[0],
         "final": result.curve[-1],
     }
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    write_manifest(os.path.join(args.out, "summary.json"), summary)
     print(
         f"trained {cfg.train.steps} steps in {dt:.1f}s; total loss "
         f"{result.curve[0]['total']:.4f} -> {result.curve[-1]['total']:.4f}"
@@ -130,7 +123,7 @@ def cmd_eval(args) -> int:
         "num_gallery_entries": len(entries),
         **_metrics_dict(result),
     }
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    write_manifest(os.path.join(args.out, "summary.json"), summary)
     top1 = result.cmc.get(1)
     print(f"mAP={result.mean_ap:.4f} top-1={top1:.4f} over {len(queries)} queries")
     return 0
@@ -160,7 +153,7 @@ def cmd_sweep(args) -> int:
         "sizes": sizes,
         "results": {str(s): _metrics_dict(swept[s]) for s in sizes},
     }
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    write_manifest(os.path.join(args.out, "summary.json"), summary)
     for size in sizes:
         print(f"size={size} mAP={swept[size].mean_ap:.4f} top-1={swept[size].cmc[1]:.4f}")
     return 0

@@ -18,7 +18,6 @@ runs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -26,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import Box, iou
-from .errors import ConfigError, DataError, read_manifest, reading
+from .errors import ConfigError, DataError, read_manifest, reading, write_manifest
 from .losses import UNLABELED
 from .tensor import Tensor, read_blob, write_blob
 
@@ -387,9 +386,7 @@ def make_benchmark(cfg: BenchmarkConfig, out_dir) -> Benchmark:
             for sid in sorted(scenes)
         ],
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     return bench
 
 

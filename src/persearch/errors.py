@@ -8,7 +8,9 @@ gradient check exits 4.
 import json
 from contextlib import contextmanager
 
-__all__ = ["ConfigError", "DataError", "NumericError", "GradcheckFailure", "reading", "read_manifest"]
+__all__ = [
+    "ConfigError", "DataError", "NumericError", "GradcheckFailure", "reading", "read_manifest", "write_manifest"
+]
 
 
 class ConfigError(Exception):
@@ -53,3 +55,12 @@ def read_manifest(path, kind: str) -> dict:
     if not isinstance(manifest, dict) or manifest.get("kind") != kind:
         raise DataError(f"{path} is not a {kind} manifest")
     return manifest
+
+
+def write_manifest(path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as JSON with sorted keys, one-space
+    indents and a final newline: the layout of every manifest and summary
+    this program writes, so equal payloads give equal bytes."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")

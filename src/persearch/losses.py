@@ -12,7 +12,9 @@ The focal variant reweights each labeled row by (1 - p_t)^gamma, applied to
 the final softmax probability, so easy rows fade out of the gradient.  With
 gamma = 0 it is exactly the plain OIM loss, state updates included.
 ``focal_oim_rows`` gives the per-row values without the state update, so a
-caller can score many batches stacked into one.
+caller can score many batches stacked into one.  It records one taped
+primitive per call, with a hand-written VJP for the features; the lookup
+table and queue are constants of the step.
 
 ``total_loss`` combines the four training components cls/iou/l1/oim with
 the standard weights (2.0, 5.0, 2.0, 0.5).
@@ -149,26 +151,43 @@ def focal_oim_rows(
     Runs every input check and leaves ``state`` as it is.  Returns a rank-1
     tensor with one value per labeled row; it is empty (and records
     nothing) when no row is labeled.
+
+    One taped primitive whose VJP returns the gradient of ``features``
+    only: the class matrix is a constant.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     labels = [int(l) for l in id_labels]
     _check_oim_inputs(features, labels, state)
-    labeled_rows = [i for i, l in enumerate(labels) if l >= 0]
-    if not labeled_rows:
+    rows = np.array([i for i, l in enumerate(labels) if l >= 0], dtype=np.intp)
+    if not rows.size:
         return Tensor(np.zeros(0))
 
-    classes = Tensor(state.class_matrix().T)  # (dim, L + queue_len), constant
-    picked = tt.take_rows(features, labeled_rows)
-    logits = tt.scale(tt.matmul(picked, classes), 1.0 / state.tau)
-    probs = tt.softmax_rows(logits)
-    targets = [labels[i] for i in labeled_rows]
-    p_t = tt.gather_pairs(probs, list(range(len(targets))), targets)
-    nll = tt.scale(tt.log(p_t), -1.0)
-    if gamma > 0.0:
-        hard = tt.powc(tt.add_scalar(tt.scale(p_t, -1.0), 1.0), gamma)
-        return tt.mul(nll, hard)
-    return nll
+    # (dim, L + queue_len), C-contiguous: products with a transposed view
+    # round differently.
+    classes = np.ascontiguousarray(state.class_matrix().T)
+    inv_tau, c, focal = 1.0 / state.tau, float(gamma), gamma > 0.0
+    picks = (np.arange(rows.size), np.array([labels[i] for i in rows], dtype=np.intp))
+    p = tt._softmax_last((features.data[rows] @ classes) * inv_tau)
+    p_t = p[picks]
+    nll = -np.log(p_t)
+    q = 1.0 - p_t
+    hard = q**c if focal else None
+
+    def vjp(g):
+        # The chain rule op by op, from the focal factor q^gamma and the
+        # log back through the target pick, the softmax, the 1/tau scale,
+        # the class product and the row pick.
+        g_log = -(g * hard if focal else g) / p_t
+        g_p_t = g_log - (g * nll) * c * q ** (c - 1.0) if focal else g_log
+        g_p = np.zeros(p.shape)
+        np.add.at(g_p, picks, g_p_t)
+        g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * inv_tau
+        g_features = np.zeros(features.shape)
+        np.add.at(g_features, rows, g_logits @ classes.T)
+        return (g_features,)
+
+    return tt._emit(nll * hard if focal else nll, (features,), vjp)
 
 
 def focal_oim_loss(

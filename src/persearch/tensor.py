@@ -9,12 +9,13 @@ to any participating tensor can be recovered by replaying the tape in
 reverse.  Without an active tape the same functions run eagerly and keep no
 graph, which is what evaluation uses.
 
-The set of primitives is deliberately small: matrix products, the handful of
-shape tools the attention stack needs, row softmax, layer norm, bilinear
-feature-map sampling, and l2 normalization.  Each analytic gradient here is
-validated against central differences by ``central_diff_gradcheck``.
-Larger fused primitives elsewhere in the package (the attention sublayers)
-record themselves through the same ``_emit`` hook with their own VJPs.
+The set of primitives is deliberately small: elementwise arithmetic, the
+handful of shape tools the model needs, layer norm, bilinear feature-map
+sampling, and l2 normalization.  Each analytic gradient here is validated
+against central differences by ``central_diff_gradcheck``.  Larger fused
+primitives elsewhere in the package (the attention sublayers and the focal
+OIM loss) record themselves through the same ``_emit`` hook with their own
+VJPs, and share the numpy softmax ``_softmax_last``.
 """
 
 from __future__ import annotations
@@ -29,13 +30,11 @@ import numpy as np
 __all__ = [
     "Tensor",
     "GradTape",
-    "matmul",
     "add",
     "add_scalar",
     "scale",
     "mul",
     "powc",
-    "log",
     "sum_all",
     "mean_all",
     "concat_cols",
@@ -43,8 +42,6 @@ __all__ = [
     "split_rows",
     "stack",
     "take_rows",
-    "gather_pairs",
-    "softmax_rows",
     "layer_norm",
     "l2_normalize_rows",
     "bilinear_sample_rows",
@@ -198,22 +195,8 @@ def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], vjp, selective: bool = F
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# arithmetic and shapes
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, (m,k) @ (k,n) -> (m,n)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 tensors, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return g @ bd.T, ad.T @ g
-
-    return _emit(ad @ bd, (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -270,13 +253,6 @@ def powc(x: Tensor, c: float) -> Tensor:
         return (g * c * xd ** (c - 1.0),)
 
     return _emit(yd, (x,), vjp)
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    if np.any(xd <= 0.0):
-        raise ValueError("log requires strictly positive inputs")
-    return _emit(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -382,41 +358,16 @@ def take_rows(x: Tensor, idx: Sequence[int]) -> Tensor:
     return _emit(x.data[idx].copy(), (x,), vjp)
 
 
-def gather_pairs(x: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
-    """Pick entries x[rows[i], cols[i]] into a rank-1 tensor."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if rows.shape != cols.shape:
-        raise ValueError("rows and cols must have equal length")
-    shape = x.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        np.add.at(full, (rows, cols), g)
-        return (full,)
-
-    return _emit(x.data[rows, cols].copy(), (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # normalizations
 # ---------------------------------------------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis of a 1-D or 2-D tensor."""
-    if x.ndim not in (1, 2):
-        raise ValueError("softmax_rows expects a rank-1 or rank-2 tensor")
-    xd = x.data
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _emit(p, (x,), vjp)
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis of a numpy array; the
+    fused primitives (attention, focal OIM) apply it inside their own ops."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, blocks: int = 1, eps: float = 1e-5) -> Tensor:
@@ -597,24 +548,23 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def numeric_gradient(
-    f: Callable[[list[Tensor]], Sequence[Tensor]], x: Tensor, h: float = 1e-6
+    f: Callable[[np.ndarray], np.ndarray], x: Tensor, h: float = 1e-6
 ) -> np.ndarray:
     """Central-difference gradient of a scalar-valued function at ``x``.
 
-    The probes are x + h e_i and x - h e_i for every coordinate i in turn.
-    ``f`` takes the list of all 2 * x.size probes and returns their scalar
-    values in the same order, so a caller can evaluate them in one batch.
+    The probes are x + h e_i and x - h e_i for every coordinate i in turn,
+    rows 2i and 2i + 1 of one (2 * x.size, *x.shape) array.  ``f`` takes
+    that array and returns the (2 * x.size,) probe values in the same
+    order, so a caller can evaluate them in one batch.
     """
-    flat = x.data.reshape(-1)
-    probes = []
-    for i in range(flat.size):
-        for step in (h, -h):
-            probe = flat.copy()
-            probe[i] += step
-            probes.append(Tensor(probe.reshape(x.shape)))
-    values = np.array([v.item() for v in f(probes)])
-    if values.shape != (len(probes),):
-        raise ValueError(f"expected {len(probes)} probe values, got {values.shape}")
+    n = x.size
+    probes = np.repeat(x.data.reshape(1, n), 2 * n, axis=0)
+    i = np.arange(n)
+    probes[2 * i, i] += h
+    probes[2 * i + 1, i] -= h
+    values = np.asarray(f(probes.reshape(2 * n, *x.shape)), dtype=np.float64)
+    if values.shape != (2 * n,):
+        raise ValueError(f"expected {2 * n} probe values, got {values.shape}")
     return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(x.shape)
 
 
@@ -633,7 +583,7 @@ def central_diff_gradcheck(
         if not np.isfinite(out.item()):
             raise FloatingPointError("non-finite function value in gradcheck")
         (analytic,) = tape.gradients(out, [x])
-    numeric = numeric_gradient(lambda probes: [f(p) for p in probes], x, h)
+    numeric = numeric_gradient(lambda probes: np.array([f(Tensor(p)).item() for p in probes]), x, h)
     return max_rel_error(analytic, numeric)
 
 

@@ -17,7 +17,6 @@ and a later evaluation of its checkpoint see identical boxes.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from .detector import (
     jitter_detect,
     smooth_l1,
 )
-from .errors import ConfigError, DataError, NumericError, read_manifest, reading
+from .errors import ConfigError, DataError, NumericError, read_manifest, reading, write_manifest
 from .evaluation import GalleryEntry, QueryEntry, select_query_embedding
 from .losses import (
     BACKGROUND,
@@ -358,9 +357,7 @@ def save_checkpoint(
         "meta": meta,
         "oim": oim_meta,
     }
-    with open(os.path.join(out_dir, "checkpoint.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_manifest(os.path.join(out_dir, "checkpoint.json"), manifest)
 
 
 def load_checkpoint(ckpt_dir):

@@ -32,7 +32,6 @@ d, and multi_scale_3d in 3d.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -50,7 +49,7 @@ from .attention import (
     residual_layernorm,
     ring_offset_bias,
 )
-from .errors import read_manifest, reading
+from .errors import read_manifest, reading, write_manifest
 from .tensor import Tensor, read_blob, write_blob
 
 __all__ = [
@@ -436,9 +435,7 @@ class ReIDTransformer:
             "config": asdict(self.config),
             "tensors": tensors,
         }
-        with open(os.path.join(directory, "model.json"), "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_manifest(os.path.join(directory, "model.json"), manifest)
 
     @classmethod
     def load(cls, directory) -> "ReIDTransformer":

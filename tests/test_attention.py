@@ -206,15 +206,6 @@ class TestDeformAttn:
             )
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_attention_weights_normalized_per_head(self):
-        rng = np.random.default_rng(29)
-        params = random_deform_params(rng, 4, 3, heads=2, points=3, levels=3)
-        z = Tensor(rng.standard_normal((5, 4)))
-        a = att.deform_attention_weights(z, params)
-        assert a.shape == (5, 2, 9)
-        assert np.all(a >= 0)
-        np.testing.assert_allclose(a.sum(axis=2), np.ones((5, 2)), atol=1e-12)
-
     def test_row_locality(self):
         # Changing one query's reference leaves every other output row alone.
         rng = np.random.default_rng(30)

@@ -1,5 +1,6 @@
 """Synthetic benchmark: rendering fidelity, coverage, determinism, I/O."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from persearch.detector import Box, iou
 from persearch.errors import ConfigError, DataError
 from persearch.losses import UNLABELED
 from persearch.tensor import Tensor, bilinear_sample_rows
+from persearch.training import detect_scene
 
 
 def small_cfg(**kw):
@@ -93,6 +95,36 @@ class TestRenderScene:
         assert np.all(maps[0].data[:, -1, -1] == 0.0)
 
 
+# One valid value per BenchmarkConfig field that differs from small_cfg's.
+NON_DEFAULT = {
+    "num_train": 7,
+    "num_gallery": 9,
+    "num_queries": 3,
+    "labeled_identities": 5,
+    "unlabeled_identities": 3,
+    "persons_per_scene": 3,
+    "feature_dim": 6,
+    "image_size": 96,
+    "sigma_bg": 0.2,
+    "detector_sigma": 0.05,
+    "occlusion_rate": 0.9,
+    "co_travellers": True,
+    "seed": 4,
+}
+
+
+def benchmark_effect(cfg, out_dir):
+    """What a benchmark config decides: the manifest without its copy of the
+    config, every blob, and the detections training draws for each scene
+    (the detector noise acts only there)."""
+    bench = make_benchmark(cfg, out_dir)
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    del manifest["config"]
+    blobs = {str(f.relative_to(out_dir)): f.read_bytes() for f in sorted(out_dir.rglob("*.sqt"))}
+    detections = [detect_scene(bench, sid, 4, run_seed=0).boxes for sid in sorted(bench.scenes)]
+    return manifest, blobs, detections
+
+
 class TestMakeBenchmark:
     def test_query_identities_have_other_scene_matches(self, tmp_path):
         bench = make_benchmark(small_cfg(), tmp_path / "d")
@@ -120,6 +152,15 @@ class TestMakeBenchmark:
     def test_infeasible_query_count_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             make_benchmark(small_cfg(num_gallery=2, num_queries=50), tmp_path / "d")
+
+    def test_every_config_field_has_an_effect(self, tmp_path):
+        base = small_cfg()
+        default = benchmark_effect(base, tmp_path / "default")
+        for f in dataclasses.fields(BenchmarkConfig):
+            assert f.name in NON_DEFAULT, f"no non-default value for BenchmarkConfig.{f.name}"
+            assert NON_DEFAULT[f.name] != getattr(base, f.name)
+            cfg = dataclasses.replace(base, **{f.name: NON_DEFAULT[f.name]})
+            assert benchmark_effect(cfg, tmp_path / f.name) != default, f.name
 
     def test_byte_identical_regeneration(self, tmp_path):
         make_benchmark(small_cfg(), tmp_path / "a")

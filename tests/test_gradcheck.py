@@ -74,9 +74,9 @@ def one_probe_at_a_time(f, x, h=1e-6):
         hi, lo = flat.copy(), flat.copy()
         hi[i] += h
         lo[i] -= h
-        (f_hi,) = f([Tensor(hi.reshape(x.shape))])
-        (f_lo,) = f([Tensor(lo.reshape(x.shape))])
-        grad[i] = (f_hi.item() - f_lo.item()) / (2.0 * h)
+        (f_hi,) = f(hi.reshape(1, *x.shape))
+        (f_lo,) = f(lo.reshape(1, *x.shape))
+        grad[i] = (f_hi - f_lo) / (2.0 * h)
     return grad.reshape(x.shape)
 
 
@@ -173,7 +173,7 @@ class TestBatchedLoss:
         def recording(f, x, h=1e-6):
             def f_recorded(probes):
                 values = f(probes)
-                calls.append((probes, [v.item() for v in values]))
+                calls.append((probes, list(values)))
                 return values
 
             return batched(f_recorded, x, h)
@@ -191,7 +191,7 @@ class TestBatchedLoss:
                 "stack.layer1.sa.wq",
                 "stack.layer0.cross0_norm.beta",
             ):
-                variants = {name: Tensor(np.array([p.data for p in probes]))}
+                variants = {name: Tensor(probes)}
                 emb = model.forward(pyramid, refs, variants=variants)
                 n = len(refs)
                 own = lambda b: ReIDEmbeddings(

@@ -1,5 +1,6 @@
 """OIM loss, table/queue dynamics, focal variant, combined objective."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -204,6 +205,31 @@ class TestFocalOIMRows:
         want = s.update(feats.data, labels)
         np.testing.assert_array_equal(s2.lut, want.lut)
         np.testing.assert_array_equal(np.array(list(s2.queue)), np.array(list(want.queue)))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
+    def test_one_tape_node_with_the_features_as_its_only_input(self, gamma):
+        rng = np.random.default_rng(76)
+        s = fresh_state(rng, capacity=2).update(unit_rows(rng, 1, 6), [UNLABELED])
+        feats = Tensor(unit_rows(rng, 4, 6))
+        with GradTape() as tape:
+            rows = focal_oim_rows(feats, [2, BACKGROUND, 0, UNLABELED], s, gamma)
+        assert [node.inputs for node in tape._nodes] == [(feats,)]
+        assert rows.shape == (2,)
+
+    def test_gradient_at_gamma_one(self):
+        # Exponent 1 makes the focal factor linear; gamma 0 and 2 are
+        # checked by the gradcheck suite.  A mild temperature keeps p_t
+        # away from 1.
+        rng = np.random.default_rng(75)
+        s = dataclasses.replace(fresh_state(rng, capacity=2), tau=0.5)
+        s = s.update(unit_rows(rng, 1, 6), [UNLABELED])
+        w = Tensor(rng.standard_normal(2))
+        labels = [2, BACKGROUND, 0, UNLABELED]
+
+        def f(x):
+            return T.sum_all(T.mul(focal_oim_rows(T.l2_normalize_rows(x), labels, s, 1.0), w))
+
+        assert T.central_diff_gradcheck(f, Tensor(rng.standard_normal((4, 6)))) < 1e-6
 
     def test_no_labeled_row_gives_no_rows(self):
         rng = np.random.default_rng(78)

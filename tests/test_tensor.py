@@ -49,42 +49,22 @@ class TestTensorBasics:
 
 
 class TestForwardOracles:
-    def test_matmul_triple_loop(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            m, k, n = rng.integers(1, 6, size=3)
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            got = T.matmul(Tensor(a), Tensor(b)).data
-            want = np.zeros((m, n))
-            for i in range(m):
-                for j in range(n):
-                    for l in range(k):
-                        want[i, j] += a[i, l] * b[l, j]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 4))
-        out = T.matmul(Tensor(a), Tensor(np.eye(4))).data
-        np.testing.assert_array_equal(out, a)
-
     def test_softmax_uniform(self):
-        out = T.softmax_rows(Tensor([0.0, 0.0])).data
+        out = T._softmax_last(np.array([0.0, 0.0]))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 7)) * 50  # also exercises the max shift
-        p = T.softmax_rows(Tensor(x)).data
+        p = T._softmax_last(x)
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 4))
-        p1 = T.softmax_rows(Tensor(x)).data
-        p2 = T.softmax_rows(Tensor(x + 123.0)).data
+        p1 = T._softmax_last(x)
+        p2 = T._softmax_last(x + 123.0)
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_layer_norm_constant_row(self):
@@ -136,12 +116,6 @@ class TestForwardOracles:
         cat = T.concat_cols([Tensor(a), Tensor(b)])
         np.testing.assert_array_equal(cat.data[:, :2], a)
         np.testing.assert_array_equal(cat.data[:, 2:], b)
-
-    def test_gather_pairs(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = T.gather_pairs(x, [0, 2], [1, 3]).data
-        np.testing.assert_array_equal(out, [1.0, 11.0])
-
 
 def sample_at(fmap, x, y):
     """The (C,) feature at one pixel location, through the rows form."""
@@ -267,11 +241,6 @@ class TestGradients:
 
     rng = np.random.default_rng(42)
 
-    def test_matmul(self):
-        a, b = rand(self.rng, 3, 4), rand(self.rng, 4, 2)
-        w = rand(self.rng, 3, 2)
-        check_grads(lambda a, b: T.sum_all(T.mul(T.matmul(a, b), w)), [a, b])
-
     def test_add_same_shape(self):
         a, b = rand(self.rng, 4, 3), rand(self.rng, 4, 3)
         check_grads(lambda a, b: T.sum_all(T.powc(T.add(a, b), 2.0)), [a, b])
@@ -300,10 +269,6 @@ class TestGradients:
         x = Tensor(np.abs(self.rng.standard_normal((3, 3))) + 0.5)
         check_grads(lambda x: T.sum_all(T.powc(x, 2.0)), [x])
         check_grads(lambda x: T.sum_all(T.powc(x, 0.5)), [x], tol=1e-5)
-
-    def test_log(self):
-        x = Tensor(np.abs(self.rng.standard_normal((4,))) + 0.5)
-        check_grads(lambda x: T.sum_all(T.log(x)), [x])
 
     def test_mean_all(self):
         x = rand(self.rng, 3, 4)
@@ -366,18 +331,6 @@ class TestGradients:
         check_grads(
             lambda x: T.sum_all(T.powc(T.take_rows(x, [0, 2, 2, 4]), 2.0)), [x]
         )
-
-    def test_gather_pairs(self):
-        x = rand(self.rng, 4, 4)
-        check_grads(
-            lambda x: T.sum_all(T.powc(T.gather_pairs(x, [0, 1, 1], [2, 3, 3]), 2.0)),
-            [x],
-        )
-
-    def test_softmax_rows(self):
-        x = rand(self.rng, 4, 5)
-        w = rand(self.rng, 4, 5)
-        check_grads(lambda x: T.sum_all(T.mul(T.softmax_rows(x), w)), [x])
 
     def test_layer_norm(self):
         x = rand(self.rng, 4, 6)
@@ -506,9 +459,7 @@ class TestGradTape:
         with GradTape() as tape:
             out = T.sum_all(T.powc(x, 2.0))
         (analytic,) = tape.gradients(out, [x])
-        numeric = T.numeric_gradient(
-            lambda probes: [T.sum_all(T.powc(t, 2.0)) for t in probes], x
-        )
+        numeric = T.numeric_gradient(lambda probes: (probes**2.0).sum(axis=1), x)
         corrupted = analytic + 0.5
         assert T.max_rel_error(corrupted, numeric) > 1e-2
 
