@@ -31,10 +31,15 @@ tape holds one node per sublayer.
 With ``blocks`` G, a sublayer runs G equal blocks of rows as one batch
 under one parameter set, each tensor field shared by every block or one
 value per block along a leading axis of G; self-attention never mixes
-rows of different blocks.  The deformable sublayers read ``maps`` as R
-runs of L maps, block g reading run g mod R, so each distinct map is
-gathered from once per call.  The re-ID transformer runs the levels of
-its per-level schemes this way.  The deformable VJP skips the
+rows of different blocks.  The deformable sublayers read their maps as R
+runs of L maps, block g reading run g mod R, from one zero-padded value
+table (:class:`persearch.tensor.ValueTable`) that flattens the maps once,
+as Deformable DETR flattens its pyramid.  The re-ID transformer builds
+that table once per forward and every deformable sublayer samples it;
+given map Tensors instead, :func:`deform_attn` and
+:func:`multiscale_deform_attn` build it per call.  One table serves every
+scheme: the per-level schemes read it as R = 3 runs of one map, the
+multi-scale ones as one run of 3 maps.  The deformable VJP skips the
 feature-map scatter for maps that do not depend on a gradient source.
 """
 
@@ -263,19 +268,32 @@ def ring_offset_bias(num_heads: int, num_points: int, num_levels: int = 1) -> np
     return bias
 
 
+def _reference_array(refs: Sequence[ReferencePoint] | np.ndarray) -> np.ndarray:
+    """(N, 2) normalized (x, y) reference coordinates, one row per point."""
+    return refs if isinstance(refs, np.ndarray) else np.array([(r.x, r.y) for r in refs]).reshape(-1, 2)
+
+
+def _value_table(maps: tt.ValueTable | Tensor | Sequence[Tensor]) -> tt.ValueTable:
+    """``maps`` as a value table, built here when given map Tensors."""
+    if isinstance(maps, tt.ValueTable):
+        return maps
+    return tt.value_table([maps] if isinstance(maps, Tensor) else maps)
+
+
 def _deform_core(
     z: Tensor,
-    refs: Sequence[ReferencePoint],
-    maps: Sequence[Tensor],
+    refs: np.ndarray,
+    table: tt.ValueTable,
     params: DeformAttnParams,
     blocks: int,
 ) -> Tensor:
     """One taped primitive for a whole deformable sublayer.
 
-    ``z`` is G = ``blocks`` blocks of len(refs) rows, ``maps`` R runs of
-    L = num_levels maps, and block g samples run g mod R under its own
-    values of ``params``.  The reference points are shared by every block
-    and enter as constants (stop-gradient), as in Deformable DETR.
+    ``z`` is G = ``blocks`` blocks of len(refs) rows, the maps of ``table``
+    R runs of L = num_levels maps, and block g samples run g mod R under its
+    own values of ``params``.  The (N, 2) reference coordinates ``refs`` are
+    shared by every block and enter as constants (stop-gradient), as in
+    Deformable DETR.
     """
     if z.ndim != 2 or z.shape[1] != params.query_width:
         raise ValueError(f"query shape {z.shape} does not match parameters")
@@ -283,8 +301,9 @@ def _deform_core(
     if len(refs) != n:
         raise ValueError("one reference point per query row of a block is required")
     h, s, lv, c = params.num_heads, params.num_points, params.num_levels, params.feature_channels
+    maps = table.maps
     runs = len(maps) // lv
-    if runs < 1 or len(maps) % lv or g_count % runs or any(f.ndim != 3 or f.shape[0] != c for f in maps):
+    if runs < 1 or len(maps) % lv or g_count % runs or table.rows.shape[1] != c:
         shapes = [f.shape for f in maps]
         raise ValueError(f"{g_count} blocks need runs of {lv} ({c}, H, W) feature maps, got {shapes}")
     (w_offset, b_offset, w_weight, b_weight, w_value, w_out), own = _fields(params, g_count)
@@ -299,11 +318,9 @@ def _deform_core(
 
     # Every (block, level) pair samples its map at N*H*S points, all with
     # one kernel call; the point blocks run block-major, then level.
-    unit_refs = np.array([(r.x, r.y) for r in refs])
-    extent = np.array([(f.shape[2] - 1.0, f.shape[1] - 1.0) for f in maps])
-    base = (unit_refs * extent[:, None]).reshape(runs, lv, n, 1, 1, 2)  # pix(P) per map
+    base = (refs * table.extents[:, None]).reshape(runs, lv, n, 1, 1, 2)  # pix(P) per map
     points = offsets.transpose(0, 3, 1, 2, 4, 5).reshape(-1, runs, lv, n, h, s, 2) + base
-    sampled, kernel = tt._bilinear_forward([f.data for f in maps], points.reshape(g_count * lv, -1, 2))
+    sampled, kernel = tt._bilinear_forward(table, points.reshape(g_count * lv, -1, 2))
     samples = (
         sampled.reshape(g_count, lv, n, h, s, c)
         .transpose(0, 2, 3, 1, 4, 5)
@@ -327,9 +344,7 @@ def _deform_core(
             .transpose(0, 3, 1, 2, 4, 5)
             .reshape(-1, c)
         )
-        g_maps, g_points = tt._bilinear_vjp(
-            [f.shape for f in maps], kernel, g_samples, needs[maps_at : maps_at + len(maps)]
-        )
+        g_maps, g_points = tt._bilinear_vjp(table, kernel, g_samples, needs[maps_at : maps_at + len(maps)])
         g_points = g_points.reshape(g_count, lv, n, h, s, 2)
         g_offsets = g_points.transpose(0, 2, 3, 1, 4, 5).reshape(g_count, n, -1)
         g_logits = g_logits.reshape(g_count, n, -1)
@@ -347,8 +362,8 @@ def _deform_core(
 
 def deform_attn(
     z: Tensor,
-    refs: Sequence[ReferencePoint],
-    fmap: Tensor | Sequence[Tensor],
+    refs: Sequence[ReferencePoint] | np.ndarray,
+    fmap: Tensor | Sequence[Tensor] | tt.ValueTable,
     params: DeformAttnParams,
     blocks: int = 1,
 ) -> Tensor:
@@ -357,24 +372,26 @@ def deform_attn(
     With ``blocks`` G, ``z`` is G blocks of N rows and ``fmap`` may hold R
     maps: block g then samples map g mod R, under its own values of
     ``params``.  The shared and parallel schemes run the three pyramid
-    levels this way, as one call.
+    levels this way, as one call.  ``fmap`` may also be the maps' prebuilt
+    :class:`persearch.tensor.ValueTable`, and ``refs`` an (N, 2) array of
+    normalized coordinates.
     """
-    maps = [fmap] if isinstance(fmap, Tensor) else list(fmap)
     if params.num_levels != 1:
         raise ValueError("deform_attn expects single-level parameters")
-    return _deform_core(z, refs, maps, params, blocks)
+    return _deform_core(z, _reference_array(refs), _value_table(fmap), params, blocks)
 
 
 def multiscale_deform_attn(
     z: Tensor,
-    refs: Sequence[ReferencePoint],
-    pyramid: Sequence[Tensor],
+    refs: Sequence[ReferencePoint] | np.ndarray,
+    pyramid: Sequence[Tensor] | tt.ValueTable,
     params: DeformAttnParams,
     blocks: int = 1,
 ) -> Tensor:
     """Multi-level deformable attention; A normalizes over levels * points.
 
     Row blocks work as in :func:`deform_attn`, block g reading run g mod R
-    of the R runs of ``num_levels`` consecutive maps in ``pyramid``.
+    of the R runs of ``num_levels`` consecutive maps in ``pyramid``, which
+    may also be given as their value table.
     """
-    return _deform_core(z, refs, list(pyramid), params, blocks)
+    return _deform_core(z, _reference_array(refs), _value_table(pyramid), params, blocks)

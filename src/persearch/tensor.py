@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,8 @@ __all__ = [
     "take_rows",
     "layer_norm",
     "l2_normalize_rows",
+    "ValueTable",
+    "value_table",
     "bilinear_sample_rows",
     "central_diff_gradcheck",
     "write_blob",
@@ -438,45 +441,82 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 # identical, but exactly on a grid line the derivative becomes the left-cell
 # one, which fixes the subgradient choice at the (measure-zero) ties.
 #
-# The kernel reads corners from one channel-last table: the pixels of every
-# map, one row each, then a single zero row that every out-of-bounds corner
-# indexes.  The padding is exact: an out-of-bounds corner reads that zero
-# row, never a pixel times a zero weight, so a non-finite pixel cannot leak
-# into it.  The map gradient is scattered into the same layout, and the
-# pad row's bins are dropped.
+# The kernel reads corners from one channel-last value table, as Deformable
+# DETR flattens its pyramid (Zhu et al., arXiv 2010.04159): the pixels of
+# every map, one row each, then a single zero row that every out-of-bounds
+# corner indexes.  The padding is exact: an out-of-bounds corner reads that
+# zero row, never a pixel times a zero weight, so a non-finite pixel cannot
+# leak into it.  ``value_table`` builds the table once from a list of maps;
+# the re-ID transformer builds one per forward and every deformable
+# sublayer reads it, so the kernel itself copies no map.  The map gradient
+# is scattered into the same layout, and the pad row's bins are dropped.
 
 
-# Corner offsets in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1).
-_CORNER_X = np.array([0, 1, 0, 1]).reshape(4, 1, 1)
-_CORNER_Y = np.array([0, 0, 1, 1]).reshape(4, 1, 1)
+@dataclass(frozen=True, eq=False)
+class ValueTable:
+    """M (C, H_m, W_m) maps flattened into one zero-padded row table.
+
+    ``maps`` are the map Tensors themselves, the tape inputs that receive
+    the map gradients.  ``rows`` is the C-contiguous, read-only
+    (sum_m H_m W_m + 1, C) table, pixel (y, x) of map m at row
+    ``starts[m] + y * W_m + x`` and the zero pad row last.  ``hw`` holds
+    each map's (H, W) as an (M, 2) integer array, and ``extents`` each
+    map's largest pixel coordinates (W - 1, H - 1).
+    """
+
+    maps: tuple[Tensor, ...]
+    rows: np.ndarray
+    hw: np.ndarray
+    starts: np.ndarray
+    extents: np.ndarray
 
 
-def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
-    """Shared kernel: sample M (C, H_m, W_m) maps at B blocks of points.
+def value_table(maps: Sequence[Tensor]) -> ValueTable:
+    """The :class:`ValueTable` of ``maps``, all (C, H, W) with one C."""
+    maps = tuple(maps)
+    if not maps or any(f.ndim != 3 or f.shape[0] != maps[0].shape[0] for f in maps):
+        raise ValueError(f"a value table needs (C, H, W) maps of one C, got {[f.shape for f in maps]}")
+    c = maps[0].shape[0]
+    hw = np.array([f.shape[1:] for f in maps], dtype=np.intp)
+    sizes = hw[:, 0] * hw[:, 1]
+    starts = np.cumsum(sizes) - sizes
+    rows = np.zeros((int(sizes.sum()) + 1, c))
+    for f, start, size in zip(maps, starts, sizes):
+        rows[start : start + size] = f.data.reshape(c, -1).T
+    extents = (hw[:, ::-1] - 1).astype(np.float64)
+    for a in (rows, hw, starts, extents):
+        a.flags.writeable = False
+    return ValueTable(maps, rows, hw, starts, extents)
+
+
+# Corner offsets in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1),
+# over (4, runs, maps, points).
+_CORNER_X = np.array([0, 1, 0, 1]).reshape(4, 1, 1, 1)
+_CORNER_Y = np.array([0, 0, 1, 1]).reshape(4, 1, 1, 1)
+
+
+def _bilinear_forward(table: ValueTable, pts: np.ndarray):
+    """Shared kernel: sample the M maps of ``table`` at B blocks of points.
 
     ``pts`` is (B, Q, 2) as (x, y), with B a multiple of M; block b samples
-    ``maps[b % M]``, so each map is read once however many blocks share
-    it.  Returns (B * Q, C) plus residuals.  The four corners of every
-    point are read with one gather from the zero-padded table above;
-    corners outside their map read the zero row and get zero weight.
+    map b % M, so each map is read once however many blocks share it.
+    Returns (B * Q, C) plus residuals.  The four corners of every point are
+    read with one gather from the table; corners outside their map read the
+    zero row and get zero weight.
     """
-    m = len(maps)
-    c = maps[0].shape[0]
-    hs = np.array([f.shape[1] for f in maps])[:, None]  # (M, 1)
-    ws = np.array([f.shape[2] for f in maps])[:, None]
-    sizes = hs[:, 0] * ws[:, 0]
-    starts, total = np.cumsum(sizes) - sizes, int(sizes.sum())
-    table = np.concatenate([f.reshape(c, -1).T for f in maps] + [np.zeros((1, c))])  # (total + 1, C)
-    # Each block's map extent, (B, 1), and first row in the table, (B,).
-    reps = pts.shape[0] // m
-    hs, ws, starts = np.tile(hs, (reps, 1)), np.tile(ws, (reps, 1)), np.tile(starts, reps)
+    m, pad = len(table.maps), table.rows.shape[0] - 1
+    hs, ws, starts = table.hw[:, :1], table.hw[:, 1:], table.starts[:, None]  # (M, 1) each
+    pts = pts.reshape(-1, m, pts.shape[1], 2)  # (B / M, M, Q, 2)
     xs, ys = pts[..., 0], pts[..., 1]
-    x0 = np.ceil(xs).astype(np.intp) - 1
-    y0 = np.ceil(ys).astype(np.intp) - 1
-    cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, B, Q)
+    # A non-finite location casts to some cell without a warning; its
+    # non-finite weights keep the sample non-finite.
+    with np.errstate(invalid="ignore"):
+        x0 = np.ceil(xs).astype(np.intp) - 1
+        y0 = np.ceil(ys).astype(np.intp) - 1
+    cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, B / M, M, Q)
     inb = ((cx >= 0) & (cx < ws) & (cy >= 0) & (cy < hs)).reshape(4, -1)
-    flat = np.where(inb, (starts[:, None] + cy * ws + cx).reshape(4, -1), total)  # (4, P)
-    vals = np.take(table, flat, axis=0)  # (4, P, C)
+    flat = np.where(inb, (starts + cy * ws + cx).reshape(4, -1), pad)  # (4, P)
+    vals = np.take(table.rows, flat, axis=0)  # (4, P, C)
     dx, dy = (xs - x0).reshape(-1), (ys - y0).reshape(-1)
     ex, ey = 1.0 - dx, 1.0 - dy
     wts = np.array([ex * ey, dx * ey, ex * dy, dx * dy]) * inb  # (4, P)
@@ -484,36 +524,33 @@ def _bilinear_forward(maps: Sequence[np.ndarray], pts: np.ndarray):
     return out, (flat, wts, dx, dy, vals)
 
 
-def _bilinear_vjp(map_shapes, res, g, want_maps: Sequence[bool] | None = None):
+def _bilinear_vjp(table: ValueTable, res, g, want_maps: Sequence[bool] | None = None):
     """Gradients for the batched kernel; g is (B * Q, C).
 
-    Returns (one gradient per map, summed over the blocks that read it,
-    and the (B * Q, 2) point gradient).  ``want_maps`` says which maps need
-    a gradient (default: all); the others get None, and when none does the
-    scatter is skipped.
+    Returns (one gradient per map of ``table``, summed over the blocks that
+    read it, and the (B * Q, 2) point gradient).  ``want_maps`` says which
+    maps need a gradient (default: all); the others get None, and when none
+    does the scatter is skipped.
     """
     if want_maps is None:
-        want_maps = [True] * len(map_shapes)
+        want_maps = [True] * len(table.maps)
     flat, wts, dx, dy, vals = res
     gv = np.einsum("pc,kpc->kp", g, vals)  # g . corner value, (4, P)
     gx = (1.0 - dy) * (gv[1] - gv[0]) + dy * (gv[3] - gv[2])
     gy = (1.0 - dx) * (gv[2] - gv[0]) + dx * (gv[3] - gv[1])
     g_pts = np.stack([gx, gy], axis=1)  # (P, 2)
     if not any(want_maps):
-        return [None] * len(map_shapes), g_pts
+        return [None] * len(table.maps), g_pts
 
     # One scatter for all channels, corners and maps: channel c of table
     # row i lands in bin i * C + c, and the pad row's bins are dropped.
-    c = map_shapes[0][0]
-    sizes = [h * w for _, h, w in map_shapes]
-    total = sum(sizes)
+    rows, c = table.rows.shape
     bins = (flat[..., None] * c + np.arange(c)).reshape(-1)
     contrib = (wts[..., None] * g).reshape(-1)
-    g_table = np.bincount(bins, weights=contrib, minlength=c * (total + 1))[: c * total].reshape(total, c)
-    ends = np.cumsum(sizes)
+    g_table = np.bincount(bins, weights=contrib, minlength=c * rows)[: c * (rows - 1)].reshape(rows - 1, c)
     g_maps = [
-        g_table[end - size : end].T.reshape(shape) if want else None
-        for shape, size, end, want in zip(map_shapes, sizes, ends, want_maps)
+        g_table[start : start + h * w].T.reshape(f.shape) if want else None
+        for f, (h, w), start, want in zip(table.maps, table.hw, table.starts, want_maps)
     ]
     return g_maps, g_pts
 
@@ -524,11 +561,11 @@ def bilinear_sample_rows(fmap: Tensor, points: Tensor) -> Tensor:
         raise ValueError("bilinear_sample_rows expects a (C, H, W) map")
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must have shape (P, 2)")
-    out, res = _bilinear_forward([fmap.data], points.data[None])
-    fshape = fmap.shape
+    table = value_table([fmap])
+    out, res = _bilinear_forward(table, points.data[None])
 
     def vjp(g):
-        (g_map,), g_pts = _bilinear_vjp([fshape], res, g)
+        (g_map,), g_pts = _bilinear_vjp(table, res, g)
         return g_map, g_pts
 
     return _emit(out, (fmap, points), vjp)

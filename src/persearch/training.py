@@ -212,7 +212,9 @@ def _step_losses(model, oim_states, bench, scene_id, run_seed, settings, step):
     try:
         return _scene_losses(model, oim_states, bench, scene_id, run_seed, settings)
     except NumericError as e:
-        raise NumericError(f"{e} at step {step}") from None
+        bad = next((n for n in sorted(model.params) if not np.isfinite(model.params[n].data).all()), None)
+        where = "every parameter is finite" if bad is None else f"first non-finite parameter {bad}"
+        raise NumericError(f"{e} at step {step}; {where}") from None
 
 
 def _clip_gradients(grads: list[np.ndarray], limit: float) -> list[np.ndarray]:
@@ -264,7 +266,8 @@ def train(
     The loss curve holds one row per step with the losses measured before
     that step's update; zero steps still evaluates one row so a curve file
     is never empty.  Raises NumericError as soon as the total loss stops
-    being finite.
+    being finite; its message names the step and the first parameter, in
+    sorted name order, that is not finite, or says that all are.
     """
     settings.validate()
     train_ids = bench.train_ids

@@ -43,6 +43,7 @@ from .attention import (
     DeformAttnParams,
     MultiHeadAttnParams,
     ReferencePoint,
+    _reference_array,
     deform_attn,
     multi_head_self_attention,
     multiscale_deform_attn,
@@ -143,8 +144,8 @@ class ReIDEmbeddings:
 
 def reid_layer_forward(
     y: Tensor,
-    refs: Sequence[ReferencePoint],
-    maps: Sequence[Tensor],
+    refs: Sequence[ReferencePoint] | np.ndarray,
+    maps: Sequence[Tensor] | tt.ValueTable,
     layer: ReIDLayerParams,
     sublayers: slice = slice(None),
 ) -> Tensor:
@@ -155,9 +156,11 @@ def reid_layer_forward(
     along a leading axis of G, block g reads run g mod R of the R runs of
     ``num_levels`` maps, and self-attention mixes rows only within a block.
     ``sublayers`` runs only that slice of the layer's sublayers, in the
-    order self-attention (when present), cross0, cross1, ...
+    order self-attention (when present), cross0, cross1, ...  ``refs`` and
+    ``maps`` go to every cross sublayer as given, so passing the (N, 2)
+    reference array and the maps' value table shares them among all K.
     """
-    if y.ndim != 2 or not refs or y.shape[0] % len(refs) != 0:
+    if y.ndim != 2 or len(refs) == 0 or y.shape[0] % len(refs) != 0:
         raise ValueError(f"{y.shape} rows do not form blocks of {len(refs)} queries")
     blocks = y.shape[0] // len(refs)
     steps = []  # (sublayer, its residual norm) in order
@@ -365,9 +368,14 @@ class ReIDTransformer:
         of the result is then (B * N, d), the N rows of each set in turn,
         and each set's rows are bit-identical to that set's own forward.
         The gradient check evaluates its probes this way.
+
+        The pyramid's value table and the (N, 2) reference coordinates are
+        built here, once, and every deformable sublayer of every layer and
+        set reads them.
         """
         cfg = self.config
         self._check_inputs(pyramid, refs)
+        table, refs = tt.value_table(pyramid), _reference_array(refs)
         scales = cfg.output_scales
         variants = variants or {}
         sets, *others = {t.shape[0] for t in variants.values()} or {1}
@@ -383,17 +391,17 @@ class ReIDTransformer:
         y = tt.tile_rows(many["queries"], scales)
         for m in range(cfg.m_layers):
             if m < tile_layer:
-                y = reid_layer_forward(y, refs, pyramid, self._layer_view("stack", m, one))
+                y = reid_layer_forward(y, refs, table, self._layer_view("stack", m, one))
                 continue
             layer = self._layer_view("stack", m, many)
             if m == tile_layer and "queries" not in variants:
                 # With one stack, ``many`` holds the model's own tensors for
                 # every sublayer before the tile, so one view serves both.
                 before = layer if one is self.params else self._layer_view("stack", m, one)
-                y = tt.tile_rows(reid_layer_forward(y, refs, pyramid, before, slice(tile_at)), sets)
-                y = reid_layer_forward(y, refs, pyramid, layer, slice(tile_at, None))
+                y = tt.tile_rows(reid_layer_forward(y, refs, table, before, slice(tile_at)), sets)
+                y = reid_layer_forward(y, refs, table, layer, slice(tile_at, None))
             else:
-                y = reid_layer_forward(y, refs, pyramid, layer)
+                y = reid_layer_forward(y, refs, table, layer)
         if sets == 1 or scales == 1:
             return ReIDEmbeddings(tt.split_rows(y, scales), cfg.scheme)
         # Block b * S + s holds scale s of set b.

@@ -419,6 +419,38 @@ class TestRowGroups:
             multi_head_self_attention(Tensor(np.zeros((5, 4))), random_mha_params(rng, 4, 2), 2)
 
 
+class TestPrebuiltTable:
+    """Given the maps' prebuilt value table and the (N, 2) reference array,
+    the deformable entry points give the bits they give for map Tensors
+    and ReferencePoints."""
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_maps_and_prebuilt_table_agree(self, levels):
+        rng = np.random.default_rng(66 + levels)
+        g, n, d, c = 3, 2, 4, 3
+        maps = [Tensor(rng.standard_normal((c, 4 + i, 5 - i))) for i in range(3)]
+        refs = [ReferencePoint(*rng.uniform(-0.1, 1.1, 2)) for _ in range(n)]
+        dps = [random_deform_params(rng, d, c, 2, 2, levels) for _ in range(g)]
+        z = Tensor(rng.standard_normal((g * n, d)))
+        w = Tensor(rng.standard_normal((g * n, d)))
+        attend = deform_attn if levels == 1 else multiscale_deform_attn
+        leaves = [t for p in dps for t in _param_leaves(p)]
+        forms = [(refs, maps), (att._reference_array(refs), T.value_table(maps))]
+        results = []
+        for form_refs, form_maps in forms:
+            with GradTape() as tape:
+                out = attend(z, form_refs, form_maps, stack_sets(dps), g)
+                loss = T.sum_all(T.mul(out, w))
+            results.append([
+                out.data,
+                *tape.gradients(loss, [z, *leaves, *maps]),
+                *tape.gradients(loss, [z, *leaves, maps[1]]),
+            ])
+        for a, b in zip(*results, strict=True):
+            assert np.array_equal(a, b)
+        assert np.abs(results[0][-1]).max() > 0
+
+
 class TestReferencePoint:
     def test_clamps_into_unit_square(self):
         r = ReferencePoint(-0.5, 1.5)

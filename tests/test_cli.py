@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 import persearch.cli as cli
@@ -326,25 +327,30 @@ class TestExitCodes:
         )
         assert rc == 2
 
-    def test_numeric_error_exits_3(self, monkeypatch, workspace, tmp_path):
-        from persearch.errors import NumericError
+    def test_numeric_error_exits_3(self, monkeypatch, workspace, tmp_path, capsys):
+        from persearch.tensor import Tensor
 
-        def boom(*a, **kw):
-            raise NumericError("non-finite loss at step 0")
+        init = cli.ReIDTransformer.init
 
-        monkeypatch.setattr(cli, "train", boom)
+        def poisoned(*a, **kw):
+            # A nan in two tensors, w_value created before w_out: the report
+            # names the first in sorted order.
+            model = init(*a, **kw)
+            for name in ("stack.layer0.cross1.w_value", "stack.layer0.cross1.w_out"):
+                data = model.params[name].data.copy()
+                data.flat[1] = np.nan
+                model.params[name] = Tensor(data)
+            return model
+
+        monkeypatch.setattr(cli.ReIDTransformer, "init", poisoned)
         rc = main(
-            [
-                "train",
-                "--config",
-                str(workspace["cfg"]),
-                "--data",
-                str(workspace["data"]),
-                "--out",
-                str(tmp_path / "r"),
-            ]
+            ["train", "--config", str(workspace["cfg"]), "--data", str(workspace["data"]), "--out", str(tmp_path / "r")]
         )
         assert rc == 3
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "at step 0" in err[0]
+        assert err[0].endswith("first non-finite parameter stack.layer0.cross1.w_out"), err
 
     def test_gradcheck_failure_exits_4(self, monkeypatch, capsys):
         from persearch.errors import GradcheckFailure
@@ -414,3 +420,50 @@ class TestExitCodes:
             ]
         )
         assert rc == 1
+
+
+def _data_files(directory):
+    """Every file under ``directory`` but the JSON ones: summaries,
+    manifests and checkpoint metadata echo the flags they were run with."""
+    return {
+        p.relative_to(directory).as_posix(): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file() and p.suffix != ".json"
+    }
+
+
+class TestFlags:
+    """Every command-line flag changes what the command writes, as the
+    config-key tests show for keys: a run with the flag and one without
+    (or with another value) differ in some output file that is not JSON."""
+
+    @pytest.mark.parametrize(
+        "command, base, flagged",
+        [
+            ("train", [], ["--steps", "3"]),
+            ("train", [], ["--seed", "9"]),
+            ("eval", [], ["--seed", "9"]),
+            ("eval", [], ["--cbgm"]),
+            ("eval", ["--cbgm"], ["--cbgm", "--k1", "1"]),
+            ("eval", ["--cbgm"], ["--cbgm", "--k2", "1"]),
+            ("sweep", ["--gallery-sizes", "6"], ["--gallery-sizes", "6", "--seed", "9"]),
+            ("sweep", ["--gallery-sizes", "6"], ["--gallery-sizes", "9"]),
+            ("gen-data", [], ["--seed", "9"]),
+        ],
+        ids=[
+            "train--steps", "train--seed", "eval--seed", "eval--cbgm", "eval--k1", "eval--k2",
+            "sweep--seed", "sweep--gallery-sizes", "gen-data--seed",
+        ],
+    )
+    def test_flag_changes_an_output_file(self, workspace, tmp_path, command, base, flagged):
+        inputs = {
+            "train": ["--config", str(workspace["cfg"]), "--data", str(workspace["data"])],
+            "eval": ["--checkpoint", str(workspace["run"] / "checkpoint"), "--data", str(workspace["data"])],
+            "gen-data": ["--config", str(workspace["cfg"])],
+        }
+        inputs["sweep"] = inputs["eval"]
+        outputs = []
+        for name, extra in (("base", base), ("flagged", flagged)):
+            assert main([command, *inputs[command], "--out", str(tmp_path / name), *extra]) == 0
+            outputs.append(_data_files(tmp_path / name))
+        assert outputs[0] and outputs[0] != outputs[1]

@@ -139,9 +139,9 @@ class TestBatchedProbes:
             views.append(args)
             return layer_view(self, *args, **kwargs)
 
-        def counting_kernel(maps, pts):
-            kernel_maps.append(len(maps))
-            return kernel(maps, pts)
+        def counting_kernel(table, pts):
+            kernel_maps.append(len(table.maps))
+            return kernel(table, pts)
 
         monkeypatch.setattr(ReIDTransformer, "forward", counting_forward)
         monkeypatch.setattr(ReIDTransformer, "_layer_view", counting_view)

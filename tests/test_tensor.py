@@ -205,11 +205,11 @@ class TestBilinear:
 def kernel_rows(maps, pts):
     """The multi-map kernel as one taped op: block b of the (B, Q, 2)
     points samples maps[b % len(maps)]."""
-    out, res = T._bilinear_forward([m.data for m in maps], pts.data)
-    shapes = [m.shape for m in maps]
+    table = T.value_table(maps)
+    out, res = T._bilinear_forward(table, pts.data)
 
     def vjp(g):
-        g_maps, g_pts = T._bilinear_vjp(shapes, res, g)
+        g_maps, g_pts = T._bilinear_vjp(table, res, g)
         return (*g_maps, g_pts.reshape(pts.shape))
 
     return T._emit(out, (*maps, pts), vjp)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from persearch import training
 from persearch.data import BenchmarkConfig, make_benchmark
 from persearch.errors import ConfigError, NumericError
 from persearch.evaluation import evaluate
@@ -256,8 +257,13 @@ class TestTrainLoop:
         model.params[poisoned] = Tensor(
             np.full(model.params[poisoned].shape, np.nan)
         )
-        with pytest.raises(NumericError, match="step 0"):
+        with pytest.raises(NumericError, match="step 0; first non-finite parameter stack.layer0.cross0.w_out$"):
             train(model, bench, tiny_settings(steps=2), run_seed=5)
+
+    def test_non_finite_loss_with_finite_parameters_says_so(self, bench, monkeypatch):
+        monkeypatch.setattr(training, "total_loss", lambda *a: Tensor(np.nan))
+        with pytest.raises(NumericError, match="non-finite loss nan at step 0; every parameter is finite$"):
+            train(tiny_model(), bench, tiny_settings(steps=2), run_seed=5)
 
     def test_settings_validation(self):
         for bad in (

@@ -341,6 +341,43 @@ class TestParameterSets:
                 assert np.array_equal(a, b.data)
 
 
+class TestValueTable:
+    """The pyramid's value table is built once per forward and every
+    deformable sublayer samples that one table."""
+
+    @pytest.mark.parametrize("variants", [None, "layer0.cross1.w_out", "layer1.sa.wq", "queries"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_table_per_forward_read_by_every_kernel_call(self, scheme, variants, monkeypatch):
+        rng = np.random.default_rng(52)
+        cfg = tiny_config(scheme=scheme)
+        model = ReIDTransformer.init(cfg, seed=14, style="random")
+        pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
+        named = {}
+        if variants:
+            name = variants if variants == "queries" else ("stack1." if scheme == "parallel" else "stack.") + variants
+            named = {name: Tensor(model.params[name].data + rng.standard_normal((2, *model.params[name].shape)))}
+        build, kernel = T.value_table, T._bilinear_forward
+        built, read = [], []
+
+        def counting_build(maps):
+            built.append(build(maps))
+            return built[-1]
+
+        def recording_kernel(table, pts):
+            read.append(table)
+            return kernel(table, pts)
+
+        monkeypatch.setattr(T, "value_table", counting_build)
+        monkeypatch.setattr(T, "_bilinear_forward", recording_kernel)
+        for _ in range(2):
+            model.forward(pyramid, refs, variants=named)
+        assert len(built) == 2
+        assert [list(t.maps) for t in built] == [pyramid] * 2
+        per_forward = cfg.m_layers * cfg.k_cross
+        assert len(read) == 2 * per_forward
+        assert all(t is built[i // per_forward] for i, t in enumerate(read))
+
+
 class TestCheckpoint:
     def test_save_load_bit_exact(self, tmp_path):
         model = ReIDTransformer.init(tiny_config(scheme="parallel"), seed=7, style="random")
