@@ -107,9 +107,13 @@ def _metrics_dict(result) -> dict:
 
 
 def cmd_eval(args) -> int:
+    if not args.cbgm and (args.k1, args.k2) != (None, None):
+        raise ConfigError("--k1 and --k2 act only with --cbgm")
+    k1 = 30 if args.k1 is None else args.k1
+    k2 = 3 if args.k2 is None else args.k2
     queries, entries, truth = _retrieval_inputs(args, args.seed)
     if args.cbgm:
-        result = cbgm_rerank(queries, entries, truth, k1=args.k1, k2=args.k2)
+        result = cbgm_rerank(queries, entries, truth, k1=k1, k2=k2)
     else:
         result = evaluate(queries, entries, truth)
     os.makedirs(args.out, exist_ok=True)
@@ -117,8 +121,8 @@ def cmd_eval(args) -> int:
     summary = {
         "command": "eval",
         "cbgm": bool(args.cbgm),
-        "k1": args.k1,
-        "k2": args.k2,
+        "k1": k1,
+        "k2": k2,
         "num_queries": len(queries),
         "num_gallery_entries": len(entries),
         **_metrics_dict(result),
@@ -251,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--seed", type=int, help="override the detection seed")
     p.add_argument("--cbgm", action="store_true", help="context re-ranking")
-    p.add_argument("--k1", type=int, default=30, help="scenes to rescore")
-    p.add_argument("--k2", type=int, default=3, help="context detections")
+    p.add_argument("--k1", type=int, help="scenes to rescore, with --cbgm (default 30)")
+    p.add_argument("--k2", type=int, help="context detections, with --cbgm (default 3)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="metrics across gallery sizes")

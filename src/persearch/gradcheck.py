@@ -15,7 +15,6 @@ entry before comparison, proving the harness can fail.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from .attention import (
 from .data import IdentityBank, Person, render_scene
 from .detector import Box
 from .errors import GradcheckFailure
-from .losses import BACKGROUND, UNLABELED, OIMState, focal_oim_rows
+from .losses import BACKGROUND, UNLABELED, OIMState, focal_oim_loss, focal_oim_rows
 from .tensor import GradTape, Tensor, max_rel_error
 from .transformer import ReIDConfig, ReIDTransformer
 
@@ -242,40 +241,33 @@ def _full_model_problem():
 def check_full_model(corrupt: bool = False) -> list[CheckResult]:
     """Every model parameter against central differences.
 
-    The loss is focal OIM per output scale, averaged over the scales.  The
+    The loss is the training loss's identity term: focal OIM per output
+    scale, averaged over the scales (``losses.focal_oim_loss``).  The
     2 * size probes of each parameter tensor run as one batched forward,
-    with one focal-OIM evaluation per scale over all probes of a tensor.
+    with one focal-OIM evaluation over all probes of a tensor.
     """
     model, pyramid, refs, labels, states = _full_model_problem()
 
-    def scale_rows(emb, scale: int, sets: int = 1) -> Tensor:
-        """Focal OIM of every labeled row at one scale, set after set."""
-        rows = tt.l2_normalize_rows(emb.per_scale[scale])
-        return focal_oim_rows(rows, labels * sets, states[scale], gamma=2.0)
+    def loss(emb, sets=None) -> Tensor:
+        rows = [tt.l2_normalize_rows(scale) for scale in emb.per_scale]
+        return focal_oim_loss(rows, labels, states, gamma=2.0, sets=sets)[0]
 
     names = sorted(model.params)
     with GradTape() as tape:
-        emb = model.forward(pyramid, refs)
-        means = [tt.mean_all(scale_rows(emb, s)) for s in range(len(states))]
-        out = tt.scale(functools.reduce(tt.add, means), 1.0 / len(states))
+        out = loss(model.forward(pyramid, refs))
         analytic = tape.gradients(out, [model.params[n] for n in names])
     if corrupt:
         analytic[0] = analytic[0] + 1e-3
 
     def probe_losses(name):
         """All probes of one tensor through one forward, as that tensor's
-        variants, and each scale's loss over all of them at once.  The
-        forward runs each probe only from the first sublayer it changes.
-        The per-probe means add up in the order of the taped loss above, so
-        a probe's value equals that loss evaluated at the probe."""
+        variants, and the loss of each.  The forward runs each probe only
+        from the first sublayer it changes; each probe's value equals the
+        taped loss above evaluated at the probe."""
 
         def f(probes):
             emb = model.forward(pyramid, refs, variants={name: Tensor(probes)})
-            means = [
-                scale_rows(emb, s, len(probes)).data.reshape(len(probes), -1).mean(axis=1)
-                for s in range(len(states))
-            ]
-            return functools.reduce(np.add, means) * (1.0 / len(states))
+            return loss(emb, len(probes)).data
 
         return f
 

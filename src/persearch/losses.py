@@ -11,10 +11,17 @@ queue, evicting the oldest.
 The focal variant reweights each labeled row by (1 - p_t)^gamma, applied to
 the final softmax probability, so easy rows fade out of the gradient.  With
 gamma = 0 it is exactly the plain OIM loss, state updates included.
-``focal_oim_rows`` gives the per-row values without the state update, so a
-caller can score many batches stacked into one.  It records one taped
-primitive per call, with a hand-written VJP for the features; the lookup
-table and queue are constants of the step.
+
+SeqTR supervises every scale of the embedding, with one OIM state per
+scale.  ``focal_oim_loss`` takes the unit-norm rows and the state of each
+scale and returns the scale-averaged loss, the mean over each scale's
+labeled rows summed over the scales and divided by their count, plus
+the updated states.  It records one taped primitive for all scales, and
+its ``sets`` form scores many stacked row sets at once for the gradient
+check.  ``focal_oim_rows`` gives the per-row values of one scale without
+the state update, also as one taped primitive.  Both share one copy of
+the focal arithmetic and its hand-written VJP for the features; the
+lookup table and queue are constants of the step.
 
 ``total_loss`` combines the four training components cls/iou/l1/oim with
 the standard weights (2.0, 5.0, 2.0, 0.5).
@@ -22,6 +29,7 @@ the standard weights (2.0, 5.0, 2.0, 0.5).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -140,6 +148,44 @@ def _check_oim_inputs(features: Tensor, labels: Sequence[int], state: OIMState):
         raise ValueError(f"row {i} entering OIM must be unit-norm, got {norms[i]:.8f}")
 
 
+def _focal_rows(x: np.ndarray, labels: list[int], state: OIMState, gamma: float):
+    """The focal OIM arithmetic, once for every caller.
+
+    Returns the focal NLL of each labeled row of ``x`` in row order and its
+    pullback, which maps a gradient of those values to the gradient of
+    ``x`` (None when no row is labeled).  The class matrix is a constant;
+    the inputs must be checked.
+    """
+    rows = np.array([i for i, l in enumerate(labels) if l >= 0], dtype=np.intp)
+    if not rows.size:
+        return np.zeros(0), None
+    # (dim, L + queue_len), C-contiguous: products with a transposed view
+    # round differently.
+    classes = np.ascontiguousarray(state.class_matrix().T)
+    inv_tau, c, focal = 1.0 / state.tau, float(gamma), gamma > 0.0
+    picks = (np.arange(rows.size), np.array([labels[i] for i in rows], dtype=np.intp))
+    p = tt._softmax_last((x[rows] @ classes) * inv_tau)
+    p_t = p[picks]
+    nll = -np.log(p_t)
+    q = 1.0 - p_t
+    hard = q**c if focal else None
+
+    def pullback(g):
+        # The chain rule op by op, from the focal factor q^gamma and the
+        # log back through the target pick, the softmax, the 1/tau scale,
+        # the class product and the row pick.
+        g_log = -(g * hard if focal else g) / p_t
+        g_p_t = g_log - (g * nll) * c * q ** (c - 1.0) if focal else g_log
+        g_p = np.zeros(p.shape)
+        np.add.at(g_p, picks, g_p_t)
+        g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * inv_tau
+        g_x = np.zeros(x.shape)
+        np.add.at(g_x, rows, g_logits @ classes.T)
+        return g_x
+
+    return (nll * hard if focal else nll), pullback
+
+
 def focal_oim_rows(
     features: Tensor,
     id_labels: Sequence[int],
@@ -159,56 +205,62 @@ def focal_oim_rows(
         raise ValueError("gamma must be non-negative")
     labels = [int(l) for l in id_labels]
     _check_oim_inputs(features, labels, state)
-    rows = np.array([i for i, l in enumerate(labels) if l >= 0], dtype=np.intp)
-    if not rows.size:
-        return Tensor(np.zeros(0))
-
-    # (dim, L + queue_len), C-contiguous: products with a transposed view
-    # round differently.
-    classes = np.ascontiguousarray(state.class_matrix().T)
-    inv_tau, c, focal = 1.0 / state.tau, float(gamma), gamma > 0.0
-    picks = (np.arange(rows.size), np.array([labels[i] for i in rows], dtype=np.intp))
-    p = tt._softmax_last((features.data[rows] @ classes) * inv_tau)
-    p_t = p[picks]
-    nll = -np.log(p_t)
-    q = 1.0 - p_t
-    hard = q**c if focal else None
-
-    def vjp(g):
-        # The chain rule op by op, from the focal factor q^gamma and the
-        # log back through the target pick, the softmax, the 1/tau scale,
-        # the class product and the row pick.
-        g_log = -(g * hard if focal else g) / p_t
-        g_p_t = g_log - (g * nll) * c * q ** (c - 1.0) if focal else g_log
-        g_p = np.zeros(p.shape)
-        np.add.at(g_p, picks, g_p_t)
-        g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * inv_tau
-        g_features = np.zeros(features.shape)
-        np.add.at(g_features, rows, g_logits @ classes.T)
-        return (g_features,)
-
-    return tt._emit(nll * hard if focal else nll, (features,), vjp)
+    values, pullback = _focal_rows(features.data, labels, state, gamma)
+    if not values.size:
+        return Tensor(values)
+    return tt._emit(values, (features,), lambda g: (pullback(g),))
 
 
 def focal_oim_loss(
-    features: Tensor,
+    features: Sequence[Tensor],
     id_labels: Sequence[int],
-    state: OIMState,
+    states: Sequence[OIMState],
     gamma: float = 2.0,
-) -> tuple[Tensor, OIMState]:
-    """Focal OIM over the labeled rows of a batch: the mean of
-    :func:`focal_oim_rows`.
+    sets: int | None = None,
+) -> tuple[Tensor, list[OIMState] | None]:
+    """Focal OIM averaged over the scales, as one taped primitive.
 
-    Returns the scalar loss and the post-batch state.  Batches without any
-    labeled row yield a constant 0 (no gradient); the state still absorbs
-    unlabeled rows.
+    ``features[s]`` holds scale s's unit-norm rows, one per label, and
+    ``states[s]`` that scale's lookup table and queue.  Each scale's loss is
+    the mean of :func:`focal_oim_rows` over its labeled rows; the scale
+    losses are summed in order and the sum scaled by 1 / scales.  Returns
+    the scalar loss and the post-batch states.  Batches without any labeled
+    row yield a constant 0 (no gradient); the states still absorb unlabeled
+    rows.
+
+    With ``sets`` = B, every ``features[s]`` instead stacks B sets of
+    len(id_labels) rows, set after set.  The loss is then the (B,) vector of
+    each set's loss, with the same value as a call on that set alone, and
+    no state is updated (None is returned in their place): the gradient
+    check scores all the probes of one tensor so.
     """
+    if gamma < 0.0:
+        raise ValueError("gamma must be non-negative")
+    features, states = tuple(features), list(states)
+    if not features or len(features) != len(states):
+        raise ValueError(f"need one state per scale, got {len(features)} scales and {len(states)} states")
     labels = [int(l) for l in id_labels]
-    per_row = focal_oim_rows(features, labels, state, gamma)
-    new_state = state.update(features.data, labels)
-    if per_row.size == 0:
-        return Tensor(0.0), new_state
-    return tt.mean_all(per_row), new_state
+    blocks = sets or 1
+    stacked = labels * blocks
+    for x, state in zip(features, states):
+        _check_oim_inputs(x, stacked, state)
+    rows = [_focal_rows(x.data, stacked, state, gamma) for x, state in zip(features, states)]
+    new_states = None if sets else [st.update(x.data, labels) for x, st in zip(features, states)]
+    per_set = rows[0][0].size // blocks
+    if not per_set:
+        return Tensor(np.zeros(sets) if sets else 0.0), new_states
+
+    # Each scale's mean, the means added in scale order, then the 1 / scales
+    # factor: the arithmetic of mean_all, add and scale, so the loss and its
+    # gradient keep the bits those generic ops gave.
+    inv_scales = 1.0 / len(rows)
+    loss = functools.reduce(np.add, [v.reshape(blocks, per_set).mean(axis=1) for v, _ in rows]) * inv_scales
+
+    def vjp(g):
+        g_rows = np.repeat(np.reshape(g * inv_scales, -1) / per_set, per_set)
+        return tuple(pullback(g_rows) for _, pullback in rows)
+
+    return tt._emit(loss if sets else loss[0], features, vjp), new_states
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,9 @@ class Tensor:
 
     The backing numpy array is made read-only at construction, so a Tensor
     can be shared freely between the tape, parameter dictionaries and
-    checkpoints without defensive copies.
+    checkpoints without defensive copies.  The constructor copies its
+    input; the private :meth:`_adopt` wraps an array that nothing else
+    writes to without copying it, and makes it read-only just the same.
     """
 
     __slots__ = ("_data",)
@@ -70,6 +72,21 @@ class Tensor:
         arr = np.array(data, dtype=np.float64, order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "_data", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Tensor":
+        """Wrap a C-contiguous float64 array without a copy.
+
+        The array becomes read-only.  The caller gives it up: neither it
+        nor any other view of its memory may be written afterwards, which
+        holds for a freshly read blob or a view into a read-only buffer.
+        """
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError(f"cannot adopt a {arr.dtype} array that is not C-contiguous")
+        arr.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "_data", arr)
+        return t
 
     @property
     def data(self) -> np.ndarray:
@@ -631,6 +648,11 @@ def central_diff_gradcheck(
 # Layout: magic "SQTR", u32 version (1), u8 dtype code (0 = float64 LE),
 # u8 ndim, then ndim u64 dims, then the raw little-endian values.  Integers
 # are little-endian.  Round-trips are bit-exact.
+#
+# ``read_blob`` checks the magic, version, dtype code and dims, then that the
+# file holds exactly the data bytes the dims imply, before it allocates
+# anything.  It then reads the values once, straight into the array the
+# returned Tensor adopts, so a blob costs one copy from the file.
 
 _BLOB_MAGIC = b"SQTR"
 _BLOB_VERSION = 1
@@ -677,8 +699,8 @@ def read_blob(path) -> Tensor:
             raise ValueError(
                 f"{path}: blob holds {remaining} data bytes, its header implies {expected}"
             )
-        raw = fh.read(expected)
-        if len(raw) != expected:
+        arr = np.empty(dims, dtype="<f8")
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != expected:
             raise ValueError(f"{path}: truncated blob")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
-    return Tensor(arr)
+    # A no-op on little-endian machines, where "<f8" is float64.
+    return Tensor._adopt(arr.astype(np.float64, copy=False))

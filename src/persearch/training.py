@@ -170,30 +170,24 @@ def _scene_losses(
     oim_states: list[OIMState],
     bench: Benchmark,
     scene_id: int,
-    run_seed: int,
+    scene: tuple,
     settings: TrainSettings,
 ):
-    """Forward one scene; returns (total Tensor, row dict, new states)."""
-    det = detect_scene(bench, scene_id, model.config.num_queries, run_seed)
-    labels = slot_labels(det, bench, scene_id)
-    l_cls, l_iou, l_l1 = detection_losses(det, bench, scene_id)
+    """Forward one scene; returns (total Tensor, row dict, new states).
 
+    ``scene`` is the scene's (detections, slot labels, detection losses).
+    """
+    det, labels, (l_cls, l_iou, l_l1) = scene
     emb = model.forward(bench.pyramid(scene_id), det.refs)
     for scale in emb.per_scale:
         if not np.isfinite(scale.data).all():
             raise NumericError("non-finite re-ID embeddings")
-    scale_losses = []
-    new_states = []
-    for scale, state in zip(emb.per_scale, oim_states):
-        loss, state = focal_oim_loss(
-            tt.l2_normalize_rows(scale), labels, state, gamma=settings.focal_gamma
-        )
-        scale_losses.append(loss)
-        new_states.append(state)
-    l_oim = scale_losses[0]
-    for extra in scale_losses[1:]:
-        l_oim = tt.add(l_oim, extra)
-    l_oim = tt.scale(l_oim, 1.0 / len(scale_losses))
+    l_oim, new_states = focal_oim_loss(
+        [tt.l2_normalize_rows(scale) for scale in emb.per_scale],
+        labels,
+        oim_states,
+        gamma=settings.focal_gamma,
+    )
 
     total = total_loss(l_cls, l_iou, l_l1, l_oim, settings.weights)
     if not np.isfinite(float(total.data)):
@@ -208,9 +202,9 @@ def _scene_losses(
     return total, row, new_states
 
 
-def _step_losses(model, oim_states, bench, scene_id, run_seed, settings, step):
+def _step_losses(model, oim_states, bench, scene_id, scene, settings, step):
     try:
-        return _scene_losses(model, oim_states, bench, scene_id, run_seed, settings)
+        return _scene_losses(model, oim_states, bench, scene_id, scene, settings)
     except NumericError as e:
         bad = next((n for n in sorted(model.params) if not np.isfinite(model.params[n].data).all()), None)
         where = "every parameter is finite" if bad is None else f"first non-finite parameter {bad}"
@@ -224,34 +218,42 @@ def _clip_gradients(grads: list[np.ndarray], limit: float) -> list[np.ndarray]:
     return [g * (limit / norm) for g in grads]
 
 
-class _Optimizer:
-    """SGD or Adam over the model's flat parameter dict."""
+def _flatten(arrays) -> np.ndarray:
+    """One new read-only float64 vector holding ``arrays`` in turn, each
+    row-major."""
+    flat = np.concatenate([np.reshape(a, -1) for a in arrays])
+    flat.flags.writeable = False
+    return flat
 
-    def __init__(self, names: list[str], settings: TrainSettings):
-        self.names = names
+
+class _Optimizer:
+    """SGD or Adam over the flat parameter vector, elementwise: each step is
+    one vector expression that yields a new parameter vector."""
+
+    def __init__(self, size: int, settings: TrainSettings):
         self.settings = settings
         self.step_count = 0
         if settings.optimizer == "adam":
-            self.m = {n: 0.0 for n in names}
-            self.v = {n: 0.0 for n in names}
+            self.m = np.zeros(size)
+            self.v = np.zeros(size)
 
-    def apply(self, params: dict[str, Tensor], grads: list[np.ndarray]) -> None:
+    def apply(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
         s = self.settings
         self.step_count += 1
-        for name, g in zip(self.names, grads):
-            p = params[name].data
-            if s.weight_decay > 0.0:
-                g = g + s.weight_decay * p
-            if s.optimizer == "sgd":
-                step = s.learning_rate * g
-            else:
-                b1, b2, eps = 0.9, 0.999, 1e-8
-                self.m[name] = b1 * self.m[name] + (1 - b1) * g
-                self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-                m_hat = self.m[name] / (1 - b1**self.step_count)
-                v_hat = self.v[name] / (1 - b2**self.step_count)
-                step = s.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-            params[name] = Tensor(p - step)
+        if s.weight_decay > 0.0:
+            g = g + s.weight_decay * p
+        if s.optimizer == "sgd":
+            step = s.learning_rate * g
+        else:
+            b1, b2, eps = 0.9, 0.999, 1e-8
+            self.m = b1 * self.m + (1 - b1) * g
+            self.v = b2 * self.v + (1 - b2) * g * g
+            m_hat = self.m / (1 - b1**self.step_count)
+            v_hat = self.v / (1 - b2**self.step_count)
+            step = s.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        new = p - step
+        new.flags.writeable = False
+        return new
 
 
 def train(
@@ -268,6 +270,13 @@ def train(
     is never empty.  Raises NumericError as soon as the total loss stops
     being finite; its message names the step and the first parameter, in
     sorted name order, that is not finite, or says that all are.
+
+    The parameters live in one flat vector for the run: ``model.params``
+    is replaced by read-only views into it, and each step's update yields
+    a new vector.  The caller's parameter arrays are never written.  Each
+    scene's detections, slot labels and detection losses are computed on
+    its first visit and reused on later ones; they depend only on the run
+    seed and the scene.
     """
     settings.validate()
     train_ids = bench.train_ids
@@ -276,17 +285,39 @@ def train(
     oim_states = init_oim_states(
         model, bench.config.labeled_identities, settings
     )
-    names = sorted(model.params)
-    opt = _Optimizer(names, settings)
-    curve: list[dict] = []
+    scenes: dict[int, tuple] = {}
 
+    def scene(scene_id):
+        if scene_id not in scenes:
+            det = detect_scene(bench, scene_id, model.config.num_queries, run_seed)
+            scenes[scene_id] = (
+                det,
+                slot_labels(det, bench, scene_id),
+                detection_losses(det, bench, scene_id),
+            )
+        return scenes[scene_id]
+
+    curve: list[dict] = []
     if settings.steps == 0:
-        _, row, _ = _step_losses(
-            model, oim_states, bench, train_ids[0], run_seed, settings, 0
-        )
+        sid = train_ids[0]
+        _, row, _ = _step_losses(model, oim_states, bench, sid, scene(sid), settings, 0)
         curve.append({"step": 0, **row})
         return TrainResult(model, oim_states, curve)
 
+    names = sorted(model.params)
+    ends = np.cumsum([model.params[n].size for n in names]).tolist()
+    spans = list(zip([0] + ends[:-1], ends, [model.params[n].shape for n in names]))
+
+    def adopt(flat):
+        """Point ``model.params`` at read-only views into ``flat``, the
+        tensors in sorted name order; returns the views in that order."""
+        views = [Tensor._adopt(flat[a:b].reshape(shape)) for a, b, shape in spans]
+        model.params.update(zip(names, views))
+        return views
+
+    flat = _flatten(model.params[n].data for n in names)
+    sources = adopt(flat)
+    opt = _Optimizer(flat.size, settings)
     step = 0
     epoch = 0
     while step < settings.steps:
@@ -298,12 +329,13 @@ def train(
             scene_id = train_ids[idx]
             with GradTape() as tape:
                 total, row, oim_states = _step_losses(
-                    model, oim_states, bench, scene_id, run_seed, settings, step
+                    model, oim_states, bench, scene_id, scene(scene_id), settings, step
                 )
-                grads = tape.gradients(total, [model.params[n] for n in names])
+                grads = tape.gradients(total, sources)
             if settings.grad_clip is not None:
                 grads = _clip_gradients(grads, settings.grad_clip)
-            opt.apply(model.params, grads)
+            flat = opt.apply(flat, _flatten(grads))
+            sources = adopt(flat)
             curve.append({"step": step, **row})
             if progress is not None:
                 progress(step, row)

@@ -1,11 +1,15 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import persearch.cli as cli
 from persearch.cli import main
@@ -72,6 +76,7 @@ class TestArtifacts:
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 <= summary["map"] <= 1.0
         assert set(summary["cmc"]) == {"1", "5", "10"}
+        assert (summary["cbgm"], summary["k1"], summary["k2"]) == (False, 30, 3)
         header = (out / "results.csv").read_text().split("\n")[0]
         assert header == "query,identity,rank,scene,score,correct"
 
@@ -405,6 +410,25 @@ class TestExitCodes:
         assert "--steps" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("flags", [["--k1", "1"], ["--k2", "0"], ["--k1", "30", "--k2", "3"]])
+    def test_context_flags_without_cbgm_exit_1(self, workspace, tmp_path, capsys, flags):
+        rc = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(workspace["run"] / "checkpoint"),
+                "--data",
+                str(workspace["data"]),
+                "--out",
+                str(tmp_path / "e"),
+                *flags,
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["error: --k1 and --k2 act only with --cbgm"]
+        assert not (tmp_path / "e").exists()
+
     def test_bad_gallery_sizes_exit_1(self, workspace, tmp_path):
         rc = main(
             [
@@ -420,6 +444,80 @@ class TestExitCodes:
             ]
         )
         assert rc == 1
+
+
+# Blob byte ranges (start, stop) of the fields a flipped bit can corrupt;
+# the dims run from byte 10 for 8 bytes per dimension.
+_BLOB_FIELDS = {"magic": (0, 4), "version": (4, 8), "dtype": (8, 9), "ndim": (9, 10)}
+
+
+@st.composite
+def _blob_faults(draw, raw: bytes):
+    """A corrupted copy of the blob ``raw``: truncated, with trailing
+    bytes, or with one bit flipped in the magic, version, dtype code, ndim
+    or dims."""
+    kind = draw(st.sampled_from(["truncate", "trailing", *_BLOB_FIELDS, "dims"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "trailing":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    start, stop = _BLOB_FIELDS.get(kind) or (10, 10 + 8 * raw[9])
+    at, bit = draw(st.integers(start, stop - 1)), draw(st.integers(0, 7))
+    return raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1 :]
+
+
+@pytest.fixture(scope="module")
+def corruptible(workspace, tmp_path_factory):
+    """A private copy of the dataset and checkpoint whose blobs a test may
+    overwrite, as long as it puts each one back."""
+    root = tmp_path_factory.mktemp("corrupt")
+    shutil.copytree(workspace["data"], root / "data")
+    shutil.copytree(workspace["run"] / "checkpoint", root / "checkpoint")
+    return root
+
+
+class TestCorruptBlobs:
+    """Every kind of blob the commands read, corrupted at random: the
+    command exits 2 with one error line that names the file."""
+
+    # (blob, the command that reads it first)
+    BLOBS = [
+        ("data/scenes/scene_00008_l0.sqt", "eval"),  # the first gallery scene
+        ("data/scenes/scene_00008_l2.sqt", "eval"),
+        ("data/bank.sqt", "train"),
+        ("checkpoint/model/t0003.sqt", "eval"),
+        ("checkpoint/oim1_lut.sqt", "eval"),
+    ]
+
+    @seed(20240611)
+    @settings(
+        max_examples=120,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_corrupt_blob_exits_2_naming_the_file(self, workspace, corruptible, data):
+        blob, command = data.draw(st.sampled_from(self.BLOBS))
+        path = corruptible / blob
+        raw = path.read_bytes()
+        inputs = {
+            "train": ["--config", str(workspace["cfg"])],
+            "eval": ["--checkpoint", str(corruptible / "checkpoint")],
+        }[command]
+        err = io.StringIO()
+        try:
+            path.write_bytes(data.draw(_blob_faults(raw)))
+            with contextlib.redirect_stderr(err):
+                rc = main([command, *inputs, "--data", str(corruptible / "data"), "--out", str(corruptible / "out")])
+        finally:
+            path.write_bytes(raw)
+        lines = err.getvalue().strip().split("\n")
+        assert rc == 2, lines
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert str(path) in lines[0]
+        assert "Traceback" not in err.getvalue()
+        assert not (corruptible / "out").exists()
 
 
 def _data_files(directory):

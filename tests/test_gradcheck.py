@@ -18,7 +18,7 @@ from persearch.gradcheck import (
     format_results,
     raise_on_failure,
 )
-from persearch.losses import focal_oim_loss
+from persearch.losses import focal_oim_rows
 from persearch.tensor import Tensor
 from persearch.transformer import ReIDEmbeddings, ReIDTransformer
 
@@ -154,17 +154,18 @@ class TestBatchedProbes:
 
 
 def old_probe_loss(emb, labels, states):
-    """The loss of one probe as one focal_oim_loss per scale."""
+    """The loss of one probe as generic ops: the mean of each scale's focal
+    OIM rows, the scale means added in order, then scaled by 1 / scales."""
     total = None
     for scale, st in zip(emb.per_scale, states):
-        l, _ = focal_oim_loss(T.l2_normalize_rows(scale), labels, st, gamma=2.0)
+        l = T.mean_all(focal_oim_rows(T.l2_normalize_rows(scale), labels, st, gamma=2.0))
         total = l if total is None else T.add(total, l)
     return T.scale(total, 1.0 / len(states))
 
 
 class TestBatchedLoss:
-    """The full-model check scores all probes of a tensor with one focal-OIM
-    evaluation per scale."""
+    """The full-model check scores all probes of a tensor, at every scale,
+    with one focal-OIM evaluation."""
 
     def test_probe_values_equal_one_loss_per_probe_and_scale(self, monkeypatch):
         batched = T.numeric_gradient
@@ -202,20 +203,23 @@ class TestBatchedLoss:
                 checked += 1
         assert checked == 4
 
-    def test_one_loss_evaluation_per_scale_and_parameter_tensor(self, monkeypatch):
-        rows = gradcheck.focal_oim_rows
+    def test_one_loss_evaluation_per_parameter_tensor(self, monkeypatch):
+        loss = gradcheck.focal_oim_loss
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return rows(*args, **kwargs)
+        def counting(features, *args, **kwargs):
+            calls.append([f.shape[0] for f in features])
+            return loss(features, *args, **kwargs)
 
-        monkeypatch.setattr(gradcheck, "focal_oim_rows", counting)
+        monkeypatch.setattr(gradcheck, "focal_oim_loss", counting)
         results = check_full_model()
         assert len(results) == 45
-        assert len(calls) <= 3 * (len(results) + 1)
+        # One for the taped loss, then one per parameter tensor for all of
+        # its probes and all three scales.
+        assert len(calls) == len(results) + 1
+        assert all(len(scales) == 3 for scales in calls)
         # Every probe's rows are still scored: 3 rows per probe and scale.
-        assert sum(calls) == 3 * 3 * (1 + 2 * 1576)
+        assert sum(map(sum, calls)) == 3 * 3 * (1 + 2 * 1576)
 
 
 class TestReporting:

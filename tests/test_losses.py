@@ -24,6 +24,12 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def one_scale_loss(features, labels, state, gamma=2.0):
+    """:func:`focal_oim_loss` of a single scale: (loss, new state)."""
+    loss, (new_state,) = focal_oim_loss([features], labels, [state], gamma)
+    return loss, new_state
+
+
 def fresh_state(rng, num_labeled=4, dim=6, capacity=3, warm=True):
     state = OIMState.initial(num_labeled, dim, capacity)
     if warm:
@@ -96,14 +102,14 @@ class TestOIMLoss:
         rng = np.random.default_rng(65)
         s = OIMState.initial(5, 8, 0)
         feats = Tensor(unit_rows(rng, 2, 8))
-        loss, _ = focal_oim_loss(feats, [0, 3], s, gamma=0.0)
+        loss, _ = one_scale_loss(feats, [0, 3], s, gamma=0.0)
         assert loss.item() == pytest.approx(math.log(5), abs=1e-12)
 
     def test_empty_labeled_set_zero_loss(self):
         rng = np.random.default_rng(66)
         s = fresh_state(rng)
         feats = Tensor(unit_rows(rng, 2, 6))
-        loss, s2 = focal_oim_loss(feats, [UNLABELED, BACKGROUND], s, gamma=0.0)
+        loss, s2 = one_scale_loss(feats, [UNLABELED, BACKGROUND], s, gamma=0.0)
         assert loss.item() == 0.0
         assert len(s2.queue) == 1  # unlabeled row still queued
 
@@ -113,7 +119,7 @@ class TestOIMLoss:
         s = s.update(unit_rows(rng, 2, 6), [UNLABELED, UNLABELED])
         feats = unit_rows(rng, 3, 6)
         labels = [2, 0, UNLABELED]
-        loss, _ = focal_oim_loss(Tensor(feats), labels, s, gamma=0.0)
+        loss, _ = one_scale_loss(Tensor(feats), labels, s, gamma=0.0)
         cm = s.class_matrix()
         want = 0.0
         for i, l in enumerate(labels):
@@ -131,8 +137,8 @@ class TestOIMLoss:
         s = fresh_state(rng)
         feats = unit_rows(rng, 2, 6)
         with_bg = np.vstack([feats, rng.standard_normal((1, 6)) * 5])
-        l1, s1 = focal_oim_loss(Tensor(feats), [0, 1], s, gamma=0.0)
-        l2, s2 = focal_oim_loss(Tensor(with_bg), [0, 1, BACKGROUND], s, gamma=0.0)
+        l1, s1 = one_scale_loss(Tensor(feats), [0, 1], s, gamma=0.0)
+        l2, s2 = one_scale_loss(Tensor(with_bg), [0, 1, BACKGROUND], s, gamma=0.0)
         assert l1.item() == pytest.approx(l2.item(), abs=1e-15)
         np.testing.assert_array_equal(s1.lut, s2.lut)
 
@@ -140,10 +146,10 @@ class TestOIMLoss:
         rng = np.random.default_rng(69)
         s = fresh_state(rng, capacity=4)
         feats = unit_rows(rng, 1, 6)
-        base, _ = focal_oim_loss(Tensor(feats), [0], s, gamma=0.0)
+        base, _ = one_scale_loss(Tensor(feats), [0], s, gamma=0.0)
         # Push the query's own direction into the queue: it now competes.
         s_hard = s.update(feats, [UNLABELED])
-        harder, _ = focal_oim_loss(Tensor(feats), [0], s_hard, gamma=0.0)
+        harder, _ = one_scale_loss(Tensor(feats), [0], s_hard, gamma=0.0)
         assert harder.item() > base.item()
 
     def test_non_unit_feature_rejected(self):
@@ -151,14 +157,14 @@ class TestOIMLoss:
         s = fresh_state(rng)
         bad = Tensor(rng.standard_normal((1, 6)) * 2)
         with pytest.raises(ValueError):
-            focal_oim_loss(bad, [0], s, gamma=0.0)
+            one_scale_loss(bad, [0], s, gamma=0.0)
 
     def test_out_of_range_identity_rejected(self):
         rng = np.random.default_rng(71)
         s = fresh_state(rng)
         feats = Tensor(unit_rows(rng, 1, 6))
         with pytest.raises(ValueError):
-            focal_oim_loss(feats, [4], s, gamma=0.0)
+            one_scale_loss(feats, [4], s, gamma=0.0)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(72)
@@ -168,7 +174,7 @@ class TestOIMLoss:
 
         def f(x):
             # Normalize inside so arbitrary perturbations stay legal.
-            loss, _ = focal_oim_loss(
+            loss, _ = one_scale_loss(
                 T.l2_normalize_rows(x), [1, 3, UNLABELED], s, gamma=0.0
             )
             return loss
@@ -182,7 +188,7 @@ class TestOIMLoss:
         raw = Tensor(rng.standard_normal((2, 6)))
 
         def f(x):
-            loss, _ = focal_oim_loss(T.l2_normalize_rows(x), [0, 2], s, gamma=2.0)
+            loss, _ = one_scale_loss(T.l2_normalize_rows(x), [0, 2], s, gamma=2.0)
             return loss
 
         err = T.central_diff_gradcheck(f, raw)
@@ -200,7 +206,7 @@ class TestFocalOIMRows:
         assert rows.shape == (3,)
         np.testing.assert_array_equal(s.lut, lut)
         assert list(s.queue) == queue
-        loss, s2 = focal_oim_loss(feats, labels, s, gamma=2.0)
+        loss, s2 = one_scale_loss(feats, labels, s, gamma=2.0)
         assert loss.item() == rows.data.mean()
         want = s.update(feats.data, labels)
         np.testing.assert_array_equal(s2.lut, want.lut)
@@ -288,7 +294,7 @@ class TestFocalOIM:
         s = s.update(unit_rows(rng, 2, 6), [UNLABELED, UNLABELED])
         feats = unit_rows(rng, 3, 6)
         labels = [0, UNLABELED, 2]
-        loss, s2 = focal_oim_loss(Tensor(feats), labels, s, gamma=0.0)
+        loss, s2 = one_scale_loss(Tensor(feats), labels, s, gamma=0.0)
         cm = s.class_matrix()
         want = 0.0
         for i in (0, 2):
@@ -311,8 +317,8 @@ class TestFocalOIM:
         rng = np.random.default_rng(75)
         s = fresh_state(rng)
         easy = Tensor(s.lut[0].reshape(1, -1))
-        plain, _ = focal_oim_loss(easy, [0], s, gamma=0.0)
-        focal, _ = focal_oim_loss(easy, [0], s, gamma=2.0)
+        plain, _ = one_scale_loss(easy, [0], s, gamma=0.0)
+        focal, _ = one_scale_loss(easy, [0], s, gamma=2.0)
         assert focal.item() < 0.05 * plain.item()
 
     def test_matches_manual_focal_formula(self):
@@ -320,7 +326,7 @@ class TestFocalOIM:
         s = fresh_state(rng)
         feats = unit_rows(rng, 2, 6)
         gamma = 2.0
-        loss, _ = focal_oim_loss(Tensor(feats), [1, 3], s, gamma=gamma)
+        loss, _ = one_scale_loss(Tensor(feats), [1, 3], s, gamma=gamma)
         cm = s.class_matrix()
         want = 0.0
         for i, l in enumerate([1, 3]):
@@ -330,6 +336,67 @@ class TestFocalOIM:
             want += (1 - p[l]) ** gamma * (-math.log(p[l]))
         want /= 2
         assert loss.item() == pytest.approx(want, abs=1e-12)
+
+
+class TestScaleAveragedOIM:
+    """``focal_oim_loss`` over several scales is one taped node with the
+    bits of the generic chain: each scale's mean, added in order, scaled."""
+
+    def problem(self, rng, scales=3, rows=4):
+        states = [
+            fresh_state(rng, capacity=2).update(unit_rows(rng, 1, 6), [UNLABELED])
+            for _ in range(scales)
+        ]
+        raws = [Tensor(rng.standard_normal((rows, 6))) for _ in range(scales)]
+        return states, raws, [2, UNLABELED, 0, 2][:rows]
+
+    @pytest.mark.parametrize("scales", [1, 3])
+    def test_value_gradients_and_states_equal_the_generic_chain(self, scales):
+        rng = np.random.default_rng(81)
+        states, raws, labels = self.problem(rng, scales)
+        with GradTape() as tape:
+            feats = [T.l2_normalize_rows(r) for r in raws]
+            total = None
+            for f, st in zip(feats, states):
+                mean = T.mean_all(focal_oim_rows(f, labels, st, gamma=2.0))
+                total = mean if total is None else T.add(total, mean)
+            want = T.scale(total, 1.0 / scales)
+            want_grads = tape.gradients(T.scale(want, 0.5), raws)
+        with GradTape() as tape:
+            feats = [T.l2_normalize_rows(r) for r in raws]
+            loss, new_states = focal_oim_loss(feats, labels, states, gamma=2.0)
+            assert [node.inputs for node in tape._nodes[scales:]] == [tuple(feats)]
+            grads = tape.gradients(T.scale(loss, 0.5), raws)
+        assert loss.shape == () and loss.data.tobytes() == want.data.tobytes()
+        for g, w in zip(grads, want_grads):
+            assert g.tobytes() == w.tobytes()
+        for f, st, new in zip(feats, states, new_states):
+            np.testing.assert_array_equal(new.lut, st.update(f.data, labels).lut)
+
+    def test_sets_score_each_set_as_its_own_call(self):
+        rng = np.random.default_rng(82)
+        states, _, labels = self.problem(rng)
+        sets = [[Tensor(unit_rows(rng, 4, 6)) for _ in states] for _ in range(5)]
+        stacked = [Tensor(np.vstack([s[k].data for s in sets])) for k in range(len(states))]
+        values, no_states = focal_oim_loss(stacked, labels, states, gamma=2.0, sets=len(sets))
+        assert no_states is None and values.shape == (len(sets),)
+        for b, feats in enumerate(sets):
+            assert values.data[b] == focal_oim_loss(feats, labels, states, gamma=2.0)[0].item()
+
+    def test_no_labeled_row_gives_a_constant_zero_and_still_queues(self):
+        rng = np.random.default_rng(83)
+        states, _, _ = self.problem(rng)
+        feats = [Tensor(unit_rows(rng, 2, 6)) for _ in states]
+        with GradTape() as tape:
+            loss, new_states = focal_oim_loss(feats, [UNLABELED, BACKGROUND], states)
+        assert loss.item() == 0.0 and not tape._nodes
+        assert [len(st.queue) for st in new_states] == [2, 2, 2]
+
+    def test_one_state_per_scale_is_required(self):
+        rng = np.random.default_rng(84)
+        states, _, _ = self.problem(rng)
+        with pytest.raises(ValueError, match="one state per scale"):
+            focal_oim_loss([Tensor(unit_rows(rng, 1, 6))] * 2, [0], states)
 
 
 class TestTotalLoss:

@@ -47,6 +47,16 @@ class TestTensorBasics:
     def test_scalar_item(self):
         assert Tensor(3.5).item() == 3.5
 
+    def test_adopt_wraps_without_a_copy_and_freezes(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        t = Tensor._adopt(arr)
+        assert t.data is arr and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            t.data[0, 0] = 5.0
+        for bad in (np.arange(6.0).reshape(2, 3).T, np.zeros(3, dtype=np.float32)):
+            with pytest.raises(ValueError, match="cannot adopt"):
+                Tensor._adopt(bad)
+
 
 class TestForwardOracles:
     def test_softmax_uniform(self):
@@ -476,6 +486,7 @@ class TestBlobIO:
         back = T.read_blob(path)
         assert back.shape == t.shape
         assert back.data.tobytes() == t.data.tobytes()
+        assert back.data.dtype == np.float64 and not back.data.flags.writeable
 
     def test_header_fields(self, tmp_path):
         path = tmp_path / "t.sqt"
