@@ -131,7 +131,7 @@ def _fields(params, blocks: int | None = None) -> tuple[list[np.ndarray], list[b
 def _fold(grads, own) -> tuple[np.ndarray, ...]:
     """Per-block field gradients, (G, ...) each, summed over the blocks in
     block order for the fields every block shares."""
-    return tuple(g if o else g.sum(axis=0) for g, o in zip(grads, own))
+    return tuple(g if o else np.add.reduce(g, axis=0) for g, o in zip(grads, own))
 
 
 def _row_blocks(x: Tensor, blocks: int) -> int:
@@ -166,11 +166,11 @@ def multi_head_self_attention(y: Tensor, params: MultiHeadAttnParams, blocks: in
         g_heads = (g @ wo.swapaxes(-1, -2)).reshape(blocks, n, h, -1).transpose(0, 2, 1, 3)
         g_p = g_heads @ v.swapaxes(2, 3)
         g_v = p.swapaxes(2, 3) @ g_heads
-        g_logits = p * (g_p - (g_p * p).sum(axis=3, keepdims=True)) * inv_sqrt_dk
+        g_logits = p * (g_p - np.add.reduce(g_p * p, axis=3, keepdims=True)) * inv_sqrt_dk
         g_q = g_logits @ k
         g_k = g_logits.swapaxes(2, 3) @ q
         g_y = sum(
-            (gx @ wx.swapaxes(-1, -2)).sum(axis=1)
+            np.add.reduce(gx @ wx.swapaxes(-1, -2), axis=1)
             for gx, wx in ((g_q, wq), (g_k, wk), (g_v, wv))
         )
         yt = yd.swapaxes(2, 3)
@@ -337,7 +337,7 @@ def _deform_core(
         g_w_value = np.einsum("gnhc,gnhd->ghcd", pooled, g_valued)
         g_pooled = np.einsum(f"gnhd,{value}->gnhc", g_valued, w_value).reshape(g_count * n, h, c)
         g_attn = np.einsum("nhc,nhkc->nhk", g_pooled, samples)
-        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
+        g_logits = attn * (g_attn - np.add.reduce(g_attn * attn, axis=2, keepdims=True))
         g_samples = (
             (attn[..., None] * g_pooled[:, :, None, :])
             .reshape(g_count, n, h, lv, s, c)
@@ -351,7 +351,8 @@ def _deform_core(
         g_z = g_offsets @ w_offset.swapaxes(-1, -2) + g_logits @ w_weight.swapaxes(-1, -2)
         zt = zd.swapaxes(1, 2)
         grads = (
-            zt @ g_offsets, g_offsets.sum(axis=1), zt @ g_logits, g_logits.sum(axis=1),
+            zt @ g_offsets, np.add.reduce(g_offsets, axis=1),
+            zt @ g_logits, np.add.reduce(g_logits, axis=1),
             g_w_value, g_w_out,
         )
         return (g_z.reshape(z.shape), *_fold(grads, own), *g_maps)

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 configuration errors, 2 data or filesystem errors,
 5 any other (internal) error.
 Run artifacts (manifests, loss curves, result tables, summaries) contain no
 wall-clock values, so identical seeds reproduce them byte for byte; timing
-is printed to stdout only.
+is printed only: ``train`` writes a progress line to stderr at each tenth
+of its steps and its summary to stdout.
 """
 
 from __future__ import annotations
@@ -62,8 +63,18 @@ def cmd_train(args) -> int:
         cfg.train.validate()
     bench = load_benchmark(args.data)
     model = ReIDTransformer.init(cfg.model, seed=cfg.seed, style="train")
+    steps = cfg.train.steps
     t0 = time.perf_counter()
-    result = train(model, bench, cfg.train, run_seed=cfg.seed)
+
+    def report(step, row):
+        # One line each time the run passes a tenth of its steps.
+        done = step + 1
+        if done * 10 // steps > step * 10 // steps:
+            rate = done / (time.perf_counter() - t0)
+            line = f"step {done}/{steps}  {rate:.1f} steps/s  total loss {row['total']:.4f}"
+            print(line, file=sys.stderr, flush=True)
+
+    result = train(model, bench, cfg.train, run_seed=cfg.seed, progress=report)
     dt = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)

@@ -249,8 +249,7 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
     model, pyramid, refs, labels, states = _full_model_problem()
 
     def loss(emb, sets=None) -> Tensor:
-        rows = [tt.l2_normalize_rows(scale) for scale in emb.per_scale]
-        return focal_oim_loss(rows, labels, states, gamma=2.0, sets=sets)[0]
+        return focal_oim_loss(tt.l2_normalize_rows(emb.rows), labels, states, gamma=2.0, sets=sets)[0]
 
     names = sorted(model.params)
     with GradTape() as tape:

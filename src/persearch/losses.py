@@ -13,15 +13,20 @@ the final softmax probability, so easy rows fade out of the gradient.  With
 gamma = 0 it is exactly the plain OIM loss, state updates included.
 
 SeqTR supervises every scale of the embedding, with one OIM state per
-scale.  ``focal_oim_loss`` takes the unit-norm rows and the state of each
-scale and returns the scale-averaged loss, the mean over each scale's
-labeled rows summed over the scales and divided by their count, plus
-the updated states.  It records one taped primitive for all scales, and
-its ``sets`` form scores many stacked row sets at once for the gradient
-check.  ``focal_oim_rows`` gives the per-row values of one scale without
-the state update, also as one taped primitive.  Both share one copy of
-the focal arithmetic and its hand-written VJP for the features; the
-lookup table and queue are constants of the step.
+scale.  ``focal_oim_loss`` takes the unit-norm rows of all S scales as one
+stacked tensor, one block of rows per scale, with the state of each scale,
+and returns the scale-averaged loss, the mean over each scale's labeled
+rows summed over the scales and divided by S, plus the updated states.
+The scales share their labels and one class-matrix shape, so the rows are
+checked once, scored with one class product batched over the scales, one
+softmax and one pullback, and folded into all the states at once; it
+records one taped primitive, and its ``sets`` form scores many stacked row
+sets at once for the gradient check.
+``focal_oim_rows`` gives the per-row values of one scale without the state
+update, also as one taped primitive.  Both share one copy of the focal
+arithmetic and its hand-written VJP for the features; the lookup table and
+queue are constants of the step, and each state builds its class matrix
+once.
 
 ``total_loss`` combines the four training components cls/iou/l1/oim with
 the standard weights (2.0, 5.0, 2.0, 0.5).
@@ -67,7 +72,8 @@ class OIMState:
 
     ``update`` returns a fresh state, leaving the original untouched, which
     keeps loss evaluation repeatable (gradient checks difference the same
-    state many times).
+    state many times).  A state is a value once scored: its class matrix
+    (:attr:`classes`) is built on first use and kept for every later loss.
     """
 
     lut: np.ndarray
@@ -107,64 +113,104 @@ class OIMState:
     def queue_capacity(self) -> int:
         return self.queue.maxlen
 
-    def class_matrix(self) -> np.ndarray:
-        """(L + queue_len, dim): prototype rows first, then queue rows."""
-        if self.queue:
-            return np.vstack([self.lut, np.array(list(self.queue))])
-        return self.lut.copy()
+    @functools.cached_property
+    def classes(self) -> np.ndarray:
+        """The read-only, C-contiguous (dim, L + queue_len) class matrix:
+        one column per prototype, then one per queue row, oldest first.
+
+        Built on first use and kept, so ``lut`` and ``queue`` must not
+        change after that; :meth:`update` returns a new state instead.
+        """
+        rows = np.concatenate([self.lut.reshape(-1), *self.queue]).reshape(-1, self.dim)
+        classes = np.ascontiguousarray(rows.T)
+        classes.flags.writeable = False
+        return classes
 
     def update(self, features: np.ndarray, labels: Sequence[int]) -> "OIMState":
         """Momentum-fold labeled rows, enqueue unlabeled rows; new state."""
-        lut = self.lut.copy()
-        queue = deque(self.queue, maxlen=self.queue.maxlen)
-        for x, label in zip(features, labels):
-            if label >= 0:
-                mixed = self.momentum * lut[label] + (1.0 - self.momentum) * x
-                norm = np.linalg.norm(mixed)
-                lut[label] = mixed / norm if norm > 1e-12 else 0.0
-            elif label == UNLABELED and queue.maxlen > 0:
-                queue.append(np.array(x))
-        return OIMState(lut, queue, self.momentum, self.tau)
+        return _updated_states([self], np.asarray(features)[None], labels)[0]
 
 
-def _check_oim_inputs(features: Tensor, labels: Sequence[int], state: OIMState):
-    if features.ndim != 2 or features.shape[1] != state.dim:
+def _updated_states(states: Sequence[OIMState], x: np.ndarray, labels: Sequence[int]) -> list[OIMState]:
+    """Each state after the batch: ``x`` is (S, n, d), the n rows of each
+    state's scale, with one label per row for every scale.
+
+    Row by row, in order, a labeled row folds into its prototype with
+    momentum and is renormalized (a norm <= 1e-12 leaves zeros), and an
+    unlabeled row enters the queue, evicting the oldest; each step runs
+    for all S states at once.  The norm is np.linalg.norm's arithmetic,
+    the root of the row's dot product with itself.
+    """
+    luts = np.array([st.lut for st in states])  # a copy, (S, L, d)
+    keep = np.array([st.momentum for st in states]).reshape(-1, 1)
+    queues = [deque(st.queue, maxlen=st.queue.maxlen) for st in states]
+    for i, label in enumerate(labels):
+        if label >= 0:
+            mixed = keep * luts[:, label] + (1.0 - keep) * x[:, i]
+            norm = np.sqrt(np.vecdot(mixed, mixed))[:, None]
+            live = norm > 1e-12
+            luts[:, label] = np.where(live, mixed / np.where(live, norm, 1.0), 0.0)
+        elif label == UNLABELED:
+            for queue, row in zip(queues, x[:, i].copy()):
+                queue.append(row)
+    return [OIMState(lut, queue, st.momentum, st.tau) for lut, queue, st in zip(luts, queues, states)]
+
+
+def _check_oim_inputs(features: Tensor, labels: list[int], states: Sequence[OIMState]) -> np.ndarray:
+    """Check S scales' stacked rows against their states; returns the
+    labels as an integer array.
+
+    ``features`` holds len(states) equal blocks of len(labels) rows, one
+    block per scale, and every block takes the same labels.  The states
+    must share one class-matrix shape.  An error names the first bad row
+    in scale order, and within a scale in the order a row-by-row check
+    would meet it.
+    """
+    table, dim = states[0].lut.shape
+    queue = len(states[0].queue)
+    if any(st.lut.shape != (table, dim) or len(st.queue) != queue for st in states):
+        raise ValueError("the states of all scales must share one table and one queue length")
+    if features.ndim != 2 or features.shape[1] != dim:
+        raise ValueError(f"features {features.shape} do not match state dim {dim}")
+    if features.shape[0] != len(labels) * len(states):
         raise ValueError(
-            f"features {features.shape} do not match state dim {state.dim}"
+            f"need one label per feature row of each of {len(states)} states: "
+            f"got {features.shape[0]} rows for {len(labels)} labels"
         )
-    if len(labels) != features.shape[0]:
-        raise ValueError("one label per feature row is required")
-    norms = np.linalg.norm(features.data, axis=1)
-    table = state.num_labeled
+    norms = np.sqrt(np.add.reduce(features.data * features.data, axis=1)).reshape(len(states), -1)
     ids = np.array(labels, dtype=np.int64).reshape(-1)
     off_norm = (ids != BACKGROUND) & (np.abs(norms - 1.0) > _UNIT_NORM_TOL)
     bad = np.flatnonzero((ids >= table) | (ids < BACKGROUND) | off_norm)
     if bad.size:
-        i = int(bad[0])  # the first bad row, checked in the order below
+        s, i = divmod(int(bad[0]), len(labels))  # the first bad row, checked in the order below
         if labels[i] >= table:
             raise ValueError(f"identity {labels[i]} outside table of {table}")
         if labels[i] < BACKGROUND:
             raise ValueError(f"unknown label marker {labels[i]}")
-        raise ValueError(f"row {i} entering OIM must be unit-norm, got {norms[i]:.8f}")
+        raise ValueError(f"row {i} entering OIM must be unit-norm, got {norms[s, i]:.8f}")
+    return ids
 
 
-def _focal_rows(x: np.ndarray, labels: list[int], state: OIMState, gamma: float):
-    """The focal OIM arithmetic, once for every caller.
+def _focal_rows(x: np.ndarray, ids: np.ndarray, states: Sequence[OIMState], gamma: float):
+    """The focal OIM arithmetic, once for every caller and every scale.
 
-    Returns the focal NLL of each labeled row of ``x`` in row order and its
-    pullback, which maps a gradient of those values to the gradient of
-    ``x`` (None when no row is labeled).  The class matrix is a constant;
-    the inputs must be checked.
+    ``x`` is (S, n, d): the n rows of each of the S scales, all with the
+    labels ``ids``, scored against ``states[s]``.  Returns the (S, r) focal
+    NLL of each scale's r labeled rows in row order and its pullback,
+    which maps an (r,) gradient of every scale's values to the gradient of
+    ``x`` (None when no row is labeled).  The class matrices are
+    constants; the inputs must be checked.
     """
-    rows = np.array([i for i, l in enumerate(labels) if l >= 0], dtype=np.intp)
+    rows = np.flatnonzero(ids >= 0)
     if not rows.size:
-        return np.zeros(0), None
-    # (dim, L + queue_len), C-contiguous: products with a transposed view
-    # round differently.
-    classes = np.ascontiguousarray(state.class_matrix().T)
-    inv_tau, c, focal = 1.0 / state.tau, float(gamma), gamma > 0.0
-    picks = (np.arange(rows.size), np.array([labels[i] for i in rows], dtype=np.intp))
-    p = tt._softmax_last((x[rows] @ classes) * inv_tau)
+        return np.zeros((len(states), 0)), None
+    # (S, dim, L + queue_len), each scale's matrix C-contiguous: products
+    # with a transposed view round differently.
+    classes = np.stack([st.classes for st in states])
+    inv_tau = np.array([1.0 / st.tau for st in states]).reshape(-1, 1, 1)
+    c, focal = float(gamma), gamma > 0.0
+    picks = (slice(None), np.arange(rows.size), ids[rows])
+    p = tt._softmax_last((x[:, rows] @ classes) * inv_tau)
     p_t = p[picks]
     nll = -np.log(p_t)
     q = 1.0 - p_t
@@ -173,14 +219,15 @@ def _focal_rows(x: np.ndarray, labels: list[int], state: OIMState, gamma: float)
     def pullback(g):
         # The chain rule op by op, from the focal factor q^gamma and the
         # log back through the target pick, the softmax, the 1/tau scale,
-        # the class product and the row pick.
+        # the class product and the row pick.  Picks and rows are unique,
+        # so each += adds to one zero, as a scatter-add would.
         g_log = -(g * hard if focal else g) / p_t
         g_p_t = g_log - (g * nll) * c * q ** (c - 1.0) if focal else g_log
         g_p = np.zeros(p.shape)
-        np.add.at(g_p, picks, g_p_t)
-        g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * inv_tau
+        g_p[picks] += g_p_t
+        g_logits = p * (g_p - np.add.reduce(g_p * p, axis=-1, keepdims=True)) * inv_tau
         g_x = np.zeros(x.shape)
-        np.add.at(g_x, rows, g_logits @ classes.T)
+        g_x[:, rows] += g_logits @ classes.transpose(0, 2, 1)
         return g_x
 
     return (nll * hard if focal else nll), pullback
@@ -204,15 +251,15 @@ def focal_oim_rows(
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     labels = [int(l) for l in id_labels]
-    _check_oim_inputs(features, labels, state)
-    values, pullback = _focal_rows(features.data, labels, state, gamma)
+    ids = _check_oim_inputs(features, labels, [state])
+    values, pullback = _focal_rows(features.data[None], ids, [state], gamma)
     if not values.size:
-        return Tensor(values)
-    return tt._emit(values, (features,), lambda g: (pullback(g),))
+        return Tensor(values[0])
+    return tt._emit(values[0], (features,), lambda g: (pullback(g)[0],))
 
 
 def focal_oim_loss(
-    features: Sequence[Tensor],
+    features: Tensor,
     id_labels: Sequence[int],
     states: Sequence[OIMState],
     gamma: float = 2.0,
@@ -220,47 +267,50 @@ def focal_oim_loss(
 ) -> tuple[Tensor, list[OIMState] | None]:
     """Focal OIM averaged over the scales, as one taped primitive.
 
-    ``features[s]`` holds scale s's unit-norm rows, one per label, and
-    ``states[s]`` that scale's lookup table and queue.  Each scale's loss is
-    the mean of :func:`focal_oim_rows` over its labeled rows; the scale
-    losses are summed in order and the sum scaled by 1 / scales.  Returns
-    the scalar loss and the post-batch states.  Batches without any labeled
-    row yield a constant 0 (no gradient); the states still absorb unlabeled
-    rows.
+    ``features`` stacks the unit-norm rows of S = len(states) scales, one
+    block of len(id_labels) rows per scale in scale order, and
+    ``states[s]`` holds scale s's lookup table and queue; the states share
+    one table size and one queue length.  Each scale's loss is the mean of
+    :func:`focal_oim_rows` over its labeled rows; the scale losses are
+    summed in order and the sum scaled by 1 / S.  All scales are scored
+    with one batched class product, (S, r, d) @ (S, d, L + Q), one softmax
+    and one pullback.  Returns the scalar loss and the post-batch states.
+    Batches without any labeled row yield a constant 0 (no gradient); the
+    states still absorb unlabeled rows.
 
-    With ``sets`` = B, every ``features[s]`` instead stacks B sets of
-    len(id_labels) rows, set after set.  The loss is then the (B,) vector of
-    each set's loss, with the same value as a call on that set alone, and
-    no state is updated (None is returned in their place): the gradient
-    check scores all the probes of one tensor so.
+    With ``sets`` = B, each scale's block instead stacks B sets of
+    len(id_labels) rows, set after set.  The loss is then the (B,) vector
+    of each set's loss, with the same value as a call on that set alone,
+    and no state is updated (None is returned in their place): the
+    gradient check scores all the probes of one tensor so.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    features, states = tuple(features), list(states)
-    if not features or len(features) != len(states):
-        raise ValueError(f"need one state per scale, got {len(features)} scales and {len(states)} states")
+    states = list(states)
+    if not states:
+        raise ValueError("need one state per scale, got none")
     labels = [int(l) for l in id_labels]
     blocks = sets or 1
-    stacked = labels * blocks
-    for x, state in zip(features, states):
-        _check_oim_inputs(x, stacked, state)
-    rows = [_focal_rows(x.data, stacked, state, gamma) for x, state in zip(features, states)]
-    new_states = None if sets else [st.update(x.data, labels) for x, st in zip(features, states)]
-    per_set = rows[0][0].size // blocks
+    ids = _check_oim_inputs(features, labels * blocks, states)
+    x = features.data.reshape(len(states), -1, features.shape[1])
+    values, pullback = _focal_rows(x, ids, states, gamma)
+    new_states = None if sets else _updated_states(states, x, labels)
+    per_set = values.shape[1] // blocks
     if not per_set:
         return Tensor(np.zeros(sets) if sets else 0.0), new_states
 
-    # Each scale's mean, the means added in scale order, then the 1 / scales
-    # factor: the arithmetic of mean_all, add and scale, so the loss and its
-    # gradient keep the bits those generic ops gave.
-    inv_scales = 1.0 / len(rows)
-    loss = functools.reduce(np.add, [v.reshape(blocks, per_set).mean(axis=1) for v, _ in rows]) * inv_scales
+    # Each scale's mean, the means added in scale order, then the 1 / S
+    # factor: the arithmetic of mean_all, add and scale, so the loss and
+    # its gradient keep the bits those generic ops gave.
+    inv_scales = 1.0 / len(states)
+    means = np.add.reduce(values.reshape(len(states), blocks, per_set), axis=2) / per_set
+    loss = functools.reduce(np.add, means) * inv_scales
 
     def vjp(g):
         g_rows = np.repeat(np.reshape(g * inv_scales, -1) / per_set, per_set)
-        return tuple(pullback(g_rows) for _, pullback in rows)
+        return (pullback(g_rows).reshape(features.shape),)
 
-    return tt._emit(loss if sets else loss[0], features, vjp), new_states
+    return tt._emit(loss if sets else loss[0], (features,), vjp), new_states
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
     if reps == 1 and x.ndim == 2:
         return x
     n, d = x.shape[-2:]
-    split = lambda g: (g.reshape(-1, reps, n, d).sum(axis=1).reshape(x.shape),)
+    split = lambda g: (np.add.reduce(g.reshape(-1, reps, n, d), axis=1).reshape(x.shape),)
     return _emit(np.repeat(x.data.reshape(-1, n, d), reps, axis=0).reshape(-1, d), (x,), split)
 
 
@@ -386,8 +386,8 @@ def take_rows(x: Tensor, idx: Sequence[int]) -> Tensor:
 def _softmax_last(x: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis of a numpy array; the
     fused primitives (attention, focal OIM) apply it inside their own ops."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, blocks: int = 1, eps: float = 1e-5) -> Tensor:
@@ -414,15 +414,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, blocks: int = 1, eps: flo
     xhat = xc * inv
     gd, bd = (t.data if t.ndim == 1 else t.data[:, None] for t in (gamma, beta))
     by_block = lambda a: a.reshape(blocks, -1, n)
-    fold = lambda d, t: d.sum(axis=0) if t.ndim == 1 else d
+    fold = lambda d, t: np.add.reduce(d, axis=0) if t.ndim == 1 else d
 
     def vjp(g):
+        # np.add.reduce, over n where a mean is meant, is the arithmetic of
+        # the sum and mean methods without their Python wrappers.
         gx = (by_block(g) * gd).reshape(g.shape)
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
         dx = (gx - m1 - xhat * m2) * inv
-        dgamma = (by_block(g) * by_block(xhat)).sum(axis=1)
-        dbeta = by_block(g).sum(axis=1)
+        dgamma = np.add.reduce(by_block(g) * by_block(xhat), axis=1)
+        dbeta = np.add.reduce(by_block(g), axis=1)
         return dx, fold(dgamma, gamma), fold(dbeta, beta)
 
     out = (by_block(xhat) * gd + bd).reshape(xd.shape)
@@ -435,13 +437,13 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ValueError("l2_normalize_rows expects a rank-2 tensor")
     xd = x.data
-    norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(xd * xd, axis=-1, keepdims=True))
     live = norms > _NORM_EPS
     safe = np.where(live, norms, 1.0)
     y = np.where(live, xd / safe, 0.0)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(g * y, axis=-1, keepdims=True)
         dx = (g - y * dot) / safe
         return (np.where(live, dx, 0.0),)
 
@@ -497,9 +499,11 @@ def value_table(maps: Sequence[Tensor]) -> ValueTable:
     hw = np.array([f.shape[1:] for f in maps], dtype=np.intp)
     sizes = hw[:, 0] * hw[:, 1]
     starts = np.cumsum(sizes) - sizes
-    rows = np.zeros((int(sizes.sum()) + 1, c))
-    for f, start, size in zip(maps, starts, sizes):
-        rows[start : start + size] = f.data.reshape(c, -1).T
+    # One concatenate of the transposed (HW, C) maps and the zero pad row,
+    # written straight into the C-ordered table: one allocation and one
+    # pass over the freshly read maps.
+    rows = np.empty((int(sizes.sum()) + 1, c))
+    np.concatenate([*(f.data.reshape(c, -1).T for f in maps), np.zeros((1, c))], out=rows)
     extents = (hw[:, ::-1] - 1).astype(np.float64)
     for a in (rows, hw, starts, extents):
         a.flags.writeable = False

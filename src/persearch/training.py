@@ -178,15 +178,11 @@ def _scene_losses(
     ``scene`` is the scene's (detections, slot labels, detection losses).
     """
     det, labels, (l_cls, l_iou, l_l1) = scene
-    emb = model.forward(bench.pyramid(scene_id), det.refs)
-    for scale in emb.per_scale:
-        if not np.isfinite(scale.data).all():
-            raise NumericError("non-finite re-ID embeddings")
+    rows = model.forward(bench.pyramid(scene_id), det.refs).rows
+    if not np.isfinite(rows.data).all():
+        raise NumericError("non-finite re-ID embeddings")
     l_oim, new_states = focal_oim_loss(
-        [tt.l2_normalize_rows(scale) for scale in emb.per_scale],
-        labels,
-        oim_states,
-        gamma=settings.focal_gamma,
+        tt.l2_normalize_rows(rows), labels, oim_states, gamma=settings.focal_gamma
     )
 
     total = total_loss(l_cls, l_iou, l_l1, l_oim, settings.weights)
@@ -221,7 +217,7 @@ def _clip_gradients(grads: list[np.ndarray], limit: float) -> list[np.ndarray]:
 def _flatten(arrays) -> np.ndarray:
     """One new read-only float64 vector holding ``arrays`` in turn, each
     row-major."""
-    flat = np.concatenate([np.reshape(a, -1) for a in arrays])
+    flat = np.concatenate(list(arrays), axis=None)
     flat.flags.writeable = False
     return flat
 
@@ -395,32 +391,55 @@ def save_checkpoint(
     write_manifest(os.path.join(out_dir, "checkpoint.json"), manifest)
 
 
+def _read_oim_blob(path, shape: tuple[int, int]) -> np.ndarray:
+    """The matrix in blob ``path``, which must have ``shape``."""
+    data = read_blob(path).data
+    if data.shape != shape:
+        raise ValueError(f"{path} holds a {data.shape} matrix, expected {shape}")
+    return data
+
+
 def load_checkpoint(ckpt_dir):
-    """Returns (model, oim_states, meta); raises DataError when malformed."""
+    """Returns (model, oim_states, meta); raises DataError when malformed.
+
+    There must be one OIM state per output scale of the model, with
+    0 <= momentum < 1 and tau > 0.  Each lookup table must be
+    (num_labeled, model width), and each queue
+    exactly queue_len <= queue_capacity rows of that width, with one
+    queue_len for all scales; the error names the manifest or the blob
+    at fault.
+    """
     ckpt_dir = str(ckpt_dir)
     path = os.path.join(ckpt_dir, "checkpoint.json")
     manifest = read_manifest(path, "checkpoint")
     model = ReIDTransformer.load(os.path.join(ckpt_dir, "model"))
+    width, scales = model.config.query_width, model.config.output_scales
     oim_states = []
     with reading(path):
         meta = manifest.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError(f"meta must be an object, got {type(meta).__name__}")
-        for i, entry in enumerate(manifest["oim"]):
-            lut = read_blob(os.path.join(ckpt_dir, f"oim{i}_lut.sqt")).data
-            queue = deque(maxlen=entry["queue_capacity"])
-            if entry["queue_len"]:
-                qmat = read_blob(os.path.join(ckpt_dir, f"oim{i}_queue.sqt")).data
-                for row in qmat:
-                    queue.append(row)
-            oim_states.append(
-                OIMState(
-                    lut=lut,
-                    queue=queue,
-                    momentum=entry["momentum"],
-                    tau=entry["tau"],
+        entries = manifest["oim"]
+        if not isinstance(entries, list) or len(entries) != scales:
+            raise ValueError(f"oim must list one state per scale ({scales})")
+        for i, entry in enumerate(entries):
+            labeled, length, capacity = (entry[k] for k in ("num_labeled", "queue_len", "queue_capacity"))
+            if not all(type(n) is int for n in (labeled, length, capacity)):
+                raise ValueError("num_labeled, queue_len and queue_capacity must be integers")
+            if labeled < 1 or not 0 <= length <= capacity:
+                raise ValueError(
+                    f"need num_labeled >= 1 and 0 <= queue_len <= queue_capacity, "
+                    f"got {labeled}, {length} and {capacity}"
                 )
-            )
+            if not (0.0 <= entry["momentum"] < 1.0 and entry["tau"] > 0.0):
+                raise ValueError(f"oim{i} needs 0 <= momentum < 1 and tau > 0")
+            if length != entries[0]["queue_len"]:
+                raise ValueError(f"queue_len {length} of oim{i} differs from oim0's; the scales share one")
+            lut = _read_oim_blob(os.path.join(ckpt_dir, f"oim{i}_lut.sqt"), (labeled, width))
+            queue = deque(maxlen=capacity)
+            if length:
+                queue.extend(_read_oim_blob(os.path.join(ckpt_dir, f"oim{i}_queue.sqt"), (length, width)))
+            oim_states.append(OIMState(lut=lut, queue=queue, momentum=entry["momentum"], tau=entry["tau"]))
     return model, oim_states, meta
 
 

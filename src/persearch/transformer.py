@@ -23,7 +23,8 @@ its own block in self-attention, under level l's parameters: ``shared``
 passes each of its tensors once for all three blocks, and ``parallel``
 stacks its three stacks' tensors along a leading block axis.  So every
 block computes exactly what a separate pass over level l would.  The
-blocks are split back into the three per-scale embeddings at the end.
+forward returns the blocks as they are, one stacked tensor with the three
+per-scale embeddings in level order, and the training loss scores them so.
 
 For matching, per-scale embeddings are concatenated per row and
 l2-normalized, so shared/parallel match in 3d dimensions, multi_scale_d in
@@ -135,11 +136,18 @@ class ReIDLayerParams:
 
 @dataclass(frozen=True)
 class ReIDEmbeddings:
-    """Per-scale query embeddings: three (N, d) tensors for shared/parallel,
-    a single tensor for the multi-scale schemes."""
+    """Query embeddings of every output scale, stacked: ``rows`` holds
+    ``scales`` equal blocks of rows in scale order, three (N, d) blocks
+    for shared/parallel and one for the multi-scale schemes."""
 
-    per_scale: tuple[Tensor, ...]
+    rows: Tensor
+    scales: int
     scheme: str
+
+    @property
+    def per_scale(self) -> tuple[Tensor, ...]:
+        """The blocks of ``rows`` as tensors of their own, one per scale."""
+        return tt.split_rows(self.rows, self.scales)
 
 
 def reid_layer_forward(
@@ -176,8 +184,8 @@ def reid_layer_forward(
 
 def concat_inference_embeddings(emb: ReIDEmbeddings) -> Tensor:
     """Row-wise concat of the per-scale embeddings, l2-normalized per row."""
-    if len(emb.per_scale) == 1:
-        return tt.l2_normalize_rows(emb.per_scale[0])
+    if emb.scales == 1:
+        return tt.l2_normalize_rows(emb.rows)
     return tt.l2_normalize_rows(tt.concat_cols(emb.per_scale))
 
 
@@ -353,7 +361,8 @@ class ReIDTransformer:
         refs: Sequence[ReferencePoint],
         variants: dict[str, Tensor] | None = None,
     ) -> ReIDEmbeddings:
-        """Refine the query set against the pyramid; returns per-scale rows.
+        """Refine the query set against the pyramid; returns the rows of
+        every output scale, stacked scale after scale.
 
         The per-level schemes run one block of query rows per level through
         the stack together (see the module docstring).
@@ -364,8 +373,8 @@ class ReIDTransformer:
         its b-th value.  The sublayers before the first one that reads a
         named tensor compute the same rows for every set, so they run once
         on the model's own parameters; their output is then tiled to B sets,
-        and each set adds its own row blocks from there on.  ``per_scale[s]``
-        of the result is then (B * N, d), the N rows of each set in turn,
+        and each set adds its own row blocks from there on.  Scale s of the
+        result is then a (B * N, d) block, the N rows of each set in turn,
         and each set's rows are bit-identical to that set's own forward.
         The gradient check evaluates its probes this way.
 
@@ -402,13 +411,10 @@ class ReIDTransformer:
                 y = reid_layer_forward(y, refs, table, layer, slice(tile_at, None))
             else:
                 y = reid_layer_forward(y, refs, table, layer)
-        if sets == 1 or scales == 1:
-            return ReIDEmbeddings(tt.split_rows(y, scales), cfg.scheme)
-        # Block b * S + s holds scale s of set b.
-        rows = np.arange(y.shape[0]).reshape(sets, scales, -1)
-        return ReIDEmbeddings(
-            tuple(tt.take_rows(y, rows[:, s].reshape(-1)) for s in range(scales)), cfg.scheme
-        )
+        if sets > 1 and scales > 1:
+            # Block b * S + s holds scale s of set b; gather the blocks scale by scale.
+            y = tt.take_rows(y, np.arange(y.shape[0]).reshape(sets, scales, -1).swapaxes(0, 1).reshape(-1))
+        return ReIDEmbeddings(y, scales, cfg.scheme)
 
     def matching_embeddings(
         self,

@@ -159,6 +159,29 @@ class TestArtifacts:
         assert len(lines) == 2
 
 
+class TestTrainProgress:
+    @pytest.mark.parametrize(
+        "steps, shown",
+        [(20, list(range(2, 21, 2))), (7, list(range(1, 8))), (13, [2, 3, 4, 6, 7, 8, 10, 11, 12, 13])],
+    )
+    def test_one_stderr_line_per_tenth_of_the_run(self, workspace, tmp_path, capsys, steps, shown):
+        out = tmp_path / "r"
+        args = ["train", "--config", str(workspace["cfg"]), "--data", str(workspace["data"]), "--out", str(out)]
+        assert main([*args, "--steps", str(steps)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == len(shown) <= 10, lines
+        totals = [row.split(",")[-1] for row in (out / "loss_curve.csv").read_text().splitlines()[1:]]
+        line = re.compile(r"step (\d+)/(\d+)  (\d+\.\d) steps/s  total loss (-?\d+\.\d{4})")
+        for text, step in zip(lines, shown):
+            m = line.fullmatch(text)
+            assert m, text
+            assert (int(m[1]), int(m[2])) == (step, steps)
+            assert float(m[3]) > 0.0
+            assert m[4] == f"{float(totals[step - 1]):.4f}"
+        assert "steps/s" not in captured.out
+
+
 class TestDeterminism:
     def test_gen_data_is_byte_identical(self, workspace, tmp_path):
         again = tmp_path / "data2"
@@ -331,6 +354,69 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    # (the manifest's queue_len per scale, the blobs to write as
+    # {file: (rows, cols)}, and the file the error must name).  The
+    # workspace model is 8 wide with 3 scales, 4 labeled identities and
+    # queues of capacity 4; every blob written is well formed.
+    @pytest.mark.parametrize(
+        "lengths, blobs, named",
+        [
+            ([2, 2, 2], {f"oim{i}_queue.sqt": (5, 8) for i in range(3)}, "oim0_queue.sqt"),
+            ([2, 2, 2], {f"oim{i}_queue.sqt": (2, 5) for i in range(3)}, "oim0_queue.sqt"),
+            ([0, 0, 0], {"oim1_lut.sqt": (4, 9)}, "oim1_lut.sqt"),
+            ([0, 0, 0], {"oim2_lut.sqt": (16, 8)}, "oim2_lut.sqt"),
+            ([5, 5, 5], {f"oim{i}_queue.sqt": (5, 8) for i in range(3)}, "checkpoint.json"),
+            ([2, 1, 2], {f"oim{i}_queue.sqt": (n, 8) for i, n in enumerate([2, 1, 2])}, "checkpoint.json"),
+            ([0, 0], {}, "checkpoint.json"),
+        ],
+        ids=["queue-rows-past-queue-len", "queue-width", "lut-width", "lut-rows",
+             "queue-len-past-capacity", "queue-lens-differ", "one-state-short"],
+    )
+    def test_oim_state_of_the_wrong_shape_exits_2(self, workspace, tmp_path, capsys, lengths, blobs, named):
+        from persearch.tensor import Tensor, write_blob
+
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(workspace["run"] / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "checkpoint.json").read_text())
+        manifest["oim"] = [dict(manifest["oim"][i], queue_len=n) for i, n in enumerate(lengths)]
+        (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
+        rng = np.random.default_rng(0)
+        for name, shape in blobs.items():
+            write_blob(ckpt / name, Tensor(rng.standard_normal(shape)))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(ckpt / named) in err[0], err
+
+    @pytest.mark.parametrize("key, value", [("momentum", 1.0), ("momentum", -0.5), ("tau", 0.0), ("tau", "x")])
+    def test_oim_momentum_or_tau_out_of_range_exits_2(self, workspace, tmp_path, capsys, key, value):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(workspace["run"] / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "checkpoint.json").read_text())
+        manifest["oim"][1][key] = value
+        (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]), "--out", str(tmp_path / "e")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(ckpt / "checkpoint.json") in err[0], err
+
+    def test_oim_queue_of_queue_len_rows_loads(self, workspace, tmp_path):
+        from persearch.tensor import Tensor, write_blob
+        from persearch.training import load_checkpoint
+
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(workspace["run"] / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "checkpoint.json").read_text())
+        for i, entry in enumerate(manifest["oim"]):
+            entry["queue_len"] = 3
+            write_blob(ckpt / f"oim{i}_queue.sqt", Tensor(np.full((3, 8), float(i))))
+        (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
+        _, states, _ = load_checkpoint(ckpt)
+        assert [np.array(st.queue).tolist() for st in states] == [[[float(i)] * 8] * 3 for i in range(3)]
+        assert all(st.queue_capacity == 4 for st in states)
 
     def test_numeric_error_exits_3(self, monkeypatch, workspace, tmp_path, capsys):
         from persearch.tensor import Tensor

@@ -196,7 +196,9 @@ class TestBatchedLoss:
                 emb = model.forward(pyramid, refs, variants=variants)
                 n = len(refs)
                 own = lambda b: ReIDEmbeddings(
-                    tuple(Tensor(t.data[b * n : (b + 1) * n]) for t in emb.per_scale), emb.scheme
+                    Tensor(np.vstack([t.data[b * n : (b + 1) * n] for t in emb.per_scale])),
+                    emb.scales,
+                    emb.scheme,
                 )
                 want = [old_probe_loss(own(b), labels, states).item() for b in range(len(probes))]
                 assert np.array_equal(values, want), name
@@ -207,9 +209,9 @@ class TestBatchedLoss:
         loss = gradcheck.focal_oim_loss
         calls = []
 
-        def counting(features, *args, **kwargs):
-            calls.append([f.shape[0] for f in features])
-            return loss(features, *args, **kwargs)
+        def counting(features, labels, states, *args, **kwargs):
+            calls.append((features.shape[0], len(states)))
+            return loss(features, labels, states, *args, **kwargs)
 
         monkeypatch.setattr(gradcheck, "focal_oim_loss", counting)
         results = check_full_model()
@@ -217,9 +219,10 @@ class TestBatchedLoss:
         # One for the taped loss, then one per parameter tensor for all of
         # its probes and all three scales.
         assert len(calls) == len(results) + 1
-        assert all(len(scales) == 3 for scales in calls)
-        # Every probe's rows are still scored: 3 rows per probe and scale.
-        assert sum(map(sum, calls)) == 3 * 3 * (1 + 2 * 1576)
+        assert all(scales == 3 for _, scales in calls)
+        # Every probe's rows are still scored, all scales in one tensor: 3
+        # rows per probe and scale.
+        assert sum(rows for rows, _ in calls) == 3 * 3 * (1 + 2 * 1576)
 
 
 class TestReporting:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def unit_rows(rng, n, d):
 
 def one_scale_loss(features, labels, state, gamma=2.0):
     """:func:`focal_oim_loss` of a single scale: (loss, new state)."""
-    loss, (new_state,) = focal_oim_loss([features], labels, [state], gamma)
+    loss, (new_state,) = focal_oim_loss(features, labels, [state], gamma)
     return loss, new_state
 
 
@@ -85,15 +86,48 @@ class TestOIMState:
         s.update(unit_rows(rng, 1, 6), [0])
         np.testing.assert_array_equal(s.lut, lut_before)
 
-    def test_class_matrix_stacks_lut_then_queue(self):
+    def test_update_equals_the_row_by_row_loop(self):
+        def loop_update(state, features, labels):
+            """The update one row at a time: the reference."""
+            lut = state.lut.copy()
+            queue = deque(state.queue, maxlen=state.queue.maxlen)
+            for x, label in zip(features, labels):
+                if label >= 0:
+                    mixed = state.momentum * lut[label] + (1.0 - state.momentum) * x
+                    norm = np.linalg.norm(mixed)
+                    lut[label] = mixed / norm if norm > 1e-12 else 0.0
+                elif label == UNLABELED and queue.maxlen > 0:
+                    queue.append(np.array(x))
+            return lut, list(queue)
+
+        rng = np.random.default_rng(65)
+        for capacity, warm, momentum in ((0, True, 0.5), (2, False, 0.5), (5, True, 0.9)):
+            s = dataclasses.replace(fresh_state(rng, capacity=capacity, warm=warm), momentum=momentum)
+            for _ in range(40):
+                n = int(rng.integers(1, 7))
+                # Zero rows meet zero prototypes; labels repeat within a batch.
+                feats = unit_rows(rng, n, 6) * rng.choice([1.0, 0.0, 3.0], size=(n, 1))
+                labels = rng.integers(-2, 4, size=n).tolist()
+                lut, queue = loop_update(s, feats, labels)
+                s = s.update(feats, labels)
+                assert s.lut.tobytes() == lut.tobytes()
+                assert [q.tobytes() for q in s.queue] == [q.tobytes() for q in queue]
+                assert s.momentum == momentum and s.queue_capacity == capacity
+
+    def test_classes_stack_lut_then_queue_as_columns(self):
         rng = np.random.default_rng(64)
         s = fresh_state(rng, capacity=2)
         q = unit_rows(rng, 1, 6)
         s = s.update(q, [UNLABELED])
-        cm = s.class_matrix()
-        assert cm.shape == (5, 6)
-        np.testing.assert_array_equal(cm[:4], s.lut)
-        np.testing.assert_array_equal(cm[4], q[0])
+        cm = s.classes
+        assert cm.shape == (6, 5)
+        assert cm.flags.c_contiguous and not cm.flags.writeable
+        np.testing.assert_array_equal(cm[:, :4], s.lut.T)
+        np.testing.assert_array_equal(cm[:, 4], q[0])
+        # Built once per state; the update's new state builds its own.
+        assert s.classes is cm
+        assert s.update(q, [UNLABELED]).classes.shape == (6, 6)
+        np.testing.assert_array_equal(OIMState.initial(2, 3, 4).classes, np.zeros((3, 2)))
 
 
 class TestOIMLoss:
@@ -120,7 +154,7 @@ class TestOIMLoss:
         feats = unit_rows(rng, 3, 6)
         labels = [2, 0, UNLABELED]
         loss, _ = one_scale_loss(Tensor(feats), labels, s, gamma=0.0)
-        cm = s.class_matrix()
+        cm = s.classes.T
         want = 0.0
         for i, l in enumerate(labels):
             if l < 0:
@@ -295,7 +329,7 @@ class TestFocalOIM:
         feats = unit_rows(rng, 3, 6)
         labels = [0, UNLABELED, 2]
         loss, s2 = one_scale_loss(Tensor(feats), labels, s, gamma=0.0)
-        cm = s.class_matrix()
+        cm = s.classes.T
         want = 0.0
         for i in (0, 2):
             logits = cm @ feats[i] / s.tau
@@ -327,7 +361,7 @@ class TestFocalOIM:
         feats = unit_rows(rng, 2, 6)
         gamma = 2.0
         loss, _ = one_scale_loss(Tensor(feats), [1, 3], s, gamma=gamma)
-        cm = s.class_matrix()
+        cm = s.classes.T
         want = 0.0
         for i, l in enumerate([1, 3]):
             logits = cm @ feats[i] / s.tau
@@ -339,64 +373,103 @@ class TestFocalOIM:
 
 
 class TestScaleAveragedOIM:
-    """``focal_oim_loss`` over several scales is one taped node with the
-    bits of the generic chain: each scale's mean, added in order, scaled."""
+    """``focal_oim_loss`` scores S scales stacked in one tensor as one taped
+    node, with the bits of the per-scale chain: each scale's mean of
+    :func:`focal_oim_rows`, added in order, scaled by 1 / S."""
 
-    def problem(self, rng, scales=3, rows=4):
-        states = [
-            fresh_state(rng, capacity=2).update(unit_rows(rng, 1, 6), [UNLABELED])
-            for _ in range(scales)
-        ]
-        raws = [Tensor(rng.standard_normal((rows, 6))) for _ in range(scales)]
-        return states, raws, [2, UNLABELED, 0, 2][:rows]
+    def problem(self, rng, scales=3, rows=4, queued=1):
+        states = [fresh_state(rng, capacity=2) for _ in range(scales)]
+        if queued:
+            states = [st.update(unit_rows(rng, queued, 6), [UNLABELED] * queued) for st in states]
+        feats = [Tensor(unit_rows(rng, rows, 6)) for _ in range(scales)]
+        return states, feats, [2, UNLABELED, 0, 2][:rows]
 
-    @pytest.mark.parametrize("scales", [1, 3])
-    def test_value_gradients_and_states_equal_the_generic_chain(self, scales):
-        rng = np.random.default_rng(81)
-        states, raws, labels = self.problem(rng, scales)
+    @staticmethod
+    def per_scale_chain(feats, labels, states, gamma):
+        """The loss as generic ops on each scale's own tensor, and the
+        gradient of half of it for each of those tensors."""
         with GradTape() as tape:
-            feats = [T.l2_normalize_rows(r) for r in raws]
             total = None
             for f, st in zip(feats, states):
-                mean = T.mean_all(focal_oim_rows(f, labels, st, gamma=2.0))
+                mean = T.mean_all(focal_oim_rows(f, labels, st, gamma))
                 total = mean if total is None else T.add(total, mean)
-            want = T.scale(total, 1.0 / scales)
-            want_grads = tape.gradients(T.scale(want, 0.5), raws)
+            want = T.scale(total, 1.0 / len(states))
+            return want, tape.gradients(T.scale(want, 0.5), feats)
+
+    @pytest.mark.parametrize("queued", [0, 2], ids=["empty-queue", "full-queue"])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    @pytest.mark.parametrize("scales", [1, 3])
+    def test_value_gradients_and_states_equal_the_per_scale_chain(self, scales, gamma, queued):
+        rng = np.random.default_rng(81)
+        states, feats, labels = self.problem(rng, scales, queued=queued)
+        assert all(len(st.queue) == queued for st in states)
+        want, want_grads = self.per_scale_chain(feats, labels, states, gamma)
+        stacked = Tensor(np.vstack([f.data for f in feats]))
         with GradTape() as tape:
-            feats = [T.l2_normalize_rows(r) for r in raws]
-            loss, new_states = focal_oim_loss(feats, labels, states, gamma=2.0)
-            assert [node.inputs for node in tape._nodes[scales:]] == [tuple(feats)]
-            grads = tape.gradients(T.scale(loss, 0.5), raws)
-        assert loss.shape == () and loss.data.tobytes() == want.data.tobytes()
-        for g, w in zip(grads, want_grads):
-            assert g.tobytes() == w.tobytes()
+            loss, new_states = focal_oim_loss(stacked, labels, states, gamma=gamma)
+            assert [node.inputs for node in tape._nodes] == [(stacked,)]
+            (grad,) = tape.gradients(T.scale(loss, 0.5), [stacked])
+        assert loss.shape == () and loss.item() == want.item()
+        assert np.array_equal(grad, np.vstack(want_grads))
         for f, st, new in zip(feats, states, new_states):
-            np.testing.assert_array_equal(new.lut, st.update(f.data, labels).lut)
+            want_state = st.update(f.data, labels)
+            assert np.array_equal(new.lut, want_state.lut)
+            assert np.array_equal(np.array(new.queue), np.array(want_state.queue))
+
+    def test_l2_normalized_stack_equals_each_scale_normalized(self):
+        # The training step normalizes the stacked scales with one call.
+        rng = np.random.default_rng(85)
+        states, _, labels = self.problem(rng)
+        raws = [Tensor(rng.standard_normal((4, 6))) for _ in states]
+        want, _ = self.per_scale_chain([T.l2_normalize_rows(r) for r in raws], labels, states, 2.0)
+        stacked = T.l2_normalize_rows(Tensor(np.vstack([r.data for r in raws])))
+        assert focal_oim_loss(stacked, labels, states)[0].item() == want.item()
 
     def test_sets_score_each_set_as_its_own_call(self):
         rng = np.random.default_rng(82)
         states, _, labels = self.problem(rng)
-        sets = [[Tensor(unit_rows(rng, 4, 6)) for _ in states] for _ in range(5)]
-        stacked = [Tensor(np.vstack([s[k].data for s in sets])) for k in range(len(states))]
+        sets = [[unit_rows(rng, 4, 6) for _ in states] for _ in range(5)]
+        # Scale after scale, and within a scale set after set.
+        stacked = Tensor(np.vstack([s[k] for k in range(len(states)) for s in sets]))
         values, no_states = focal_oim_loss(stacked, labels, states, gamma=2.0, sets=len(sets))
         assert no_states is None and values.shape == (len(sets),)
         for b, feats in enumerate(sets):
-            assert values.data[b] == focal_oim_loss(feats, labels, states, gamma=2.0)[0].item()
+            one = focal_oim_loss(Tensor(np.vstack(feats)), labels, states, gamma=2.0)[0]
+            assert values.data[b] == one.item()
 
     def test_no_labeled_row_gives_a_constant_zero_and_still_queues(self):
         rng = np.random.default_rng(83)
         states, _, _ = self.problem(rng)
-        feats = [Tensor(unit_rows(rng, 2, 6)) for _ in states]
+        feats = Tensor(unit_rows(rng, 2 * len(states), 6))
         with GradTape() as tape:
             loss, new_states = focal_oim_loss(feats, [UNLABELED, BACKGROUND], states)
         assert loss.item() == 0.0 and not tape._nodes
         assert [len(st.queue) for st in new_states] == [2, 2, 2]
+        for s, (st, new) in enumerate(zip(states, new_states)):
+            assert np.array_equal(new.queue[-1], feats.data[2 * s])
 
     def test_one_state_per_scale_is_required(self):
         rng = np.random.default_rng(84)
         states, _, _ = self.problem(rng)
+        with pytest.raises(ValueError, match="one label per feature row of each of 3 states"):
+            focal_oim_loss(Tensor(unit_rows(rng, 2, 6)), [0], states)
         with pytest.raises(ValueError, match="one state per scale"):
-            focal_oim_loss([Tensor(unit_rows(rng, 1, 6))] * 2, [0], states)
+            focal_oim_loss(Tensor(unit_rows(rng, 1, 6)), [0], [])
+
+    def test_states_must_share_one_queue_length(self):
+        rng = np.random.default_rng(86)
+        states, _, _ = self.problem(rng)
+        states[1] = states[1].update(unit_rows(rng, 1, 6), [UNLABELED])
+        with pytest.raises(ValueError, match="one queue length"):
+            focal_oim_loss(Tensor(unit_rows(rng, 3, 6)), [0], states)
+
+    def test_a_bad_row_of_a_later_scale_is_named_within_its_scale(self):
+        rng = np.random.default_rng(87)
+        states, _, _ = self.problem(rng)
+        feats = unit_rows(rng, 6, 6)
+        feats[5] *= 2.0  # scale 2, row 1
+        with pytest.raises(ValueError, match="row 1 entering OIM must be unit-norm, got 2.0"):
+            focal_oim_loss(Tensor(feats), [0, UNLABELED], states)
 
 
 class TestTotalLoss:

@@ -136,6 +136,10 @@ class TestForward:
         cfg = tiny_config(scheme=scheme)
         model = ReIDTransformer.init(cfg, seed=2, style="random")
         emb = model.forward(make_pyramid(rng), make_refs(rng, 3))
+        assert isinstance(emb, ReIDEmbeddings) and emb.scales == cfg.output_scales
+        # The scales stay stacked; the per-scale blocks are cut on demand.
+        assert emb.rows.shape == (cfg.output_scales * 3, cfg.query_width)
+        assert np.array_equal(np.vstack([t.data for t in emb.per_scale]), emb.rows.data)
         if scheme in ("shared", "parallel"):
             assert len(emb.per_scale) == 3
             assert all(t.shape == (3, 8) for t in emb.per_scale)
@@ -209,7 +213,8 @@ class TestForward:
 
 
 def per_level_reference(model, pyramid, refs):
-    """Each level through its own stack alone, one layer call at a time."""
+    """Each level through its own stack alone, one layer call at a time:
+    the per-scale embeddings, in level order."""
     cfg = model.config
     per_scale = []
     for lvl, fmap in enumerate(pyramid):
@@ -218,7 +223,7 @@ def per_level_reference(model, pyramid, refs):
         for m in range(cfg.m_layers):
             y = reid_layer_forward(y, refs, [fmap], model._layer_view(stack, m))
         per_scale.append(y)
-    return ReIDEmbeddings(tuple(per_scale), cfg.scheme)
+    return tuple(per_scale)
 
 
 class TestLevelBatching:
@@ -232,7 +237,7 @@ class TestLevelBatching:
         model = ReIDTransformer.init(cfg, seed=10, style="random")
         pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
         got = model.forward(pyramid, refs).per_scale
-        want = per_level_reference(model, pyramid, refs).per_scale
+        want = per_level_reference(model, pyramid, refs)
         assert len(got) == len(want) == 3
         for a, b in zip(got, want):
             assert np.array_equal(a.data, b.data)
@@ -246,9 +251,10 @@ class TestLevelBatching:
         weigh = Tensor(rng.standard_normal((3, cfg.match_dim)))
         names = sorted(model.params)
         grads = []
-        for forward in (model.forward, lambda p, r: per_level_reference(model, p, r)):
+        reference = lambda: T.l2_normalize_rows(T.concat_cols(per_level_reference(model, pyramid, refs)))
+        for embed in (lambda: concat_inference_embeddings(model.forward(pyramid, refs)), reference):
             with GradTape() as tape:
-                emb = concat_inference_embeddings(forward(pyramid, refs))
+                emb = embed()
                 loss = T.sum_all(T.mul(emb, weigh))
                 grads.append(tape.gradients(loss, [model.params[n] for n in names]))
         for name, got, want in zip(names, *grads):
