@@ -97,7 +97,6 @@ class MultiHeadAttnParams:
     def __post_init__(self):
         if self.wq.ndim not in (3, 4) or self.wq.shape[-3] < 1:
             raise ValueError(f"wq must be (H, d, d_k), got {self.wq.shape}")
-        _fields(self)
 
     def block_shapes(self) -> dict[str, tuple[int, ...]]:
         """Each tensor field's shape for one row block, in field order."""
@@ -228,7 +227,6 @@ class DeformAttnParams:
             raise ValueError(f"w_value must be (H, C, D/H), got {self.w_value.shape}")
         if self.w_value.shape[-3] < 1 or self.num_points < 1 or self.num_levels < 1:
             raise ValueError("bad head/point/level counts")
-        _fields(self)
 
     def block_shapes(self) -> dict[str, tuple[int, ...]]:
         """Each tensor field's shape for one row block, in field order; the

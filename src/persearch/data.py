@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import Box, iou
-from .errors import ConfigError, DataError, read_manifest, reading, write_manifest
+from .errors import ConfigError, DataError, read_manifest, reading, stored_config, write_manifest
 from .losses import UNLABELED
 from .tensor import Tensor, read_blob, write_blob
 
@@ -397,13 +397,13 @@ def _scene_blob_path(root: str, scene_id: int, level: int) -> str:
 def load_benchmark(root) -> Benchmark:
     root = str(root)
     path = os.path.join(root, "manifest.json")
-    manifest = read_manifest(path, "persearch_benchmark")
+    manifest = read_manifest(path, "persearch_benchmark", 1)
     try:
         bank_t = read_blob(os.path.join(root, "bank.sqt"))
     except (FileNotFoundError, ValueError) as e:
         raise DataError(f"bad identity bank in {root}: {e}") from e
     with reading(path):
-        cfg = BenchmarkConfig(**manifest["config"])
+        cfg = stored_config(BenchmarkConfig, manifest["config"])
         bank = IdentityBank(np.array(bank_t.data), manifest["num_labeled"])
         scenes: dict[int, SceneMeta] = {}
         for entry in manifest["scenes"]:
@@ -417,4 +417,6 @@ def load_benchmark(root) -> Benchmark:
             persons = range(len(meta.persons)) if meta and meta.split == "gallery" else ()
             if not isinstance(person, int) or person not in persons:
                 raise ValueError(f"query person {person!r} of scene {q['scene']!r} is not a gallery person")
+            if q["identity"] != meta.persons[person].label:
+                raise ValueError(f"query identity {q['identity']!r} is not the label of its person")
         return Benchmark(root, cfg, bank, scenes, manifest["queries"])

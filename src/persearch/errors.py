@@ -5,11 +5,13 @@ corrupt data exits 2, numeric failures during training exit 3, and a failed
 gradient check exits 4.
 """
 
+import dataclasses
 import json
 from contextlib import contextmanager
 
 __all__ = [
-    "ConfigError", "DataError", "NumericError", "GradcheckFailure", "reading", "read_manifest", "write_manifest"
+    "ConfigError", "DataError", "NumericError", "GradcheckFailure", "reading", "read_manifest", "stored_config",
+    "write_manifest",
 ]
 
 
@@ -43,10 +45,12 @@ def reading(path):
         raise DataError(f"malformed {path}: {type(e).__name__}: {e}") from e
 
 
-def read_manifest(path, kind: str) -> dict:
-    """The JSON object in ``path``, whose ``kind`` entry must be ``kind``;
-    a missing or unreadable file, invalid JSON, a root that is not an object
-    and a wrong ``kind`` each raise a DataError that names the file."""
+def read_manifest(path, kind: str, version: int) -> dict:
+    """The JSON object in ``path``, whose ``kind`` entry must be ``kind``
+    and whose ``format_version`` must be ``version``; a missing or
+    unreadable file, invalid JSON, a root that is not an object, a wrong
+    ``kind`` and another version each raise a DataError that names the
+    file."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -54,7 +58,21 @@ def read_manifest(path, kind: str) -> dict:
         raise DataError(f"cannot read {path}: {e}") from e
     if not isinstance(manifest, dict) or manifest.get("kind") != kind:
         raise DataError(f"{path} is not a {kind} manifest")
+    with reading(path):
+        found = manifest.get("format_version")
+        if found != version:
+            raise ValueError(f"format_version {found!r} is not supported (expected {version})")
     return manifest
+
+
+def stored_config(cls, section):
+    """The config dataclass ``cls`` from a manifest's ``section``, which
+    must list every field: a manifest records the whole config it was
+    written with, so a missing key is a damaged file, not a default."""
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in section]
+    if missing:
+        raise ValueError(f"config lacks {', '.join(missing)}")
+    return cls(**section)
 
 
 def write_manifest(path, payload: dict) -> None:

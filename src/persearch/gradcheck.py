@@ -56,11 +56,16 @@ class CheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def _check(name, f, x, tol, h=1e-6) -> CheckResult:
-    return CheckResult(name, tt.central_diff_gradcheck(f, x, h=h), tol)
+def _check(name, f, x, w, tol, h=1e-6) -> CheckResult:
+    return CheckResult(name, tt.central_diff_gradcheck(f, x, w, h=h), tol)
 
 
 def check_primitives() -> list[CheckResult]:
+    """Each taped primitive's output contracted with a fixed weight.
+
+    The draws from the one generator are ordered so that a check keeps
+    its inputs when checks are added after it.
+    """
     rng = np.random.default_rng(100)
     a = Tensor(rng.standard_normal((3, 4)))
     col = Tensor(rng.standard_normal((3, 1)))
@@ -71,21 +76,18 @@ def check_primitives() -> list[CheckResult]:
     point = Tensor(np.array([[2.3, 1.7]]))
     wide = Tensor(rng.standard_normal((3, 8)))
     taken_w = Tensor(rng.standard_normal((3, 4)))
+    added, split = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
+    ones = lambda *shape: Tensor(np.ones(shape))
     checks = [
-        ("add", lambda x: tt.sum_all(tt.add(x, a)), Tensor(rng.standard_normal((3, 4)))),
-        ("mul", lambda x: tt.sum_all(tt.mul(x, a)), Tensor(rng.standard_normal((3, 4)))),
-        ("mul_column", lambda x: tt.sum_all(tt.mul(a, x)), col),
-        ("scale_add_scalar", lambda x: tt.add_scalar(tt.scale(tt.sum_all(x), 0.7), 1.3), a),
-        ("powc", lambda x: tt.sum_all(tt.powc(x, 2.5)), pos),
-        ("mean_all", tt.mean_all, a),
-        ("layer_norm_x", lambda x: tt.sum_all(tt.mul(tt.layer_norm(x, gamma, beta), a)), Tensor(rng.standard_normal((3, 4)))),
-        ("layer_norm_gamma", lambda g: tt.sum_all(tt.mul(tt.layer_norm(a, g, beta), a)), gamma),
-        ("l2_normalize_rows", lambda x: tt.sum_all(tt.mul(tt.l2_normalize_rows(x), a)), Tensor(rng.standard_normal((3, 4)))),
-        ("concat_cols", lambda x: tt.sum_all(tt.mul(tt.concat_cols((x, a)), wide)), Tensor(rng.standard_normal((3, 4)))),
-        ("take_rows", lambda x: tt.sum_all(tt.mul(tt.take_rows(x, [0, 2, 2]), taken_w)), Tensor(rng.standard_normal((3, 4)))),
-        ("bilinear_map", lambda m: tt.sum_all(tt.bilinear_sample_rows(m, point)), fmap),
-        ("bilinear_point", lambda p: tt.sum_all(tt.bilinear_sample_rows(fmap, p)), point),
-        ("bilinear_rows", lambda p: tt.sum_all(tt.bilinear_sample_rows(fmap, p)), Tensor(rng.uniform(0.5, 4.0, (4, 2)))),
+        ("add", lambda x: tt.add(x, a), added, ones(3, 4)),
+        ("layer_norm_x", lambda x: tt.layer_norm(x, gamma, beta), Tensor(rng.standard_normal((3, 4))), a),
+        ("layer_norm_gamma", lambda g: tt.layer_norm(a, g, beta), gamma, a),
+        ("l2_normalize_rows", tt.l2_normalize_rows, Tensor(rng.standard_normal((3, 4))), a),
+        ("concat_cols", lambda x: tt.concat_cols((x, a)), Tensor(rng.standard_normal((3, 4))), wide),
+        ("take_rows", lambda x: tt.take_rows(x, [0, 2, 2]), Tensor(rng.standard_normal((3, 4))), taken_w),
+        ("bilinear_map", lambda m: tt.bilinear_sample_rows(m, point), fmap, ones(1, 3)),
+        ("bilinear_point", lambda p: tt.bilinear_sample_rows(fmap, p), point, ones(1, 3)),
+        ("bilinear_rows", lambda p: tt.bilinear_sample_rows(fmap, p), Tensor(rng.uniform(0.5, 4.0, (4, 2))), ones(4, 3)),
     ]
     # Focal OIM over labeled, unlabeled and background rows, against three
     # identities and two queue rows.  A mild temperature keeps every p_t
@@ -94,9 +96,23 @@ def check_primitives() -> list[CheckResult]:
     state = OIMState(table[:3].copy(), deque(table[3:], maxlen=2), tau=0.5)
     labels, per_row = [1, UNLABELED, 0, BACKGROUND, 2, 1], Tensor(rng.standard_normal(4))
     for g in (2.0, 0.0):
-        oim = lambda x, g=g: tt.sum_all(tt.mul(focal_oim_rows(tt.l2_normalize_rows(x), labels, state, g), per_row))
-        checks.append((f"focal_oim_rows_gamma{g:.0f}", oim, Tensor(rng.standard_normal((6, 4)))))
-    return [_check(f"primitive.{n}", f, x, PRIMITIVE_TOL) for n, f, x in checks]
+        oim = lambda x, g=g: focal_oim_rows(tt.l2_normalize_rows(x), labels, state, g)
+        checks.append((f"focal_oim_rows_gamma{g:.0f}", oim, Tensor(rng.standard_normal((6, 4))), per_row))
+    # The shape tools, layer norm's beta and a gamma with one row per
+    # block: the three blocks of two rows each normalize on their own.
+    draw = lambda *shape: Tensor(rng.standard_normal(shape))
+    deep, shared, per_set, rows = draw(2, 2, 3), draw(2, 3), draw(2, 2, 3), draw(6, 4)
+    stacked_w = draw(4, 2, 3)
+    checks += [
+        ("tile_rows", lambda x: tt.tile_rows(x, 2), col, draw(6, 1)),
+        ("tile_rows_rank3", lambda x: tt.tile_rows(x, 3), deep, draw(12, 3)),
+        ("split_rows", lambda x: tt.concat_cols(tt.split_rows(x, 3)), split, draw(1, 12)),
+        ("stack_shared", lambda p: tt.stack((p, per_set), (2, 3), sets=2), shared, stacked_w),
+        ("stack_per_set", lambda p: tt.stack((shared, p), (2, 3), sets=2), per_set, stacked_w),
+        ("layer_norm_beta", lambda b: tt.layer_norm(a, gamma, b), beta, a),
+        ("layer_norm_block_gamma", lambda g: tt.layer_norm(rows, g, beta, blocks=3), pos, draw(6, 4)),
+    ]
+    return [_check(f"primitive.{n}", f, x, w, PRIMITIVE_TOL) for n, f, x, w in checks]
 
 
 def _gauss(rng, *shape, fan_in=None):
@@ -132,34 +148,18 @@ def check_attention() -> list[CheckResult]:
     y = Tensor(rng.standard_normal((4, d)))
     mha = _mha_params(rng, d)
     weigh = Tensor(rng.standard_normal((4, d)))
-    results = [
-        _check(
-            "attention.mha_input",
-            lambda x: tt.sum_all(tt.mul(multi_head_self_attention(x, mha), weigh)),
-            y,
-            ATTENTION_TOL,
-        )
-    ]
+    results = [_check("attention.mha_input", lambda x: multi_head_self_attention(x, mha), y, weigh, ATTENTION_TOL)]
     for attr in ("wq", "wk", "wv", "wo"):
 
         def f(x, attr=attr):
-            out = multi_head_self_attention(y, dataclasses.replace(mha, **{attr: x}))
-            return tt.sum_all(tt.mul(out, weigh))
+            return multi_head_self_attention(y, dataclasses.replace(mha, **{attr: x}))
 
-        results.append(_check(f"attention.mha_{attr}", f, getattr(mha, attr), ATTENTION_TOL))
+        results.append(_check(f"attention.mha_{attr}", f, getattr(mha, attr), weigh, ATTENTION_TOL))
 
     gamma = Tensor(rng.standard_normal(d))
     beta = Tensor(rng.standard_normal(d))
-    results.append(
-        _check(
-            "attention.residual_layernorm",
-            lambda x: tt.sum_all(
-                tt.mul(residual_layernorm(x, multi_head_self_attention(x, mha), gamma, beta), weigh)
-            ),
-            y,
-            ATTENTION_TOL,
-        )
-    )
+    residual = lambda x: residual_layernorm(x, multi_head_self_attention(x, mha), gamma, beta)
+    results.append(_check("attention.residual_layernorm", residual, y, weigh, ATTENTION_TOL))
 
     c = 4
     fmap = Tensor(rng.standard_normal((c, 6, 7)))
@@ -171,26 +171,17 @@ def check_attention() -> list[CheckResult]:
     def deform_with(field, x):
         params = dp if field == "z" else dataclasses.replace(dp, **{field: x})
         zz = x if field == "z" else z
-        return tt.sum_all(tt.mul(deform_attn(zz, refs, fmap, params), wz))
+        return deform_attn(zz, refs, fmap, params)
 
     for field in ("z", *DeformAttnParams.TENSORS):
-        results.append(
-            _check(
-                f"attention.deform_{field}",
-                lambda x, field=field: deform_with(field, x),
-                z if field == "z" else getattr(dp, field),
-                ATTENTION_TOL,
-            )
-        )
-
-    def deform_fmap(m):
-        return tt.sum_all(tt.mul(deform_attn(z, refs, m, dp), wz))
+        leaf = z if field == "z" else getattr(dp, field)
+        f = lambda x, field=field: deform_with(field, x)
+        results.append(_check(f"attention.deform_{field}", f, leaf, wz, ATTENTION_TOL))
 
     # Linear in the map, so a wider step costs no truncation error and
     # drowns less in float roundoff on the tiny corner weights.
-    results.append(
-        _check("attention.deform_fmap", deform_fmap, fmap, ATTENTION_TOL, h=1e-4)
-    )
+    deform_fmap = lambda m: deform_attn(z, refs, m, dp)
+    results.append(_check("attention.deform_fmap", deform_fmap, fmap, wz, ATTENTION_TOL, h=1e-4))
     return results
 
 

@@ -29,7 +29,8 @@ queue are constants of the step, and each state builds its class matrix
 once.
 
 ``total_loss`` combines the four training components cls/iou/l1/oim with
-the standard weights (2.0, 5.0, 2.0, 0.5).
+the standard weights (2.0, 5.0, 2.0, 0.5).  Only the OIM term carries a
+gradient, so weighting it and adding the detection losses is one taped op.
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ def focal_oim_loss(
         return Tensor(np.zeros(sets) if sets else 0.0), new_states
 
     # Each scale's mean, the means added in scale order, then the 1 / S
-    # factor: the arithmetic of mean_all, add and scale, so the loss and
-    # its gradient keep the bits those generic ops gave.
+    # factor: the bits of a chain of one mean per scale, their sum and the
+    # 1 / S product, for the loss and its gradient alike.
     inv_scales = 1.0 / len(states)
     means = np.add.reduce(values.reshape(len(states), blocks, per_set), axis=2) / per_set
     loss = functools.reduce(np.add, means) * inv_scales
@@ -323,29 +324,18 @@ class LossWeights:
     oim: float = 0.5
 
 
-def total_loss(l_cls, l_iou, l_l1, l_oim, weights: LossWeights = LossWeights()):
+def total_loss(l_cls: float, l_iou: float, l_l1: float, l_oim, weights: LossWeights = LossWeights()):
     """weights.cls * l_cls + weights.iou * l_iou + weights.l1 * l_l1
     + weights.oim * l_oim.
 
-    Accepts floats or scalar Tensors per component; returns a Tensor if any
-    component is one (preserving gradients), otherwise a float.
+    The detection terms are floats.  A float ``l_oim`` gives a float; a
+    scalar Tensor gives a Tensor recorded as one tape node, whose gradient
+    is weights.oim times the output's.
     """
-    terms = [
-        (l_cls, weights.cls),
-        (l_iou, weights.iou),
-        (l_l1, weights.l1),
-        (l_oim, weights.oim),
-    ]
-    const = 0.0
-    acc: Tensor | None = None
-    for value, w in terms:
-        if isinstance(value, Tensor):
-            if value.size != 1:
-                raise ValueError("loss components must be scalar")
-            scaled = tt.scale(value, w)
-            acc = scaled if acc is None else tt.add(acc, scaled)
-        else:
-            const += w * float(value)
-    if acc is None:
-        return const
-    return tt.add_scalar(acc, const)
+    const = sum(w * float(v) for v, w in ((l_cls, weights.cls), (l_iou, weights.iou), (l_l1, weights.l1)))
+    if not isinstance(l_oim, Tensor):
+        return const + weights.oim * float(l_oim)
+    if l_oim.size != 1:
+        raise ValueError("loss components must be scalar")
+    w = float(weights.oim)
+    return tt._emit(l_oim.data * w + const, (l_oim,), lambda g: (g * w,))

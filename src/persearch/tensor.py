@@ -4,18 +4,21 @@ Everything downstream (attention, the re-ID transformer, the identity losses)
 is built from the primitives in this module.  A ``Tensor`` is an immutable
 wrapper around a C-contiguous float64 numpy array.  Operations are pure
 functions; while a ``GradTape`` is active they also append a node holding a
-vector-Jacobian product closure, so gradients of a scalar loss with respect
-to any participating tensor can be recovered by replaying the tape in
-reverse.  Without an active tape the same functions run eagerly and keep no
-graph, which is what evaluation uses.
+vector-Jacobian product closure, so gradients of a scalar loss, or of any
+output contracted with a fixed cotangent, with respect to any participating
+tensor can be recovered by replaying the tape in reverse.  Without an
+active tape the same functions run eagerly and keep no graph, which is
+what evaluation uses.
 
-The set of primitives is deliberately small: elementwise arithmetic, the
-handful of shape tools the model needs, layer norm, bilinear feature-map
-sampling, and l2 normalization.  Each analytic gradient here is validated
-against central differences by ``central_diff_gradcheck``.  Larger fused
-primitives elsewhere in the package (the attention sublayers and the focal
-OIM loss) record themselves through the same ``_emit`` hook with their own
-VJPs, and share the numpy softmax ``_softmax_last``.
+The set of primitives is deliberately small: ``add`` (also the residual
+``+``); the shape tools ``concat_cols``, ``tile_rows``, ``split_rows``,
+``stack`` and ``take_rows``; ``layer_norm``; ``l2_normalize_rows``; and
+bilinear feature-map sampling through a ``value_table``.  Each analytic
+gradient here is validated against central differences by
+``central_diff_gradcheck``.  Larger fused primitives elsewhere in the
+package (the attention sublayers, the focal OIM loss and the weighted
+total loss) record themselves through the same ``_emit`` hook with their
+own VJPs, and share the numpy softmax ``_softmax_last``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,6 @@ __all__ = [
     "Tensor",
     "GradTape",
     "add",
-    "add_scalar",
-    "scale",
-    "mul",
-    "powc",
-    "sum_all",
-    "mean_all",
     "concat_cols",
     "tile_rows",
     "split_rows",
@@ -108,9 +105,6 @@ class Tensor:
     def item(self) -> float:
         return float(self._data.reshape(-1)[0])
 
-    def tolist(self):
-        return self._data.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -160,25 +154,36 @@ class GradTape:
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp, selective) -> None:
         self._nodes.append(_Node(out, inputs, vjp, selective))
 
-    def gradients(self, loss: Tensor, sources: Iterable[Tensor]) -> list[np.ndarray]:
-        """Gradient of the scalar ``loss`` for each source tensor.
+    def gradients(
+        self, out: Tensor, sources: Iterable[Tensor], cotangent: np.ndarray | None = None
+    ) -> list[np.ndarray]:
+        """Gradient of ``out`` for each source tensor, seeded with ``cotangent``.
 
-        Sources that did not participate in the computation get zeros of
-        their own shape.  The tape may be replayed multiple times.
+        Without a cotangent ``out`` must be a scalar loss, seeded with 1.
+        A cotangent of ``out``'s shape gives the gradient of the sum of
+        ``out * cotangent`` instead.  Sources that did not participate in
+        the computation get zeros of their own shape.  The tape may be
+        replayed multiple times.
 
         Before the replay one forward sweep marks every tensor that depends
         on a source.  Only those need a gradient: nodes whose output depends
         on none are skipped, and a node recorded with ``selective=True`` is
         told which of its inputs to differentiate.
         """
-        if loss.size != 1:
-            raise ValueError(f"loss must be scalar, got shape {loss.shape}")
+        if cotangent is None:
+            if out.size != 1:
+                raise ValueError(f"loss must be scalar, got shape {out.shape}")
+            cotangent = np.ones(out.shape)
+        else:
+            cotangent = np.array(cotangent, dtype=np.float64)
+            if cotangent.shape != out.shape:
+                raise ValueError(f"cotangent shape {cotangent.shape} differs from the output's {out.shape}")
         sources = list(sources)
         live = {id(src) for src in sources}
         for node in self._nodes:
             if any(id(inp) in live for inp in node.inputs):
                 live.add(id(node.out))
-        grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
+        grads: dict[int, np.ndarray] = {id(out): cotangent}
         for node in reversed(self._nodes):
             g_out = grads.get(id(node.out))
             if g_out is None or id(node.out) not in live:
@@ -193,11 +198,7 @@ class GradTape:
                     grads[key] = grads[key] + g_in
                 else:
                     grads[key] = g_in
-        out = []
-        for src in sources:
-            g = grads.get(id(src))
-            out.append(np.zeros(src.shape) if g is None else np.asarray(g))
-        return out
+        return [np.asarray(grads[id(src)]) if id(src) in grads else np.zeros(src.shape) for src in sources]
 
 
 def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], vjp, selective: bool = False) -> Tensor:
@@ -220,72 +221,10 @@ def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], vjp, selective: bool = F
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a rank-1 bias broadcast over rows."""
-    if a.shape == b.shape:
-        return _emit(a.data + b.data, (a, b), lambda g: (g, g))
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        return _emit(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
-    raise ValueError(f"add shapes incompatible: {a.shape} + {b.shape}")
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _emit(x.data + c, (x,), lambda g: (g,))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _emit(x.data * c, (x,), lambda g: (g * c,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; ``b`` may be a (m,1) column broadcast over columns
-    of a (m,n) tensor, or a scalar-shaped tensor."""
-    ad, bd = a.data, b.data
-    if a.shape == b.shape:
-        return _emit(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-    if a.ndim == 2 and b.shape == (a.shape[0], 1):
-        return _emit(
-            ad * bd,
-            (a, b),
-            lambda g: (g * bd, (g * ad).sum(axis=1, keepdims=True)),
-        )
-    if b.size == 1 and b.ndim == 0:
-        return _emit(ad * bd, (a, b), lambda g: (g * bd, np.sum(g * ad)))
-    raise ValueError(f"mul shapes incompatible: {a.shape} * {b.shape}")
-
-
-def powc(x: Tensor, c: float) -> Tensor:
-    """Elementwise power with a constant exponent.
-
-    For non-integer exponents the input must be non-negative.  Exponents 0
-    and 1 short-circuit so (1 - p)^gamma stays defined at p = 1.
-    """
-    c = float(c)
-    xd = x.data
-    if c == 0.0:
-        return _emit(np.ones_like(xd), (x,), lambda g: (np.zeros_like(g),))
-    if c == 1.0:
-        return _emit(xd.copy(), (x,), lambda g: (g,))
-    yd = xd**c
-
-    def vjp(g):
-        return (g * c * xd ** (c - 1.0),)
-
-    return _emit(yd, (x,), vjp)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    shape = x.shape
-    return _emit(np.asarray(x.data.sum()), (x,), lambda g: (np.full(shape, float(g)),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    shape = x.shape
-    n = x.size
-    return _emit(
-        np.asarray(x.data.mean()), (x,), lambda g: (np.full(shape, float(g) / n),)
-    )
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ValueError(f"add shapes incompatible: {a.shape} + {b.shape}")
+    return _emit(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -627,21 +566,24 @@ def numeric_gradient(
 
 
 def central_diff_gradcheck(
-    f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-6
+    f: Callable[[Tensor], Tensor], x: Tensor, w: Tensor | None = None, h: float = 1e-6
 ) -> float:
     """Compare the taped gradient of ``f`` at ``x`` against central differences.
 
-    ``f`` must map a Tensor to a scalar Tensor.  Returns the max relative
+    The function checked is the sum of ``f(x) * w``, with ``w`` a fixed
+    weight of ``f(x)``'s shape that seeds the tape, or ``f(x)`` itself when
+    ``w`` is None and ``f`` returns a scalar.  Returns the max relative
     error over coordinates; raises if the function value is not finite.
     """
+    weigh = (lambda t: t.item()) if w is None else (lambda t: float((t.data * w.data).sum()))
     with GradTape() as tape:
         out = f(x)
-        if out.size != 1:
+        if w is None and out.size != 1:
             raise ValueError("gradcheck target must return a scalar")
-        if not np.isfinite(out.item()):
+        if not np.isfinite(weigh(out)):
             raise FloatingPointError("non-finite function value in gradcheck")
-        (analytic,) = tape.gradients(out, [x])
-    numeric = numeric_gradient(lambda probes: np.array([f(Tensor(p)).item() for p in probes]), x, h)
+        (analytic,) = tape.gradients(out, [x], None if w is None else w.data)
+    numeric = numeric_gradient(lambda probes: np.array([weigh(f(Tensor(p))) for p in probes]), x, h)
     return max_rel_error(analytic, numeric)
 
 

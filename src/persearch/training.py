@@ -411,7 +411,7 @@ def load_checkpoint(ckpt_dir):
     """
     ckpt_dir = str(ckpt_dir)
     path = os.path.join(ckpt_dir, "checkpoint.json")
-    manifest = read_manifest(path, "checkpoint")
+    manifest = read_manifest(path, "checkpoint", 1)
     model = ReIDTransformer.load(os.path.join(ckpt_dir, "model"))
     width, scales = model.config.query_width, model.config.output_scales
     oim_states = []

@@ -51,7 +51,7 @@ from .attention import (
     residual_layernorm,
     ring_offset_bias,
 )
-from .errors import read_manifest, reading, write_manifest
+from .errors import read_manifest, reading, stored_config, write_manifest
 from .tensor import Tensor, read_blob, write_blob
 
 __all__ = [
@@ -459,14 +459,9 @@ class ReIDTransformer:
         tensors :meth:`init` builds for its config, each of that shape.
         """
         path = os.path.join(directory, "model.json")
-        manifest = read_manifest(path, "reid_transformer")
+        manifest = read_manifest(path, "reid_transformer", _FORMAT_VERSION)
         with reading(path):
-            version = manifest.get("format_version")
-            if version != _FORMAT_VERSION:
-                raise ValueError(
-                    f"format_version {version!r} is not supported (expected {_FORMAT_VERSION})"
-                )
-            config = ReIDConfig(**manifest["config"])
+            config = stored_config(ReIDConfig, manifest["config"])
             expected = {name: t.shape for name, t in cls.init(config, seed=0).params.items()}
             files = dict(manifest["tensors"])
             missing, extra = sorted(expected.keys() - files), sorted(files.keys() - expected)

@@ -100,10 +100,10 @@ class TestMultiHeadSelfAttention:
         def loss_with(name, t):
             p = params if name == "y" else dataclasses.replace(params, **{name: t})
             yy = t if name == "y" else y
-            return T.sum_all(T.mul(multi_head_self_attention(yy, p), w))
+            return multi_head_self_attention(yy, p)
 
         for name, leaf in leaves.items():
-            err = T.central_diff_gradcheck(lambda t, n=name: loss_with(n, t), leaf)
+            err = T.central_diff_gradcheck(lambda t, n=name: loss_with(n, t), leaf, w)
             assert err < 1e-6, f"{name}: {err:.2e}"
 
 
@@ -293,10 +293,10 @@ class TestDeformAttn:
                 out = deform_attn(zz, refs, mm[0], p)
             else:
                 out = multiscale_deform_attn(zz, refs, mm, p)
-            return T.sum_all(T.mul(out, w))
+            return out
 
         for name, leaf in leaves.items():
-            err = T.central_diff_gradcheck(lambda t, name=name: f(t, name), leaf)
+            err = T.central_diff_gradcheck(lambda t, name=name: f(t, name), leaf, w)
             assert err < 1e-6, f"{name}: {err:.2e}"
 
     def test_shape_validation(self):
@@ -370,13 +370,11 @@ class TestRowGroups:
         sources += [t for p in dps[:count] + mhas[:count] for t in _param_leaves(p)]
         with GradTape() as tape:
             got = grouped()
-            loss = T.sum_all(T.mul(got, weigh))
-            got_grads = tape.gradients(loss, sources)
+            got_grads = tape.gradients(got, sources, weigh.data)
         with GradTape() as tape:
             want = separate()
-            parts = [T.sum_all(T.mul(o, w)) for o, w in zip(want, T.split_rows(weigh, g))]
-            loss = T.add(T.add(parts[0], parts[1]), parts[2])
-            want_grads = tape.gradients(loss, sources)
+            cat = T.concat_cols(want)
+            want_grads = tape.gradients(cat, sources, np.hstack(np.split(weigh.data, g)))
         assert np.array_equal(got.data, np.concatenate([o.data for o in want]))
         for a, b in zip(got_grads, want_grads):
             assert np.abs(b).max() > 0
@@ -397,11 +395,13 @@ class TestRowGroups:
 
         monkeypatch.setattr(T, "_bilinear_vjp", recording)
         with GradTape() as tape:
-            loss = T.sum_all(T.powc(deform_attn(z, refs, maps, stack_sets(dps), 3), 2.0))
+            out = deform_attn(z, refs, maps, stack_sets(dps), 3)
+        # The gradients of half the sum of squares of the output.
+        grads = lambda sources: tape.gradients(out, sources, out.data)
         params = _param_leaves(dps[1])
-        data_only = tape.gradients(loss, [z, *params])
-        with_maps = tape.gradients(loss, [z, *params, maps[1]])
-        all_maps = tape.gradients(loss, maps)
+        data_only = grads([z, *params])
+        with_maps = grads([z, *params, maps[1]])
+        all_maps = grads(maps)
         assert wanted == [[False] * 3, [False, True, False], [True] * 3]
         for a, b in zip(data_only, with_maps):
             assert np.array_equal(a, b)
@@ -440,11 +440,10 @@ class TestPrebuiltTable:
         for form_refs, form_maps in forms:
             with GradTape() as tape:
                 out = attend(z, form_refs, form_maps, stack_sets(dps), g)
-                loss = T.sum_all(T.mul(out, w))
             results.append([
                 out.data,
-                *tape.gradients(loss, [z, *leaves, *maps]),
-                *tape.gradients(loss, [z, *leaves, maps[1]]),
+                *tape.gradients(out, [z, *leaves, *maps], w.data),
+                *tape.gradients(out, [z, *leaves, maps[1]], w.data),
             ])
         for a, b in zip(*results, strict=True):
             assert np.array_equal(a, b)

@@ -306,12 +306,28 @@ class TestExitCodes:
                 lambda m: m["queries"][0].update(person=99),
                 "manifest.json: ValueError: query person 99 of scene ",
             ),
+            (
+                "data/manifest.json",
+                lambda m: m["queries"][0].update(identity=-7),
+                "manifest.json: ValueError: query identity -7 ",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["config"].pop("seed"),
+                "manifest.json: ValueError: config lacks seed",
+            ),
+            (
+                "checkpoint/checkpoint.json",
+                lambda m: m.update(format_version=0),
+                "checkpoint.json: ValueError: format_version 0 ",
+            ),
         ],
         ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1", "model-v2",
              "model-missing-tensor", "model-wrong-shape", "checkpoint-missing-oim",
              "manifest-unknown-key", "model-root-array", "checkpoint-root-array",
              "manifest-root-array", "checkpoint-meta-array", "manifest-query-scene",
-             "manifest-query-person"],
+             "manifest-query-person", "manifest-query-identity", "manifest-config-missing-key",
+             "checkpoint-v0"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
         shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")
@@ -586,24 +602,73 @@ class TestCorruptBlobs:
     def test_corrupt_blob_exits_2_naming_the_file(self, workspace, corruptible, data):
         blob, command = data.draw(st.sampled_from(self.BLOBS))
         path = corruptible / blob
-        raw = path.read_bytes()
         inputs = {
             "train": ["--config", str(workspace["cfg"])],
             "eval": ["--checkpoint", str(corruptible / "checkpoint")],
         }[command]
-        err = io.StringIO()
-        try:
-            path.write_bytes(data.draw(_blob_faults(raw)))
-            with contextlib.redirect_stderr(err):
-                rc = main([command, *inputs, "--data", str(corruptible / "data"), "--out", str(corruptible / "out")])
-        finally:
-            path.write_bytes(raw)
-        lines = err.getvalue().strip().split("\n")
-        assert rc == 2, lines
-        assert len(lines) == 1 and lines[0].startswith("error:"), lines
-        assert str(path) in lines[0]
-        assert "Traceback" not in err.getvalue()
-        assert not (corruptible / "out").exists()
+        _exits_2_naming(corruptible, path, lambda raw: data.draw(_blob_faults(raw)), [command, *inputs])
+
+
+@st.composite
+def _json_faults(draw, raw: bytes):
+    """A corrupted copy of the JSON file ``raw``: cut to a strict prefix of
+    its document, or without one key that the loader requires, drawn at
+    any depth.  A checkpoint's ``meta`` is optional, so it is never
+    dropped, nor anything in it."""
+    text = raw.decode()
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text.rstrip()) - 1))].encode()
+    doc = node = json.loads(text)
+    while True:
+        key = draw(st.sampled_from(sorted(k for k in node if k != "meta")))
+        inner = node[key]
+        if isinstance(inner, list) and inner and isinstance(inner[0], dict):
+            inner = inner[draw(st.integers(0, len(inner) - 1))]
+        if not isinstance(inner, dict) or draw(st.booleans()):
+            del node[key]
+            return json.dumps(doc).encode()
+        node = inner
+
+
+class TestCorruptManifests:
+    """Each JSON file that ``eval`` reads, cut short or missing a key at
+    random: the command exits 2 with one error line that names the file."""
+
+    FILES = ["data/manifest.json", "checkpoint/model/model.json", "checkpoint/checkpoint.json"]
+
+    @seed(20261019)
+    @settings(
+        max_examples=100,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_corrupt_manifest_exits_2_naming_the_file(self, corruptible, data):
+        path = corruptible / data.draw(st.sampled_from(self.FILES))
+        argv = ["eval", "--checkpoint", str(corruptible / "checkpoint")]
+        _exits_2_naming(corruptible, path, lambda raw: data.draw(_json_faults(raw)), argv)
+
+
+def _exits_2_naming(root, path, corrupt, argv):
+    """Run ``argv`` on the data under ``root`` with ``path`` replaced by
+    ``corrupt(its bytes)``, then put the file back: the command must exit 2
+    with one ``error:`` line that names the file, no traceback and no
+    output directory."""
+    raw = path.read_bytes()
+    err = io.StringIO()
+    try:
+        path.write_bytes(corrupt(raw))
+        with contextlib.redirect_stderr(err):
+            rc = main([*argv, "--data", str(root / "data"), "--out", str(root / "out")])
+    finally:
+        path.write_bytes(raw)
+    lines = err.getvalue().strip().split("\n")
+    assert rc == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert str(path) in lines[0]
+    assert "Traceback" not in err.getvalue()
+    assert not (root / "out").exists()
 
 
 def _data_files(directory):

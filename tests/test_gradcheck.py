@@ -30,6 +30,17 @@ class TestBlocks:
         assert all(r.tolerance == PRIMITIVE_TOL for r in results)
         assert all(r.passed for r in results), format_results(results)
 
+    def test_primitive_checks_cover_every_taped_primitive(self):
+        # Each public primitive of the tensor module that records a tape
+        # node is checked by name; the two fused kernels by their own.
+        names = {r.name.removeprefix("primitive.") for r in check_primitives()}
+        taped = {"add", "concat_cols", "tile_rows", "split_rows", "take_rows", "l2_normalize_rows"}
+        assert taped <= names
+        assert {n for n in names if n.startswith(("stack_", "layer_norm_", "bilinear_"))} == {
+            "stack_shared", "stack_per_set", "layer_norm_x", "layer_norm_gamma", "layer_norm_beta",
+            "layer_norm_block_gamma", "bilinear_map", "bilinear_point", "bilinear_rows",
+        }
+
     def test_attention_checks_cover_both_mechanisms_and_pass(self):
         results = check_attention()
         names = {r.name for r in results}
@@ -154,13 +165,14 @@ class TestBatchedProbes:
 
 
 def old_probe_loss(emb, labels, states):
-    """The loss of one probe as generic ops: the mean of each scale's focal
-    OIM rows, the scale means added in order, then scaled by 1 / scales."""
+    """The loss of one probe from each scale's own focal OIM rows: the mean
+    of each scale's rows, the scale means added in order, then scaled by
+    1 / scales."""
     total = None
     for scale, st in zip(emb.per_scale, states):
-        l = T.mean_all(focal_oim_rows(T.l2_normalize_rows(scale), labels, st, gamma=2.0))
-        total = l if total is None else T.add(total, l)
-    return T.scale(total, 1.0 / len(states))
+        l = focal_oim_rows(T.l2_normalize_rows(scale), labels, st, gamma=2.0).data.mean()
+        total = l if total is None else total + l
+    return total * (1.0 / len(states))
 
 
 class TestBatchedLoss:
@@ -200,7 +212,7 @@ class TestBatchedLoss:
                     emb.scales,
                     emb.scheme,
                 )
-                want = [old_probe_loss(own(b), labels, states).item() for b in range(len(probes))]
+                want = [old_probe_loss(own(b), labels, states) for b in range(len(probes))]
                 assert np.array_equal(values, want), name
                 checked += 1
         assert checked == 4

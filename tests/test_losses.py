@@ -267,9 +267,9 @@ class TestFocalOIMRows:
         labels = [2, BACKGROUND, 0, UNLABELED]
 
         def f(x):
-            return T.sum_all(T.mul(focal_oim_rows(T.l2_normalize_rows(x), labels, s, 1.0), w))
+            return focal_oim_rows(T.l2_normalize_rows(x), labels, s, 1.0)
 
-        assert T.central_diff_gradcheck(f, Tensor(rng.standard_normal((4, 6)))) < 1e-6
+        assert T.central_diff_gradcheck(f, Tensor(rng.standard_normal((4, 6))), w) < 1e-6
 
     def test_no_labeled_row_gives_no_rows(self):
         rng = np.random.default_rng(78)
@@ -386,15 +386,18 @@ class TestScaleAveragedOIM:
 
     @staticmethod
     def per_scale_chain(feats, labels, states, gamma):
-        """The loss as generic ops on each scale's own tensor, and the
-        gradient of half of it for each of those tensors."""
-        with GradTape() as tape:
-            total = None
-            for f, st in zip(feats, states):
-                mean = T.mean_all(focal_oim_rows(f, labels, st, gamma))
-                total = mean if total is None else T.add(total, mean)
-            want = T.scale(total, 1.0 / len(states))
-            return want, tape.gradients(T.scale(want, 0.5), feats)
+        """The loss from each scale's own :func:`focal_oim_rows`, and the
+        gradient of half of it for each scale's tensor: the scale means
+        added in order and scaled by 1 / S, and each scale's rows seeded
+        with half of the 1 / S share of their mean."""
+        total, grads = None, []
+        for f, st in zip(feats, states):
+            with GradTape() as tape:
+                rows = focal_oim_rows(f, labels, st, gamma)
+            mean = rows.data.mean()
+            total = mean if total is None else total + mean
+            grads += tape.gradients(rows, [f], np.full(rows.shape, 0.5 * (1.0 / len(states)) / rows.size))
+        return total * (1.0 / len(states)), grads
 
     @pytest.mark.parametrize("queued", [0, 2], ids=["empty-queue", "full-queue"])
     @pytest.mark.parametrize("gamma", [0.0, 2.0])
@@ -408,8 +411,8 @@ class TestScaleAveragedOIM:
         with GradTape() as tape:
             loss, new_states = focal_oim_loss(stacked, labels, states, gamma=gamma)
             assert [node.inputs for node in tape._nodes] == [(stacked,)]
-            (grad,) = tape.gradients(T.scale(loss, 0.5), [stacked])
-        assert loss.shape == () and loss.item() == want.item()
+            (grad,) = tape.gradients(loss, [stacked], 0.5)
+        assert loss.shape == () and loss.item() == want
         assert np.array_equal(grad, np.vstack(want_grads))
         for f, st, new in zip(feats, states, new_states):
             want_state = st.update(f.data, labels)
@@ -485,9 +488,11 @@ class TestTotalLoss:
         assert isinstance(out, Tensor)
         assert out.item() == pytest.approx(2.0 + 2.5 + 0.5 + 1.0)
 
-    def test_gradient_flows_through_oim_term(self):
+    def test_one_node_weights_the_oim_term(self):
         x = Tensor(4.0)
         with GradTape() as tape:
-            out = total_loss(1.0, 1.0, 1.0, T.powc(x, 2.0))
-        (g,) = tape.gradients(out, [x])
-        assert float(g) == pytest.approx(0.5 * 2 * 4.0)
+            out = total_loss(1.0, 1.0, 1.0, x)
+        assert [node.inputs for node in tape._nodes] == [(x,)]
+        assert out.item() == 0.5 * 4.0 + 9.0
+        (g,) = tape.gradients(out, [x], 3.0)
+        assert float(g) == 0.5 * 3.0

@@ -150,10 +150,12 @@ class TestTrainLoop:
         # The three scales stay one stacked tensor from the queries' tiling
         # to the loss: 1 tiling node, 3 per sublayer for its attention,
         # residual add and layer norm (15), one l2 normalization and one
-        # focal-OIM node for all scales, then the loss weight and the
-        # constant detection terms (2), so a default shared step records
-        # 20 nodes.  Splitting the scales into three blocks, each with its
-        # own normalization, took 25.  Widths do not change the count.
+        # focal-OIM node for all scales, then one node that weights the
+        # OIM term and adds the constant detection terms, so a default
+        # shared step records exactly 19 nodes.  Weighting and adding as
+        # two generic nodes took 20, and splitting the scales into three
+        # blocks, each with its own normalization, 25.  Widths do not
+        # change the count.
         counts = []
         replay = GradTape.gradients
 
@@ -166,7 +168,7 @@ class TestTrainLoop:
         assert model.config.scheme == "shared"
         train(model, bench, tiny_settings(steps=3), run_seed=5)
         assert len(counts) == 3
-        assert max(counts) <= 20, counts
+        assert counts == [19] * 3, counts
 
     def test_default_shared_step_tape_width(self, bench, monkeypatch):
         # The shared scheme passes its one parameter set once for all three

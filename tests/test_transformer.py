@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from persearch import tensor as T
-from persearch import transformer
+from persearch import attention, transformer
 from persearch.attention import ReferencePoint
 from persearch.tensor import GradTape, Tensor
 from persearch.transformer import (
@@ -152,6 +152,22 @@ class TestForward:
             np.linalg.norm(match.data, axis=1), np.ones(3), atol=1e-12
         )
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_each_parameter_view_is_checked_once(self, scheme, monkeypatch):
+        # A forward builds each sublayer's parameter view afresh; the
+        # sublayer call checks its shapes, and building it does not.
+        checked, fields = [], attention._fields
+
+        def recording(params, blocks=None):
+            checked.append(params)
+            return fields(params, blocks)
+
+        monkeypatch.setattr(attention, "_fields", recording)
+        rng = np.random.default_rng(41)
+        model = ReIDTransformer.init(tiny_config(scheme=scheme), seed=2, style="random")
+        model.forward(make_pyramid(rng), make_refs(rng, 3))
+        assert checked and all(sum(p is q for q in checked) == 1 for p in checked)
+
     def test_deterministic_init_and_forward(self):
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
         a = ReIDTransformer.init(tiny_config(), seed=9)
@@ -255,8 +271,7 @@ class TestLevelBatching:
         for embed in (lambda: concat_inference_embeddings(model.forward(pyramid, refs)), reference):
             with GradTape() as tape:
                 emb = embed()
-                loss = T.sum_all(T.mul(emb, weigh))
-                grads.append(tape.gradients(loss, [model.params[n] for n in names]))
+            grads.append(tape.gradients(emb, [model.params[n] for n in names], weigh.data))
         for name, got, want in zip(names, *grads):
             assert np.abs(want).max() > 0, name
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
