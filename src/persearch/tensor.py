@@ -566,23 +566,24 @@ def numeric_gradient(
 
 
 def central_diff_gradcheck(
-    f: Callable[[Tensor], Tensor], x: Tensor, w: Tensor | None = None, h: float = 1e-6
+    f: Callable[[Tensor], Tensor], x: Tensor, w: Tensor, h: float = 1e-6
 ) -> float:
     """Compare the taped gradient of ``f`` at ``x`` against central differences.
 
     The function checked is the sum of ``f(x) * w``, with ``w`` a fixed
-    weight of ``f(x)``'s shape that seeds the tape, or ``f(x)`` itself when
-    ``w`` is None and ``f`` returns a scalar.  Returns the max relative
-    error over coordinates; raises if the function value is not finite.
+    weight of ``f(x)``'s shape that seeds the tape.  Returns the max
+    relative error over coordinates; raises if the function value is not
+    finite.
     """
-    weigh = (lambda t: t.item()) if w is None else (lambda t: float((t.data * w.data).sum()))
+
+    def weigh(t: Tensor) -> float:
+        return float((t.data * w.data).sum())
+
     with GradTape() as tape:
         out = f(x)
-        if w is None and out.size != 1:
-            raise ValueError("gradcheck target must return a scalar")
         if not np.isfinite(weigh(out)):
             raise FloatingPointError("non-finite function value in gradcheck")
-        (analytic,) = tape.gradients(out, [x], None if w is None else w.data)
+        (analytic,) = tape.gradients(out, [x], w.data)
     numeric = numeric_gradient(lambda probes: np.array([weigh(f(Tensor(p))) for p in probes]), x, h)
     return max_rel_error(analytic, numeric)
 

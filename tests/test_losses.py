@@ -213,7 +213,7 @@ class TestOIMLoss:
             )
             return loss
 
-        err = T.central_diff_gradcheck(f, raw)
+        err = T.central_diff_gradcheck(f, raw, Tensor(1.0))
         assert err < 1e-6
 
     def test_focal_gradient_matches_central_differences(self):
@@ -225,7 +225,7 @@ class TestOIMLoss:
             loss, _ = one_scale_loss(T.l2_normalize_rows(x), [0, 2], s, gamma=2.0)
             return loss
 
-        err = T.central_diff_gradcheck(f, raw)
+        err = T.central_diff_gradcheck(f, raw, Tensor(1.0))
         assert err < 1e-6
 
 

@@ -12,9 +12,9 @@ def rand(rng, *shape):
     return Tensor(rng.standard_normal(shape))
 
 
-def check_grads(f, args, w=None, h=1e-6, tol=1e-6):
-    """Gradcheck ``f(*args)``, contracted with the weight ``w`` (None for a
-    scalar output), w.r.t. each Tensor argument."""
+def check_grads(f, args, w, h=1e-6, tol=1e-6):
+    """Gradcheck ``f(*args)``, contracted with the weight ``w``, w.r.t. each
+    Tensor argument."""
     for i, arg in enumerate(args):
         if not isinstance(arg, Tensor):
             continue
