@@ -167,7 +167,9 @@ def render_scene(
             maps[level][:, ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1] += (
                 vec[:, None, None] * bump[None, :, :]
             )
-    return [Tensor(m) for m in maps]
+    # The maps are fresh and never written again, so each Tensor adopts
+    # its map instead of copying it.
+    return [Tensor._adopt(m) for m in maps]
 
 
 def _sample_box(rng: np.random.Generator) -> Box:
