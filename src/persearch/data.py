@@ -167,8 +167,7 @@ def render_scene(
             maps[level][:, ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1] += (
                 vec[:, None, None] * bump[None, :, :]
             )
-    # The maps are fresh and never written again, so each Tensor adopts
-    # its map instead of copying it.
+    # The maps are fresh and never written again: adopt, do not copy.
     return [Tensor._adopt(m) for m in maps]
 
 
