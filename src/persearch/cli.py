@@ -104,7 +104,7 @@ def _retrieval_inputs(args, detection_seed: int | None = None):
     model, _, meta = load_checkpoint(args.checkpoint)
     bench = load_benchmark(args.data)
     if detection_seed is None:
-        detection_seed = meta.get("run_seed", 0)
+        detection_seed = meta["run_seed"]
     entries, truth, per_scene = build_gallery(model, bench, detection_seed)
     queries = build_query_entries(bench, per_scene)
     return queries, entries, truth

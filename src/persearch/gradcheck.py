@@ -100,15 +100,16 @@ def check_primitives() -> list[CheckResult]:
         checks.append((f"focal_oim_rows_gamma{g:.0f}", oim, Tensor(rng.standard_normal((6, 4))), per_row))
     # The shape tools, layer norm's beta and a gamma with one row per
     # block: the three blocks of two rows each normalize on their own.
+    # The (2, 3) draw that no check reads keeps the inputs of the ones after it.
     draw = lambda *shape: Tensor(rng.standard_normal(shape))
-    deep, shared, per_set, rows = draw(2, 2, 3), draw(2, 3), draw(2, 2, 3), draw(6, 4)
-    stacked_w = draw(4, 2, 3)
+    deep, _, held, rows = draw(2, 2, 3), draw(2, 3), draw(2, 2, 3), draw(6, 4)
+    blocks_w = draw(4, 2, 3)
     checks += [
         ("tile_rows", lambda x: tt.tile_rows(x, 2), col, draw(6, 1)),
         ("tile_rows_rank3", lambda x: tt.tile_rows(x, 3), deep, draw(12, 3)),
         ("split_rows", lambda x: tt.concat_cols(tt.split_rows(x, 3)), split, draw(1, 12)),
-        ("stack_shared", lambda p: tt.stack((p, per_set), (2, 3), sets=2), shared, stacked_w),
-        ("stack_per_set", lambda p: tt.stack((shared, p), (2, 3), sets=2), per_set, stacked_w),
+        ("broadcast_blocks_per_set", lambda x: tt.broadcast_blocks(x, 2, 2, True, False), held, blocks_w),
+        ("broadcast_blocks_per_scale", lambda x: tt.broadcast_blocks(x, 2, 2, False, True), held, blocks_w),
         ("layer_norm_beta", lambda b: tt.layer_norm(a, gamma, b), beta, a),
         ("layer_norm_block_gamma", lambda g: tt.layer_norm(rows, g, beta, blocks=3), pos, draw(6, 4)),
     ]

@@ -12,13 +12,13 @@ what evaluation uses.
 
 The set of primitives is deliberately small: ``add`` (also the residual
 ``+``); the shape tools ``concat_cols``, ``tile_rows``, ``split_rows``,
-``stack`` and ``take_rows``; ``layer_norm``; ``l2_normalize_rows``; and
-bilinear feature-map sampling through a ``value_table``.  Each analytic
-gradient here is validated against central differences by
-``central_diff_gradcheck``.  Larger fused primitives elsewhere in the
-package (the attention sublayers, the focal OIM loss and the weighted
-total loss) record themselves through the same ``_emit`` hook with their
-own VJPs, and share the numpy softmax ``_softmax_last``.
+``broadcast_blocks`` and ``take_rows``; ``layer_norm``;
+``l2_normalize_rows``; and bilinear feature-map sampling through a
+``value_table``.  Each analytic gradient here is validated against central
+differences by ``central_diff_gradcheck``.  Larger fused primitives elsewhere
+in the package (the attention sublayers, the focal OIM loss and the weighted
+total loss) record themselves through the same ``_emit`` hook with their own
+VJPs, and share the numpy softmax ``_softmax_last``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
     "concat_cols",
     "tile_rows",
     "split_rows",
-    "stack",
+    "broadcast_blocks",
     "take_rows",
     "layer_norm",
     "l2_normalize_rows",
@@ -280,29 +280,23 @@ def split_rows(x: Tensor, parts: int) -> tuple[Tensor, ...]:
     return tuple(block(i) for i in range(parts))
 
 
-def stack(parts: Sequence[Tensor], shape: tuple[int, ...], sets: int = 1) -> Tensor:
-    """Stack K tensors of ``shape`` along a new leading block axis: (K, *shape).
+def broadcast_blocks(x: Tensor, sets: int, scales: int, per_set: bool, per_scale: bool) -> Tensor:
+    """(B * S, *shape) blocks for B = ``sets`` sets at S = ``scales`` scales,
+    block b * S + l holding x's value for set b and scale l.
 
-    With ``sets`` = B, a part may also be a (B, *shape) stack of B values,
-    one per set, and the result is (B * K, *shape): block b * K + k holds
-    part k's value for set b, a part of plain ``shape`` serving every set.
-    Each part's gradient is the sum of its blocks' gradients over the sets
-    it serves.
+    ``x`` is (B, S, *shape), (B, *shape), (S, *shape) or ``shape``: it holds
+    one value per set when ``per_set``, one per scale when ``per_scale``,
+    and serves all of them otherwise.  Each value's gradient sums its blocks'.
     """
-    parts, shape = tuple(parts), tuple(shape)
-    per_set = [p.shape == (sets, *shape) for p in parts]
-    if not parts or any(not b and p.shape != shape for p, b in zip(parts, per_set)):
-        raise ValueError(f"cannot stack {[p.shape for p in parts]} as {sets} sets of {shape}")
-    k = len(parts)
-    out = np.empty((sets, k, *shape))
-    for i, p in enumerate(parts):
-        out[:, i] = p.data
-
-    def vjp(g):
-        g = g.reshape(sets, k, *shape)
-        return tuple(g[:, i] if b else g[:, i].sum(axis=0) for i, b in enumerate(per_set))
-
-    return _emit(out.reshape(sets * k, *shape), parts, vjp)
+    held = (sets if per_set else 1, scales if per_scale else 1)
+    lead = (sets,) * per_set + (scales,) * per_scale
+    if x.shape[: len(lead)] != lead:
+        raise ValueError(f"cannot broadcast a {x.shape} tensor to {sets} sets of {scales} scales")
+    shape = x.shape[len(lead) :]
+    summed = tuple(i for i, n in enumerate(held) if n == 1)
+    vjp = lambda g: (g.reshape(sets, scales, *shape).sum(axis=summed).reshape(x.shape),)
+    out = np.broadcast_to(x.data.reshape(*held, *shape), (sets, scales, *shape))
+    return _emit(out.reshape(sets * scales, *shape), (x,), vjp)
 
 
 def take_rows(x: Tensor, idx: Sequence[int]) -> Tensor:

@@ -402,9 +402,10 @@ def _read_oim_blob(path, shape: tuple[int, int]) -> np.ndarray:
 def load_checkpoint(ckpt_dir):
     """Returns (model, oim_states, meta); raises DataError when malformed.
 
-    There must be one OIM state per output scale of the model, with
-    0 <= momentum < 1 and tau > 0.  Each lookup table must be
-    (num_labeled, model width), and each queue
+    ``meta`` must hold the run's seed, which retrieval detects with, as a
+    non-negative integer ``run_seed``.  There must be one OIM state per
+    output scale of the model, with 0 <= momentum < 1 and tau > 0.  Each
+    lookup table must be (num_labeled, model width), and each queue
     exactly queue_len <= queue_capacity rows of that width, with one
     queue_len for all scales; the error names the manifest or the blob
     at fault.
@@ -416,9 +417,11 @@ def load_checkpoint(ckpt_dir):
     width, scales = model.config.query_width, model.config.output_scales
     oim_states = []
     with reading(path):
-        meta = manifest.get("meta", {})
+        meta = manifest["meta"]
         if not isinstance(meta, dict):
             raise ValueError(f"meta must be an object, got {type(meta).__name__}")
+        if type(meta["run_seed"]) is not int or meta["run_seed"] < 0:
+            raise ValueError(f"meta.run_seed must be a non-negative integer, got {meta['run_seed']!r}")
         entries = manifest["oim"]
         if not isinstance(entries, list) or len(entries) != scales:
             raise ValueError(f"oim must list one state per scale ({scales})")

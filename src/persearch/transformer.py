@@ -21,10 +21,11 @@ are tiled into three blocks of N rows, one per level, and each sublayer is a
 single call over all 3N rows.  Block l samples only level l and sees only
 its own block in self-attention, under level l's parameters: ``shared``
 passes each of its tensors once for all three blocks, and ``parallel``
-stacks its three stacks' tensors along a leading block axis.  So every
-block computes exactly what a separate pass over level l would.  The
-forward returns the blocks as they are, one stacked tensor with the three
-per-scale embeddings in level order, and the training loss scores them so.
+stores each of its tensors with a leading axis of three, slice l serving
+block l.  So every block computes exactly what a separate pass over level l
+would.  The forward returns the blocks as they are, one stacked tensor with
+the three per-scale embeddings in level order, and the training loss scores
+them so.
 
 For matching, per-scale embeddings are concatenated per row and
 l2-normalized, so shared/parallel match in 3d dimensions, multi_scale_d in
@@ -67,8 +68,9 @@ __all__ = [
 
 SCHEMES = ("shared", "parallel", "multi_scale_d", "multi_scale_3d")
 NUM_LEVELS = 3
-# Version 3: stacked attention projections, no dropout or reference-gradient keys.
-_FORMAT_VERSION = 3
+# Version 4: the parallel scheme's three stacks stored as one ``stack.*`` tensor
+# per field, with a leading axis of three.
+_FORMAT_VERSION = 4
 
 _QUERY_INIT_STD = 0.02
 
@@ -192,15 +194,16 @@ def concat_inference_embeddings(emb: ReIDEmbeddings) -> Tensor:
 class ReIDTransformer:
     """Query set plus parameter stacks, stored as a flat name -> Tensor dict.
 
-    Naming: ``queries`` and then per stack ``stack`` (``stack0..2`` for the
-    parallel scheme), per layer ``.layer{m}``, with ``sa.*`` / ``sa_norm.*``
-    for self-attention and ``cross{k}.*`` / ``cross{k}_norm.*`` for the
-    deformable sublayers.  The last part of a name is the field of
-    :class:`MultiHeadAttnParams` or :class:`DeformAttnParams` it fills, or
-    ``gamma`` / ``beta`` of a layer norm.  Each projection is one tensor
-    for all heads: ``sa.wq``, ``sa.wk`` and ``sa.wv`` are (H, D, D/H),
-    ``cross{k}.w_value`` is (H, C, D/H) and ``cross{k}.w_out`` is (D, D)
-    with one block of D/H rows per head.
+    Naming: ``queries`` and then ``stack``, per layer ``.layer{m}``, with
+    ``sa.*`` / ``sa_norm.*`` for self-attention and ``cross{k}.*`` /
+    ``cross{k}_norm.*`` for the deformable sublayers.  The last part of a
+    name is the field of :class:`MultiHeadAttnParams` or
+    :class:`DeformAttnParams` it fills, or ``gamma`` / ``beta`` of a layer
+    norm.  The parallel scheme's three stacks share each name: the tensor
+    has a leading axis of three, slice l being level l's stack.  Each
+    projection is one tensor for all heads: ``sa.wq``, ``sa.wk`` and
+    ``sa.wv`` are (H, D, D/H), ``cross{k}.w_value`` is (H, C, D/H) and
+    ``cross{k}.w_out`` is (D, D) with one block of D/H rows per head.
     """
 
     def __init__(self, config: ReIDConfig, params: dict[str, Tensor]):
@@ -227,7 +230,6 @@ class ReIDTransformer:
         if style not in ("train", "random"):
             raise ValueError(f"unknown init style {style!r}")
         rng = np.random.default_rng(seed)
-        params: dict[str, Tensor] = {}
         train = style == "train"
 
         def xavier(shape):
@@ -240,9 +242,9 @@ class ReIDTransformer:
         def normal(std):
             return lambda shape: std * rng.standard_normal(shape)
 
-        def fill(prefix, table, heads=1):
-            """Add the tensors of ``table`` rows (name, shape, train init,
-            random init) under ``prefix``, drawn in row order.
+        def fill(out, prefix, table, heads=1):
+            """Add to ``out`` the arrays of ``table`` rows (name, shape,
+            train init, random init) under ``prefix``, drawn in row order.
 
             With ``heads`` > 1 each tensor is that many equal blocks along
             its first axis, one per head, and the blocks are drawn head by
@@ -256,7 +258,7 @@ class ReIDTransformer:
                 for _ in range(heads)
             ]
             for (name, *_), parts in zip(table, zip(*blocks)):
-                params[f"{prefix}{name}"] = Tensor(np.concatenate(parts))
+                out[f"{prefix}{name}"] = np.concatenate(parts)
 
         width = config.query_width
         h, s, lv = config.heads, config.points, config.cross_levels
@@ -267,41 +269,45 @@ class ReIDTransformer:
             (f"{prefix}.gamma", (width,), ones, lambda shape: 1.0 + normal(0.1)(shape)),
             (f"{prefix}.beta", (width,), zeros, normal(0.1)),
         ]
-        fill("", [("queries", (config.num_queries, width), normal(_QUERY_INIT_STD), normal(0.5))])
-        for stack in _stack_names(config):
+        arrays = {}
+        fill(arrays, "", [("queries", (config.num_queries, width), normal(_QUERY_INIT_STD), normal(0.5))])
+        # The parallel scheme draws its stacks in level order, one after another.
+        stacks = [{} for _ in range(NUM_LEVELS if config.scheme == "parallel" else 1)]
+        for stack in stacks:
             for m in range(config.m_layers):
-                base = f"{stack}.layer{m}."
+                base = f"stack.layer{m}."
                 if config.has_self_attention(m):
                     sa = [(f"sa.{n}", (h, width, dh), xavier, gauss) for n in ("wq", "wk", "wv")]
-                    fill(base, sa, heads=h)
-                    fill(base, [("sa.wo", (width, width), zeros, gauss), *norm("sa_norm")])
+                    fill(stack, base, sa, heads=h)
+                    fill(stack, base, [("sa.wo", (width, width), zeros, gauss), *norm("sa_norm")])
                 for k in range(config.k_cross):
                     cross = f"{base}cross{k}."
-                    fill(cross, [
+                    fill(stack, cross, [
                         ("w_offset", (width, 2 * h * s * lv), zeros, gauss),
                         ("b_offset", ring.shape, lambda _: ring,
                          lambda shape: ring + normal(0.3)(shape)),
                         ("w_weight", (width, h * s * lv), zeros, gauss),
                         ("b_weight", (h * s * lv,), zeros, normal(0.3)),
                     ])
-                    fill(cross, [
+                    fill(stack, cross, [
                         ("w_value", (h, config.dim, dh), xavier, gauss),
                         ("w_out", (width, width), zeros, gauss),
                     ], heads=h)
-                    fill(base, norm(f"cross{k}_norm"))
-        return cls(config, params)
+                    fill(stack, base, norm(f"cross{k}_norm"))
+        for name in stacks[0]:
+            parts = [stack[name] for stack in stacks]
+            arrays[name] = np.stack(parts) if len(parts) > 1 else parts[0]
+        return cls(config, {name: Tensor(a) for name, a in arrays.items()})
 
     # ------------------------------------------------------------------
     # forward
     # ------------------------------------------------------------------
 
-    def _layer_view(
-        self, stack: str, m: int, params: dict[str, Tensor] | None = None
-    ) -> ReIDLayerParams:
-        """Layer m of ``stack`` in ``params`` (default: the model's own)."""
+    def _layer_view(self, m: int, params: dict[str, Tensor] | None = None) -> ReIDLayerParams:
+        """Layer m in ``params`` (default: the model's own)."""
         cfg = self.config
         p = self.params if params is None else params
-        base = f"{stack}.layer{m}"
+        base = f"stack.layer{m}"
         sa = sa_norm = None
         if cfg.has_self_attention(m):
             sa = MultiHeadAttnParams(*(p[f"{base}.sa.{n}"] for n in ("wq", "wk", "wv", "wo")))
@@ -325,22 +331,17 @@ class ReIDTransformer:
             raise ValueError(f"need {cfg.num_queries} reference points, got {len(refs)}")
 
     def _block_params(self, variants: dict[str, Tensor], sets: int) -> dict[str, Tensor]:
-        """The tensors :meth:`forward` reads: the model's own, except that a
-        stack tensor that differs between row blocks (each of the parallel
-        scheme's, or one ``variants`` names) has a leading block axis and
-        the name ``stack.<field>``.  Block b * S + l, for set b and output
-        scale l of S, holds set b's value of stack l's tensor."""
-        cfg = self.config
-        stacks = _stack_names(cfg)
-        if len(stacks) == 1 and not variants:
-            return self.params
+        """The tensors :meth:`forward` reads for the B = ``sets`` parameter
+        sets of ``variants``: the model's own, except that a stack tensor
+        that differs between row blocks (each of the parallel scheme's, and
+        each one ``variants`` names) gets one value per block along a leading
+        axis.  Block b * S + l, for set b and output scale l of S, holds set
+        b's value for scale l."""
+        per_scale, scales = self.config.scheme == "parallel", self.config.output_scales
         params = {**self.params, **variants}
-        repeats = cfg.output_scales // len(stacks)
-        for name in self.params if len(stacks) > 1 else variants:
-            first, _, field = name.partition(".")
-            if first == stacks[0]:
-                parts = [variants.get(f"{s}.{field}", self.params[f"{s}.{field}"]) for s in stacks]
-                params[f"stack.{field}"] = tt.stack(parts * repeats, self.params[name].shape, sets)
+        for name in self.params if per_scale else variants:
+            if name != "queries":
+                params[name] = tt.broadcast_blocks(params[name], sets, scales, name in variants, per_scale)
         return params
 
     def _first_reader(self, name: str) -> tuple[int, int]:
@@ -392,21 +393,21 @@ class ReIDTransformer:
             n not in self.params or t.shape[1:] != self.params[n].shape for n, t in variants.items()
         ):
             raise ValueError("each variant must stack B values of a model tensor, one B for all")
-        one = self._block_params({}, 1)
-        many = self._block_params(variants, sets) if variants else one
-        # With no variants every layer runs on ``one`` and nothing is tiled.
+        many = self._block_params(variants, sets) if variants else self.params
+        # With no variants every layer runs on the model's own tensors, untiled.
         tile_layer, tile_at = min((self._first_reader(n) for n in variants), default=(cfg.m_layers, 0))
         # (B, N, d) queries when they vary, so every block is its own from the start.
         y = tt.tile_rows(many["queries"], scales)
         for m in range(cfg.m_layers):
             if m < tile_layer:
-                y = reid_layer_forward(y, refs, table, self._layer_view("stack", m, one))
+                y = reid_layer_forward(y, refs, table, self._layer_view(m))
                 continue
-            layer = self._layer_view("stack", m, many)
+            layer = self._layer_view(m, many)
             if m == tile_layer and "queries" not in variants:
-                # With one stack, ``many`` holds the model's own tensors for
+                # Except for the parallel scheme, whose every tensor ``many``
+                # tiles to the sets, ``many`` holds the model's own tensors for
                 # every sublayer before the tile, so one view serves both.
-                before = layer if one is self.params else self._layer_view("stack", m, one)
+                before = self._layer_view(m) if cfg.scheme == "parallel" else layer
                 y = tt.tile_rows(reid_layer_forward(y, refs, table, before, slice(tile_at)), sets)
                 y = reid_layer_forward(y, refs, table, layer, slice(tile_at, None))
             else:
@@ -476,8 +477,3 @@ class ReIDTransformer:
                     )
             return cls(config, params)
 
-
-def _stack_names(config: ReIDConfig) -> list[str]:
-    if config.scheme == "parallel":
-        return [f"stack{i}" for i in range(NUM_LEVELS)]
-    return ["stack"]

@@ -317,12 +317,16 @@ def _param_leaves(params):
     return [getattr(params, f) for f in DeformAttnParams.TENSORS]
 
 
+def stack_leaves(tensors):
+    """One new leaf holding ``tensors`` along a leading block axis."""
+    return Tensor(np.stack([t.data for t in tensors]))
+
+
 def stack_sets(sets):
-    """One parameter set whose tensor fields stack those of ``sets`` along a
-    leading block axis, set g serving row block g."""
-    shapes = sets[0].block_shapes()
-    stacked = {f: T.stack([getattr(p, f) for p in sets], shape) for f, shape in shapes.items()}
-    return dataclasses.replace(sets[0], **stacked)
+    """One parameter set whose tensor fields are leaves that stack those of
+    ``sets`` along a leading block axis, set g serving row block g."""
+    fields = sets[0].block_shapes()
+    return dataclasses.replace(sets[0], **{f: stack_leaves([getattr(p, f) for p in sets]) for f in fields})
 
 
 def _norm_rel(a, b):
@@ -350,10 +354,11 @@ class TestRowGroups:
         weigh = Tensor(rng.standard_normal((g * n, d)))
         deform = deform_attn if levels == 1 else multiscale_deform_attn
 
+        # Shared: the one set; distinct: the sets stacked along a block axis.
+        dp, mha = (ps[0] if shared else stack_sets(ps) for ps in (dps, mhas))
+        gamma, beta = (ts[0] if shared else stack_leaves(ts) for ts in (gammas, betas))
+
         def grouped():
-            # Shared: the one set; distinct: the sets stacked along a block axis.
-            dp, mha = (ps[0] if shared else stack_sets(ps) for ps in (dps, mhas))
-            gamma, beta = (ts[0] if shared else T.stack(ts, (d,)) for ts in (gammas, betas))
             y = residual_layernorm(z, deform(z, refs, maps, dp, g), gamma, beta, g)
             return multi_head_self_attention(y, mha, g)
 
@@ -366,16 +371,22 @@ class TestRowGroups:
                 outs.append(multi_head_self_attention(y, mhas[i]))
             return outs
 
-        sources = [z, *maps, *gammas[:count], *betas[:count]]
-        sources += [t for p in dps[:count] + mhas[:count] for t in _param_leaves(p)]
+        # Each leaf of the grouped call, with the leaves of the separate
+        # calls that its blocks hold.
+        leaves = [(z, [z]), *((m, [m]) for m in maps), (gamma, gammas[:count]), (beta, betas[:count])]
+        for p, ps in ((dp, dps), (mha, mhas)):
+            leaves += zip(_param_leaves(p), zip(*map(_param_leaves, ps[:count])))
         with GradTape() as tape:
             got = grouped()
-            got_grads = tape.gradients(got, sources, weigh.data)
+            got_grads = tape.gradients(got, [leaf for leaf, _ in leaves], weigh.data)
         with GradTape() as tape:
             want = separate()
             cat = T.concat_cols(want)
-            want_grads = tape.gradients(cat, sources, np.hstack(np.split(weigh.data, g)))
+            want_grads = tape.gradients(cat, [t for _, ts in leaves for t in ts], np.hstack(np.split(weigh.data, g)))
         assert np.array_equal(got.data, np.concatenate([o.data for o in want]))
+        # A stacked leaf's gradient, block by block.
+        got_grads = [b for a, (_, ts) in zip(got_grads, leaves) for b in (a if len(ts) > 1 else [a])]
+        assert len(got_grads) == len(want_grads)
         for a, b in zip(got_grads, want_grads):
             assert np.abs(b).max() > 0
             assert _norm_rel(a, b) <= 1e-12
@@ -394,11 +405,12 @@ class TestRowGroups:
             return kernel_vjp(shapes, res, g, want_maps)
 
         monkeypatch.setattr(T, "_bilinear_vjp", recording)
+        stacked = stack_sets(dps)
         with GradTape() as tape:
-            out = deform_attn(z, refs, maps, stack_sets(dps), 3)
+            out = deform_attn(z, refs, maps, stacked, 3)
         # The gradients of half the sum of squares of the output.
         grads = lambda sources: tape.gradients(out, sources, out.data)
-        params = _param_leaves(dps[1])
+        params = _param_leaves(stacked)
         data_only = grads([z, *params])
         with_maps = grads([z, *params, maps[1]])
         all_maps = grads(maps)

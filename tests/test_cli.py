@@ -280,6 +280,11 @@ class TestExitCodes:
             ),
             (
                 "checkpoint/model/model.json",
+                lambda m: m.update(format_version=3),
+                "model.json: ValueError: format_version 3 ",
+            ),
+            (
+                "checkpoint/model/model.json",
                 lambda m: m["tensors"].pop("stack.layer0.cross0.w_out"),
                 "model.json: ValueError: tensors missing: ['stack.layer0.cross0.w_out']",
             ),
@@ -321,13 +326,27 @@ class TestExitCodes:
                 lambda m: m.update(format_version=0),
                 "checkpoint.json: ValueError: format_version 0 ",
             ),
+            (
+                "checkpoint/checkpoint.json",
+                lambda m: m["meta"].pop("run_seed"),
+                "checkpoint.json: KeyError: 'run_seed'",
+            ),
+            *(
+                (
+                    "checkpoint/checkpoint.json",
+                    lambda m, seed=seed: m["meta"].update(run_seed=seed),
+                    f"checkpoint.json: ValueError: meta.run_seed must be a non-negative integer, got {seed!r}",
+                )
+                for seed in ("seven", -3, True)
+            ),
         ],
-        ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1", "model-v2",
+        ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1", "model-v2", "model-v3",
              "model-missing-tensor", "model-wrong-shape", "checkpoint-missing-oim",
              "manifest-unknown-key", "model-root-array", "checkpoint-root-array",
              "manifest-root-array", "checkpoint-meta-array", "manifest-query-scene",
              "manifest-query-person", "manifest-query-identity", "manifest-config-missing-key",
-             "checkpoint-v0"],
+             "checkpoint-v0", "checkpoint-run-seed-missing", "checkpoint-run-seed-string",
+             "checkpoint-run-seed-negative", "checkpoint-run-seed-bool"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
         shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")
@@ -613,14 +632,14 @@ class TestCorruptBlobs:
 def _json_faults(draw, raw: bytes):
     """A corrupted copy of the JSON file ``raw``: cut to a strict prefix of
     its document, or without one key that the loader requires, drawn at
-    any depth.  A checkpoint's ``meta`` is optional, so it is never
-    dropped, nor anything in it."""
+    any depth.  Nothing reads the run config that a checkpoint's ``meta``
+    echoes, so neither it nor anything in it is dropped."""
     text = raw.decode()
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text.rstrip()) - 1))].encode()
     doc = node = json.loads(text)
     while True:
-        key = draw(st.sampled_from(sorted(k for k in node if k != "meta")))
+        key = draw(st.sampled_from(sorted(k for k in node if k != "run_config")))
         inner = node[key]
         if isinstance(inner, list) and inner and isinstance(inner[0], dict):
             inner = inner[draw(st.integers(0, len(inner) - 1))]

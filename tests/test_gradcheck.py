@@ -43,9 +43,9 @@ class TestBlocks:
         for prim in set(T.__all__) - untaped:
             stem = stems.get(prim, prim)
             assert any(n == stem or n.startswith(stem + "_") for n in names), prim
-        assert {n for n in names if n.startswith(("stack_", "layer_norm_", "bilinear_"))} == {
-            "stack_shared", "stack_per_set", "layer_norm_x", "layer_norm_gamma", "layer_norm_beta",
-            "layer_norm_block_gamma", "bilinear_map", "bilinear_point", "bilinear_rows",
+        assert {n for n in names if n.startswith(("broadcast_blocks_", "layer_norm_", "bilinear_"))} == {
+            "broadcast_blocks_per_set", "broadcast_blocks_per_scale", "layer_norm_x", "layer_norm_gamma",
+            "layer_norm_beta", "layer_norm_block_gamma", "bilinear_map", "bilinear_point", "bilinear_rows",
         }
 
     def test_attention_checks_cover_both_mechanisms_and_pass(self):
@@ -143,7 +143,7 @@ class TestBatchedProbes:
 
 
     def test_shared_tensors_and_maps_pass_once_per_call(self, monkeypatch):
-        # One layer view per stack and layer of each forward, and each
+        # One layer view per layer of each forward, and each
         # bilinear kernel call reads the pyramid's three maps once, however
         # many probe sets share them.
         forward, layer_view, kernel = ReIDTransformer.forward, ReIDTransformer._layer_view, T._bilinear_forward

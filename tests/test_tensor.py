@@ -263,36 +263,35 @@ class TestGradients:
         check_grads(lambda x: T.concat_cols(T.split_rows(T.tile_rows(x, 3), 3)), [x], w)
 
     def test_grouped_layer_norm(self):
+        # One leaf holds each block's gamma or beta; the gradient check's
+        # error is a maximum over coordinates, so it bounds every block's.
         x = rand(self.rng, 6, 4)
-        gammas = [Tensor(1.0 + 0.1 * self.rng.standard_normal(4)) for _ in range(3)]
-        betas = [rand(self.rng, 4) for _ in range(3)]
+        gammas = Tensor(np.stack([1.0 + 0.1 * self.rng.standard_normal(4) for _ in range(3)]))
+        betas = Tensor(np.stack([self.rng.standard_normal(4) for _ in range(3)]))
         w = rand(self.rng, 6, 4)
-        check_grads(
-            lambda x, g1, b2: T.layer_norm(
-                x,
-                T.stack([gammas[0], g1, gammas[2]], (4,)),
-                T.stack([betas[0], betas[1], b2], (4,)),
-                blocks=3,
-            ),
-            [x, gammas[1], betas[2]],
-            w,
-        )
+        check_grads(lambda x, g, b: T.layer_norm(x, g, b, blocks=3), [x, gammas, betas], w)
 
     def test_tile_rows_of_a_rank_3_tensor(self):
         x, w = rand(self.rng, 2, 2, 3), rand(self.rng, 12, 3)
         assert np.array_equal(T.tile_rows(x, 3).data[6:8], x.data[1])
         check_grads(lambda x: T.tile_rows(x, 3), [x], w)
 
-    def test_stack_blocks_per_set(self):
-        shared, per_set = rand(self.rng, 2, 3), rand(self.rng, 2, 2, 3)
-        out = T.stack([shared, per_set], (2, 3), sets=2)
-        # Block b * K + k holds part k's value for set b.
-        want = [shared.data, per_set.data[0], shared.data, per_set.data[1]]
-        assert np.array_equal(out.data, np.array(want))
-        w = rand(self.rng, 4, 2, 3)
-        check_grads(lambda a, b: T.stack([a, b], (2, 3), sets=2), [shared, per_set], w)
+    def test_broadcast_blocks_per_set_and_scale(self):
+        # Three sets at three scales, so only the layout arguments say
+        # which axis a (3, 2, 3) tensor holds.
+        x, both, w = rand(self.rng, 3, 2, 3), rand(self.rng, 3, 3, 2, 3), rand(self.rng, 9, 2, 3)
+        per_set = T.broadcast_blocks(x, 3, 3, True, False).data.reshape(3, 3, 2, 3)
+        per_scale = T.broadcast_blocks(x, 3, 3, False, True).data.reshape(3, 3, 2, 3)
+        # Block b * S + l holds the value for set b and scale l.
+        for b, l in np.ndindex(3, 3):
+            assert np.array_equal(per_set[b, l], x.data[b])
+            assert np.array_equal(per_scale[b, l], x.data[l])
+        assert np.array_equal(T.broadcast_blocks(both, 3, 3, True, True).data, both.data.reshape(9, 2, 3))
+        for layout in ((True, False), (False, True)):
+            check_grads(lambda x: T.broadcast_blocks(x, 3, 3, *layout), [x], w)
+        check_grads(lambda x: T.broadcast_blocks(x, 3, 3, True, True), [both], w)
         with pytest.raises(ValueError):
-            T.stack([shared, rand(self.rng, 3, 2, 3)], (2, 3), sets=2)
+            T.broadcast_blocks(x, 2, 3, True, False)
 
     def test_take_rows_with_repeats(self):
         x, w = rand(self.rng, 5, 3), rand(self.rng, 4, 3)

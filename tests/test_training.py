@@ -146,7 +146,8 @@ class TestTrainLoop:
         for row in res.curve:
             assert all(np.isfinite(row[k]) for k in ("l_cls", "l_iou", "l_l1", "l_oim", "total"))
 
-    def test_default_shared_step_tape_budget(self, bench, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["shared", "parallel"])
+    def test_default_shared_step_tape_budget(self, bench, monkeypatch, scheme):
         # The three scales stay one stacked tensor from the queries' tiling
         # to the loss: 1 tiling node, 3 per sublayer for its attention,
         # residual add and layer norm (15), one l2 normalization and one
@@ -155,7 +156,10 @@ class TestTrainLoop:
         # shared step records exactly 19 nodes.  Weighting and adding as
         # two generic nodes took 20, and splitting the scales into three
         # blocks, each with its own normalization, 25.  Widths do not
-        # change the count.
+        # change the count.  The parallel scheme stores each tensor with
+        # one slice per level, which the sublayers read as they are, so
+        # its step records the same 19; stacking its three stacks' tensors
+        # on every forward took 57.
         counts = []
         replay = GradTape.gradients
 
@@ -164,8 +168,7 @@ class TestTrainLoop:
             return replay(tape, loss, sources)
 
         monkeypatch.setattr(GradTape, "gradients", counting)
-        model = ReIDTransformer.init(ReIDConfig(dim=bench.config.feature_dim), seed=1)
-        assert model.config.scheme == "shared"
+        model = ReIDTransformer.init(ReIDConfig(dim=bench.config.feature_dim, scheme=scheme), seed=1)
         train(model, bench, tiny_settings(steps=3), run_seed=5)
         assert len(counts) == 3
         assert counts == [19] * 3, counts
@@ -454,13 +457,13 @@ class TestCheckpoint:
         # The benchmark has unlabeled identities, so queues fill during training.
         res = train(tiny_model(), bench, tiny_settings(steps=30), run_seed=5)
         assert any(len(s.queue) > 0 for s in res.oim_states)
-        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_states, {})
+        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_states, {"run_seed": 5})
         _, states, _ = load_checkpoint(tmp_path / "ckpt")
         assert [len(s.queue) for s in states] == [len(s.queue) for s in res.oim_states]
 
     def test_loaded_model_scores_identically(self, bench, tmp_path):
         res = train(tiny_model(), bench, tiny_settings(steps=6), run_seed=5)
-        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_states, {})
+        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_states, {"run_seed": 5})
         model, _, _ = load_checkpoint(tmp_path / "ckpt")
         e1, t1, p1 = build_gallery(res.model, bench, run_seed=5)
         e2, t2, p2 = build_gallery(model, bench, run_seed=5)

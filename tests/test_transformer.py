@@ -69,6 +69,19 @@ class TestStructure:
         parallel = ReIDTransformer.init(tiny_config(scheme="parallel"), seed=0)
         assert parallel.transformer_param_count() == 3 * shared.transformer_param_count()
 
+    @pytest.mark.parametrize("style", ["train", "random"])
+    def test_parallel_stack_zero_is_the_shared_stack(self, style):
+        # The parallel scheme draws its stacks one after another, so with
+        # one seed its first stack is the shared scheme's one.
+        shared = ReIDTransformer.init(tiny_config(scheme="shared"), seed=15, style=style)
+        parallel = ReIDTransformer.init(tiny_config(scheme="parallel"), seed=15, style=style)
+        assert parallel.params.keys() == shared.params.keys()
+        assert np.array_equal(parallel.params["queries"].data, shared.params["queries"].data)
+        for name, t in parallel.params.items():
+            if name != "queries":
+                assert t.shape == (3, *shared.params[name].shape), name
+                assert np.array_equal(t.data[0], shared.params[name].data), name
+
     def test_multi_scale_3d_width(self):
         cfg = tiny_config(scheme="multi_scale_3d")
         model = ReIDTransformer.init(cfg, seed=0)
@@ -228,16 +241,23 @@ class TestForward:
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
 
-def per_level_reference(model, pyramid, refs):
+def per_level_params(model):
+    """Each level's own parameters: for the parallel scheme, slice l of each
+    stack tensor as a leaf of its own, and the model's tensors otherwise."""
+    if model.config.scheme != "parallel":
+        return [model.params] * 3
+    return [{n: t if n == "queries" else Tensor(t.data[l]) for n, t in model.params.items()} for l in range(3)]
+
+
+def per_level_reference(model, pyramid, refs, levels=None):
     """Each level through its own stack alone, one layer call at a time:
-    the per-scale embeddings, in level order."""
-    cfg = model.config
+    the per-scale embeddings, in level order.  ``levels`` holds each
+    level's parameters, by default :func:`per_level_params`."""
     per_scale = []
-    for lvl, fmap in enumerate(pyramid):
-        stack = "stack" if cfg.scheme == "shared" else f"stack{lvl}"
+    for fmap, params in zip(pyramid, levels or per_level_params(model)):
         y = model.params["queries"]
-        for m in range(cfg.m_layers):
-            y = reid_layer_forward(y, refs, [fmap], model._layer_view(stack, m))
+        for m in range(model.config.m_layers):
+            y = reid_layer_forward(y, refs, [fmap], model._layer_view(m, params))
         per_scale.append(y)
     return tuple(per_scale)
 
@@ -266,15 +286,22 @@ class TestLevelBatching:
         pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
         weigh = Tensor(rng.standard_normal((3, cfg.match_dim)))
         names = sorted(model.params)
-        grads = []
-        reference = lambda: T.l2_normalize_rows(T.concat_cols(per_level_reference(model, pyramid, refs)))
-        for embed in (lambda: concat_inference_embeddings(model.forward(pyramid, refs)), reference):
-            with GradTape() as tape:
-                emb = embed()
-            grads.append(tape.gradients(emb, [model.params[n] for n in names], weigh.data))
-        for name, got, want in zip(names, *grads):
-            assert np.abs(want).max() > 0, name
-            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+        levels = per_level_params(model)
+        with GradTape() as tape:
+            emb = concat_inference_embeddings(model.forward(pyramid, refs))
+            got = tape.gradients(emb, [model.params[n] for n in names], weigh.data)
+        # Each tensor's leaves in the reference: its slices for the parallel
+        # scheme's stack tensors, the tensor itself otherwise.
+        leaves = [list({id(ps[n]): ps[n] for ps in levels}.values()) for n in names]
+        with GradTape() as tape:
+            emb = T.l2_normalize_rows(T.concat_cols(per_level_reference(model, pyramid, refs, levels)))
+            want = tape.gradients(emb, [t for ts in leaves for t in ts], weigh.data)
+        # A stacked tensor's gradient, slice by slice.
+        slices = [(n, g) for n, grad, ts in zip(names, got, leaves) for g in (grad if len(ts) > 1 else [grad])]
+        assert len(slices) == len(want)
+        for (name, a), b in zip(slices, want):
+            assert np.abs(b).max() > 0, name
+            rel = np.linalg.norm(a - b) / np.linalg.norm(b)
             assert rel <= 1e-12, (name, rel)
 
 
@@ -294,7 +321,6 @@ class TestParameterSets:
         cfg = tiny_config(scheme=scheme, skip_first_self_attention=False)
         model = ReIDTransformer.init(cfg, seed=12, style="random")
         pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
-        stack = sorted(model.params)[-1].split(".")[0]  # stack2 for parallel
         nudged = lambda name: {
             **model.params,
             name: Tensor(model.params[name].data + 0.1 * rng.standard_normal(model.params[name].shape)),
@@ -302,10 +328,10 @@ class TestParameterSets:
         sets = [
             model.params,
             nudged("queries"),
-            nudged(f"{stack}.layer1.cross0.w_offset"),
-            nudged(f"{stack}.layer1.sa.wq"),
+            nudged("stack.layer1.cross0.w_offset"),
+            nudged("stack.layer1.sa.wq"),
         ]
-        names = ["queries", f"{stack}.layer1.cross0.w_offset", f"{stack}.layer1.sa.wq"]
+        names = ["queries", "stack.layer1.cross0.w_offset", "stack.layer1.sa.wq"]
         variants = {n: Tensor(np.array([ps[n].data for ps in sets])) for n in names}
         batched = model.forward(pyramid, refs, variants=variants)
         assert batched.scheme == scheme
@@ -342,7 +368,7 @@ class TestParameterSets:
         total = cfg.m_layers * cfg.k_cross + sum(map(cfg.has_self_attention, range(cfg.m_layers)))
         model = ReIDTransformer.init(cfg, seed=13, style="random")
         pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
-        name = ("stack1." if scheme == "parallel" else "stack.") + name
+        name = "stack." + name
         values = model.params[name].data + 0.1 * rng.standard_normal((3, *model.params[name].shape))
         blocks = []
         norm = transformer.residual_layernorm
@@ -375,7 +401,7 @@ class TestValueTable:
         pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
         named = {}
         if variants:
-            name = variants if variants == "queries" else ("stack1." if scheme == "parallel" else "stack.") + variants
+            name = variants if variants == "queries" else "stack." + variants
             named = {name: Tensor(model.params[name].data + rng.standard_normal((2, *model.params[name].shape)))}
         build, kernel = T.value_table, T._bilinear_forward
         built, read = [], []
