@@ -46,7 +46,7 @@ feature-map scatter for maps that do not depend on a gradient source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -87,16 +87,23 @@ class MultiHeadAttnParams:
 
     wq/wk/wv are (H, d, d_k), slice h being head h; wo is (H * d_k, d).
     Each may also carry a leading block axis, one value per row block.
+    The shapes are checked when the view is built.
     """
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
+    # Whether each tensor field carries a leading block axis, in field order.
+    per_block: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+
+    # The tensor fields, in order.
+    TENSORS: ClassVar[tuple[str, ...]] = ("wq", "wk", "wv", "wo")
 
     def __post_init__(self):
         if self.wq.ndim not in (3, 4) or self.wq.shape[-3] < 1:
             raise ValueError(f"wq must be (H, d, d_k), got {self.wq.shape}")
+        object.__setattr__(self, "per_block", _block_axes(self))
 
     def block_shapes(self) -> dict[str, tuple[int, ...]]:
         """Each tensor field's shape for one row block, in field order."""
@@ -112,19 +119,30 @@ class MultiHeadAttnParams:
         return self.wq.shape[-1]
 
 
-def _fields(params, blocks: int | None = None) -> tuple[list[np.ndarray], list[bool]]:
-    """Each tensor field's data, and whether it holds one value per row
+def _block_axes(params) -> tuple[bool, ...]:
+    """Whether each tensor field of ``params`` holds one value per row
     block rather than one that every block shares.  Raises unless a field
-    has its one-block shape or that shape behind a leading block axis (of
-    ``blocks`` entries, when given)."""
-    data, own = [], []
+    has its one-block shape or that shape behind a leading block axis."""
+    own = []
     for name, shape in params.block_shapes().items():
-        a = getattr(params, name).data
+        a = getattr(params, name)
         own.append(a.shape != shape)
-        if own[-1] and (a.shape[1:] != shape or blocks not in (None, a.shape[0])):
+        if own[-1] and a.shape[1:] != shape:
+            raise ValueError(f"{name} must be {shape}, or one per row block, got {a.shape}")
+    return tuple(own)
+
+
+def _fields(params, blocks: int) -> tuple[list[np.ndarray], tuple[bool, ...]]:
+    """Each tensor field's data, and whether it holds one value per row
+    block (see :func:`_block_axes`, which checked the shapes when
+    ``params`` was built).  Raises unless each per-block field holds
+    ``blocks`` values."""
+    data = [getattr(params, name).data for name in params.TENSORS]
+    for name, a, own in zip(params.TENSORS, data, params.per_block):
+        if own and a.shape[0] != blocks:
+            shape = params.block_shapes()[name]
             raise ValueError(f"{name} must be {shape}, or one per row block ({blocks}), got {a.shape}")
-        data.append(a)
-    return data, own
+    return data, params.per_block
 
 
 def _fold(grads, own) -> tuple[np.ndarray, ...]:
@@ -176,7 +194,7 @@ def multi_head_self_attention(y: Tensor, params: MultiHeadAttnParams, blocks: in
         grads = (yt @ g_q, yt @ g_k, yt @ g_v, heads.swapaxes(1, 2) @ g)
         return (g_y.reshape(y.shape), *_fold(grads, own))
 
-    inputs = (y, *(getattr(params, f) for f in params.block_shapes()))
+    inputs = (y, *(getattr(params, f) for f in params.TENSORS))
     return tt._emit((heads @ wo).reshape(y.shape), inputs, vjp)
 
 
@@ -202,10 +220,10 @@ class DeformAttnParams:
     w_weight (D, H*S*L) and b_weight the (pre-softmax) sampling weights,
     w_value (H, C, D // H) stacks the H value projections and w_out (D, D)
     the H output projections, rows h*D/H to (h+1)*D/H being head h.  Each
-    may also carry a leading block axis, one value per row block.
-    Columns of the offset head are laid out head-major, then level, then
-    sample, with x before y; the weight head is head-major, then level,
-    then sample.
+    may also carry a leading block axis, one value per row block; the
+    shapes are checked when the view is built.  Columns of the offset
+    head are laid out head-major, then level, then sample, with x before
+    y; the weight head is head-major, then level, then sample.
     """
 
     w_offset: Tensor
@@ -216,6 +234,8 @@ class DeformAttnParams:
     w_out: Tensor
     num_points: int
     num_levels: int = 1
+    # Whether each tensor field carries a leading block axis, in field order.
+    per_block: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
     # The tensor fields, in order.
     TENSORS: ClassVar[tuple[str, ...]] = (
@@ -227,6 +247,7 @@ class DeformAttnParams:
             raise ValueError(f"w_value must be (H, C, D/H), got {self.w_value.shape}")
         if self.w_value.shape[-3] < 1 or self.num_points < 1 or self.num_levels < 1:
             raise ValueError("bad head/point/level counts")
+        object.__setattr__(self, "per_block", _block_axes(self))
 
     def block_shapes(self) -> dict[str, tuple[int, ...]]:
         """Each tensor field's shape for one row block, in field order; the

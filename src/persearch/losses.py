@@ -25,8 +25,8 @@ sets at once for the gradient check.
 ``focal_oim_rows`` gives the per-row values of one scale without the state
 update, also as one taped primitive.  Both share one copy of the focal
 arithmetic and its hand-written VJP for the features; the lookup table and
-queue are constants of the step, and each state builds its class matrix
-once.
+queue are constants of the step, and each state's class matrix is built
+once, from the previous state's when the state comes from an update.
 
 ``total_loss`` combines the four training components cls/iou/l1/oim with
 the standard weights (2.0, 5.0, 2.0, 0.5).  Only the OIM term carries a
@@ -74,7 +74,7 @@ class OIMState:
     ``update`` returns a fresh state, leaving the original untouched, which
     keeps loss evaluation repeatable (gradient checks difference the same
     state many times).  A state is a value once scored: its class matrix
-    (:attr:`classes`) is built on first use and kept for every later loss.
+    (:attr:`classes`) is kept for every later loss.
     """
 
     lut: np.ndarray
@@ -119,8 +119,9 @@ class OIMState:
         """The read-only, C-contiguous (dim, L + queue_len) class matrix:
         one column per prototype, then one per queue row, oldest first.
 
-        Built on first use and kept, so ``lut`` and ``queue`` must not
-        change after that; :meth:`update` returns a new state instead.
+        Built on first use, or by :meth:`update` from the previous state's,
+        and kept, so ``lut`` and ``queue`` must not change after that;
+        :meth:`update` returns a new state instead.
         """
         rows = np.concatenate([self.lut.reshape(-1), *self.queue]).reshape(-1, self.dim)
         classes = np.ascontiguousarray(rows.T)
@@ -141,10 +142,15 @@ def _updated_states(states: Sequence[OIMState], x: np.ndarray, labels: Sequence[
     unlabeled row enters the queue, evicting the oldest; each step runs
     for all S states at once.  The norm is np.linalg.norm's arithmetic,
     the root of the row's dot product with itself.
+
+    Each new state's class matrix is built here from the old state's,
+    without reading the queue: the new prototypes, then the old queue
+    columns still queued, then the entered rows still queued.
     """
     luts = np.array([st.lut for st in states])  # a copy, (S, L, d)
     keep = np.array([st.momentum for st in states]).reshape(-1, 1)
     queues = [deque(st.queue, maxlen=st.queue.maxlen) for st in states]
+    entered = []
     for i, label in enumerate(labels):
         if label >= 0:
             mixed = keep * luts[:, label] + (1.0 - keep) * x[:, i]
@@ -152,9 +158,21 @@ def _updated_states(states: Sequence[OIMState], x: np.ndarray, labels: Sequence[
             live = norm > 1e-12
             luts[:, label] = np.where(live, mixed / np.where(live, norm, 1.0), 0.0)
         elif label == UNLABELED:
+            entered.append(i)
             for queue, row in zip(queues, x[:, i].copy()):
                 queue.append(row)
-    return [OIMState(lut, queue, st.momentum, st.tau) for lut, queue, st in zip(luts, queues, states)]
+    new = [OIMState(lut, queue, st.momentum, st.tau) for lut, queue, st in zip(luts, queues, states)]
+    table = luts.shape[1]
+    for rows, state, old in zip(x, new, states):
+        fresh = min(len(entered), len(state.queue))  # entered rows still queued
+        held = len(state.queue) - fresh  # old queue rows still queued
+        classes = np.empty((state.dim, table + len(state.queue)))
+        classes[:, :table] = state.lut.T
+        classes[:, table : table + held] = old.classes[:, old.classes.shape[1] - held :]
+        classes[:, table + held :] = rows[entered[len(entered) - fresh :]].T
+        classes.flags.writeable = False
+        state.__dict__["classes"] = classes  # fills the cached property
+    return new
 
 
 def _check_oim_inputs(features: Tensor, labels: list[int], states: Sequence[OIMState]) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Everything downstream (attention, the re-ID transformer, the identity losses)
 is built from the primitives in this module.  A ``Tensor`` is an immutable
-wrapper around a C-contiguous float64 numpy array.  Operations are pure
+wrapper around a C-contiguous float64 numpy array, with one exception: a
+training run's parameter Tensors are read-only views of one vector that
+the run updates in place after each step, so they change value between
+steps, and no tape outlives the step it records.  Operations are pure
 functions; while a ``GradTape`` is active they also append a node holding a
 vector-Jacobian product closure, so gradients of a scalar loss, or of any
 output contracted with a fixed cotangent, with respect to any participating
@@ -61,6 +64,12 @@ class Tensor:
     checkpoints without defensive copies.  The constructor copies its
     input; the private :meth:`_adopt` wraps an array that nothing else
     writes to without copying it, and makes it read-only just the same.
+
+    The one exception is a training run (:func:`persearch.training.train`):
+    its parameter Tensors adopt views of the run's parameter vector, which
+    the optimizer writes in place after each step.  Their values change
+    between steps, never within one, and no tape or value computed from
+    them is kept past its step.
     """
 
     __slots__ = ("_data",)
@@ -77,6 +86,8 @@ class Tensor:
         The array becomes read-only.  The caller gives it up: neither it
         nor any other view of its memory may be written afterwards, which
         holds for a freshly read blob or a view into a read-only buffer.
+        A training run's parameter vector is the one exception (see the
+        class docstring).
         """
         if arr.dtype != np.float64 or not arr.flags.c_contiguous:
             raise ValueError(f"cannot adopt a {arr.dtype} array that is not C-contiguous")

@@ -207,24 +207,19 @@ def _step_losses(model, oim_states, bench, scene_id, scene, settings, step):
         raise NumericError(f"{e} at step {step}; {where}") from None
 
 
-def _clip_gradients(grads: list[np.ndarray], limit: float) -> list[np.ndarray]:
-    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-    if norm <= limit or norm == 0.0:
-        return grads
-    return [g * (limit / norm) for g in grads]
+def _clip_gradients(grad: np.ndarray, views: list[np.ndarray], limit: float) -> None:
+    """Scale ``grad`` in place to norm ``limit`` when its norm exceeds it.
 
-
-def _flatten(arrays) -> np.ndarray:
-    """One new read-only float64 vector holding ``arrays`` in turn, each
-    row-major."""
-    flat = np.concatenate(list(arrays), axis=None)
-    flat.flags.writeable = False
-    return flat
+    The norm sums each tensor's squares over ``views``, that tensor's view
+    of ``grad``, in name order."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in views)))
+    if not (norm <= limit or norm == 0.0):
+        grad *= limit / norm
 
 
 class _Optimizer:
-    """SGD or Adam over the flat parameter vector, elementwise: each step is
-    one vector expression that yields a new parameter vector."""
+    """SGD or Adam over the flat parameter vector, elementwise and in place:
+    each step writes the new parameters, and Adam's moments, over the old."""
 
     def __init__(self, size: int, settings: TrainSettings):
         self.settings = settings
@@ -233,23 +228,25 @@ class _Optimizer:
             self.m = np.zeros(size)
             self.v = np.zeros(size)
 
-    def apply(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def apply(self, p: np.ndarray, g: np.ndarray) -> None:
+        """Descend ``p`` along the gradient ``g``, both flat; ``g`` is
+        overwritten."""
         s = self.settings
         self.step_count += 1
         if s.weight_decay > 0.0:
-            g = g + s.weight_decay * p
+            g += s.weight_decay * p
         if s.optimizer == "sgd":
-            step = s.learning_rate * g
-        else:
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            self.m = b1 * self.m + (1 - b1) * g
-            self.v = b2 * self.v + (1 - b2) * g * g
-            m_hat = self.m / (1 - b1**self.step_count)
-            v_hat = self.v / (1 - b2**self.step_count)
-            step = s.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        new = p - step
-        new.flags.writeable = False
-        return new
+            g *= s.learning_rate
+            p -= g
+            return
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        self.m *= b1
+        self.m += (1 - b1) * g
+        self.v *= b2
+        self.v += (1 - b2) * g * g
+        m_hat = self.m / (1 - b1**self.step_count)
+        v_hat = self.v / (1 - b2**self.step_count)
+        p -= s.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def train(
@@ -267,12 +264,16 @@ def train(
     being finite; its message names the step and the first parameter, in
     sorted name order, that is not finite, or says that all are.
 
-    The parameters live in one flat vector for the run: ``model.params``
-    is replaced by read-only views into it, and each step's update yields
-    a new vector.  The caller's parameter arrays are never written.  Each
-    scene's detections, slot labels and detection losses are computed on
-    its first visit and reused on later ones; they depend only on the run
-    seed and the scene.
+    The run owns its parameters: they are copied once into one private
+    float64 vector, and ``model.params`` is pointed once at read-only
+    Tensor views of it, the same objects for the whole run.  Each step's
+    gradients are gathered into one flat gradient, and the optimizer
+    updates the vector in place, so those Tensors change value after every
+    step (the one exception to ``Tensor``'s rule; no tape outlives its
+    step).  The caller's parameter arrays are never written.  Each scene's
+    detections, slot labels and detection losses are computed on its first
+    visit and reused on later ones; they depend only on the run seed and
+    the scene.
     """
     settings.validate()
     train_ids = bench.train_ids
@@ -303,17 +304,14 @@ def train(
     names = sorted(model.params)
     ends = np.cumsum([model.params[n].size for n in names]).tolist()
     spans = list(zip([0] + ends[:-1], ends, [model.params[n].shape for n in names]))
-
-    def adopt(flat):
-        """Point ``model.params`` at read-only views into ``flat``, the
-        tensors in sorted name order; returns the views in that order."""
-        views = [Tensor._adopt(flat[a:b].reshape(shape)) for a, b, shape in spans]
-        model.params.update(zip(names, views))
-        return views
-
-    flat = _flatten(model.params[n].data for n in names)
-    sources = adopt(flat)
-    opt = _Optimizer(flat.size, settings)
+    params = np.concatenate([model.params[n].data for n in names], axis=None)
+    grad = np.empty_like(params)
+    # The Tensors in ``model.params`` become read-only views of ``params``,
+    # in sorted name order, for the whole run.
+    sources = [Tensor._adopt(params[a:b].reshape(shape)) for a, b, shape in spans]
+    model.params.update(zip(names, sources))
+    grad_views = [grad[a:b].reshape(shape) for a, b, shape in spans]
+    opt = _Optimizer(params.size, settings)
     step = 0
     epoch = 0
     while step < settings.steps:
@@ -327,11 +325,10 @@ def train(
                 total, row, oim_states = _step_losses(
                     model, oim_states, bench, scene_id, scene(scene_id), settings, step
                 )
-                grads = tape.gradients(total, sources)
+                np.concatenate(tape.gradients(total, sources), axis=None, out=grad)
             if settings.grad_clip is not None:
-                grads = _clip_gradients(grads, settings.grad_clip)
-            flat = opt.apply(flat, _flatten(grads))
-            sources = adopt(flat)
+                _clip_gradients(grad, grad_views, settings.grad_clip)
+            opt.apply(params, grad)
             curve.append({"step": step, **row})
             if progress is not None:
                 progress(step, row)

@@ -210,6 +210,10 @@ class ReIDTransformer:
         config.validate()
         self.config = config
         self.params = params
+        # The Tensors of ``params`` that the kept layer views were built
+        # from, and those views by layer.
+        self._viewed: tuple[Tensor, ...] = ()
+        self._views: dict[int, ReIDLayerParams] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -304,9 +308,20 @@ class ReIDTransformer:
     # ------------------------------------------------------------------
 
     def _layer_view(self, m: int, params: dict[str, Tensor] | None = None) -> ReIDLayerParams:
-        """Layer m in ``params`` (default: the model's own)."""
+        """Layer m in ``params`` (default: the model's own).
+
+        A view of the model's own parameters is built once and kept, until
+        an entry of ``self.params`` is replaced by another Tensor.
+        """
         cfg = self.config
-        p = self.params if params is None else params
+        kept = params is None
+        if kept:
+            tensors = tuple(self.params.values())
+            if tensors != self._viewed:  # compares the Tensors by identity
+                self._viewed, self._views = tensors, {}
+            if m in self._views:
+                return self._views[m]
+        p = self.params if kept else params
         base = f"stack.layer{m}"
         sa = sa_norm = None
         if cfg.has_self_attention(m):
@@ -318,7 +333,10 @@ class ReIDTransformer:
             fields = (p[f"{cb}.{f}"] for f in DeformAttnParams.TENSORS)
             cross.append(DeformAttnParams(*fields, cfg.points, cfg.cross_levels))
             norms.append((p[f"{cb}_norm.gamma"], p[f"{cb}_norm.beta"]))
-        return ReIDLayerParams(sa, sa_norm, tuple(cross), tuple(norms))
+        view = ReIDLayerParams(sa, sa_norm, tuple(cross), tuple(norms))
+        if kept:
+            self._views[m] = view
+        return view
 
     def _check_inputs(self, pyramid, refs):
         cfg = self.config
@@ -330,17 +348,18 @@ class ReIDTransformer:
         if len(refs) != cfg.num_queries:
             raise ValueError(f"need {cfg.num_queries} reference points, got {len(refs)}")
 
-    def _block_params(self, variants: dict[str, Tensor], sets: int) -> dict[str, Tensor]:
+    def _block_params(self, variants: dict[str, Tensor], sets: int, tile: tuple[int, int]) -> dict[str, Tensor]:
         """The tensors :meth:`forward` reads for the B = ``sets`` parameter
-        sets of ``variants``: the model's own, except that a stack tensor
-        that differs between row blocks (each of the parallel scheme's, and
-        each one ``variants`` names) gets one value per block along a leading
-        axis.  Block b * S + l, for set b and output scale l of S, holds set
-        b's value for scale l."""
+        sets of ``variants``, tiled at sublayer ``tile`` = (layer, sublayer):
+        the model's own, except that a stack tensor that differs between row
+        blocks (each of the parallel scheme's, and each one ``variants``
+        names) and that a sublayer at or after the tile reads gets one value
+        per block along a leading axis.  Block b * S + l, for set b and
+        output scale l of S, holds set b's value for scale l."""
         per_scale, scales = self.config.scheme == "parallel", self.config.output_scales
         params = {**self.params, **variants}
         for name in self.params if per_scale else variants:
-            if name != "queries":
+            if name != "queries" and self._first_reader(name) >= tile:
                 params[name] = tt.broadcast_blocks(params[name], sets, scales, name in variants, per_scale)
         return params
 
@@ -393,9 +412,9 @@ class ReIDTransformer:
             n not in self.params or t.shape[1:] != self.params[n].shape for n, t in variants.items()
         ):
             raise ValueError("each variant must stack B values of a model tensor, one B for all")
-        many = self._block_params(variants, sets) if variants else self.params
         # With no variants every layer runs on the model's own tensors, untiled.
         tile_layer, tile_at = min((self._first_reader(n) for n in variants), default=(cfg.m_layers, 0))
+        many = self._block_params(variants, sets, (tile_layer, tile_at)) if variants else self.params
         # (B, N, d) queries when they vary, so every block is its own from the start.
         y = tt.tile_rows(many["queries"], scales)
         for m in range(cfg.m_layers):
@@ -404,11 +423,9 @@ class ReIDTransformer:
                 continue
             layer = self._layer_view(m, many)
             if m == tile_layer and "queries" not in variants:
-                # Except for the parallel scheme, whose every tensor ``many``
-                # tiles to the sets, ``many`` holds the model's own tensors for
-                # every sublayer before the tile, so one view serves both.
-                before = self._layer_view(m) if cfg.scheme == "parallel" else layer
-                y = tt.tile_rows(reid_layer_forward(y, refs, table, before, slice(tile_at)), sets)
+                # ``many`` holds the model's own tensors for every sublayer
+                # before the tile, so one view serves both sides of it.
+                y = tt.tile_rows(reid_layer_forward(y, refs, table, layer, slice(tile_at)), sets)
                 y = reid_layer_forward(y, refs, table, layer, slice(tile_at, None))
             else:
                 y = reid_layer_forward(y, refs, table, layer)

@@ -431,6 +431,38 @@ class TestRowGroups:
             multi_head_self_attention(Tensor(np.zeros((5, 4))), random_mha_params(rng, 4, 2), 2)
 
 
+class TestParameterShapes:
+    """A parameter view checks its fields' shapes when it is built; a
+    sublayer call checks only that each per-block field holds one value
+    per block."""
+
+    @pytest.mark.parametrize("kind", ["deform", "mha"])
+    def test_a_mis_shaped_field_raises_at_construction(self, kind):
+        rng = np.random.default_rng(67)
+        params = random_deform_params(rng, 4, 3, 2, 2) if kind == "deform" else random_mha_params(rng, 4, 2)
+        assert params.per_block == (False,) * len(params.TENSORS)
+        for name in params.TENSORS:
+            shape = getattr(params, name).shape
+            for bad in ((2, 1, *shape), (*shape[:-1], shape[-1] + 1)):
+                if bad[-1] != shape[-1] and name in ("w_value", "wq"):
+                    continue  # these fix the others' shapes
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    dataclasses.replace(params, **{name: Tensor(np.zeros(bad))})
+        stacked = stack_sets([params, params])
+        assert stacked.per_block == (True,) * len(params.TENSORS)
+
+    def test_a_sublayer_checks_the_block_count(self):
+        rng = np.random.default_rng(68)
+        dp = stack_sets([random_deform_params(rng, 4, 3, 2, 2) for _ in range(2)])
+        mha = stack_sets([random_mha_params(rng, 4, 2) for _ in range(2)])
+        fmap = Tensor(rng.standard_normal((3, 4, 4)))
+        refs = [ReferencePoint(0.5, 0.5)] * 2
+        with pytest.raises(ValueError, match=r"^w_offset must be .*one per row block \(3\)"):
+            deform_attn(Tensor(np.zeros((6, 4))), refs, fmap, dp, 3)
+        with pytest.raises(ValueError, match=r"^wq must be .*one per row block \(3\)"):
+            multi_head_self_attention(Tensor(np.zeros((6, 4))), mha, 3)
+
+
 class TestPrebuiltTable:
     """Given the maps' prebuilt value table and the (N, 2) reference array,
     the deformable entry points give the bits they give for map Tensors

@@ -112,6 +112,10 @@ class TestOIMState:
                 s = s.update(feats, labels)
                 assert s.lut.tobytes() == lut.tobytes()
                 assert [q.tobytes() for q in s.queue] == [q.tobytes() for q in queue]
+                # The update builds the class matrix from the old state's.
+                fresh = np.concatenate([lut.reshape(-1), *queue]).reshape(-1, 6).T
+                assert s.classes.shape == fresh.shape
+                assert s.classes.tobytes() == np.ascontiguousarray(fresh).tobytes()
                 assert s.momentum == momentum and s.queue_capacity == capacity
 
     def test_classes_stack_lut_then_queue_as_columns(self):

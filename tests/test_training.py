@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from persearch import training
+from persearch import losses, training
+from persearch.attention import DeformAttnParams, MultiHeadAttnParams
 from persearch.data import BenchmarkConfig, make_benchmark
 from persearch.errors import ConfigError, NumericError
 from persearch.evaluation import evaluate
@@ -172,6 +173,48 @@ class TestTrainLoop:
         train(model, bench, tiny_settings(steps=3), run_seed=5)
         assert len(counts) == 3
         assert counts == [19] * 3, counts
+
+    @pytest.mark.parametrize("scheme", ["shared", "parallel"])
+    def test_each_sublayer_view_is_built_once_per_run(self, bench, monkeypatch, scheme):
+        # The model keeps its layer views while its parameter Tensors stay
+        # the same objects, as they do for a whole run, so a 5-step run
+        # builds each deformable and self-attention parameter view once:
+        # 4 and 1 under the default config, not 4 and 1 a step.
+        built = []
+        for cls in (DeformAttnParams, MultiHeadAttnParams):
+            post = cls.__post_init__
+
+            def counting(params, post=post):
+                built.append(type(params).__name__)
+                post(params)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        cfg = ReIDConfig(dim=bench.config.feature_dim, scheme=scheme)
+        train(ReIDTransformer.init(cfg, seed=1), bench, tiny_settings(steps=5), run_seed=5)
+        assert built.count("DeformAttnParams") == cfg.m_layers * cfg.k_cross == 4
+        assert built.count("MultiHeadAttnParams") == 1
+        assert len(built) == 5
+
+    @pytest.mark.parametrize("scheme", ["shared", "parallel"])
+    def test_model_params_are_the_same_tensors_at_every_step(self, bench, scheme):
+        # The run points ``model.params`` at its Tensors once and updates
+        # their memory in place: every step sees the same objects, with new
+        # values.
+        model = ReIDTransformer.init(ReIDConfig(dim=bench.config.feature_dim, scheme=scheme), seed=1)
+        seen = []
+
+        def progress(step, row):
+            seen.append((dict(model.params), {n: t.data.copy() for n, t in model.params.items()}))
+
+        train(model, bench, tiny_settings(steps=5), run_seed=5, progress=progress)
+        assert len(seen) == 5
+        first = seen[0][0]
+        for tensors, _ in seen:
+            assert tensors.keys() == first.keys()
+            assert all(tensors[n] is first[n] for n in first)
+            assert all(not t.data.flags.writeable for t in tensors.values())
+        for (_, a), (_, b) in zip(seen, seen[1:]):
+            assert any(not np.array_equal(a[n], b[n]) for n in a)
 
     def test_default_shared_step_tape_width(self, bench, monkeypatch):
         # The shared scheme passes its one parameter set once for all three
@@ -384,6 +427,33 @@ class TestFlatOptimizer:
         for n, t in first.model.params.items():
             assert t.data.tobytes() == second.model.params[n].data.tobytes()
             assert model.params[n].data.tobytes() == before[n]
+
+
+class TestOIMClassMatrices:
+    def test_each_update_builds_the_matrix_a_fresh_build_gives(self, bench, monkeypatch):
+        # Each new state's class matrix is built from the old state's; over
+        # a run whose queue wraps, every one equals the build from its
+        # lookup table and queue rows, byte for byte.
+        update, made = losses._updated_states, []
+
+        def recording(states, x, labels):
+            made.append(update(states, x, labels))
+            return made[-1]
+
+        monkeypatch.setattr(losses, "_updated_states", recording)
+        train(tiny_model(), bench, tiny_settings(steps=40, queue_size=4), run_seed=5)
+        assert len(made) == 40
+        for states in made:
+            for st in states:
+                assert "classes" in vars(st)  # built by the update
+                rows = np.concatenate([st.lut.reshape(-1), *st.queue]).reshape(-1, st.dim)
+                fresh = np.ascontiguousarray(rows.T)
+                assert st.classes.shape == fresh.shape
+                assert st.classes.tobytes() == fresh.tobytes()
+                assert st.classes.flags.c_contiguous and not st.classes.flags.writeable
+        # The queue wrapped: it is full, and more rows entered it than it holds.
+        assert len(made[-1][0].queue) == 4
+        assert len({id(row) for states in made for row in states[0].queue}) > 4
 
 
 class TestDetectionReuse:

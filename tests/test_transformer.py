@@ -167,8 +167,9 @@ class TestForward:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_each_parameter_view_is_checked_once(self, scheme, monkeypatch):
-        # A forward builds each sublayer's parameter view afresh; the
-        # sublayer call checks its shapes, and building it does not.
+        # A first forward builds each sublayer's parameter view, which
+        # checks its shapes; the sublayer call checks each per-block
+        # field's block count once.
         checked, fields = [], attention._fields
 
         def recording(params, blocks=None):
@@ -180,6 +181,24 @@ class TestForward:
         model = ReIDTransformer.init(tiny_config(scheme=scheme), seed=2, style="random")
         model.forward(make_pyramid(rng), make_refs(rng, 3))
         assert checked and all(sum(p is q for q in checked) == 1 for p in checked)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_replacing_a_parameter_after_a_forward_takes_effect(self, scheme):
+        # The model keeps its layer views between forwards; replacing an
+        # entry of ``params`` makes the next forward give what a fresh
+        # model holding that tensor gives.
+        rng = np.random.default_rng(44)
+        cfg = tiny_config(scheme=scheme)
+        model = ReIDTransformer.init(cfg, seed=2, style="random")
+        pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
+        for name in ("stack.layer0.cross0.w_offset", "stack.layer1.cross1_norm.beta"):
+            before = model.forward(pyramid, refs).rows.data
+            swapped = Tensor(model.params[name].data + rng.standard_normal(model.params[name].shape))
+            fresh = ReIDTransformer(cfg, {**model.params, name: swapped}).forward(pyramid, refs).rows.data
+            model.params[name] = swapped
+            after = model.forward(pyramid, refs).rows.data
+            assert after.tobytes() == fresh.tobytes(), name
+            assert not np.array_equal(after, before), name
 
     def test_deterministic_init_and_forward(self):
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
@@ -383,6 +402,33 @@ class TestParameterSets:
         scales = cfg.output_scales
         assert blocks == [scales] * first + [3 * scales] * (total - first)
         for value, rows in zip(values, set_rows(batched, 3)):
+            own = ReIDTransformer(cfg, {**model.params, name: Tensor(value)}).forward(pyramid, refs)
+            for a, b in zip(rows, own.per_scale, strict=True):
+                assert np.array_equal(a, b.data)
+
+    def test_parallel_broadcasts_only_the_tensors_read_from_the_tile_on(self, monkeypatch):
+        # Sublayers before the first one that reads a variant run once on
+        # the model's own tensors, so only the tensors that the tile
+        # layer's later sublayers read get a value per block: here
+        # layer1.cross1's six fields and its norm's two, not all 38.
+        rng = np.random.default_rng(53)
+        cfg = tiny_config(scheme="parallel")
+        model = ReIDTransformer.init(cfg, seed=15, style="random")
+        pyramid, refs = make_pyramid(rng), make_refs(rng, 3)
+        name = "stack.layer1.cross1.w_out"
+        values = Tensor(model.params[name].data + 0.1 * rng.standard_normal((3, *model.params[name].shape)))
+        broadcast, tiled = T.broadcast_blocks, []
+
+        def counting(x, *args):
+            tiled.append(x)
+            return broadcast(x, *args)
+
+        monkeypatch.setattr(T, "broadcast_blocks", counting)
+        batched = model.forward(pyramid, refs, variants={name: values})
+        read = [t for n, t in model.params.items() if n.startswith(("stack.layer1.cross1.", "stack.layer1.cross1_norm."))]
+        assert len(tiled) == len(read) == 8
+        assert {id(t) for t in tiled} == {id(t) for t in read if t is not model.params[name]} | {id(values)}
+        for value, rows in zip(values.data, set_rows(batched, 3)):
             own = ReIDTransformer(cfg, {**model.params, name: Tensor(value)}).forward(pyramid, refs)
             for a, b in zip(rows, own.per_scale, strict=True):
                 assert np.array_equal(a, b.data)
