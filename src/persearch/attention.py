@@ -26,7 +26,13 @@ the output projections, one row block per head), as in Deformable DETR
 (Zhu et al., arXiv 2010.04159).  Each sublayer call is a single taped
 primitive with a hand-written vector-Jacobian product: the heads run
 batched and all points of all levels are sampled with one gather, so the
-tape holds one node per sublayer.
+tape holds one node per sublayer.  Its contractions are BLAS products
+(``np.matmul``) over stacked operands: the pooling is one (1, L*S) @
+(L*S, C) product per (row, head), the value projection one (N, C) @
+(C, D/H) product per (block, head), and the VJP's value-projection,
+pooled and sampling-weight gradients the matching products.  They round
+differently from the equivalent ``np.einsum`` sums, within 1e-12
+relative, and take less time at these sizes.
 
 With ``blocks`` G, a sublayer runs G equal blocks of rows as one batch
 under one parameter set, each tensor field shared by every block or one
@@ -329,7 +335,6 @@ def _deform_core(
     # A block axis leads every per-block field: (G, 1, .) biases and a
     # (G, H, C, D/H) value projection.
     b_offset, b_weight = (b if b.ndim == 1 else b[:, None] for b in (b_offset, b_weight))
-    value = "ghcd" if w_value.ndim == 4 else "hcd"
 
     zd = z.data.reshape(g_count, n, -1)
     offsets = (zd @ w_offset + b_offset).reshape(g_count, n, h, lv, s, 2)
@@ -345,17 +350,18 @@ def _deform_core(
         .transpose(0, 2, 3, 1, 4, 5)
         .reshape(g_count * n, h, lv * s, c)
     )
-    pooled = np.einsum("nhk,nhkc->nhc", attn, samples).reshape(g_count, n, h, c)
-    valued = np.einsum(f"gnhc,{value}->gnhd", pooled, w_value).reshape(g_count, n, -1)  # (G, N, D)
+    pooled = (attn[:, :, None] @ samples).reshape(g_count, n, h, c)  # (G*N, H, 1, L*S) @ (G*N, H, L*S, C)
+    # (G, H, N, C) @ (H or G, H, C, D/H), then back to (G, N, D) head-major.
+    valued = (pooled.transpose(0, 2, 1, 3) @ w_value).transpose(0, 2, 1, 3).reshape(g_count, n, -1)
     maps_at = 1 + len(own)  # index of maps[0] among the inputs
 
     def vjp(g, needs):
         g = g.reshape(g_count, n, -1)
         g_w_out = valued.swapaxes(1, 2) @ g
-        g_valued = (g @ w_out.swapaxes(-1, -2)).reshape(g_count, n, h, -1)
-        g_w_value = np.einsum("gnhc,gnhd->ghcd", pooled, g_valued)
-        g_pooled = np.einsum(f"gnhd,{value}->gnhc", g_valued, w_value).reshape(g_count * n, h, c)
-        g_attn = np.einsum("nhc,nhkc->nhk", g_pooled, samples)
+        g_valued = (g @ w_out.swapaxes(-1, -2)).reshape(g_count, n, h, -1).transpose(0, 2, 1, 3)  # (G, H, N, D/H)
+        g_w_value = pooled.transpose(0, 2, 3, 1) @ g_valued  # (G, H, C, D/H)
+        g_pooled = (g_valued @ w_value.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(g_count * n, h, c)
+        g_attn = (samples @ g_pooled[..., None]).reshape(g_count * n, h, -1)  # (G*N, H, L*S)
         g_logits = attn * (g_attn - np.add.reduce(g_attn * attn, axis=2, keepdims=True))
         g_samples = (
             (attn[..., None] * g_pooled[:, :, None, :])

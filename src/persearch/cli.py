@@ -151,6 +151,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --gallery-sizes {args.gallery_sizes!r}") from None
     if not sizes:
         raise ConfigError("--gallery-sizes must name at least one size")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"--gallery-sizes names a size twice: {args.gallery_sizes!r}")
     # --seed picks the distractors only; detection keeps the run seed.
     queries, entries, truth = _retrieval_inputs(args)
     seed = args.seed if args.seed is not None else 0
@@ -295,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .data import BenchmarkConfig
 from .errors import ConfigError
-from .losses import LossWeights
 from .training import TrainSettings
 from .transformer import ReIDConfig
 
@@ -29,6 +29,8 @@ class RunConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         try:
             self.data.validate()
             self.model.validate()
@@ -40,22 +42,46 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", type(None): "null"}
+
+
+def _accepts(hint, value) -> bool:
+    """Whether a JSON ``value`` has the field type ``hint``: a bool is
+    neither an integer nor a number, and an integer is a number."""
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is int:
+        return isinstance(value, int)
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint is str:
+        return isinstance(value, str)
+    if hint is type(None):
+        return value is None
+    return any(_accepts(h, value) for h in typing.get_args(hint))
+
+
+def _type_name(hint) -> str:
+    return " or ".join(_TYPE_NAMES[h] for h in typing.get_args(hint) or (hint,))
+
+
 def _build_section(cls, section, path):
-    """Instantiate a config dataclass from a dict, rejecting unknown keys."""
+    """Instantiate a config dataclass from a dict, rejecting unknown keys
+    and values whose JSON type does not match their field's."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path} must be an object")
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in section.items():
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"unknown config key {path}.{key}")
-        if key == "weights":
-            value = _build_section(LossWeights, value, f"{path}.weights")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _build_section(hint, value, f"{path}.{key}")
+        elif not _accepts(hint, value):
+            raise ConfigError(f"{path}.{key} must be {_type_name(hint)}, got {value!r}")
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"bad value in {path}: {e}") from None
+    return cls(**kwargs)
 
 
 _SECTIONS = {
@@ -71,8 +97,8 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     cfg = RunConfig()
     for key, value in raw.items():
         if key == "seed":
-            if not isinstance(value, int):
-                raise ConfigError("seed must be an integer")
+            if not _accepts(int, value):
+                raise ConfigError(f"seed must be an integer, got {value!r}")
             cfg.seed = value
         elif key in _SECTIONS:
             setattr(cfg, key, _build_section(_SECTIONS[key], value, key))

@@ -74,6 +74,8 @@ class BenchmarkConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.unlabeled_identities < 0:
             raise ConfigError("unlabeled_identities must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.occlusion_rate <= 1.0:
             raise ConfigError("occlusion_rate must lie in [0, 1]")
         if self.sigma_bg < 0 or self.detector_sigma < 0:

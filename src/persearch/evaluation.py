@@ -326,10 +326,10 @@ def cbgm_rerank(
             # Scenes of the k1 best candidates, in rank order.
             top_scenes: list[int] = []
             for scene in base.scene_ids:
-                if scene not in top_scenes:
-                    top_scenes.append(scene)
                 if len(top_scenes) == k1:
                     break
+                if scene not in top_scenes:
+                    top_scenes.append(scene)
             ctx_emb = [gallery[i].embedding for i in context]
             for scene in top_scenes:
                 for cand in entries_by_scene[scene]:

@@ -413,6 +413,11 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 # the re-ID transformer builds one per forward and every deformable
 # sublayer reads it, so the kernel itself copies no map.  The map gradient
 # is scattered into the same layout, and the pad row's bins are dropped.
+#
+# The four corner rows of each point are gathered as (P, 4, C), so the
+# corner sum is one BLAS product per point, its (1, 4) weights times its
+# (4, C) corners, and the VJP's corner dot products one (4, C) @ (C, 1)
+# product per point.
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,11 +486,11 @@ def _bilinear_forward(table: ValueTable, pts: np.ndarray):
     cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, B / M, M, Q)
     inb = ((cx >= 0) & (cx < ws) & (cy >= 0) & (cy < hs)).reshape(4, -1)
     flat = np.where(inb, (starts + cy * ws + cx).reshape(4, -1), pad)  # (4, P)
-    vals = np.take(table.rows, flat, axis=0)  # (4, P, C)
+    vals = np.take(table.rows, flat.T, axis=0)  # (P, 4, C)
     dx, dy = (xs - x0).reshape(-1), (ys - y0).reshape(-1)
     ex, ey = 1.0 - dx, 1.0 - dy
     wts = np.array([ex * ey, dx * ey, ex * dy, dx * dy]) * inb  # (4, P)
-    out = np.einsum("kpc,kp->pc", vals, wts)  # (P, C)
+    out = (wts.T[:, None] @ vals).reshape(-1, vals.shape[2])  # (P, 1, 4) @ (P, 4, C)
     return out, (flat, wts, dx, dy, vals)
 
 
@@ -500,7 +505,7 @@ def _bilinear_vjp(table: ValueTable, res, g, want_maps: Sequence[bool] | None = 
     if want_maps is None:
         want_maps = [True] * len(table.maps)
     flat, wts, dx, dy, vals = res
-    gv = np.einsum("pc,kpc->kp", g, vals)  # g . corner value, (4, P)
+    gv = (vals @ g[:, :, None]).reshape(-1, 4).T  # g . corner value, (4, P)
     gx = (1.0 - dy) * (gv[1] - gv[0]) + dy * (gv[3] - gv[2])
     gy = (1.0 - dx) * (gv[2] - gv[0]) + dx * (gv[3] - gv[1])
     g_pts = np.stack([gx, gy], axis=1)  # (P, 2)

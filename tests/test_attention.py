@@ -18,6 +18,7 @@ from persearch.attention import (
     ring_offset_bias,
 )
 from persearch.tensor import GradTape, Tensor
+from persearch.transformer import SCHEMES, ReIDConfig, ReIDTransformer
 
 from oracles import deform_oracle, mha_oracle
 
@@ -502,3 +503,103 @@ class TestReferencePoint:
     def test_pixel_mapping_corners(self):
         r = ReferencePoint(1.0, 1.0)
         assert r.to_pixels(32, 16) == (31.0, 15.0)
+
+
+def einsum_deform_core(z, refs, table, params, blocks, cotangent):
+    """The deformable sublayer's output and the gradients of its dot with
+    ``cotangent`` for z and the six fields, with the bilinear corner sum
+    and dot product, the pooling, the value projection and their VJPs each
+    one ``np.einsum``: the forms the BLAS products replaced, kept here as a
+    reference for them.  Everything else follows the fused primitive."""
+    g_count, n = blocks, len(refs)
+    h, s, lv, c = params.num_heads, params.num_points, params.num_levels, params.feature_channels
+    w_offset, b_offset, w_weight, b_weight, w_value, w_out = (
+        getattr(params, f).data for f in DeformAttnParams.TENSORS
+    )
+    b_offset, b_weight = (b if b.ndim == 1 else b[:, None] for b in (b_offset, b_weight))
+    value = "ghcd" if w_value.ndim == 4 else "hcd"
+    zd = z.data.reshape(g_count, n, -1)
+    offsets = (zd @ w_offset + b_offset).reshape(g_count, n, h, lv, s, 2)
+    attn = T._softmax_last((zd @ w_weight + b_weight).reshape(g_count * n, h, -1))
+    base = (refs * table.extents[:, None]).reshape(-1, lv, n, 1, 1, 2)
+    points = offsets.transpose(0, 3, 1, 2, 4, 5).reshape(-1, *base.shape[:3], h, s, 2) + base
+    _, (flat, wts, dx, dy, _) = T._bilinear_forward(table, points.reshape(g_count * lv, -1, 2))
+    vals = np.take(table.rows, flat, axis=0)  # (4, P, C)
+    samples = (
+        np.einsum("kpc,kp->pc", vals, wts)
+        .reshape(g_count, lv, n, h, s, c)
+        .transpose(0, 2, 3, 1, 4, 5)
+        .reshape(g_count * n, h, lv * s, c)
+    )
+    pooled = np.einsum("nhk,nhkc->nhc", attn, samples).reshape(g_count, n, h, c)
+    valued = np.einsum(f"gnhc,{value}->gnhd", pooled, w_value).reshape(g_count, n, -1)
+
+    g = cotangent.reshape(g_count, n, -1)
+    g_valued = (g @ w_out.swapaxes(-1, -2)).reshape(g_count, n, h, -1)
+    g_w_value = np.einsum("gnhc,gnhd->ghcd", pooled, g_valued)
+    g_pooled = np.einsum(f"gnhd,{value}->gnhc", g_valued, w_value).reshape(g_count * n, h, c)
+    g_attn = np.einsum("nhc,nhkc->nhk", g_pooled, samples)
+    g_logits = (attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))).reshape(g_count, n, -1)
+    g_samples = (
+        (attn[..., None] * g_pooled[:, :, None, :])
+        .reshape(g_count, n, h, lv, s, c)
+        .transpose(0, 3, 1, 2, 4, 5)
+        .reshape(-1, c)
+    )
+    gv = np.einsum("pc,kpc->kp", g_samples, vals)
+    gx = (1.0 - dy) * (gv[1] - gv[0]) + dy * (gv[3] - gv[2])
+    gy = (1.0 - dx) * (gv[2] - gv[0]) + dx * (gv[3] - gv[1])
+    g_offsets = (
+        np.stack([gx, gy], axis=1)
+        .reshape(g_count, lv, n, h, s, 2)
+        .transpose(0, 2, 3, 1, 4, 5)
+        .reshape(g_count, n, -1)
+    )
+    g_z = g_offsets @ w_offset.swapaxes(-1, -2) + g_logits @ w_weight.swapaxes(-1, -2)
+    zt = zd.swapaxes(1, 2)
+    grads = (
+        zt @ g_offsets, g_offsets.sum(axis=1), zt @ g_logits, g_logits.sum(axis=1),
+        g_w_value, valued.swapaxes(1, 2) @ g,
+    )
+    grads = [a if own else a.sum(axis=0) for a, own in zip(grads, params.per_block)]
+    return (valued @ w_out).reshape(z.shape), [g_z.reshape(z.shape), *grads]
+
+
+class TestBlasContractions:
+    """The deformable primitive's BLAS products against their einsum forms,
+    on every call that each scheme's forward makes."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("varied", [None, "stack.layer1.cross0.w_value"])
+    def test_every_call_matches_the_einsum_forms(self, scheme, varied, monkeypatch):
+        rng = np.random.default_rng(93)
+        cfg = ReIDConfig(dim=8, heads=2, points=2, num_queries=3, scheme=scheme)
+        model = ReIDTransformer.init(cfg, seed=4, style="random")
+        pyramid = [Tensor(rng.standard_normal((8, side, side))) for side in (8, 4, 2)]
+        refs = rng.uniform(0.1, 0.9, size=(3, 2))
+        core, seen = att._deform_core, []
+
+        def checking(z, refs, table, params, blocks):
+            leaves = [Tensor(z.data), *(Tensor(getattr(params, f).data) for f in DeformAttnParams.TENSORS)]
+            fresh = dataclasses.replace(params, **dict(zip(DeformAttnParams.TENSORS, leaves[1:])))
+            cotangent = rng.standard_normal(z.shape)
+            with GradTape() as tape:
+                out = core(leaves[0], refs, table, fresh, blocks)
+                got = [out.data, *tape.gradients(out, leaves, cotangent)]
+            want_out, want_grads = einsum_deform_core(z, refs, table, params, blocks, cotangent)
+            for a, b in zip(got, [want_out, *want_grads]):
+                assert a.shape == b.shape and np.abs(b).max() > 0
+                assert _norm_rel(a, b) <= 1e-12
+            seen.append(params.w_value.ndim)
+            return core(z, refs, table, params, blocks)
+
+        monkeypatch.setattr(att, "_deform_core", checking)
+        variants = None
+        if varied:
+            values = model.params[varied].data + 0.1 * rng.standard_normal((2, *model.params[varied].shape))
+            variants = {varied: Tensor(values)}
+        model.forward(pyramid, refs, variants=variants)
+        # Two layers of two cross sublayers; a (G, H, C, D/H) value
+        # projection wherever the blocks hold their own.
+        per_block = [scheme == "parallel" or (varied is not None and m == 1 and k == 0) for m in (0, 1) for k in (0, 1)]
+        assert seen == [4 if own else 3 for own in per_block]

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +97,18 @@ class TestArtifacts:
         sb = json.loads((b / "summary.json").read_text())
         assert sa["map"] == sb["map"]
         assert sa["cmc"] == sb["cmc"]
+        assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+    def test_cbgm_rescoring_no_scene_matches_plain_eval(self, workspace, tmp_path):
+        args = [
+            "--checkpoint",
+            str(workspace["run"] / "checkpoint"),
+            "--data",
+            str(workspace["data"]),
+        ]
+        a, b = tmp_path / "plain", tmp_path / "k1_0"
+        assert main(["eval", *args, "--out", str(a)]) == 0
+        assert main(["eval", *args, "--out", str(b), "--cbgm", "--k1", "0"]) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
     def test_sweep_writes_one_row_per_size(self, workspace, tmp_path):
@@ -214,6 +229,35 @@ class TestDeterminism:
         for blob in sorted(model_dir.iterdir()):
             twin = again / "checkpoint" / "model" / blob.name
             assert blob.read_bytes() == twin.read_bytes(), blob.name
+
+    def test_blas_thread_count_leaves_training_byte_identical(self, tmp_path):
+        # Two child processes, one and two OpenBLAS threads, train the same
+        # few steps of the default model width; their loss curves agree.
+        cfg = {
+            "data": {"num_train": 4, "num_gallery": 6, "num_queries": 2, "labeled_identities": 4, "image_size": 64},
+            "train": {"steps": 5, "queue_size": 4},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["gen-data", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "data")]) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import sys; from persearch.cli import main; sys.exit(main(sys.argv[1:]))"
+        children = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            argv = ["train", "--config", "cfg.json", "--data", "data", "--out", f"run{threads}"]
+            children[threads] = subprocess.Popen(
+                [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+        try:
+            for child in children.values():
+                _, err = child.communicate(timeout=60)
+                assert child.returncode == 0, err
+        finally:
+            for child in children.values():
+                child.kill()
+        curve = lambda threads: (tmp_path / f"run{threads}" / "loss_curve.csv").read_bytes()
+        assert curve("1") == curve("2")
 
 
 class TestExitCodes:
@@ -549,6 +593,60 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().split("\n")
         assert err == ["error: --k1 and --k2 act only with --cbgm"]
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "sweep"])
+    def test_negative_seed_flag_exits_1(self, workspace, tmp_path, capsys, command):
+        ckpt = ["--checkpoint", str(workspace["run"] / "checkpoint")]
+        extra = {
+            "gen-data": [],
+            "train": ["--data", str(workspace["data"])],
+            "eval": [*ckpt, "--data", str(workspace["data"])],
+            "sweep": [*ckpt, "--data", str(workspace["data"]), "--gallery-sizes", "9"],
+        }[command]
+        rc = main([command, *extra, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().split("\n") == ["error: --seed must be non-negative, got -1"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"data": {"seed": "abc"}}, "data.seed"),
+            ({"data": {"seed": 2.5}}, "data.seed"),
+            ({"train": {"steps": 2.5}}, "train.steps"),
+        ],
+    )
+    def test_bad_config_value_exits_1_naming_the_key(self, workspace, tmp_path, capsys, raw, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        for argv in (
+            ["gen-data", "--config", str(bad), "--out", str(tmp_path / "d")],
+            ["train", "--config", str(bad), "--data", str(workspace["data"]), "--out", str(tmp_path / "r")],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and err[0].startswith(f"error: {named} must be "), err
+        assert not (tmp_path / "d").exists() and not (tmp_path / "r").exists()
+
+    def test_repeated_gallery_size_exits_1(self, workspace, tmp_path, capsys):
+        rc = main(
+            [
+                "sweep",
+                "--checkpoint",
+                str(workspace["run"] / "checkpoint"),
+                "--data",
+                str(workspace["data"]),
+                "--out",
+                str(tmp_path / "s"),
+                "--gallery-sizes",
+                "9,5,9",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.strip().split("\n") == ["error: --gallery-sizes names a size twice: '9,5,9'"]
+        assert not (tmp_path / "s").exists()
 
     def test_bad_gallery_sizes_exit_1(self, workspace, tmp_path):
         rc = main(

@@ -73,6 +73,43 @@ class TestParsing:
                 run_config_from_dict(raw)
 
 
+class TestStrictValues:
+    """Each value must have its field's JSON type, and seeds must be
+    non-negative; the error names the key."""
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ({"seed": -1}, "seed must be non-negative"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"seed": 2.5}, "seed must be an integer"),
+            ({"data": {"seed": -1}}, "data.seed must be non-negative"),
+            ({"data": {"seed": "abc"}}, "data.seed must be an integer"),
+            ({"data": {"seed": 2.5}}, "data.seed must be an integer"),
+            ({"data": {"seed": False}}, "data.seed must be an integer"),
+            ({"train": {"steps": 2.5}}, "train.steps must be an integer"),
+            ({"train": {"learning_rate": "0.1"}}, "train.learning_rate must be a number"),
+            ({"train": {"grad_clip": True}}, "train.grad_clip must be a number or null"),
+            ({"train": {"weights": {"oim": None}}}, "train.weights.oim must be a number"),
+            ({"train": {"weights": [1.0]}}, "train.weights must be an object"),
+            ({"model": {"scheme": 3}}, "model.scheme must be a string"),
+            ({"model": {"use_self_attention": 1}}, "model.use_self_attention must be true or false"),
+            ({"data": {"co_travellers": "yes"}}, "data.co_travellers must be true or false"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, raw, named):
+        with pytest.raises(ConfigError, match=named):
+            run_config_from_dict(raw)
+
+    def test_integers_are_numbers_and_null_clears_an_optional(self):
+        cfg = run_config_from_dict(
+            {"seed": 0, "data": {"seed": 4, "sigma_bg": 0}, "train": {"learning_rate": 1, "grad_clip": None}}
+        )
+        assert (cfg.seed, cfg.data.seed, cfg.data.sigma_bg) == (0, 4, 0)
+        assert cfg.train.learning_rate == 1 and cfg.train.grad_clip is None
+        assert run_config_from_dict({"train": {"grad_clip": 0.5}}).train.grad_clip == 0.5
+
+
 class TestFiles:
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"

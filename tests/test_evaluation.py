@@ -313,6 +313,16 @@ class TestContextRerank:
         assert rr.per_query[0].sims == base.per_query[0].sims
         assert rr.per_query[0].entry_indices == base.per_query[0].entry_indices
 
+    def test_k1_zero_is_bit_identical(self):
+        # No scene is rescored, although every scene has context to use.
+        truth, entries, query = planted_context_instance()
+        base = evaluate([query], entries, truth)
+        rr = cbgm_rerank([query], entries, truth, k1=0, k2=3)
+        assert rr.mean_ap == base.mean_ap
+        assert rr.cmc == base.cmc
+        assert rr.per_query[0].sims == base.per_query[0].sims
+        assert rr.per_query[0].entry_indices == base.per_query[0].entry_indices
+
     def test_query_without_context_is_bit_identical(self):
         truth, entries, query = planted_context_instance()
         lone_truth = dict(truth)

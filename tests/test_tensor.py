@@ -240,6 +240,24 @@ class TestBilinearKernel:
         w = rand(self.rng, 30, 2)
         check_grads(lambda *args: kernel_rows(args[:3], args[3]), [*self.maps, self.pts], w)
 
+    def test_corner_products_match_their_einsum_forms(self):
+        # The corner sum and the VJP's corner dot product are BLAS
+        # products; their einsum forms, from the same corner rows, agree.
+        table = T.value_table(self.maps)
+        out, res = T._bilinear_forward(table, self.pts.data)
+        flat, wts, dx, dy, _ = res
+        vals = np.take(table.rows, flat, axis=0)  # (4, P, C)
+        want = np.einsum("kpc,kp->pc", vals, wts)
+        assert np.abs(want).max() > 0
+        assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+        g = self.rng.standard_normal(out.shape)
+        _, g_pts = T._bilinear_vjp(table, res, g)
+        gv = np.einsum("pc,kpc->kp", g, vals)
+        gx = (1.0 - dy) * (gv[1] - gv[0]) + dy * (gv[3] - gv[2])
+        gy = (1.0 - dx) * (gv[2] - gv[0]) + dx * (gv[3] - gv[1])
+        want = np.stack([gx, gy], axis=1)
+        assert np.linalg.norm(g_pts - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestGradients:
     """Every primitive's analytic gradient vs central differences (< 1e-6)."""

@@ -541,6 +541,17 @@ class TestCheckpoint:
             assert np.array_equal(a.embedding, b.embedding)
 
 
+class TestNoEinsum:
+    def test_a_training_step_and_a_multi_scale_forward_call_no_einsum(self, bench, monkeypatch):
+        # The deformable contractions are BLAS products, not np.einsum.
+        calls, einsum = [], np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args[0]) or einsum(*args, **kw))
+        assert tiny_model().config.scheme == "shared"
+        train(tiny_model(), bench, tiny_settings(steps=1), run_seed=5)
+        build_gallery(tiny_model(scheme="multi_scale_3d"), bench, run_seed=5)
+        assert calls == []
+
+
 class TestRetrievalPipeline:
     def test_gallery_covers_every_scene_and_slot(self, bench):
         model = tiny_model()
