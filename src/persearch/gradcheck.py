@@ -8,6 +8,12 @@ full-model tolerance absorbs the longer chain of float64 cancellations; a
 genuinely wrong partial derivative produces errors orders of magnitude
 above it.
 
+The primitive checks evaluate their function once per central-difference
+probe.  The attention checks run all probes of a check as one call of
+the sublayer over one row block per probe, and the full-model checks run
+all probes of a parameter tensor as one forward; each probe's value is
+bit for bit the value of the unbatched function at that probe.
+
 ``run_gradcheck(corrupt=True)`` deliberately biases one analytic gradient
 entry before comparison, proving the harness can fail.
 """
@@ -54,10 +60,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_error < self.tolerance
-
-
-def _check(name, f, x, w, tol, h=1e-6) -> CheckResult:
-    return CheckResult(name, tt.central_diff_gradcheck(f, x, w, h=h), tol)
 
 
 def check_primitives() -> list[CheckResult]:
@@ -113,7 +115,10 @@ def check_primitives() -> list[CheckResult]:
         ("layer_norm_beta", lambda b: tt.layer_norm(a, gamma, b), beta, a),
         ("layer_norm_block_gamma", lambda g: tt.layer_norm(rows, g, beta, blocks=3), pos, draw(6, 4)),
     ]
-    return [_check(f"primitive.{n}", f, x, w, PRIMITIVE_TOL) for n, f, x, w in checks]
+    return [
+        CheckResult(f"primitive.{n}", tt.central_diff_gradcheck(f, x, w), PRIMITIVE_TOL)
+        for n, f, x, w in checks
+    ]
 
 
 def _gauss(rng, *shape, fan_in=None):
@@ -143,24 +148,43 @@ def _deform_params(rng, d=6, c=4, heads=2, points=2):
     )
 
 
-def check_attention() -> list[CheckResult]:
+def _rows(probes: np.ndarray) -> Tensor:
+    """(B, N, D) probes of a sublayer's input as B blocks of N stacked rows."""
+    return Tensor(probes.reshape(-1, probes.shape[-1]))
+
+
+def _tiled(t: Tensor, blocks: int) -> Tensor:
+    """The rows of ``t`` repeated for ``blocks`` row blocks."""
+    return t if blocks == 1 else Tensor(np.tile(t.data, (blocks, 1)))
+
+
+def _attention_checks() -> list[tuple]:
+    """The attention checks, each as (name, sublayer, leaf, weight, h, stack).
+
+    ``sublayer(x, blocks)`` is the sublayer's output with ``x`` in place of
+    the probed ``leaf``, over ``blocks`` row blocks; at one block it is the
+    function checked.  ``stack(probes)`` turns the (2 * leaf.size,
+    *leaf.shape) probe array into that ``x`` for one block per probe:
+    stacked rows for the input rows, a leading block axis for a weight,
+    and for the feature map one map per block, each read as its own run.
+    """
     rng = np.random.default_rng(200)
     d = 6
     y = Tensor(rng.standard_normal((4, d)))
     mha = _mha_params(rng, d)
     weigh = Tensor(rng.standard_normal((4, d)))
-    results = [_check("attention.mha_input", lambda x: multi_head_self_attention(x, mha), y, weigh, ATTENTION_TOL)]
-    for attr in ("wq", "wk", "wv", "wo"):
+    checks = [("mha_input", lambda x, b: multi_head_self_attention(x, mha, b), y, weigh, 1e-6, _rows)]
+    for attr in MultiHeadAttnParams.TENSORS:
 
-        def f(x, attr=attr):
-            return multi_head_self_attention(y, dataclasses.replace(mha, **{attr: x}))
+        def f(x, b, attr=attr):
+            return multi_head_self_attention(_tiled(y, b), dataclasses.replace(mha, **{attr: x}), b)
 
-        results.append(_check(f"attention.mha_{attr}", f, getattr(mha, attr), weigh, ATTENTION_TOL))
+        checks.append((f"mha_{attr}", f, getattr(mha, attr), weigh, 1e-6, Tensor))
 
     gamma = Tensor(rng.standard_normal(d))
     beta = Tensor(rng.standard_normal(d))
-    residual = lambda x: residual_layernorm(x, multi_head_self_attention(x, mha), gamma, beta)
-    results.append(_check("attention.residual_layernorm", residual, y, weigh, ATTENTION_TOL))
+    residual = lambda x, b: residual_layernorm(x, multi_head_self_attention(x, mha, b), gamma, beta, b)
+    checks.append(("residual_layernorm", residual, y, weigh, 1e-6, _rows))
 
     c = 4
     fmap = Tensor(rng.standard_normal((c, 6, 7)))
@@ -169,21 +193,37 @@ def check_attention() -> list[CheckResult]:
     z = Tensor(rng.standard_normal((3, d)))
     wz = Tensor(rng.standard_normal((3, d)))
 
-    def deform_with(field, x):
-        params = dp if field == "z" else dataclasses.replace(dp, **{field: x})
-        zz = x if field == "z" else z
-        return deform_attn(zz, refs, fmap, params)
+    def deform(b, queries=None, maps=fmap, **field):
+        queries = _tiled(z, b) if queries is None else queries
+        return deform_attn(queries, refs, maps, dataclasses.replace(dp, **field), b)
 
-    for field in ("z", *DeformAttnParams.TENSORS):
-        leaf = z if field == "z" else getattr(dp, field)
-        f = lambda x, field=field: deform_with(field, x)
-        results.append(_check(f"attention.deform_{field}", f, leaf, wz, ATTENTION_TOL))
-
+    checks.append(("deform_z", lambda x, b: deform(b, queries=x), z, wz, 1e-6, _rows))
+    for field in DeformAttnParams.TENSORS:
+        f = lambda x, b, field=field: deform(b, **{field: x})
+        checks.append((f"deform_{field}", f, getattr(dp, field), wz, 1e-6, Tensor))
     # Linear in the map, so a wider step costs no truncation error and
     # drowns less in float roundoff on the tiny corner weights.
-    deform_fmap = lambda m: deform_attn(z, refs, m, dp)
-    results.append(_check("attention.deform_fmap", deform_fmap, fmap, wz, ATTENTION_TOL, h=1e-4))
-    return results
+    maps = lambda probes: [Tensor(m) for m in probes]
+    checks.append(("deform_fmap", lambda x, b: deform(b, maps=x), fmap, wz, 1e-4, maps))
+    return checks
+
+
+def check_attention() -> list[CheckResult]:
+    """Both attention sublayers, input and every weight, at 1e-6.
+
+    Each check evaluates all 2 * size probes of its input with one call of
+    the sublayer over one row block per probe, as the full-model check
+    runs each tensor's probes through one forward.
+    """
+
+    def check(name, sublayer, leaf, w, h, stack):
+        def f_probes(probes):
+            return sublayer(stack(probes), len(probes)).data.reshape(len(probes), *w.shape)
+
+        err = tt.central_diff_gradcheck(lambda x: sublayer(x, 1), leaf, w, h, f_probes)
+        return CheckResult(f"attention.{name}", err, ATTENTION_TOL)
+
+    return [check(*spec) for spec in _attention_checks()]
 
 
 def _gradcheck_scene(dim: int, image_size: int):

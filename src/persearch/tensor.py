@@ -486,7 +486,11 @@ def _bilinear_forward(table: ValueTable, pts: np.ndarray):
     cx, cy = x0 + _CORNER_X, y0 + _CORNER_Y  # (4, B / M, M, Q)
     inb = ((cx >= 0) & (cx < ws) & (cy >= 0) & (cy < hs)).reshape(4, -1)
     flat = np.where(inb, (starts + cy * ws + cx).reshape(4, -1), pad)  # (4, P)
-    vals = np.take(table.rows, flat.T, axis=0)  # (P, 4, C)
+    # The gather reads a contiguous (P, 4) copy of the index, which costs
+    # less than gathering through the strided ``flat.T``.  Building the
+    # index corner axis last costs more than the copy: its broadcasts run
+    # inner loops of four.
+    vals = np.take(table.rows, np.ascontiguousarray(flat.T), axis=0)  # (P, 4, C)
     dx, dy = (xs - x0).reshape(-1), (ys - y0).reshape(-1)
     ex, ey = 1.0 - dx, 1.0 - dy
     wts = np.array([ex * ey, dx * ey, ex * dy, dx * dy]) * inb  # (4, P)
@@ -576,26 +580,42 @@ def numeric_gradient(
 
 
 def central_diff_gradcheck(
-    f: Callable[[Tensor], Tensor], x: Tensor, w: Tensor, h: float = 1e-6
+    f: Callable[[Tensor], Tensor],
+    x: Tensor,
+    w: Tensor,
+    h: float = 1e-6,
+    f_probes: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Compare the taped gradient of ``f`` at ``x`` against central differences.
 
     The function checked is the sum of ``f(x) * w``, with ``w`` a fixed
-    weight of ``f(x)``'s shape that seeds the tape.  Returns the max
-    relative error over coordinates; raises if the function value is not
-    finite.
+    weight of ``f(x)``'s shape that seeds the tape.  ``f_probes``, when
+    given, evaluates ``f`` at every probe at once: it takes the
+    (2 * x.size, *x.shape) probe array of :func:`numeric_gradient` and
+    returns the (2 * x.size, *w.shape) stack of ``f``'s outputs, one per
+    probe, as one blocked call of the function checked; without it ``f``
+    runs once per probe.  Returns the max relative error over coordinates;
+    raises if the function value is not finite.
     """
 
-    def weigh(t: Tensor) -> float:
-        return float((t.data * w.data).sum())
+    def weigh(out: np.ndarray) -> float:
+        return float((out * w.data).sum())
 
     with GradTape() as tape:
         out = f(x)
-        if not np.isfinite(weigh(out)):
+        if not np.isfinite(weigh(out.data)):
             raise FloatingPointError("non-finite function value in gradcheck")
         (analytic,) = tape.gradients(out, [x], w.data)
-    numeric = numeric_gradient(lambda probes: np.array([weigh(f(Tensor(p))) for p in probes]), x, h)
-    return max_rel_error(analytic, numeric)
+    if f_probes is None:
+        f_probes = lambda probes: np.array([f(Tensor(p)).data for p in probes])
+
+    def values(probes: np.ndarray) -> np.ndarray:
+        outs = f_probes(probes)
+        if outs.shape != (len(probes), *w.shape):
+            raise ValueError(f"expected {len(probes)} outputs of shape {w.shape}, got {outs.shape}")
+        return np.array([weigh(o) for o in outs])
+
+    return max_rel_error(analytic, numeric_gradient(values, x, h))
 
 
 # ---------------------------------------------------------------------------

@@ -240,13 +240,12 @@ class TestDeterminism:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         assert main(["gen-data", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "data")]) == 0
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = "import sys; from persearch.cli import main; sys.exit(main(sys.argv[1:]))"
         children = {}
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
             argv = ["train", "--config", "cfg.json", "--data", "data", "--out", f"run{threads}"]
             children[threads] = subprocess.Popen(
-                [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                [sys.executable, "-m", "persearch", *argv], cwd=tmp_path, env=env,
                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             )
         try:
@@ -663,6 +662,28 @@ class TestExitCodes:
             ]
         )
         assert rc == 1
+
+
+class TestModuleEntryPoint:
+    """``python -m persearch`` from a source tree that is not installed."""
+
+    def run(self, tmp_path, *argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "persearch", *argv], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_help_exits_0(self, tmp_path):
+        done = self.run(tmp_path, "--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: persearch")
+
+    def test_corrupt_gradcheck_exits_4_with_one_line_error(self, tmp_path):
+        done = self.run(tmp_path, "gradcheck", "--corrupt")
+        assert done.returncode == 4, done.stderr
+        err = done.stderr.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: 1 gradient check(s) failed"), err
 
 
 # Blob byte ranges (start, stop) of the fields a flipped bit can corrupt;

@@ -1,10 +1,13 @@
 """Gradient-verification suite: positive runs and the corrupt control."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from persearch import gradcheck
 from persearch import tensor as T
+from persearch.attention import DeformAttnParams, ReferencePoint, multiscale_deform_attn
 from persearch.errors import GradcheckFailure
 from persearch.gradcheck import (
     ATTENTION_TOL,
@@ -169,6 +172,86 @@ class TestBatchedProbes:
         assert len(forwards) == 46
         assert len(views) == len(forwards) * model.config.m_layers <= 92
         assert kernel_maps and max(kernel_maps) <= 3
+
+
+def weighed(outs, w):
+    """Each output's weighted sum, as the attention checks weigh them."""
+    return np.array([float((o * w.data).sum()) for o in outs])
+
+
+class TestBatchedAttentionProbes:
+    """Each attention check evaluates its probes as one blocked sublayer call."""
+
+    def recorded_checks(self, monkeypatch):
+        """check_attention's results and, for each check, the arguments it
+        passed to central_diff_gradcheck."""
+        central = T.central_diff_gradcheck
+        calls = []
+
+        def recording(f, x, w, h=1e-6, f_probes=None):
+            calls.append((f, x, w, h, f_probes))
+            return central(f, x, w, h, f_probes)
+
+        monkeypatch.setattr(T, "central_diff_gradcheck", recording)
+        results = check_attention()
+        assert len(calls) == len(results) == 14
+        return results, calls
+
+    def test_numeric_gradients_equal_one_probe_at_a_time(self, monkeypatch):
+        results, calls = self.recorded_checks(monkeypatch)
+        for r, (f, x, w, h, f_probes) in zip(results, calls):
+            assert f_probes is not None, r.name
+            batched = T.numeric_gradient(lambda probes: weighed(f_probes(probes), w), x, h)
+            per_probe = one_probe_at_a_time(lambda probe: weighed([f(Tensor(probe[0])).data], w), x, h)
+            assert np.array_equal(batched, per_probe), r.name
+
+    def test_multiscale_probes_with_per_block_offsets_equal_one_probe_at_a_time(self):
+        # check_attention covers single-level sublayers only: three levels,
+        # each block sampling at its own offset weights.
+        rng = np.random.default_rng(21)
+        d, c, heads, points, levels = 6, 4, 2, 2, 3
+        k = heads * points * levels
+        params = DeformAttnParams(
+            w_offset=Tensor(rng.standard_normal((d, 2 * k)) / np.sqrt(d)),
+            b_offset=Tensor(rng.standard_normal(2 * k)),
+            w_weight=Tensor(rng.standard_normal((d, k)) / np.sqrt(d)),
+            b_weight=Tensor(rng.standard_normal(k)),
+            w_value=Tensor(rng.standard_normal((heads, c, d // heads)) / np.sqrt(c)),
+            w_out=Tensor(rng.standard_normal((d, d)) / np.sqrt(d // heads)),
+            num_points=points,
+            num_levels=levels,
+        )
+        maps = [Tensor(rng.standard_normal((c, hh, ww))) for hh, ww in ((8, 9), (4, 5), (2, 3))]
+        refs = [ReferencePoint(0.3, 0.4), ReferencePoint(0.7, 0.2), ReferencePoint(0.5, 0.9)]
+        z, w = Tensor(rng.standard_normal((3, d))), Tensor(rng.standard_normal((3, d)))
+
+        def f(x, blocks=1):
+            queries = Tensor(np.tile(z.data, (blocks, 1)))
+            return multiscale_deform_attn(queries, refs, maps, dataclasses.replace(params, w_offset=x), blocks)
+
+        f_probes = lambda probes: f(Tensor(probes), len(probes)).data.reshape(len(probes), *w.shape)
+        batched = T.numeric_gradient(lambda probes: weighed(f_probes(probes), w), params.w_offset)
+        per_probe = one_probe_at_a_time(lambda probe: weighed([f(Tensor(probe[0])).data], w), params.w_offset)
+        assert np.array_equal(batched, per_probe)
+        assert T.central_diff_gradcheck(f, params.w_offset, w, f_probes=f_probes) < ATTENTION_TOL
+
+    def test_one_taped_and_one_blocked_call_per_check(self, monkeypatch):
+        calls = []
+        for name in ("multi_head_self_attention", "deform_attn"):
+
+            def counting(rows, *args, sublayer=getattr(gradcheck, name), name=name, **kwargs):
+                calls.append((name, rows.shape[0]))
+                return sublayer(rows, *args, **kwargs)
+
+            monkeypatch.setattr(gradcheck, name, counting)
+        results = check_attention()
+        sizes = {f"attention.{name}": leaf.size for name, _, leaf, *_ in gradcheck._attention_checks()}
+        assert len(calls) == 2 * len(results) == 28
+        for r, taped, blocked in zip(results, calls[0::2], calls[1::2]):
+            sublayer = "deform_attn" if ".deform_" in r.name else "multi_head_self_attention"
+            assert taped[0] == blocked[0] == sublayer, r.name
+            # Every probe's rows in the one blocked call.
+            assert blocked[1] == 2 * sizes[r.name] * taped[1], r.name
 
 
 def old_probe_loss(emb, labels, states):
