@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 configuration errors, 2 data or filesystem errors,
 Run artifacts (manifests, loss curves, result tables, summaries) contain no
 wall-clock values, so identical seeds reproduce them byte for byte; timing
 is printed only: ``train`` writes a progress line to stderr at each tenth
-of its steps and its summary to stdout.
+of its steps, with the mean total loss of the steps since the previous
+line, and its summary to stdout.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _check_feature_dim(bench, dim: int, source: str) -> None:
+    """Refuse a dataset whose feature maps are not ``dim`` channels deep,
+    the model's width, before any compute; ``source`` names where ``dim``
+    comes from."""
+    if bench.config.feature_dim != dim:
+        raise DataError(
+            f"{os.path.join(bench.root, 'manifest.json')} has feature_dim {bench.config.feature_dim}, "
+            f"but {source} is {dim}; they must be equal"
+        )
+
+
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     if args.seed is not None:
@@ -62,16 +74,22 @@ def cmd_train(args) -> int:
         cfg.train.steps = args.steps
         cfg.train.validate()
     bench = load_benchmark(args.data)
+    _check_feature_dim(bench, cfg.model.dim, "the config key model.dim")
     model = ReIDTransformer.init(cfg.model, seed=cfg.seed, style="train")
     steps = cfg.train.steps
     t0 = time.perf_counter()
+    window, means = [], []  # the totals since the last line; each line's mean
 
     def report(step, row):
-        # One line each time the run passes a tenth of its steps.
+        # One line each time the run passes a tenth of its steps, with the
+        # mean total loss of the steps since the previous line.
+        window.append(row["total"])
         done = step + 1
         if done * 10 // steps > step * 10 // steps:
+            means.append(sum(window) / len(window))
+            window.clear()
             rate = done / (time.perf_counter() - t0)
-            line = f"step {done}/{steps}  {rate:.1f} steps/s  total loss {row['total']:.4f}"
+            line = f"step {done}/{steps}  {rate:.1f} steps/s  total loss {means[-1]:.4f}"
             print(line, file=sys.stderr, flush=True)
 
     result = train(model, bench, cfg.train, run_seed=cfg.seed, progress=report)
@@ -81,7 +99,7 @@ def cmd_train(args) -> int:
     write_loss_curve(os.path.join(args.out, "loss_curve.csv"), result.curve)
     meta = {"run_config": cfg.to_dict(), "run_seed": cfg.seed}
     save_checkpoint(
-        os.path.join(args.out, "checkpoint"), result.model, result.oim_states, meta
+        os.path.join(args.out, "checkpoint"), result.model, result.oim_state, meta
     )
     summary = {
         "command": "train",
@@ -91,10 +109,9 @@ def cmd_train(args) -> int:
         "final": result.curve[-1],
     }
     write_manifest(os.path.join(args.out, "summary.json"), summary)
-    print(
-        f"trained {cfg.train.steps} steps in {dt:.1f}s; total loss "
-        f"{result.curve[0]['total']:.4f} -> {result.curve[-1]['total']:.4f}"
-    )
+    # The first and last progress windows' means; a zero-step run has one row.
+    first, last = (means[0], means[-1]) if means else (result.curve[0]["total"],) * 2
+    print(f"trained {cfg.train.steps} steps in {dt:.1f}s; total loss {first:.4f} -> {last:.4f}")
     return 0
 
 
@@ -103,6 +120,7 @@ def _retrieval_inputs(args, detection_seed: int | None = None):
     unless ``detection_seed`` overrides it."""
     model, _, meta = load_checkpoint(args.checkpoint)
     bench = load_benchmark(args.data)
+    _check_feature_dim(bench, model.config.dim, os.path.join(args.checkpoint, "model", "model.json") + "'s dim")
     if detection_seed is None:
         detection_seed = meta["run_seed"]
     entries, truth, per_scene = build_gallery(model, bench, detection_seed)

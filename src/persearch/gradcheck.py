@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,7 +94,7 @@ def check_primitives() -> list[CheckResult]:
     # identities and two queue rows.  A mild temperature keeps every p_t
     # off 1, where the focal factor's gradient sinks below roundoff.
     table = tt.l2_normalize_rows(Tensor(rng.standard_normal((5, 4)))).data
-    state = OIMState(table[:3].copy(), deque(table[3:], maxlen=2), tau=0.5)
+    state = OIMState(table[None, :3], table[None, 3:], capacity=2, tau=0.5)
     labels, per_row = [1, UNLABELED, 0, BACKGROUND, 2, 1], Tensor(rng.standard_normal(4))
     for g in (2.0, 0.0):
         oim = lambda x, g=g: focal_oim_rows(tt.l2_normalize_rows(x), labels, state, g)
@@ -242,8 +241,8 @@ def _gradcheck_scene(dim: int, image_size: int):
 
 
 def _full_model_problem():
-    """The full-model check's model, scene, labels and one OIM state per
-    output scale.
+    """The full-model check's model, scene, labels and OIM state, whose
+    output scales all start from one lookup table.
 
     Random init style so no gradient path hides behind a zero projection.
     """
@@ -262,12 +261,9 @@ def _full_model_problem():
     srng = np.random.default_rng(12)
     lut = srng.standard_normal((2, cfg.query_width))
     lut /= np.linalg.norm(lut, axis=1, keepdims=True)
-    states = []
-    for _ in range(cfg.output_scales):
-        st = OIMState.initial(2, cfg.query_width, queue_capacity=4)
-        st.lut[:] = lut
-        states.append(st)
-    return model, pyramid, refs, labels, states
+    state = OIMState.initial(2, cfg.query_width, capacity=4, scales=cfg.output_scales)
+    state.lut[:] = lut
+    return model, pyramid, refs, labels, state
 
 
 def check_full_model(corrupt: bool = False) -> list[CheckResult]:
@@ -278,10 +274,10 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
     2 * size probes of each parameter tensor run as one batched forward,
     with one focal-OIM evaluation over all probes of a tensor.
     """
-    model, pyramid, refs, labels, states = _full_model_problem()
+    model, pyramid, refs, labels, state = _full_model_problem()
 
     def loss(emb, sets=None) -> Tensor:
-        return focal_oim_loss(tt.l2_normalize_rows(emb.rows), labels, states, gamma=2.0, sets=sets)[0]
+        return focal_oim_loss(tt.l2_normalize_rows(emb.rows), labels, state, gamma=2.0, sets=sets)[0]
 
     names = sorted(model.params)
     with GradTape() as tape:

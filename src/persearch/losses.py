@@ -12,21 +12,21 @@ The focal variant reweights each labeled row by (1 - p_t)^gamma, applied to
 the final softmax probability, so easy rows fade out of the gradient.  With
 gamma = 0 it is exactly the plain OIM loss, state updates included.
 
-SeqTR supervises every scale of the embedding, with one OIM state per
-scale.  ``focal_oim_loss`` takes the unit-norm rows of all S scales as one
-stacked tensor, one block of rows per scale, with the state of each scale,
-and returns the scale-averaged loss, the mean over each scale's labeled
-rows summed over the scales and divided by S, plus the updated states.
-The scales share their labels and one class-matrix shape, so the rows are
-checked once, scored with one class product batched over the scales, one
-softmax and one pullback, and folded into all the states at once; it
-records one taped primitive, and its ``sets`` form scores many stacked row
-sets at once for the gradient check.
-``focal_oim_rows`` gives the per-row values of one scale without the state
-update, also as one taped primitive.  Both share one copy of the focal
-arithmetic and its hand-written VJP for the features; the lookup table and
-queue are constants of the step, and each state's class matrix is built
-once, from the previous state's when the state comes from an update.
+SeqTR supervises every scale of the embedding, so an ``OIMState`` holds
+the lookup tables and queues of all S scales as two stacked arrays, which
+share one table size and one queue length by their shapes.
+``focal_oim_loss`` takes the unit-norm rows of all S scales as one stacked
+tensor, one block of rows per scale, with that state, and returns the
+scale-averaged loss, the mean over each scale's labeled rows summed over
+the scales and divided by S, plus the updated state.  The rows are checked
+once, scored with one class product batched over the scales, one softmax
+and one pullback, and folded into all the scales at once; it records one
+taped primitive, and its ``sets`` form scores many stacked row sets at
+once for the gradient check.  ``focal_oim_rows`` gives the per-row values
+without the state update, also as one taped primitive.  Both share one
+copy of the focal arithmetic and its hand-written VJP for the features;
+the lookup tables and queues are constants of the step, and a state's
+class matrices are built once, on first use.
 
 ``total_loss`` combines the four training components cls/iou/l1/oim with
 the standard weights (2.0, 5.0, 2.0, 0.5).  Only the OIM term carries a
@@ -36,8 +36,7 @@ gradient, so weighting it and adding the detection losses is one taped op.
 from __future__ import annotations
 
 import functools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,16 +68,24 @@ _UNIT_NORM_TOL = 1e-6
 
 @dataclass
 class OIMState:
-    """Lookup table plus circular queue; owned by one training loop.
+    """The lookup tables and queues of all S scales; owned by one training
+    loop.
+
+    ``lut`` is (S, L, dim): scale s's prototype of identity l is
+    ``lut[s, l]``.  ``queue`` is (S, n, dim), each scale's n <= ``capacity``
+    most recent unlabeled rows, oldest first.  The array shapes make the
+    scales share one table size and one queue length; they also share
+    ``capacity``, ``momentum`` and ``tau``.
 
     ``update`` returns a fresh state, leaving the original untouched, which
     keeps loss evaluation repeatable (gradient checks difference the same
-    state many times).  A state is a value once scored: its class matrix
-    (:attr:`classes`) is kept for every later loss.
+    state many times).  A state is a value once scored: its class matrices
+    (:attr:`classes`) are kept for every later loss.
     """
 
     lut: np.ndarray
-    queue: deque
+    queue: np.ndarray
+    capacity: int
     momentum: float = DEFAULT_MOMENTUM
     tau: float = DEFAULT_TAU
 
@@ -87,116 +94,86 @@ class OIMState:
         cls,
         num_labeled: int,
         dim: int,
-        queue_capacity: int,
+        capacity: int,
+        scales: int = 1,
         momentum: float = DEFAULT_MOMENTUM,
         tau: float = DEFAULT_TAU,
     ) -> "OIMState":
-        if num_labeled < 1 or dim < 1 or queue_capacity < 0:
+        if scales < 1 or num_labeled < 1 or dim < 1 or capacity < 0:
             raise ValueError("bad OIM state sizes")
         if not 0.0 <= momentum < 1.0 or tau <= 0.0:
             raise ValueError("bad OIM momentum/temperature")
-        return cls(
-            lut=np.zeros((num_labeled, dim)),
-            queue=deque(maxlen=queue_capacity),
-            momentum=momentum,
-            tau=tau,
-        )
+        return cls(np.zeros((scales, num_labeled, dim)), np.zeros((scales, 0, dim)), capacity, momentum, tau)
 
     @property
-    def num_labeled(self) -> int:
+    def scales(self) -> int:
         return self.lut.shape[0]
 
     @property
-    def dim(self) -> int:
+    def num_labeled(self) -> int:
         return self.lut.shape[1]
 
     @property
-    def queue_capacity(self) -> int:
-        return self.queue.maxlen
+    def dim(self) -> int:
+        return self.lut.shape[2]
 
     @functools.cached_property
     def classes(self) -> np.ndarray:
-        """The read-only, C-contiguous (dim, L + queue_len) class matrix:
-        one column per prototype, then one per queue row, oldest first.
+        """The read-only, C-contiguous (S, dim, L + n) class matrices: for
+        each scale one column per prototype, then one per queue row, oldest
+        first.
 
-        Built on first use, or by :meth:`update` from the previous state's,
-        and kept, so ``lut`` and ``queue`` must not change after that;
-        :meth:`update` returns a new state instead.
+        Built on first use and kept, so ``lut`` and ``queue`` must not
+        change after that; :meth:`update` returns a new state instead.
         """
-        rows = np.concatenate([self.lut.reshape(-1), *self.queue]).reshape(-1, self.dim)
-        classes = np.ascontiguousarray(rows.T)
+        classes = np.ascontiguousarray(np.concatenate([self.lut, self.queue], axis=1).transpose(0, 2, 1))
         classes.flags.writeable = False
         return classes
 
     def update(self, features: np.ndarray, labels: Sequence[int]) -> "OIMState":
-        """Momentum-fold labeled rows, enqueue unlabeled rows; new state."""
-        return _updated_states([self], np.asarray(features)[None], labels)[0]
+        """The state after the batch ``features``: (S, n, dim), or the same
+        rows as (S * n, dim), the n rows of each scale, with one label per
+        row for every scale.
+
+        Row by row, in order, a labeled row folds into its prototype with
+        momentum and is renormalized (a norm <= 1e-12 leaves zeros), and an
+        unlabeled row enters the queue, evicting the oldest once it holds
+        ``capacity`` rows; each step runs for all S scales at once.  The
+        norm is np.linalg.norm's arithmetic, the root of the row's dot
+        product with itself.
+        """
+        x = np.asarray(features, dtype=np.float64).reshape(self.scales, len(labels), self.dim)
+        lut, keep = self.lut.copy(), self.momentum
+        for i, label in enumerate(labels):
+            if label >= 0:
+                mixed = keep * lut[:, label] + (1.0 - keep) * x[:, i]
+                norm = np.sqrt(np.vecdot(mixed, mixed))[:, None]
+                live = norm > 1e-12
+                lut[:, label] = np.where(live, mixed / np.where(live, norm, 1.0), 0.0)
+        entered = x[:, [i for i, label in enumerate(labels) if label == UNLABELED]]
+        queue = np.concatenate([self.queue, entered], axis=1)
+        queue = queue[:, max(queue.shape[1] - self.capacity, 0) :]
+        return OIMState(lut, queue, self.capacity, self.momentum, self.tau)
 
 
-def _updated_states(states: Sequence[OIMState], x: np.ndarray, labels: Sequence[int]) -> list[OIMState]:
-    """Each state after the batch: ``x`` is (S, n, d), the n rows of each
-    state's scale, with one label per row for every scale.
+def _check_oim_inputs(features: Tensor, labels: list[int], state: OIMState) -> np.ndarray:
+    """Check S scales' stacked rows against their state; returns the labels
+    as an integer array.
 
-    Row by row, in order, a labeled row folds into its prototype with
-    momentum and is renormalized (a norm <= 1e-12 leaves zeros), and an
-    unlabeled row enters the queue, evicting the oldest; each step runs
-    for all S states at once.  The norm is np.linalg.norm's arithmetic,
-    the root of the row's dot product with itself.
-
-    Each new state's class matrix is built here from the old state's,
-    without reading the queue: the new prototypes, then the old queue
-    columns still queued, then the entered rows still queued.
+    ``features`` holds S equal blocks of len(labels) rows, one block per
+    scale, and every block takes the same labels.  An error names the
+    first bad row in scale order, and within a scale in the order a
+    row-by-row check would meet it.
     """
-    luts = np.array([st.lut for st in states])  # a copy, (S, L, d)
-    keep = np.array([st.momentum for st in states]).reshape(-1, 1)
-    queues = [deque(st.queue, maxlen=st.queue.maxlen) for st in states]
-    entered = []
-    for i, label in enumerate(labels):
-        if label >= 0:
-            mixed = keep * luts[:, label] + (1.0 - keep) * x[:, i]
-            norm = np.sqrt(np.vecdot(mixed, mixed))[:, None]
-            live = norm > 1e-12
-            luts[:, label] = np.where(live, mixed / np.where(live, norm, 1.0), 0.0)
-        elif label == UNLABELED:
-            entered.append(i)
-            for queue, row in zip(queues, x[:, i].copy()):
-                queue.append(row)
-    new = [OIMState(lut, queue, st.momentum, st.tau) for lut, queue, st in zip(luts, queues, states)]
-    table = luts.shape[1]
-    for rows, state, old in zip(x, new, states):
-        fresh = min(len(entered), len(state.queue))  # entered rows still queued
-        held = len(state.queue) - fresh  # old queue rows still queued
-        classes = np.empty((state.dim, table + len(state.queue)))
-        classes[:, :table] = state.lut.T
-        classes[:, table : table + held] = old.classes[:, old.classes.shape[1] - held :]
-        classes[:, table + held :] = rows[entered[len(entered) - fresh :]].T
-        classes.flags.writeable = False
-        state.__dict__["classes"] = classes  # fills the cached property
-    return new
-
-
-def _check_oim_inputs(features: Tensor, labels: list[int], states: Sequence[OIMState]) -> np.ndarray:
-    """Check S scales' stacked rows against their states; returns the
-    labels as an integer array.
-
-    ``features`` holds len(states) equal blocks of len(labels) rows, one
-    block per scale, and every block takes the same labels.  The states
-    must share one class-matrix shape.  An error names the first bad row
-    in scale order, and within a scale in the order a row-by-row check
-    would meet it.
-    """
-    table, dim = states[0].lut.shape
-    queue = len(states[0].queue)
-    if any(st.lut.shape != (table, dim) or len(st.queue) != queue for st in states):
-        raise ValueError("the states of all scales must share one table and one queue length")
+    scales, table, dim = state.lut.shape
     if features.ndim != 2 or features.shape[1] != dim:
         raise ValueError(f"features {features.shape} do not match state dim {dim}")
-    if features.shape[0] != len(labels) * len(states):
+    if features.shape[0] != len(labels) * scales:
         raise ValueError(
-            f"need one label per feature row of each of {len(states)} states: "
+            f"need one label per feature row of each of {scales} scales: "
             f"got {features.shape[0]} rows for {len(labels)} labels"
         )
-    norms = np.sqrt(np.add.reduce(features.data * features.data, axis=1)).reshape(len(states), -1)
+    norms = np.sqrt(np.add.reduce(features.data * features.data, axis=1)).reshape(scales, -1)
     ids = np.array(labels, dtype=np.int64).reshape(-1)
     off_norm = (ids != BACKGROUND) & (np.abs(norms - 1.0) > _UNIT_NORM_TOL)
     bad = np.flatnonzero((ids >= table) | (ids < BACKGROUND) | off_norm)
@@ -210,23 +187,23 @@ def _check_oim_inputs(features: Tensor, labels: list[int], states: Sequence[OIMS
     return ids
 
 
-def _focal_rows(x: np.ndarray, ids: np.ndarray, states: Sequence[OIMState], gamma: float):
+def _focal_rows(x: np.ndarray, ids: np.ndarray, state: OIMState, gamma: float):
     """The focal OIM arithmetic, once for every caller and every scale.
 
     ``x`` is (S, n, d): the n rows of each of the S scales, all with the
-    labels ``ids``, scored against ``states[s]``.  Returns the (S, r) focal
+    labels ``ids``, scored against ``state``.  Returns the (S, r) focal
     NLL of each scale's r labeled rows in row order and its pullback,
-    which maps an (r,) gradient of every scale's values to the gradient of
-    ``x`` (None when no row is labeled).  The class matrices are
-    constants; the inputs must be checked.
+    which maps a gradient of those values, (S, r) or one (r,) for every
+    scale, to the gradient of ``x`` (None when no row is labeled).  The
+    class matrices are constants; the inputs must be checked.
     """
     rows = np.flatnonzero(ids >= 0)
     if not rows.size:
-        return np.zeros((len(states), 0)), None
-    # (S, dim, L + queue_len), each scale's matrix C-contiguous: products
-    # with a transposed view round differently.
-    classes = np.stack([st.classes for st in states])
-    inv_tau = np.array([1.0 / st.tau for st in states]).reshape(-1, 1, 1)
+        return np.zeros((state.scales, 0)), None
+    # (S, dim, L + n), each scale's matrix C-contiguous: products with a
+    # transposed view round differently.
+    classes = state.classes
+    inv_tau = 1.0 / state.tau
     c, focal = float(gamma), gamma > 0.0
     picks = (slice(None), np.arange(rows.size), ids[rows])
     p = tt._softmax_last((x[:, rows] @ classes) * inv_tau)
@@ -258,78 +235,79 @@ def focal_oim_rows(
     state: OIMState,
     gamma: float = 2.0,
 ) -> Tensor:
-    """Focal OIM NLL of each labeled row of a batch, in row order.
+    """Focal OIM NLL of each labeled row of a batch: scale after scale, and
+    within a scale in row order.
 
-    Runs every input check and leaves ``state`` as it is.  Returns a rank-1
-    tensor with one value per labeled row; it is empty (and records
-    nothing) when no row is labeled.
+    ``features`` stacks the S = ``state.scales`` blocks of len(id_labels)
+    rows, as for :func:`focal_oim_loss`.  Runs every input check and
+    leaves ``state`` as it is.  Returns a rank-1 tensor with one value per
+    labeled row and scale; it is empty (and records nothing) when no row
+    is labeled.
 
     One taped primitive whose VJP returns the gradient of ``features``
-    only: the class matrix is a constant.
+    only: the class matrices are constants.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     labels = [int(l) for l in id_labels]
-    ids = _check_oim_inputs(features, labels, [state])
-    values, pullback = _focal_rows(features.data[None], ids, [state], gamma)
+    ids = _check_oim_inputs(features, labels, state)
+    values, pullback = _focal_rows(features.data.reshape(state.scales, -1, features.shape[1]), ids, state, gamma)
     if not values.size:
-        return Tensor(values[0])
-    return tt._emit(values[0], (features,), lambda g: (pullback(g)[0],))
+        return Tensor(values.reshape(-1))
+    return tt._emit(
+        values.reshape(-1), (features,), lambda g: (pullback(g.reshape(values.shape)).reshape(features.shape),)
+    )
 
 
 def focal_oim_loss(
     features: Tensor,
     id_labels: Sequence[int],
-    states: Sequence[OIMState],
+    state: OIMState,
     gamma: float = 2.0,
     sets: int | None = None,
-) -> tuple[Tensor, list[OIMState] | None]:
+) -> tuple[Tensor, OIMState | None]:
     """Focal OIM averaged over the scales, as one taped primitive.
 
-    ``features`` stacks the unit-norm rows of S = len(states) scales, one
-    block of len(id_labels) rows per scale in scale order, and
-    ``states[s]`` holds scale s's lookup table and queue; the states share
-    one table size and one queue length.  Each scale's loss is the mean of
-    :func:`focal_oim_rows` over its labeled rows; the scale losses are
-    summed in order and the sum scaled by 1 / S.  All scales are scored
-    with one batched class product, (S, r, d) @ (S, d, L + Q), one softmax
-    and one pullback.  Returns the scalar loss and the post-batch states.
-    Batches without any labeled row yield a constant 0 (no gradient); the
-    states still absorb unlabeled rows.
+    ``features`` stacks the unit-norm rows of S = ``state.scales`` scales,
+    one block of len(id_labels) rows per scale in scale order, scored
+    against that scale's lookup table and queue.  Each scale's loss is the
+    mean of its :func:`focal_oim_rows` values; the scale losses are summed
+    in order and the sum scaled by 1 / S.  All scales are scored with one
+    batched class product, (S, r, d) @ (S, d, L + n), one softmax and one
+    pullback.  Returns the scalar loss and the post-batch state.  Batches
+    without any labeled row yield a constant 0 (no gradient); the state
+    still absorbs unlabeled rows.
 
     With ``sets`` = B, each scale's block instead stacks B sets of
     len(id_labels) rows, set after set.  The loss is then the (B,) vector
     of each set's loss, with the same value as a call on that set alone,
-    and no state is updated (None is returned in their place): the
+    and the state is not updated (None is returned in its place): the
     gradient check scores all the probes of one tensor so.
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    states = list(states)
-    if not states:
-        raise ValueError("need one state per scale, got none")
     labels = [int(l) for l in id_labels]
     blocks = sets or 1
-    ids = _check_oim_inputs(features, labels * blocks, states)
-    x = features.data.reshape(len(states), -1, features.shape[1])
-    values, pullback = _focal_rows(x, ids, states, gamma)
-    new_states = None if sets else _updated_states(states, x, labels)
+    ids = _check_oim_inputs(features, labels * blocks, state)
+    x = features.data.reshape(state.scales, -1, features.shape[1])
+    values, pullback = _focal_rows(x, ids, state, gamma)
+    new_state = None if sets else state.update(x, labels)
     per_set = values.shape[1] // blocks
     if not per_set:
-        return Tensor(np.zeros(sets) if sets else 0.0), new_states
+        return Tensor(np.zeros(sets) if sets else 0.0), new_state
 
     # Each scale's mean, the means added in scale order, then the 1 / S
     # factor: the bits of a chain of one mean per scale, their sum and the
     # 1 / S product, for the loss and its gradient alike.
-    inv_scales = 1.0 / len(states)
-    means = np.add.reduce(values.reshape(len(states), blocks, per_set), axis=2) / per_set
+    inv_scales = 1.0 / state.scales
+    means = np.add.reduce(values.reshape(state.scales, blocks, per_set), axis=2) / per_set
     loss = functools.reduce(np.add, means) * inv_scales
 
     def vjp(g):
         g_rows = np.repeat(np.reshape(g * inv_scales, -1) / per_set, per_set)
         return (pullback(g_rows).reshape(features.shape),)
 
-    return tt._emit(loss if sets else loss[0], (features,), vjp), new_states
+    return tt._emit(loss if sets else loss[0], (features,), vjp), new_state
 
 
 @dataclass(frozen=True)

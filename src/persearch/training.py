@@ -18,7 +18,6 @@ and a later evaluation of its checkpoint see identical boxes.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "detect_scene",
     "slot_labels",
     "detection_losses",
-    "init_oim_states",
     "train",
     "write_loss_curve",
     "save_checkpoint",
@@ -100,7 +98,7 @@ class TrainSettings:
 @dataclass
 class TrainResult:
     model: ReIDTransformer
-    oim_states: list[OIMState]
+    oim_state: OIMState
     curve: list[dict]
 
 
@@ -143,37 +141,15 @@ def detection_losses(det: DetectionSet, bench: Benchmark, scene_id: int):
     return l_cls, l_iou, l_l1
 
 
-def init_oim_states(
-    model: ReIDTransformer, num_labeled: int, settings: TrainSettings
-) -> list[OIMState]:
-    """One running class matrix per embedding scale.
-
-    Every scheme emits per-scale rows of width ``query_width``; the shared
-    and parallel schemes keep three independent states, the multi-scale
-    schemes one.
-    """
-    cfg = model.config
-    return [
-        OIMState.initial(
-            num_labeled,
-            cfg.query_width,
-            settings.queue_size,
-            momentum=settings.oim_momentum,
-            tau=settings.oim_tau,
-        )
-        for _ in range(cfg.output_scales)
-    ]
-
-
 def _scene_losses(
     model: ReIDTransformer,
-    oim_states: list[OIMState],
+    oim_state: OIMState,
     bench: Benchmark,
     scene_id: int,
     scene: tuple,
     settings: TrainSettings,
 ):
-    """Forward one scene; returns (total Tensor, row dict, new states).
+    """Forward one scene; returns (total Tensor, row dict, new OIM state).
 
     ``scene`` is the scene's (detections, slot labels, detection losses).
     """
@@ -181,8 +157,8 @@ def _scene_losses(
     rows = model.forward(bench.pyramid(scene_id), det.refs).rows
     if not np.isfinite(rows.data).all():
         raise NumericError("non-finite re-ID embeddings")
-    l_oim, new_states = focal_oim_loss(
-        tt.l2_normalize_rows(rows), labels, oim_states, gamma=settings.focal_gamma
+    l_oim, new_state = focal_oim_loss(
+        tt.l2_normalize_rows(rows), labels, oim_state, gamma=settings.focal_gamma
     )
 
     total = total_loss(l_cls, l_iou, l_l1, l_oim, settings.weights)
@@ -195,12 +171,12 @@ def _scene_losses(
         "l_oim": float(l_oim.data),
         "total": float(total.data),
     }
-    return total, row, new_states
+    return total, row, new_state
 
 
-def _step_losses(model, oim_states, bench, scene_id, scene, settings, step):
+def _step_losses(model, oim_state, bench, scene_id, scene, settings, step):
     try:
-        return _scene_losses(model, oim_states, bench, scene_id, scene, settings)
+        return _scene_losses(model, oim_state, bench, scene_id, scene, settings)
     except NumericError as e:
         bad = next((n for n in sorted(model.params) if not np.isfinite(model.params[n].data).all()), None)
         where = "every parameter is finite" if bad is None else f"first non-finite parameter {bad}"
@@ -279,8 +255,11 @@ def train(
     train_ids = bench.train_ids
     if not train_ids:
         raise DataError("benchmark has no training scenes")
-    oim_states = init_oim_states(
-        model, bench.config.labeled_identities, settings
+    # One lookup table and queue per embedding scale, all of one width.
+    cfg = model.config
+    oim_state = OIMState.initial(
+        bench.config.labeled_identities, cfg.query_width, settings.queue_size, cfg.output_scales,
+        settings.oim_momentum, settings.oim_tau,
     )
     scenes: dict[int, tuple] = {}
 
@@ -297,9 +276,9 @@ def train(
     curve: list[dict] = []
     if settings.steps == 0:
         sid = train_ids[0]
-        _, row, _ = _step_losses(model, oim_states, bench, sid, scene(sid), settings, 0)
+        _, row, _ = _step_losses(model, oim_state, bench, sid, scene(sid), settings, 0)
         curve.append({"step": 0, **row})
-        return TrainResult(model, oim_states, curve)
+        return TrainResult(model, oim_state, curve)
 
     names = sorted(model.params)
     ends = np.cumsum([model.params[n].size for n in names]).tolist()
@@ -322,8 +301,8 @@ def train(
                 break
             scene_id = train_ids[idx]
             with GradTape() as tape:
-                total, row, oim_states = _step_losses(
-                    model, oim_states, bench, scene_id, scene(scene_id), settings, step
+                total, row, oim_state = _step_losses(
+                    model, oim_state, bench, scene_id, scene(scene_id), settings, step
                 )
                 np.concatenate(tape.gradients(total, sources), axis=None, out=grad)
             if settings.grad_clip is not None:
@@ -334,7 +313,7 @@ def train(
                 progress(step, row)
             step += 1
         epoch += 1
-    return TrainResult(model, oim_states, curve)
+    return TrainResult(model, oim_state, curve)
 
 
 def write_loss_curve(path, curve: list[dict]) -> None:
@@ -356,34 +335,29 @@ def write_loss_curve(path, curve: list[dict]) -> None:
 # ----------------------------------------------------------------------
 
 
-def save_checkpoint(
-    out_dir, model: ReIDTransformer, oim_states: list[OIMState], meta: dict
-) -> None:
-    """Model tensors plus OIM matrices and scalars, all byte-stable."""
+def save_checkpoint(out_dir, model: ReIDTransformer, oim_state: OIMState, meta: dict) -> None:
+    """Model tensors plus OIM matrices and scalars, all byte-stable: one
+    manifest entry, one lookup-table blob and (when the queue holds rows)
+    one queue blob per scale."""
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     model.save(os.path.join(out_dir, "model"))
-    oim_meta = []
-    for i, st in enumerate(oim_states):
-        write_blob(os.path.join(out_dir, f"oim{i}_lut.sqt"), Tensor(st.lut))
-        entry = {
-            "momentum": st.momentum,
-            "tau": st.tau,
-            "num_labeled": st.num_labeled,
-            "queue_capacity": st.queue_capacity,
-            "queue_len": len(st.queue),
-        }
-        if st.queue:
-            write_blob(
-                os.path.join(out_dir, f"oim{i}_queue.sqt"),
-                Tensor(np.stack(list(st.queue))),
-            )
-        oim_meta.append(entry)
+    entry = {
+        "momentum": oim_state.momentum,
+        "tau": oim_state.tau,
+        "num_labeled": oim_state.num_labeled,
+        "queue_capacity": oim_state.capacity,
+        "queue_len": oim_state.queue.shape[1],
+    }
+    for i in range(oim_state.scales):
+        write_blob(os.path.join(out_dir, f"oim{i}_lut.sqt"), Tensor(oim_state.lut[i]))
+        if entry["queue_len"]:
+            write_blob(os.path.join(out_dir, f"oim{i}_queue.sqt"), Tensor(oim_state.queue[i]))
     manifest = {
         "format_version": 1,
         "kind": "checkpoint",
         "meta": meta,
-        "oim": oim_meta,
+        "oim": [entry] * oim_state.scales,
     }
     write_manifest(os.path.join(out_dir, "checkpoint.json"), manifest)
 
@@ -396,23 +370,26 @@ def _read_oim_blob(path, shape: tuple[int, int]) -> np.ndarray:
     return data
 
 
+# The fields of a checkpoint's per-scale OIM entries, which every scale shares.
+_SHARED_OIM_FIELDS = ("num_labeled", "queue_capacity", "queue_len", "momentum", "tau")
+
+
 def load_checkpoint(ckpt_dir):
-    """Returns (model, oim_states, meta); raises DataError when malformed.
+    """Returns (model, oim_state, meta); raises DataError when malformed.
 
     ``meta`` must hold the run's seed, which retrieval detects with, as a
-    non-negative integer ``run_seed``.  There must be one OIM state per
-    output scale of the model, with 0 <= momentum < 1 and tau > 0.  Each
-    lookup table must be (num_labeled, model width), and each queue
-    exactly queue_len <= queue_capacity rows of that width, with one
-    queue_len for all scales; the error names the manifest or the blob
-    at fault.
+    non-negative integer ``run_seed``.  There must be one OIM entry per
+    output scale of the model, all with the same num_labeled,
+    queue_capacity, queue_len, momentum and tau, where 0 <= momentum < 1
+    and tau > 0.  Each scale's lookup table must be (num_labeled, model
+    width), and its queue exactly queue_len <= queue_capacity rows of that
+    width; the error names the manifest or the blob at fault.
     """
     ckpt_dir = str(ckpt_dir)
     path = os.path.join(ckpt_dir, "checkpoint.json")
     manifest = read_manifest(path, "checkpoint", 1)
     model = ReIDTransformer.load(os.path.join(ckpt_dir, "model"))
     width, scales = model.config.query_width, model.config.output_scales
-    oim_states = []
     with reading(path):
         meta = manifest["meta"]
         if not isinstance(meta, dict):
@@ -422,25 +399,31 @@ def load_checkpoint(ckpt_dir):
         entries = manifest["oim"]
         if not isinstance(entries, list) or len(entries) != scales:
             raise ValueError(f"oim must list one state per scale ({scales})")
-        for i, entry in enumerate(entries):
-            labeled, length, capacity = (entry[k] for k in ("num_labeled", "queue_len", "queue_capacity"))
-            if not all(type(n) is int for n in (labeled, length, capacity)):
-                raise ValueError("num_labeled, queue_len and queue_capacity must be integers")
-            if labeled < 1 or not 0 <= length <= capacity:
-                raise ValueError(
-                    f"need num_labeled >= 1 and 0 <= queue_len <= queue_capacity, "
-                    f"got {labeled}, {length} and {capacity}"
-                )
-            if not (0.0 <= entry["momentum"] < 1.0 and entry["tau"] > 0.0):
-                raise ValueError(f"oim{i} needs 0 <= momentum < 1 and tau > 0")
-            if length != entries[0]["queue_len"]:
-                raise ValueError(f"queue_len {length} of oim{i} differs from oim0's; the scales share one")
-            lut = _read_oim_blob(os.path.join(ckpt_dir, f"oim{i}_lut.sqt"), (labeled, width))
-            queue = deque(maxlen=capacity)
-            if length:
-                queue.extend(_read_oim_blob(os.path.join(ckpt_dir, f"oim{i}_queue.sqt"), (length, width)))
-            oim_states.append(OIMState(lut=lut, queue=queue, momentum=entry["momentum"], tau=entry["tau"]))
-    return model, oim_states, meta
+        labeled, capacity, length, momentum, tau = (entries[0][k] for k in _SHARED_OIM_FIELDS)
+        if not all(type(n) is int for n in (labeled, length, capacity)):
+            raise ValueError("num_labeled, queue_len and queue_capacity must be integers")
+        if labeled < 1 or not 0 <= length <= capacity:
+            raise ValueError(
+                f"need num_labeled >= 1 and 0 <= queue_len <= queue_capacity, "
+                f"got {labeled}, {length} and {capacity}"
+            )
+        if not (0.0 <= momentum < 1.0 and tau > 0.0):
+            raise ValueError("oim0 needs 0 <= momentum < 1 and tau > 0")
+        for i, entry in enumerate(entries[1:], 1):
+            for k in _SHARED_OIM_FIELDS:
+                if type(entry[k]) is not type(entries[0][k]) or entry[k] != entries[0][k]:
+                    raise ValueError(
+                        f"oim{i} {k} {entry[k]!r} differs from oim0's {entries[0][k]!r}; "
+                        f"the scales share {', '.join(_SHARED_OIM_FIELDS)}"
+                    )
+
+        blob = lambda i, part: os.path.join(ckpt_dir, f"oim{i}_{part}.sqt")
+        lut = np.stack([_read_oim_blob(blob(i, "lut"), (labeled, width)) for i in range(scales)])
+        queue = np.zeros((scales, 0, width))
+        if length:
+            queue = np.stack([_read_oim_blob(blob(i, "queue"), (length, width)) for i in range(scales)])
+        state = OIMState(lut, queue, capacity, momentum, tau)
+    return model, state, meta
 
 
 # ----------------------------------------------------------------------

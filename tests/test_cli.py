@@ -186,15 +186,19 @@ class TestTrainProgress:
         captured = capsys.readouterr()
         lines = captured.err.strip().split("\n")
         assert len(lines) == len(shown) <= 10, lines
-        totals = [row.split(",")[-1] for row in (out / "loss_curve.csv").read_text().splitlines()[1:]]
+        totals = [float(row.split(",")[-1]) for row in (out / "loss_curve.csv").read_text().splitlines()[1:]]
         line = re.compile(r"step (\d+)/(\d+)  (\d+\.\d) steps/s  total loss (-?\d+\.\d{4})")
-        for text, step in zip(lines, shown):
+        # Each line shows the mean total of the steps since the line before.
+        means = [sum(totals[a:b]) / (b - a) for a, b in zip([0, *shown], shown)]
+        for text, step, mean in zip(lines, shown, means):
             m = line.fullmatch(text)
             assert m, text
             assert (int(m[1]), int(m[2])) == (step, steps)
             assert float(m[3]) > 0.0
-            assert m[4] == f"{float(totals[step - 1]):.4f}"
+            assert m[4] == f"{mean:.4f}"
         assert "steps/s" not in captured.out
+        # The summary compares the first window's mean with the last one's.
+        assert captured.out.endswith(f"total loss {means[0]:.4f} -> {means[-1]:.4f}\n"), captured.out
 
 
 class TestDeterminism:
@@ -468,7 +472,13 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert str(ckpt / named) in err[0], err
 
-    @pytest.mark.parametrize("key, value", [("momentum", 1.0), ("momentum", -0.5), ("tau", 0.0), ("tau", "x")])
+    # Out of range, or in range but unlike oim0's (0.5, 1 / 30 and 4): the
+    # scales share one momentum, tau and queue_capacity.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("momentum", 1.0), ("momentum", -0.5), ("tau", 0.0), ("tau", "x"),
+         ("momentum", 0.9), ("tau", 0.1), ("queue_capacity", 5)],
+    )
     def test_oim_momentum_or_tau_out_of_range_exits_2(self, workspace, tmp_path, capsys, key, value):
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(workspace["run"] / "checkpoint", ckpt)
@@ -492,9 +502,9 @@ class TestExitCodes:
             entry["queue_len"] = 3
             write_blob(ckpt / f"oim{i}_queue.sqt", Tensor(np.full((3, 8), float(i))))
         (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
-        _, states, _ = load_checkpoint(ckpt)
-        assert [np.array(st.queue).tolist() for st in states] == [[[float(i)] * 8] * 3 for i in range(3)]
-        assert all(st.queue_capacity == 4 for st in states)
+        _, state, _ = load_checkpoint(ckpt)
+        assert state.queue.tolist() == [[[float(i)] * 8] * 3 for i in range(3)]
+        assert state.capacity == 4
 
     def test_numeric_error_exits_3(self, monkeypatch, workspace, tmp_path, capsys):
         from persearch.tensor import Tensor
@@ -662,6 +672,40 @@ class TestExitCodes:
             ]
         )
         assert rc == 1
+
+
+class TestFeatureDimMismatch:
+    """A dataset whose feature maps are not as deep as the model is wide
+    exits 2 before any compute, naming the dataset's manifest and where
+    the model's width comes from."""
+
+    @pytest.fixture(scope="class")
+    def deep_data(self, workspace, tmp_path_factory):
+        cfg = json.loads(workspace["cfg"].read_text())
+        cfg["data"]["feature_dim"] = 16
+        path = tmp_path_factory.mktemp("deep") / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["gen-data", "--config", str(path), "--out", str(path.parent / "data")]) == 0
+        return path.parent / "data"
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_mismatched_dataset_exits_2(self, workspace, deep_data, tmp_path, capsys, monkeypatch, command):
+        # Nothing is embedded: the check comes first.
+        monkeypatch.setattr(cli.ReIDTransformer, "forward", None)
+        ckpt = workspace["run"] / "checkpoint"
+        source, argv = {
+            "train": ("model.dim", ["--config", str(workspace["cfg"])]),
+            "eval": (str(ckpt / "model" / "model.json"), ["--checkpoint", str(ckpt)]),
+            "sweep": (str(ckpt / "model" / "model.json"), ["--checkpoint", str(ckpt), "--gallery-sizes", "5"]),
+        }[command]
+        capsys.readouterr()
+        rc = main([command, *argv, "--data", str(deep_data), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert str(deep_data / "manifest.json") in err[0] and source in err[0], err
+        assert "feature_dim 16" in err[0] and " is 8;" in err[0], err
+        assert not (tmp_path / "out").exists()
 
 
 class TestModuleEntryPoint:

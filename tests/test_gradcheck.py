@@ -254,15 +254,17 @@ class TestBatchedAttentionProbes:
             assert blocked[1] == 2 * sizes[r.name] * taped[1], r.name
 
 
-def old_probe_loss(emb, labels, states):
-    """The loss of one probe from each scale's own focal OIM rows: the mean
-    of each scale's rows, the scale means added in order, then scaled by
-    1 / scales."""
+def old_probe_loss(emb, labels, state):
+    """The loss of one probe from each scale's own focal OIM rows, each
+    scored against a one-scale state of that scale's table and queue: the
+    mean of each scale's rows, the scale means added in order, then scaled
+    by 1 / scales."""
     total = None
-    for scale, st in zip(emb.per_scale, states):
-        l = focal_oim_rows(T.l2_normalize_rows(scale), labels, st, gamma=2.0).data.mean()
+    for s, scale in enumerate(emb.per_scale):
+        own = dataclasses.replace(state, lut=state.lut[s : s + 1], queue=state.queue[s : s + 1])
+        l = focal_oim_rows(T.l2_normalize_rows(scale), labels, own, gamma=2.0).data.mean()
         total = l if total is None else total + l
-    return total * (1.0 / len(states))
+    return total * (1.0 / state.scales)
 
 
 class TestBatchedLoss:
@@ -285,7 +287,7 @@ class TestBatchedLoss:
         results = check_full_model()
         names = [r.name.removeprefix("full_model.") for r in results]
         assert len(calls) == len(names)
-        model, pyramid, refs, labels, states = _full_model_problem()
+        model, pyramid, refs, labels, state = _full_model_problem()
         checked = 0
         for name, (probes, values) in zip(names, calls):
             if name in (
@@ -302,7 +304,7 @@ class TestBatchedLoss:
                     emb.scales,
                     emb.scheme,
                 )
-                want = [old_probe_loss(own(b), labels, states) for b in range(len(probes))]
+                want = [old_probe_loss(own(b), labels, state) for b in range(len(probes))]
                 assert np.array_equal(values, want), name
                 checked += 1
         assert checked == 4
@@ -311,9 +313,9 @@ class TestBatchedLoss:
         loss = gradcheck.focal_oim_loss
         calls = []
 
-        def counting(features, labels, states, *args, **kwargs):
-            calls.append((features.shape[0], len(states)))
-            return loss(features, labels, states, *args, **kwargs)
+        def counting(features, labels, state, *args, **kwargs):
+            calls.append((features.shape[0], state.scales))
+            return loss(features, labels, state, *args, **kwargs)
 
         monkeypatch.setattr(gradcheck, "focal_oim_loss", counting)
         results = check_full_model()

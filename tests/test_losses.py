@@ -25,25 +25,24 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def one_scale_loss(features, labels, state, gamma=2.0):
-    """:func:`focal_oim_loss` of a single scale: (loss, new state)."""
-    loss, (new_state,) = focal_oim_loss(features, labels, [state], gamma)
-    return loss, new_state
-
-
-def fresh_state(rng, num_labeled=4, dim=6, capacity=3, warm=True):
-    state = OIMState.initial(num_labeled, dim, capacity)
+def fresh_state(rng, num_labeled=4, dim=6, capacity=3, warm=True, scales=1):
+    state = OIMState.initial(num_labeled, dim, capacity, scales=scales)
     if warm:
-        feats = unit_rows(rng, num_labeled, dim)
+        feats = unit_rows(rng, scales * num_labeled, dim)
         state = state.update(feats, list(range(num_labeled)))
     return state
 
 
+def scale_state(state, s):
+    """The one-scale state of scale ``s``'s lookup table and queue."""
+    return dataclasses.replace(state, lut=state.lut[s : s + 1], queue=state.queue[s : s + 1])
+
+
 class TestOIMState:
     def test_initial_lut_zero(self):
-        s = OIMState.initial(3, 4, 2)
-        np.testing.assert_array_equal(s.lut, np.zeros((3, 4)))
-        assert len(s.queue) == 0
+        s = OIMState.initial(3, 4, 2, scales=2)
+        np.testing.assert_array_equal(s.lut, np.zeros((2, 3, 4)))
+        assert s.queue.shape == (2, 0, 4) and s.capacity == 2
 
     def test_lut_rows_unit_after_update(self):
         rng = np.random.default_rng(60)
@@ -51,24 +50,24 @@ class TestOIMState:
         feats = unit_rows(rng, 3, 5)
         s = s.update(feats, [0, 1, 2])
         np.testing.assert_allclose(
-            np.linalg.norm(s.lut, axis=1), np.ones(3), atol=1e-10
+            np.linalg.norm(s.lut, axis=2), np.ones((1, 3)), atol=1e-10
         )
 
     def test_fixed_point_update(self):
         # Updating with the prototype itself leaves the row unchanged.
         rng = np.random.default_rng(61)
         s = fresh_state(rng)
-        row = s.lut[1].copy()
+        row = s.lut[0, 1].copy()
         s2 = s.update(row.reshape(1, -1), [1])
-        np.testing.assert_allclose(s2.lut[1], row, atol=1e-12)
+        np.testing.assert_allclose(s2.lut[0, 1], row, atol=1e-12)
 
     def test_momentum_mixing(self):
         s = OIMState.initial(1, 2, 0, momentum=0.5)
         s = s.update(np.array([[1.0, 0.0]]), [0])
-        np.testing.assert_allclose(s.lut[0], [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(s.lut[0, 0], [1.0, 0.0], atol=1e-12)
         s = s.update(np.array([[0.0, 1.0]]), [0])
         want = np.array([0.5, 0.5]) / np.linalg.norm([0.5, 0.5])
-        np.testing.assert_allclose(s.lut[0], want, atol=1e-12)
+        np.testing.assert_allclose(s.lut[0, 0], want, atol=1e-12)
 
     def test_queue_fifo_eviction(self):
         rng = np.random.default_rng(62)
@@ -76,8 +75,8 @@ class TestOIMState:
         rows = unit_rows(rng, 3, 4)
         for r in rows:
             s = s.update(r.reshape(1, -1), [UNLABELED])
-        assert len(s.queue) == 2
-        np.testing.assert_array_equal(np.array(list(s.queue)), rows[1:])
+        assert s.queue.shape == (1, 2, 4)
+        np.testing.assert_array_equal(s.queue[0], rows[1:])
 
     def test_update_does_not_mutate_original(self):
         rng = np.random.default_rng(63)
@@ -86,14 +85,15 @@ class TestOIMState:
         s.update(unit_rows(rng, 1, 6), [0])
         np.testing.assert_array_equal(s.lut, lut_before)
 
-    def test_update_equals_the_row_by_row_loop(self):
-        def loop_update(state, features, labels):
-            """The update one row at a time: the reference."""
-            lut = state.lut.copy()
-            queue = deque(state.queue, maxlen=state.queue.maxlen)
+    @pytest.mark.parametrize("scales", [1, 3])
+    def test_update_equals_the_row_by_row_loop(self, scales):
+        def loop_update(lut, queue, capacity, momentum, features, labels):
+            """One scale's update one row at a time: the reference."""
+            lut = lut.copy()
+            queue = deque(queue, maxlen=capacity)
             for x, label in zip(features, labels):
                 if label >= 0:
-                    mixed = state.momentum * lut[label] + (1.0 - state.momentum) * x
+                    mixed = momentum * lut[label] + (1.0 - momentum) * x
                     norm = np.linalg.norm(mixed)
                     lut[label] = mixed / norm if norm > 1e-12 else 0.0
                 elif label == UNLABELED and queue.maxlen > 0:
@@ -102,21 +102,24 @@ class TestOIMState:
 
         rng = np.random.default_rng(65)
         for capacity, warm, momentum in ((0, True, 0.5), (2, False, 0.5), (5, True, 0.9)):
-            s = dataclasses.replace(fresh_state(rng, capacity=capacity, warm=warm), momentum=momentum)
+            s = fresh_state(rng, capacity=capacity, warm=warm, scales=scales)
+            s = dataclasses.replace(s, momentum=momentum)
             for _ in range(40):
                 n = int(rng.integers(1, 7))
                 # Zero rows meet zero prototypes; labels repeat within a batch.
-                feats = unit_rows(rng, n, 6) * rng.choice([1.0, 0.0, 3.0], size=(n, 1))
+                feats = unit_rows(rng, scales * n, 6) * rng.choice([1.0, 0.0, 3.0], size=(scales * n, 1))
+                feats = feats.reshape(scales, n, 6)
                 labels = rng.integers(-2, 4, size=n).tolist()
-                lut, queue = loop_update(s, feats, labels)
+                want = [loop_update(s.lut[k], s.queue[k], capacity, momentum, feats[k], labels) for k in range(scales)]
                 s = s.update(feats, labels)
-                assert s.lut.tobytes() == lut.tobytes()
-                assert [q.tobytes() for q in s.queue] == [q.tobytes() for q in queue]
-                # The update builds the class matrix from the old state's.
-                fresh = np.concatenate([lut.reshape(-1), *queue]).reshape(-1, 6).T
-                assert s.classes.shape == fresh.shape
-                assert s.classes.tobytes() == np.ascontiguousarray(fresh).tobytes()
-                assert s.momentum == momentum and s.queue_capacity == capacity
+                assert s.lut.shape == (scales, 4, 6) and s.queue.shape[:2] == (scales, len(want[0][1]))
+                for k, (lut, queue) in enumerate(want):
+                    assert s.lut[k].tobytes() == lut.tobytes()
+                    assert [q.tobytes() for q in s.queue[k]] == [q.tobytes() for q in queue]
+                    # The class matrix: the prototypes, then the queue rows.
+                    fresh = np.concatenate([lut.reshape(-1), *queue]).reshape(-1, 6).T
+                    assert s.classes[k].tobytes() == np.ascontiguousarray(fresh).tobytes()
+                assert s.momentum == momentum and s.capacity == capacity
 
     def test_classes_stack_lut_then_queue_as_columns(self):
         rng = np.random.default_rng(64)
@@ -124,14 +127,14 @@ class TestOIMState:
         q = unit_rows(rng, 1, 6)
         s = s.update(q, [UNLABELED])
         cm = s.classes
-        assert cm.shape == (6, 5)
+        assert cm.shape == (1, 6, 5)
         assert cm.flags.c_contiguous and not cm.flags.writeable
-        np.testing.assert_array_equal(cm[:, :4], s.lut.T)
-        np.testing.assert_array_equal(cm[:, 4], q[0])
+        np.testing.assert_array_equal(cm[0, :, :4], s.lut[0].T)
+        np.testing.assert_array_equal(cm[0, :, 4], q[0])
         # Built once per state; the update's new state builds its own.
         assert s.classes is cm
-        assert s.update(q, [UNLABELED]).classes.shape == (6, 6)
-        np.testing.assert_array_equal(OIMState.initial(2, 3, 4).classes, np.zeros((3, 2)))
+        assert s.update(q, [UNLABELED]).classes.shape == (1, 6, 6)
+        np.testing.assert_array_equal(OIMState.initial(2, 3, 4, scales=2).classes, np.zeros((2, 3, 2)))
 
 
 class TestOIMLoss:
@@ -140,16 +143,16 @@ class TestOIMLoss:
         rng = np.random.default_rng(65)
         s = OIMState.initial(5, 8, 0)
         feats = Tensor(unit_rows(rng, 2, 8))
-        loss, _ = one_scale_loss(feats, [0, 3], s, gamma=0.0)
+        loss, _ = focal_oim_loss(feats, [0, 3], s, gamma=0.0)
         assert loss.item() == pytest.approx(math.log(5), abs=1e-12)
 
     def test_empty_labeled_set_zero_loss(self):
         rng = np.random.default_rng(66)
         s = fresh_state(rng)
         feats = Tensor(unit_rows(rng, 2, 6))
-        loss, s2 = one_scale_loss(feats, [UNLABELED, BACKGROUND], s, gamma=0.0)
+        loss, s2 = focal_oim_loss(feats, [UNLABELED, BACKGROUND], s, gamma=0.0)
         assert loss.item() == 0.0
-        assert len(s2.queue) == 1  # unlabeled row still queued
+        assert s2.queue.shape == (1, 1, 6)  # unlabeled row still queued
 
     def test_matches_manual_cross_entropy(self):
         rng = np.random.default_rng(67)
@@ -157,8 +160,8 @@ class TestOIMLoss:
         s = s.update(unit_rows(rng, 2, 6), [UNLABELED, UNLABELED])
         feats = unit_rows(rng, 3, 6)
         labels = [2, 0, UNLABELED]
-        loss, _ = one_scale_loss(Tensor(feats), labels, s, gamma=0.0)
-        cm = s.classes.T
+        loss, _ = focal_oim_loss(Tensor(feats), labels, s, gamma=0.0)
+        cm = s.classes[0].T
         want = 0.0
         for i, l in enumerate(labels):
             if l < 0:
@@ -175,8 +178,8 @@ class TestOIMLoss:
         s = fresh_state(rng)
         feats = unit_rows(rng, 2, 6)
         with_bg = np.vstack([feats, rng.standard_normal((1, 6)) * 5])
-        l1, s1 = one_scale_loss(Tensor(feats), [0, 1], s, gamma=0.0)
-        l2, s2 = one_scale_loss(Tensor(with_bg), [0, 1, BACKGROUND], s, gamma=0.0)
+        l1, s1 = focal_oim_loss(Tensor(feats), [0, 1], s, gamma=0.0)
+        l2, s2 = focal_oim_loss(Tensor(with_bg), [0, 1, BACKGROUND], s, gamma=0.0)
         assert l1.item() == pytest.approx(l2.item(), abs=1e-15)
         np.testing.assert_array_equal(s1.lut, s2.lut)
 
@@ -184,10 +187,10 @@ class TestOIMLoss:
         rng = np.random.default_rng(69)
         s = fresh_state(rng, capacity=4)
         feats = unit_rows(rng, 1, 6)
-        base, _ = one_scale_loss(Tensor(feats), [0], s, gamma=0.0)
+        base, _ = focal_oim_loss(Tensor(feats), [0], s, gamma=0.0)
         # Push the query's own direction into the queue: it now competes.
         s_hard = s.update(feats, [UNLABELED])
-        harder, _ = one_scale_loss(Tensor(feats), [0], s_hard, gamma=0.0)
+        harder, _ = focal_oim_loss(Tensor(feats), [0], s_hard, gamma=0.0)
         assert harder.item() > base.item()
 
     def test_non_unit_feature_rejected(self):
@@ -195,14 +198,14 @@ class TestOIMLoss:
         s = fresh_state(rng)
         bad = Tensor(rng.standard_normal((1, 6)) * 2)
         with pytest.raises(ValueError):
-            one_scale_loss(bad, [0], s, gamma=0.0)
+            focal_oim_loss(bad, [0], s, gamma=0.0)
 
     def test_out_of_range_identity_rejected(self):
         rng = np.random.default_rng(71)
         s = fresh_state(rng)
         feats = Tensor(unit_rows(rng, 1, 6))
         with pytest.raises(ValueError):
-            one_scale_loss(feats, [4], s, gamma=0.0)
+            focal_oim_loss(feats, [4], s, gamma=0.0)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(72)
@@ -212,7 +215,7 @@ class TestOIMLoss:
 
         def f(x):
             # Normalize inside so arbitrary perturbations stay legal.
-            loss, _ = one_scale_loss(
+            loss, _ = focal_oim_loss(
                 T.l2_normalize_rows(x), [1, 3, UNLABELED], s, gamma=0.0
             )
             return loss
@@ -226,7 +229,7 @@ class TestOIMLoss:
         raw = Tensor(rng.standard_normal((2, 6)))
 
         def f(x):
-            loss, _ = one_scale_loss(T.l2_normalize_rows(x), [0, 2], s, gamma=2.0)
+            loss, _ = focal_oim_loss(T.l2_normalize_rows(x), [0, 2], s, gamma=2.0)
             return loss
 
         err = T.central_diff_gradcheck(f, raw, Tensor(1.0))
@@ -239,16 +242,16 @@ class TestFocalOIMRows:
         s = fresh_state(rng, capacity=2)
         feats = Tensor(unit_rows(rng, 4, 6))
         labels = [3, UNLABELED, 0, 1]
-        lut, queue = s.lut.copy(), list(s.queue)
+        lut, queue = s.lut.copy(), s.queue.copy()
         rows = focal_oim_rows(feats, labels, s, gamma=2.0)
         assert rows.shape == (3,)
         np.testing.assert_array_equal(s.lut, lut)
-        assert list(s.queue) == queue
-        loss, s2 = one_scale_loss(feats, labels, s, gamma=2.0)
+        np.testing.assert_array_equal(s.queue, queue)
+        loss, s2 = focal_oim_loss(feats, labels, s, gamma=2.0)
         assert loss.item() == rows.data.mean()
         want = s.update(feats.data, labels)
         np.testing.assert_array_equal(s2.lut, want.lut)
-        np.testing.assert_array_equal(np.array(list(s2.queue)), np.array(list(want.queue)))
+        np.testing.assert_array_equal(s2.queue, want.queue)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
     def test_one_tape_node_with_the_features_as_its_only_input(self, gamma):
@@ -332,31 +335,30 @@ class TestFocalOIM:
         s = s.update(unit_rows(rng, 2, 6), [UNLABELED, UNLABELED])
         feats = unit_rows(rng, 3, 6)
         labels = [0, UNLABELED, 2]
-        loss, s2 = one_scale_loss(Tensor(feats), labels, s, gamma=0.0)
-        cm = s.classes.T
+        loss, s2 = focal_oim_loss(Tensor(feats), labels, s, gamma=0.0)
+        cm = s.classes[0].T
         want = 0.0
         for i in (0, 2):
             logits = cm @ feats[i] / s.tau
             want -= logits[labels[i]] - math.log(np.exp(logits).sum())
         assert loss.item() == pytest.approx(want / 2, abs=1e-12)
-        lut = s.lut.copy()
+        lut = s.lut[0].copy()
         for i in (0, 2):
             mixed = s.momentum * lut[labels[i]] + (1.0 - s.momentum) * feats[i]
             lut[labels[i]] = mixed / np.linalg.norm(mixed)
-        np.testing.assert_allclose(s2.lut, lut, atol=1e-15)
+        np.testing.assert_allclose(s2.lut[0], lut, atol=1e-15)
         assert not np.array_equal(s2.lut, s.lut)
         # The queue was full: the oldest entry leaves, the unlabeled row enters.
-        queue = list(s.queue)
-        np.testing.assert_array_equal(np.array(list(s2.queue)), np.array([queue[1], feats[1]]))
+        np.testing.assert_array_equal(s2.queue[0], np.array([s.queue[0, 1], feats[1]]))
 
     def test_focal_downweights_easy_rows(self):
         # An easy row (feature equals its prototype) shrinks under focal
         # modulation much more than a hard row does.
         rng = np.random.default_rng(75)
         s = fresh_state(rng)
-        easy = Tensor(s.lut[0].reshape(1, -1))
-        plain, _ = one_scale_loss(easy, [0], s, gamma=0.0)
-        focal, _ = one_scale_loss(easy, [0], s, gamma=2.0)
+        easy = Tensor(s.lut[0, 0].reshape(1, -1))
+        plain, _ = focal_oim_loss(easy, [0], s, gamma=0.0)
+        focal, _ = focal_oim_loss(easy, [0], s, gamma=2.0)
         assert focal.item() < 0.05 * plain.item()
 
     def test_matches_manual_focal_formula(self):
@@ -364,8 +366,8 @@ class TestFocalOIM:
         s = fresh_state(rng)
         feats = unit_rows(rng, 2, 6)
         gamma = 2.0
-        loss, _ = one_scale_loss(Tensor(feats), [1, 3], s, gamma=gamma)
-        cm = s.classes.T
+        loss, _ = focal_oim_loss(Tensor(feats), [1, 3], s, gamma=gamma)
+        cm = s.classes[0].T
         want = 0.0
         for i, l in enumerate([1, 3]):
             logits = cm @ feats[i] / s.tau
@@ -379,104 +381,114 @@ class TestFocalOIM:
 class TestScaleAveragedOIM:
     """``focal_oim_loss`` scores S scales stacked in one tensor as one taped
     node, with the bits of the per-scale chain: each scale's mean of
-    :func:`focal_oim_rows`, added in order, scaled by 1 / S."""
+    :func:`focal_oim_rows` against that scale's own one-scale state, added
+    in order, scaled by 1 / S."""
 
     def problem(self, rng, scales=3, rows=4, queued=1):
-        states = [fresh_state(rng, capacity=2) for _ in range(scales)]
+        state = fresh_state(rng, capacity=2, scales=scales)
         if queued:
-            states = [st.update(unit_rows(rng, queued, 6), [UNLABELED] * queued) for st in states]
+            state = state.update(unit_rows(rng, scales * queued, 6), [UNLABELED] * queued)
         feats = [Tensor(unit_rows(rng, rows, 6)) for _ in range(scales)]
-        return states, feats, [2, UNLABELED, 0, 2][:rows]
+        return state, feats, [2, UNLABELED, 0, 2][:rows]
 
     @staticmethod
-    def per_scale_chain(feats, labels, states, gamma):
+    def per_scale_chain(feats, labels, state, gamma):
         """The loss from each scale's own :func:`focal_oim_rows`, and the
         gradient of half of it for each scale's tensor: the scale means
         added in order and scaled by 1 / S, and each scale's rows seeded
         with half of the 1 / S share of their mean."""
         total, grads = None, []
-        for f, st in zip(feats, states):
+        for s, f in enumerate(feats):
             with GradTape() as tape:
-                rows = focal_oim_rows(f, labels, st, gamma)
+                rows = focal_oim_rows(f, labels, scale_state(state, s), gamma)
             mean = rows.data.mean()
             total = mean if total is None else total + mean
-            grads += tape.gradients(rows, [f], np.full(rows.shape, 0.5 * (1.0 / len(states)) / rows.size))
-        return total * (1.0 / len(states)), grads
+            grads += tape.gradients(rows, [f], np.full(rows.shape, 0.5 * (1.0 / state.scales) / rows.size))
+        return total * (1.0 / state.scales), grads
 
     @pytest.mark.parametrize("queued", [0, 2], ids=["empty-queue", "full-queue"])
     @pytest.mark.parametrize("gamma", [0.0, 2.0])
     @pytest.mark.parametrize("scales", [1, 3])
     def test_value_gradients_and_states_equal_the_per_scale_chain(self, scales, gamma, queued):
         rng = np.random.default_rng(81)
-        states, feats, labels = self.problem(rng, scales, queued=queued)
-        assert all(len(st.queue) == queued for st in states)
-        want, want_grads = self.per_scale_chain(feats, labels, states, gamma)
+        state, feats, labels = self.problem(rng, scales, queued=queued)
+        assert state.queue.shape == (scales, queued, 6)
+        want, want_grads = self.per_scale_chain(feats, labels, state, gamma)
         stacked = Tensor(np.vstack([f.data for f in feats]))
         with GradTape() as tape:
-            loss, new_states = focal_oim_loss(stacked, labels, states, gamma=gamma)
+            loss, new_state = focal_oim_loss(stacked, labels, state, gamma=gamma)
             assert [node.inputs for node in tape._nodes] == [(stacked,)]
             (grad,) = tape.gradients(loss, [stacked], 0.5)
         assert loss.shape == () and loss.item() == want
         assert np.array_equal(grad, np.vstack(want_grads))
-        for f, st, new in zip(feats, states, new_states):
-            want_state = st.update(f.data, labels)
-            assert np.array_equal(new.lut, want_state.lut)
-            assert np.array_equal(np.array(new.queue), np.array(want_state.queue))
+        for s, f in enumerate(feats):
+            want_state = scale_state(state, s).update(f.data, labels)
+            assert np.array_equal(new_state.lut[s], want_state.lut[0])
+            assert np.array_equal(new_state.queue[s], want_state.queue[0])
+
+    def test_rows_of_every_scale_equal_each_scale_alone(self):
+        rng = np.random.default_rng(88)
+        state, feats, labels = self.problem(rng)
+        w = rng.standard_normal(3 * state.scales)
+        stacked = Tensor(np.vstack([f.data for f in feats]))
+        with GradTape() as tape:
+            rows = focal_oim_rows(stacked, labels, state)
+            (grad,) = tape.gradients(rows, [stacked], w)
+        alone = [focal_oim_rows(f, labels, scale_state(state, s)) for s, f in enumerate(feats)]
+        assert rows.data.tobytes() == np.concatenate([a.data for a in alone]).tobytes()
+        for s, (f, a) in enumerate(zip(feats, alone)):
+            with GradTape() as tape:
+                a = focal_oim_rows(f, labels, scale_state(state, s))
+                (want,) = tape.gradients(a, [f], w[3 * s : 3 * s + 3])
+            assert np.array_equal(grad[4 * s : 4 * s + 4], want)
 
     def test_l2_normalized_stack_equals_each_scale_normalized(self):
         # The training step normalizes the stacked scales with one call.
         rng = np.random.default_rng(85)
-        states, _, labels = self.problem(rng)
-        raws = [Tensor(rng.standard_normal((4, 6))) for _ in states]
-        want, _ = self.per_scale_chain([T.l2_normalize_rows(r) for r in raws], labels, states, 2.0)
+        state, _, labels = self.problem(rng)
+        raws = [Tensor(rng.standard_normal((4, 6))) for _ in range(state.scales)]
+        want, _ = self.per_scale_chain([T.l2_normalize_rows(r) for r in raws], labels, state, 2.0)
         stacked = T.l2_normalize_rows(Tensor(np.vstack([r.data for r in raws])))
-        assert focal_oim_loss(stacked, labels, states)[0].item() == want.item()
+        assert focal_oim_loss(stacked, labels, state)[0].item() == want.item()
 
     def test_sets_score_each_set_as_its_own_call(self):
         rng = np.random.default_rng(82)
-        states, _, labels = self.problem(rng)
-        sets = [[unit_rows(rng, 4, 6) for _ in states] for _ in range(5)]
+        state, _, labels = self.problem(rng)
+        sets = [[unit_rows(rng, 4, 6) for _ in range(state.scales)] for _ in range(5)]
         # Scale after scale, and within a scale set after set.
-        stacked = Tensor(np.vstack([s[k] for k in range(len(states)) for s in sets]))
-        values, no_states = focal_oim_loss(stacked, labels, states, gamma=2.0, sets=len(sets))
-        assert no_states is None and values.shape == (len(sets),)
+        stacked = Tensor(np.vstack([s[k] for k in range(state.scales) for s in sets]))
+        values, no_state = focal_oim_loss(stacked, labels, state, gamma=2.0, sets=len(sets))
+        assert no_state is None and values.shape == (len(sets),)
         for b, feats in enumerate(sets):
-            one = focal_oim_loss(Tensor(np.vstack(feats)), labels, states, gamma=2.0)[0]
+            one = focal_oim_loss(Tensor(np.vstack(feats)), labels, state, gamma=2.0)[0]
             assert values.data[b] == one.item()
 
     def test_no_labeled_row_gives_a_constant_zero_and_still_queues(self):
         rng = np.random.default_rng(83)
-        states, _, _ = self.problem(rng)
-        feats = Tensor(unit_rows(rng, 2 * len(states), 6))
+        state, _, _ = self.problem(rng)
+        feats = Tensor(unit_rows(rng, 2 * state.scales, 6))
         with GradTape() as tape:
-            loss, new_states = focal_oim_loss(feats, [UNLABELED, BACKGROUND], states)
+            loss, new_state = focal_oim_loss(feats, [UNLABELED, BACKGROUND], state)
         assert loss.item() == 0.0 and not tape._nodes
-        assert [len(st.queue) for st in new_states] == [2, 2, 2]
-        for s, (st, new) in enumerate(zip(states, new_states)):
-            assert np.array_equal(new.queue[-1], feats.data[2 * s])
+        assert new_state.queue.shape == (3, 2, 6)
+        for s in range(state.scales):
+            assert np.array_equal(new_state.queue[s, -1], feats.data[2 * s])
 
-    def test_one_state_per_scale_is_required(self):
+    def test_one_row_block_per_scale_is_required(self):
         rng = np.random.default_rng(84)
-        states, _, _ = self.problem(rng)
-        with pytest.raises(ValueError, match="one label per feature row of each of 3 states"):
-            focal_oim_loss(Tensor(unit_rows(rng, 2, 6)), [0], states)
-        with pytest.raises(ValueError, match="one state per scale"):
-            focal_oim_loss(Tensor(unit_rows(rng, 1, 6)), [0], [])
-
-    def test_states_must_share_one_queue_length(self):
-        rng = np.random.default_rng(86)
-        states, _, _ = self.problem(rng)
-        states[1] = states[1].update(unit_rows(rng, 1, 6), [UNLABELED])
-        with pytest.raises(ValueError, match="one queue length"):
-            focal_oim_loss(Tensor(unit_rows(rng, 3, 6)), [0], states)
+        state, _, _ = self.problem(rng)
+        with pytest.raises(ValueError, match="one label per feature row of each of 3 scales"):
+            focal_oim_loss(Tensor(unit_rows(rng, 2, 6)), [0], state)
+        with pytest.raises(ValueError, match="one label per feature row of each of 3 scales"):
+            focal_oim_rows(Tensor(unit_rows(rng, 1, 6)), [0], state)
 
     def test_a_bad_row_of_a_later_scale_is_named_within_its_scale(self):
         rng = np.random.default_rng(87)
-        states, _, _ = self.problem(rng)
+        state, _, _ = self.problem(rng)
         feats = unit_rows(rng, 6, 6)
         feats[5] *= 2.0  # scale 2, row 1
         with pytest.raises(ValueError, match="row 1 entering OIM must be unit-norm, got 2.0"):
-            focal_oim_loss(Tensor(feats), [0, UNLABELED], states)
+            focal_oim_loss(Tensor(feats), [0, UNLABELED], state)
 
 
 class TestTotalLoss:

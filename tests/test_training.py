@@ -18,7 +18,6 @@ from persearch.training import (
     build_query_entries,
     detect_scene,
     detection_losses,
-    init_oim_states,
     load_checkpoint,
     save_checkpoint,
     slot_labels,
@@ -74,21 +73,19 @@ NON_DEFAULT = {
 
 
 def run_outputs(bench, settings):
-    """Loss curve, final parameters and OIM states of a short run."""
+    """Loss curve, final parameters and OIM state of a short run."""
     res = train(tiny_model(), bench, settings, run_seed=5)
     params = {n: t.data for n, t in res.model.params.items()}
-    return res.curve, params, [(st.lut, list(st.queue)) for st in res.oim_states]
+    return res.curve, params, (res.oim_state.lut, res.oim_state.queue)
 
 
 def same_outputs(a, b) -> bool:
-    (curve_a, params_a, states_a), (curve_b, params_b, states_b) = a, b
+    (curve_a, params_a, (lut_a, queue_a)), (curve_b, params_b, (lut_b, queue_b)) = a, b
     return (
         curve_a == curve_b
         and all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
-        and all(
-            np.array_equal(lut_a, lut_b) and np.array_equal(queue_a, queue_b)
-            for (lut_a, queue_a), (lut_b, queue_b) in zip(states_a, states_b)
-        )
+        and np.array_equal(lut_a, lut_b)
+        and np.array_equal(queue_a, queue_b)
     )
 
 
@@ -125,19 +122,19 @@ class TestSceneSetup:
 
 
 class TestOimStates:
-    def test_state_count_and_width_per_scheme(self):
+    def test_state_scales_and_width_per_scheme(self, bench):
         expect = {
             "shared": (3, 8),
             "parallel": (3, 8),
             "multi_scale_d": (1, 8),
             "multi_scale_3d": (1, 24),
         }
-        for scheme, (count, width) in expect.items():
-            model = tiny_model(scheme=scheme)
-            states = init_oim_states(model, 4, tiny_settings())
-            assert len(states) == count
-            assert all(s.dim == width for s in states)
-            assert all(s.num_labeled == 4 for s in states)
+        settings = tiny_settings(steps=0)
+        for scheme, (scales, width) in expect.items():
+            state = train(tiny_model(scheme=scheme), bench, settings, run_seed=5).oim_state
+            assert state.lut.shape == (scales, bench.config.labeled_identities, width)
+            assert state.queue.shape[0::2] == (scales, width)
+            assert state.capacity == settings.queue_size
 
 
 class TestTrainLoop:
@@ -279,8 +276,8 @@ class TestTrainLoop:
         assert r1.curve == r2.curve
         for n in r1.model.params:
             assert np.array_equal(r1.model.params[n].data, r2.model.params[n].data)
-        for s1, s2 in zip(r1.oim_states, r2.oim_states):
-            assert np.array_equal(s1.lut, s2.lut)
+        assert np.array_equal(r1.oim_state.lut, r2.oim_state.lut)
+        assert np.array_equal(r1.oim_state.queue, r2.oim_state.queue)
 
     def test_adam_and_weight_decay_run(self, bench):
         settings = tiny_settings(
@@ -431,29 +428,26 @@ class TestFlatOptimizer:
 
 class TestOIMClassMatrices:
     def test_each_update_builds_the_matrix_a_fresh_build_gives(self, bench, monkeypatch):
-        # Each new state's class matrix is built from the old state's; over
-        # a run whose queue wraps, every one equals the build from its
-        # lookup table and queue rows, byte for byte.
-        update, made = losses._updated_states, []
+        # Over a run whose queue wraps, every state's class matrices equal
+        # the build from each scale's lookup table and queue rows, byte
+        # for byte.
+        update, made = losses.OIMState.update, []
 
-        def recording(states, x, labels):
-            made.append(update(states, x, labels))
+        def recording(state, x, labels):
+            made.append(update(state, x, labels))
             return made[-1]
 
-        monkeypatch.setattr(losses, "_updated_states", recording)
+        monkeypatch.setattr(losses.OIMState, "update", recording)
         train(tiny_model(), bench, tiny_settings(steps=40, queue_size=4), run_seed=5)
         assert len(made) == 40
-        for states in made:
-            for st in states:
-                assert "classes" in vars(st)  # built by the update
-                rows = np.concatenate([st.lut.reshape(-1), *st.queue]).reshape(-1, st.dim)
-                fresh = np.ascontiguousarray(rows.T)
-                assert st.classes.shape == fresh.shape
-                assert st.classes.tobytes() == fresh.tobytes()
-                assert st.classes.flags.c_contiguous and not st.classes.flags.writeable
+        for st in made:
+            assert st.classes.flags.c_contiguous and not st.classes.flags.writeable
+            for lut, queue, classes in zip(st.lut, st.queue, st.classes, strict=True):
+                fresh = np.concatenate([lut.reshape(-1), *queue]).reshape(-1, st.dim).T
+                assert classes.tobytes() == np.ascontiguousarray(fresh).tobytes()
         # The queue wrapped: it is full, and more rows entered it than it holds.
-        assert len(made[-1][0].queue) == 4
-        assert len({id(row) for states in made for row in states[0].queue}) > 4
+        assert made[-1].queue.shape[1] == 4
+        assert len({row.tobytes() for st in made for row in st.queue[0]}) > 4
 
 
 class TestDetectionReuse:
@@ -509,31 +503,27 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, bench, tmp_path):
         res = train(tiny_model(), bench, tiny_settings(steps=6), run_seed=5)
         meta = {"run_seed": 5, "steps": 6}
-        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_states, meta)
-        model, states, loaded_meta = load_checkpoint(tmp_path / "ckpt")
+        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_state, meta)
+        model, state, loaded_meta = load_checkpoint(tmp_path / "ckpt")
         assert loaded_meta == meta
         for n in res.model.params:
             assert np.array_equal(model.params[n].data, res.model.params[n].data)
-        assert len(states) == len(res.oim_states)
-        for a, b in zip(states, res.oim_states):
-            assert np.array_equal(a.lut, b.lut)
-            assert a.momentum == b.momentum and a.tau == b.tau
-            assert a.queue_capacity == b.queue_capacity
-            assert len(a.queue) == len(b.queue)
-            for qa, qb in zip(a.queue, b.queue):
-                assert np.array_equal(qa, qb)
+        want = res.oim_state
+        assert state.lut.tobytes() == want.lut.tobytes() and state.lut.shape == want.lut.shape
+        assert state.queue.tobytes() == want.queue.tobytes() and state.queue.shape == want.queue.shape
+        assert (state.capacity, state.momentum, state.tau) == (want.capacity, want.momentum, want.tau)
 
     def test_trained_queue_survives_round_trip(self, bench, tmp_path):
         # The benchmark has unlabeled identities, so queues fill during training.
         res = train(tiny_model(), bench, tiny_settings(steps=30), run_seed=5)
-        assert any(len(s.queue) > 0 for s in res.oim_states)
-        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_states, {"run_seed": 5})
-        _, states, _ = load_checkpoint(tmp_path / "ckpt")
-        assert [len(s.queue) for s in states] == [len(s.queue) for s in res.oim_states]
+        assert res.oim_state.queue.shape[1] > 0
+        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_state, {"run_seed": 5})
+        _, state, _ = load_checkpoint(tmp_path / "ckpt")
+        assert np.array_equal(state.queue, res.oim_state.queue)
 
     def test_loaded_model_scores_identically(self, bench, tmp_path):
         res = train(tiny_model(), bench, tiny_settings(steps=6), run_seed=5)
-        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_states, {"run_seed": 5})
+        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_state, {"run_seed": 5})
         model, _, _ = load_checkpoint(tmp_path / "ckpt")
         e1, t1, p1 = build_gallery(res.model, bench, run_seed=5)
         e2, t2, p2 = build_gallery(model, bench, run_seed=5)
