@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .config import RunConfig, load_run_config
+from .config import RunConfig, read_config_file, run_config_from_dict
 from .data import load_benchmark, make_benchmark
 from .errors import ConfigError, DataError, GradcheckFailure, NumericError, write_manifest
 from .evaluation import cbgm_rerank, evaluate, gallery_sweep, write_results_csv
@@ -38,11 +38,27 @@ from .transformer import ReIDTransformer
 __all__ = ["main"]
 
 
-def _load_config(args) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
+def _load_config(args) -> tuple[RunConfig, dict]:
+    """The run config, and the ``data`` section as the file wrote it (empty
+    without ``--config`` or without the section)."""
+    raw = read_config_file(args.config) if args.config else {}
+    cfg = run_config_from_dict(raw)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    return cfg
+    return cfg, raw.get("data", {})
+
+
+def _check_data_section(written: dict, bench) -> None:
+    """Refuse a config whose data section, already checked key by key,
+    sets a key to another value than the dataset stores, naming the first
+    such key: training runs on the dataset as it was generated."""
+    for key, value in written.items():
+        stored = getattr(bench.config, key)
+        if value != stored:
+            raise ConfigError(
+                f"config key data.{key} is {value!r}, but {os.path.join(bench.root, 'manifest.json')} "
+                f"has {stored!r}; a train config's data section must match its dataset"
+            )
 
 
 def _check_feature_dim(bench, dim: int, source: str) -> None:
@@ -57,7 +73,7 @@ def _check_feature_dim(bench, dim: int, source: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     if args.seed is not None:
         cfg.data.seed = args.seed
     bench = make_benchmark(cfg.data, args.out)
@@ -69,12 +85,15 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg, written_data = _load_config(args)
     if args.steps is not None:
         cfg.train.steps = args.steps
         cfg.train.validate()
     bench = load_benchmark(args.data)
     _check_feature_dim(bench, cfg.model.dim, "the config key model.dim")
+    _check_data_section(written_data, bench)
+    # The run records the data section it ran on: the dataset's own.
+    cfg.data = bench.config
     model = ReIDTransformer.init(cfg.model, seed=cfg.seed, style="train")
     steps = cfg.train.steps
     t0 = time.perf_counter()
@@ -207,6 +226,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import resource
+
     from .data import BenchmarkConfig
     from .transformer import ReIDConfig, SCHEMES
 
@@ -234,7 +255,9 @@ def cmd_bench(args) -> int:
             last[0] = now
 
         settings = TrainSettings(steps=args.steps, learning_rate=0.01)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         train(model, bench, settings, run_seed=3, progress=tick)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         rows.append(
             {
                 "scheme": scheme,
@@ -242,6 +265,7 @@ def cmd_bench(args) -> int:
                 "steps": args.steps,
                 "transformer_params": model.transformer_param_count(),
                 "total_params": model.total_param_count(),
+                "faults_per_step": faults / args.steps,
             }
         )
     with open(os.path.join(args.out, "bench.csv"), "w") as fh:
@@ -254,7 +278,7 @@ def cmd_bench(args) -> int:
     for r in rows:
         print(
             f"{r['scheme']:<15} {r['median_ms_per_step']:7.2f} ms/step  "
-            f"{r['transformer_params']} transformer params"
+            f"{r['faults_per_step']:7.1f} minor faults/step  {r['transformer_params']} transformer params"
         )
     return 0
 

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .training import TrainSettings
 from .transformer import ReIDConfig
 
-__all__ = ["RunConfig", "load_run_config"]
+__all__ = ["RunConfig", "read_config_file", "run_config_from_dict", "load_run_config"]
 
 
 @dataclass
@@ -108,12 +108,17 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     return cfg
 
 
-def load_run_config(path) -> RunConfig:
+def read_config_file(path):
+    """The JSON value in ``path``, unchecked; ``run_config_from_dict``
+    checks it."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    return run_config_from_dict(raw)
+
+
+def load_run_config(path) -> RunConfig:
+    return run_config_from_dict(read_config_file(path))

@@ -315,8 +315,11 @@ def run_gradcheck(
     """Every block of checks in order: primitives, attention, full model.
 
     ``progress(block, seconds, results)``, when given, is called after
-    each block with its wall-clock seconds and its results.
+    each block with its wall-clock seconds and its results.  The run first
+    pins the C library's heap thresholds (``tensor._keep_freed_heap``), so
+    each probe reuses the memory the previous one freed.
     """
+    tt._keep_freed_heap()
     blocks = (
         ("primitives", check_primitives),
         ("attention", check_attention),

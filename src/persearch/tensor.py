@@ -212,6 +212,41 @@ class GradTape:
         return [np.asarray(grads[id(src)]) if id(src) in grads else np.zeros(src.shape) for src in sources]
 
 
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory a loop frees mapped, for its next pass to reuse.
+
+    This depends on glibc.  Its malloc serves each block above
+    M_MMAP_THRESHOLD from a mapping of its own, unmapped on free, and
+    hands the free top of the heap back to the system once it exceeds
+    M_TRIM_THRESHOLD.  Both start at 128 KiB and rise only as large blocks
+    are freed.  A training step or a gradient check frees the same numpy
+    working set it will allocate again, so at the start-up thresholds
+    every step faults its pages back in (about 350 a step at the default
+    sizes).  This pins the state glibc's own adaptive rule reaches after
+    freeing a block at the mmap threshold's ceiling: the mmap threshold at
+    that ceiling (32 MiB on a 64-bit system), the trim threshold twice it.
+    The setting holds for the whole process; a repeat call changes
+    nothing.  Where the C library has no ``mallopt``, or ``ctypes`` cannot
+    load it, this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_max = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+    mallopt(_M_MMAP_THRESHOLD, mmap_max)
+    mallopt(_M_TRIM_THRESHOLD, 2 * mmap_max)
+
+
 def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], vjp, selective: bool = False) -> Tensor:
     """Wrap ``data`` and record it on the active tape.
 

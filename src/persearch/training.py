@@ -250,7 +250,12 @@ def train(
     detections, slot labels and detection losses are computed on its first
     visit and reused on later ones; they depend only on the run seed and
     the scene.
+
+    The run first pins the C library's heap thresholds
+    (``tensor._keep_freed_heap``), so each step reuses the memory the
+    previous step freed instead of faulting it back in.
     """
+    tt._keep_freed_heap()
     settings.validate()
     train_ids = bench.train_ids
     if not train_ids:

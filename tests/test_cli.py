@@ -173,6 +173,15 @@ class TestArtifacts:
         lines = (out / "loss_curve.csv").read_text().strip().split("\n")
         assert len(lines) == 2
 
+    def test_bench_prints_faults_per_step_and_keeps_its_columns(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["bench", "--out", str(tmp_path / "b"), "--steps", "2"]) == 0
+        line = re.compile(r"(\w+) +\d+\.\d\d ms/step +\d+\.\d minor faults/step  \d+ transformer params")
+        schemes = [line.fullmatch(text)[1] for text in capsys.readouterr().out.strip().split("\n")]
+        csv = (tmp_path / "b" / "bench.csv").read_text().split("\n")
+        assert csv[0] == "scheme,median_ms_per_step,steps,transformer_params,total_params"
+        assert schemes == [row.split(",")[0] for row in csv[1:-1]] and len(schemes) == 4
+
 
 class TestTrainProgress:
     @pytest.mark.parametrize(
@@ -706,6 +715,45 @@ class TestFeatureDimMismatch:
         assert str(deep_data / "manifest.json") in err[0] and source in err[0], err
         assert "feature_dim 16" in err[0] and " is 8;" in err[0], err
         assert not (tmp_path / "out").exists()
+
+
+class TestTrainDataSection:
+    """``train --config`` runs on the dataset as generated: a data key the
+    file sets to another value than the dataset stores exits 1 naming the
+    key, and the run records the dataset's own data section."""
+
+    def train(self, workspace, tmp_path, edit):
+        cfg = json.loads(workspace["cfg"].read_text())
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return main(["train", "--config", str(path), "--data", str(workspace["data"]), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("num_train", 5), ("sigma_bg", 0.7), ("seed", 0), ("co_travellers", True), ("image_size", 128), ("feature_dim", 16)],
+    )
+    def test_differing_key_exits_1_naming_it(self, workspace, tmp_path, capsys, key, value):
+        capsys.readouterr()
+        assert self.train(workspace, tmp_path, lambda cfg: cfg["data"].update({key: value})) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"error: config key data.{key} is {value!r}, "), err
+        assert str(workspace["data"] / "manifest.json") in err[0], err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["none", "part", "whole"])
+    def test_records_hold_the_datasets_data_section(self, workspace, tmp_path, section):
+        def edit(cfg):
+            if section == "none":
+                del cfg["data"]
+            elif section == "part":
+                cfg["data"] = {"num_train": 8, "sigma_bg": 0.1}
+
+        assert self.train(workspace, tmp_path, edit) == 0
+        stored = json.loads((workspace["data"] / "manifest.json").read_text())["config"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        meta = json.loads((tmp_path / "out" / "checkpoint" / "checkpoint.json").read_text())["meta"]
+        assert summary["config"]["data"] == meta["run_config"]["data"] == stored
 
 
 class TestModuleEntryPoint:

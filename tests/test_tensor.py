@@ -1,4 +1,11 @@
-"""Tensor core: forward oracles, analytic-vs-numeric gradients, blob I/O."""
+"""Tensor core: forward oracles, analytic-vs-numeric gradients, blob I/O,
+the heap policy."""
+
+import ctypes
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -527,3 +534,66 @@ class TestBlobIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             T.read_blob(path)
+
+
+# Trains 60 steps of a tiny benchmark, then runs the gradient checks twice,
+# in a fresh interpreter; prints the minor page faults a step over the last
+# 40 steps, and those of the second gradient-check pass.
+_FAULT_PROBE = """
+import resource, sys
+from persearch.data import BenchmarkConfig, make_benchmark
+from persearch.gradcheck import run_gradcheck
+from persearch.training import TrainSettings, train
+from persearch.transformer import ReIDConfig, ReIDTransformer
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+cfg = BenchmarkConfig(num_train=4, num_gallery=3, num_queries=1, labeled_identities=2)
+bench = make_benchmark(cfg, sys.argv[1])
+model = ReIDTransformer.init(ReIDConfig(), seed=0, style="train")
+seen = []
+train(model, bench, TrainSettings(steps=60), run_seed=0, progress=lambda step, row: seen.append(faults()))
+run_gradcheck()
+before = faults()
+run_gradcheck()
+print((seen[-1] - seen[-41]) / 40, faults() - before)
+"""
+
+
+class TestKeepFreedHeap:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt and mallopt as on Linux")
+    def test_train_and_gradcheck_stop_refaulting_the_heap(self, tmp_path):
+        # At the C library's start-up thresholds a step takes some 320
+        # faults and a gradient-check pass some 17,000.
+        src = os.path.dirname(os.path.dirname(T.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "data")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        per_step, gradcheck_pass = map(float, done.stdout.split())
+        assert per_step < 20
+        assert gradcheck_pass < 1000
+
+    @pytest.mark.parametrize("library", ["unloadable", "without mallopt"])
+    def test_no_mallopt_returns_silently(self, monkeypatch, library):
+        def cdll(name):
+            if library == "unloadable":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert T._keep_freed_heap() is None
+
+    def test_pins_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        T._keep_freed_heap()
+        ceiling = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+        assert calls == [(-3, ceiling), (-1, 2 * ceiling)]
