@@ -14,7 +14,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .data import BenchmarkConfig
-from .errors import ConfigError
+from .errors import ConfigError, _accepts, _type_name
 from .training import TrainSettings
 from .transformer import ReIDConfig
 
@@ -40,29 +40,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", type(None): "null"}
-
-
-def _accepts(hint, value) -> bool:
-    """Whether a JSON ``value`` has the field type ``hint``: a bool is
-    neither an integer nor a number, and an integer is a number."""
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is int:
-        return isinstance(value, int)
-    if hint is float:
-        return isinstance(value, (int, float))
-    if hint is str:
-        return isinstance(value, str)
-    if hint is type(None):
-        return value is None
-    return any(_accepts(h, value) for h in typing.get_args(hint))
-
-
-def _type_name(hint) -> str:
-    return " or ".join(_TYPE_NAMES[h] for h in typing.get_args(hint) or (hint,))
 
 
 def _build_section(cls, section, path):

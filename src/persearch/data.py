@@ -398,6 +398,10 @@ def _scene_blob_path(root: str, scene_id: int, level: int) -> str:
 
 
 def load_benchmark(root) -> Benchmark:
+    """Read a benchmark written by :func:`make_benchmark`; raises DataError
+    when malformed.  Each person's ``bank`` must index a row of
+    ``bank.sqt``, and its ``label`` must be that row when it is below
+    ``labeled_identities`` and UNLABELED otherwise."""
     root = str(root)
     path = os.path.join(root, "manifest.json")
     manifest = read_manifest(path, "persearch_benchmark", 1)
@@ -414,6 +418,12 @@ def load_benchmark(root) -> Benchmark:
                 Person(Box(*rec["box"]), rec["label"], rec["bank"])
                 for rec in entry["persons"]
             )
+            for p in persons:
+                row, where = p.bank_index, f"of scene {entry['id']!r}"
+                if type(row) is not int or not 0 <= row < bank.total:
+                    raise ValueError(f"person bank {row!r} {where} is not a row of bank.sqt ({bank.total} rows)")
+                if type(p.label) is not int or p.label != (row if row < cfg.labeled_identities else UNLABELED):
+                    raise ValueError(f"person label {p.label!r} {where} does not fit its bank row {row}")
             scenes[entry["id"]] = SceneMeta(entry["id"], entry["split"], persons)
         for q in manifest["queries"]:
             meta, person = scenes.get(q["scene"]), q["person"]

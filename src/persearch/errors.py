@@ -5,8 +5,8 @@ corrupt data exits 2, numeric failures during training exit 3, and a failed
 gradient check exits 4.
 """
 
-import dataclasses
 import json
+import typing
 from contextlib import contextmanager
 
 __all__ = [
@@ -65,13 +65,41 @@ def read_manifest(path, kind: str, version: int) -> dict:
     return manifest
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", type(None): "null"}
+
+
+def _accepts(hint, value) -> bool:
+    """Whether a JSON ``value`` has the field type ``hint``: a bool is
+    neither an integer nor a number, and an integer is a number."""
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is int:
+        return isinstance(value, int)
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint is str:
+        return isinstance(value, str)
+    if hint is type(None):
+        return value is None
+    return any(_accepts(h, value) for h in typing.get_args(hint))
+
+
+def _type_name(hint) -> str:
+    return " or ".join(_TYPE_NAMES[h] for h in typing.get_args(hint) or (hint,))
+
+
 def stored_config(cls, section):
     """The config dataclass ``cls`` from a manifest's ``section``, which
-    must list every field: a manifest records the whole config it was
-    written with, so a missing key is a damaged file, not a default."""
-    missing = [f.name for f in dataclasses.fields(cls) if f.name not in section]
+    must list every field, each value of its field's type, as a
+    ``--config`` file's must be: a manifest records the whole config it
+    was written with, so a missing key is a damaged file, not a default."""
+    hints = typing.get_type_hints(cls)
+    missing = [name for name in hints if name not in section]
     if missing:
         raise ValueError(f"config lacks {', '.join(missing)}")
+    for key, value in section.items():
+        if key in hints and not _accepts(hints[key], value):
+            raise ValueError(f"config.{key} must be {_type_name(hints[key])}, got {value!r}")
     return cls(**section)
 
 

@@ -261,8 +261,8 @@ def _full_model_problem():
     srng = np.random.default_rng(12)
     lut = srng.standard_normal((2, cfg.query_width))
     lut /= np.linalg.norm(lut, axis=1, keepdims=True)
-    state = OIMState.initial(2, cfg.query_width, capacity=4, scales=cfg.output_scales)
-    state.lut[:] = lut
+    lut = np.repeat(lut[None], cfg.output_scales, axis=0)
+    state = OIMState(lut, np.zeros((cfg.output_scales, 0, cfg.query_width)), capacity=4)
     return model, pyramid, refs, labels, state
 
 

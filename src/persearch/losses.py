@@ -89,6 +89,22 @@ class OIMState:
     momentum: float = DEFAULT_MOMENTUM
     tau: float = DEFAULT_TAU
 
+    def __post_init__(self):
+        """Check the invariants of every state, however it was built, and
+        raise ValueError when one fails: S, L and dim are at least 1, the
+        queue is (S, n <= capacity, dim), ``capacity`` is an integer >= 0,
+        0 <= momentum < 1 and tau > 0."""
+        lut, queue, capacity = self.lut, self.queue, self.capacity
+        if lut.ndim != 3 or min(lut.shape) < 1:
+            raise ValueError(f"OIM lookup table must be (scales, identities, dim), each >= 1, got {lut.shape}")
+        if type(capacity) is not int or capacity < 0:
+            raise ValueError(f"OIM capacity must be a non-negative integer, got {capacity!r}")
+        if queue.ndim != 3 or queue.shape[::2] != lut.shape[::2] or queue.shape[1] > capacity:
+            raise ValueError(f"OIM queue must be ({lut.shape[0]}, n <= {capacity}, {lut.shape[2]}), got {queue.shape}")
+        numbers = all(type(x) in (int, float) for x in (self.momentum, self.tau))
+        if not (numbers and 0.0 <= self.momentum < 1.0 and self.tau > 0.0):
+            raise ValueError(f"OIM needs 0 <= momentum < 1 and tau > 0, got {self.momentum!r} and {self.tau!r}")
+
     @classmethod
     def initial(
         cls,
@@ -99,10 +115,7 @@ class OIMState:
         momentum: float = DEFAULT_MOMENTUM,
         tau: float = DEFAULT_TAU,
     ) -> "OIMState":
-        if scales < 1 or num_labeled < 1 or dim < 1 or capacity < 0:
-            raise ValueError("bad OIM state sizes")
-        if not 0.0 <= momentum < 1.0 or tau <= 0.0:
-            raise ValueError("bad OIM momentum/temperature")
+        """Zero lookup tables and empty queues."""
         return cls(np.zeros((scales, num_labeled, dim)), np.zeros((scales, 0, dim)), capacity, momentum, tau)
 
     @property

@@ -66,6 +66,9 @@ EPOCH_STREAM = 29
 
 OPTIMIZERS = ("sgd", "adam")
 
+# checkpoint.json's format: 2 stores the OIM state as one entry and two blobs.
+_CHECKPOINT_FORMAT = 2
+
 
 @dataclass
 class TrainSettings:
@@ -91,6 +94,10 @@ class TrainSettings:
             raise ConfigError("weight_decay and focal_gamma must be non-negative")
         if self.queue_size < 0:
             raise ConfigError("queue_size must be non-negative")
+        if not 0.0 <= self.oim_momentum < 1.0:
+            raise ConfigError(f"train.oim_momentum must be in [0, 1), got {self.oim_momentum!r}")
+        if not self.oim_tau > 0.0:
+            raise ConfigError(f"train.oim_tau must be positive, got {self.oim_tau!r}")
         if self.grad_clip is not None and self.grad_clip <= 0.0:
             raise ConfigError("grad_clip must be positive when set")
 
@@ -341,58 +348,44 @@ def write_loss_curve(path, curve: list[dict]) -> None:
 
 
 def save_checkpoint(out_dir, model: ReIDTransformer, oim_state: OIMState, meta: dict) -> None:
-    """Model tensors plus OIM matrices and scalars, all byte-stable: one
-    manifest entry, one lookup-table blob and (when the queue holds rows)
-    one queue blob per scale."""
+    """Model tensors plus the OIM state, all byte-stable: one manifest
+    entry for the scalars and two stacked blobs, the (S, L, width) lookup
+    tables and the (S, n, width) queues (written even when n = 0)."""
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     model.save(os.path.join(out_dir, "model"))
-    entry = {
-        "momentum": oim_state.momentum,
-        "tau": oim_state.tau,
-        "num_labeled": oim_state.num_labeled,
-        "queue_capacity": oim_state.capacity,
-        "queue_len": oim_state.queue.shape[1],
-    }
-    for i in range(oim_state.scales):
-        write_blob(os.path.join(out_dir, f"oim{i}_lut.sqt"), Tensor(oim_state.lut[i]))
-        if entry["queue_len"]:
-            write_blob(os.path.join(out_dir, f"oim{i}_queue.sqt"), Tensor(oim_state.queue[i]))
+    write_blob(os.path.join(out_dir, "oim_lut.sqt"), Tensor(oim_state.lut))
+    write_blob(os.path.join(out_dir, "oim_queue.sqt"), Tensor(oim_state.queue))
     manifest = {
-        "format_version": 1,
+        "format_version": _CHECKPOINT_FORMAT,
         "kind": "checkpoint",
         "meta": meta,
-        "oim": [entry] * oim_state.scales,
+        "oim": {"capacity": oim_state.capacity, "momentum": oim_state.momentum, "tau": oim_state.tau},
     }
     write_manifest(os.path.join(out_dir, "checkpoint.json"), manifest)
 
 
-def _read_oim_blob(path, shape: tuple[int, int]) -> np.ndarray:
-    """The matrix in blob ``path``, which must have ``shape``."""
+def _read_oim_blob(ckpt_dir: str, part: str, scales: int, width: int) -> np.ndarray:
+    """The stacked (scales, rows, width) array in the blob ``oim_{part}.sqt``."""
+    path = os.path.join(ckpt_dir, f"oim_{part}.sqt")
     data = read_blob(path).data
-    if data.shape != shape:
-        raise ValueError(f"{path} holds a {data.shape} matrix, expected {shape}")
+    if data.ndim != 3 or data.shape[::2] != (scales, width):
+        raise ValueError(f"{path} holds a {data.shape} array, expected ({scales}, rows, {width})")
     return data
-
-
-# The fields of a checkpoint's per-scale OIM entries, which every scale shares.
-_SHARED_OIM_FIELDS = ("num_labeled", "queue_capacity", "queue_len", "momentum", "tau")
 
 
 def load_checkpoint(ckpt_dir):
     """Returns (model, oim_state, meta); raises DataError when malformed.
 
     ``meta`` must hold the run's seed, which retrieval detects with, as a
-    non-negative integer ``run_seed``.  There must be one OIM entry per
-    output scale of the model, all with the same num_labeled,
-    queue_capacity, queue_len, momentum and tau, where 0 <= momentum < 1
-    and tau > 0.  Each scale's lookup table must be (num_labeled, model
-    width), and its queue exactly queue_len <= queue_capacity rows of that
-    width; the error names the manifest or the blob at fault.
+    non-negative integer ``run_seed``.  The OIM blobs must stack one array
+    per output scale of the model, of the model's width (the error names
+    the blob), and with the manifest's ``oim`` entry form a valid
+    ``OIMState``.
     """
     ckpt_dir = str(ckpt_dir)
     path = os.path.join(ckpt_dir, "checkpoint.json")
-    manifest = read_manifest(path, "checkpoint", 1)
+    manifest = read_manifest(path, "checkpoint", _CHECKPOINT_FORMAT)
     model = ReIDTransformer.load(os.path.join(ckpt_dir, "model"))
     width, scales = model.config.query_width, model.config.output_scales
     with reading(path):
@@ -401,33 +394,9 @@ def load_checkpoint(ckpt_dir):
             raise ValueError(f"meta must be an object, got {type(meta).__name__}")
         if type(meta["run_seed"]) is not int or meta["run_seed"] < 0:
             raise ValueError(f"meta.run_seed must be a non-negative integer, got {meta['run_seed']!r}")
-        entries = manifest["oim"]
-        if not isinstance(entries, list) or len(entries) != scales:
-            raise ValueError(f"oim must list one state per scale ({scales})")
-        labeled, capacity, length, momentum, tau = (entries[0][k] for k in _SHARED_OIM_FIELDS)
-        if not all(type(n) is int for n in (labeled, length, capacity)):
-            raise ValueError("num_labeled, queue_len and queue_capacity must be integers")
-        if labeled < 1 or not 0 <= length <= capacity:
-            raise ValueError(
-                f"need num_labeled >= 1 and 0 <= queue_len <= queue_capacity, "
-                f"got {labeled}, {length} and {capacity}"
-            )
-        if not (0.0 <= momentum < 1.0 and tau > 0.0):
-            raise ValueError("oim0 needs 0 <= momentum < 1 and tau > 0")
-        for i, entry in enumerate(entries[1:], 1):
-            for k in _SHARED_OIM_FIELDS:
-                if type(entry[k]) is not type(entries[0][k]) or entry[k] != entries[0][k]:
-                    raise ValueError(
-                        f"oim{i} {k} {entry[k]!r} differs from oim0's {entries[0][k]!r}; "
-                        f"the scales share {', '.join(_SHARED_OIM_FIELDS)}"
-                    )
-
-        blob = lambda i, part: os.path.join(ckpt_dir, f"oim{i}_{part}.sqt")
-        lut = np.stack([_read_oim_blob(blob(i, "lut"), (labeled, width)) for i in range(scales)])
-        queue = np.zeros((scales, 0, width))
-        if length:
-            queue = np.stack([_read_oim_blob(blob(i, "queue"), (length, width)) for i in range(scales)])
-        state = OIMState(lut, queue, capacity, momentum, tau)
+        oim = manifest["oim"]
+        lut, queue = (_read_oim_blob(ckpt_dir, part, scales, width) for part in ("lut", "queue"))
+        state = OIMState(lut, queue, oim["capacity"], oim["momentum"], oim["tau"])
     return model, state, meta
 
 

@@ -272,6 +272,13 @@ class TestDeterminism:
         assert curve("1") == curve("2")
 
 
+def _first_person(manifest, labeled: bool) -> dict:
+    """The first person record of a dataset manifest whose bank row is a
+    labeled identity's (or, with ``labeled`` false, an unlabeled one's)."""
+    num_labeled = manifest["config"]["labeled_identities"]
+    return next(p for s in manifest["scenes"] for p in s["persons"] if (p["bank"] < num_labeled) == labeled)
+
+
 class TestExitCodes:
     def test_config_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -395,6 +402,49 @@ class TestExitCodes:
                 )
                 for seed in ("seven", -3, True)
             ),
+            (
+                # the format-1 layout: one entry per scale, blobs oim{i}_*.sqt
+                "checkpoint/checkpoint.json",
+                lambda m: m.update(format_version=1, oim=[
+                    {"momentum": 0.5, "tau": 1 / 30, "num_labeled": 4, "queue_capacity": 4, "queue_len": 0}
+                ] * 3),
+                "checkpoint.json: ValueError: format_version 1 is not supported (expected 2)",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["scenes"][0]["persons"][0].update(label=99),
+                "manifest.json: ValueError: person label 99 of scene 0 ",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["scenes"][0]["persons"][0].update(bank=99),
+                "manifest.json: ValueError: person bank 99 of scene 0 is not a row of bank.sqt",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: _first_person(m, labeled=True).update(label=-1),
+                "manifest.json: ValueError: person label -1 of scene ",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: (p := _first_person(m, labeled=False)).update(label=p["bank"]),
+                "manifest.json: ValueError: person label ",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["config"].update(detector_sigma="x"),
+                "manifest.json: ValueError: config.detector_sigma must be a number, got 'x'",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["config"].update(num_train=True),
+                "manifest.json: ValueError: config.num_train must be an integer, got True",
+            ),
+            (
+                "checkpoint/model/model.json",
+                lambda m: m["config"].update(dim="8"),
+                "model.json: ValueError: config.dim must be an integer, got '8'",
+            ),
         ],
         ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1", "model-v2", "model-v3",
              "model-missing-tensor", "model-wrong-shape", "checkpoint-missing-oim",
@@ -402,7 +452,10 @@ class TestExitCodes:
              "manifest-root-array", "checkpoint-meta-array", "manifest-query-scene",
              "manifest-query-person", "manifest-query-identity", "manifest-config-missing-key",
              "checkpoint-v0", "checkpoint-run-seed-missing", "checkpoint-run-seed-string",
-             "checkpoint-run-seed-negative", "checkpoint-run-seed-bool"],
+             "checkpoint-run-seed-negative", "checkpoint-run-seed-bool", "checkpoint-v1",
+             "manifest-label-outside-table", "manifest-bank-outside-bank", "manifest-labeled-as-unlabeled",
+             "manifest-unlabeled-given-label", "manifest-config-string-number", "manifest-config-bool-integer",
+             "model-config-string-integer"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
         shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")
@@ -446,71 +499,72 @@ class TestExitCodes:
         )
         assert rc == 2
 
-    # (the manifest's queue_len per scale, the blobs to write as
-    # {file: (rows, cols)}, and the file the error must name).  The
-    # workspace model is 8 wide with 3 scales, 4 labeled identities and
+    # (the manifest's oim entry updates, the blobs to write as
+    # {file: shape} or None to delete, and the file the error must name).
+    # The workspace model is 8 wide with 3 scales, 4 labeled identities and
     # queues of capacity 4; every blob written is well formed.
     @pytest.mark.parametrize(
-        "lengths, blobs, named",
+        "oim, blobs, named",
         [
-            ([2, 2, 2], {f"oim{i}_queue.sqt": (5, 8) for i in range(3)}, "oim0_queue.sqt"),
-            ([2, 2, 2], {f"oim{i}_queue.sqt": (2, 5) for i in range(3)}, "oim0_queue.sqt"),
-            ([0, 0, 0], {"oim1_lut.sqt": (4, 9)}, "oim1_lut.sqt"),
-            ([0, 0, 0], {"oim2_lut.sqt": (16, 8)}, "oim2_lut.sqt"),
-            ([5, 5, 5], {f"oim{i}_queue.sqt": (5, 8) for i in range(3)}, "checkpoint.json"),
-            ([2, 1, 2], {f"oim{i}_queue.sqt": (n, 8) for i, n in enumerate([2, 1, 2])}, "checkpoint.json"),
-            ([0, 0], {}, "checkpoint.json"),
+            ({}, {"oim_queue.sqt": (3, 5, 8)}, "checkpoint.json"),
+            ({}, {"oim_queue.sqt": (3, 2, 5)}, "oim_queue.sqt"),
+            ({}, {"oim_lut.sqt": (3, 4, 9)}, "oim_lut.sqt"),
+            ({}, {"oim_lut.sqt": (3, 0, 8)}, "checkpoint.json"),
+            ({"capacity": 1}, {"oim_queue.sqt": (3, 2, 8)}, "checkpoint.json"),
+            ({}, {"oim_lut.sqt": (2, 4, 8)}, "oim_lut.sqt"),
+            ({}, {"oim_queue.sqt": (2, 2, 8)}, "oim_queue.sqt"),
+            ({}, {"oim_queue.sqt": (2, 8)}, "oim_queue.sqt"),
+            ({}, {"oim_queue.sqt": None}, "oim_queue.sqt"),
         ],
-        ids=["queue-rows-past-queue-len", "queue-width", "lut-width", "lut-rows",
-             "queue-len-past-capacity", "queue-lens-differ", "one-state-short"],
+        ids=["queue-rows-past-capacity", "queue-width", "lut-width", "lut-rows",
+             "capacity-below-queue-rows", "one-state-short", "queue-scales", "queue-rank", "queue-missing"],
     )
-    def test_oim_state_of_the_wrong_shape_exits_2(self, workspace, tmp_path, capsys, lengths, blobs, named):
+    def test_oim_state_of_the_wrong_shape_exits_2(self, workspace, tmp_path, capsys, oim, blobs, named):
         from persearch.tensor import Tensor, write_blob
 
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(workspace["run"] / "checkpoint", ckpt)
         manifest = json.loads((ckpt / "checkpoint.json").read_text())
-        manifest["oim"] = [dict(manifest["oim"][i], queue_len=n) for i, n in enumerate(lengths)]
+        manifest["oim"].update(oim)
         (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
         rng = np.random.default_rng(0)
         for name, shape in blobs.items():
-            write_blob(ckpt / name, Tensor(rng.standard_normal(shape)))
+            if shape is None:
+                (ckpt / name).unlink()
+            else:
+                write_blob(ckpt / name, Tensor(rng.standard_normal(shape)))
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]), "--out", str(tmp_path / "e")])
         assert rc == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert str(ckpt / named) in err[0], err
 
-    # Out of range, or in range but unlike oim0's (0.5, 1 / 30 and 4): the
-    # scales share one momentum, tau and queue_capacity.
     @pytest.mark.parametrize(
         "key, value",
         [("momentum", 1.0), ("momentum", -0.5), ("tau", 0.0), ("tau", "x"),
-         ("momentum", 0.9), ("tau", 0.1), ("queue_capacity", 5)],
+         ("capacity", -1), ("capacity", 4.0), ("capacity", True), ("capacity", None)],
     )
-    def test_oim_momentum_or_tau_out_of_range_exits_2(self, workspace, tmp_path, capsys, key, value):
+    def test_oim_scalar_out_of_range_exits_2(self, workspace, tmp_path, capsys, key, value):
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(workspace["run"] / "checkpoint", ckpt)
         manifest = json.loads((ckpt / "checkpoint.json").read_text())
-        manifest["oim"][1][key] = value
+        manifest["oim"][key] = value
         (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]), "--out", str(tmp_path / "e")])
         assert rc == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert str(ckpt / "checkpoint.json") in err[0], err
+        assert key in err[0], err
 
-    def test_oim_queue_of_queue_len_rows_loads(self, workspace, tmp_path):
+    def test_stacked_oim_queue_loads(self, workspace, tmp_path):
         from persearch.tensor import Tensor, write_blob
         from persearch.training import load_checkpoint
 
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(workspace["run"] / "checkpoint", ckpt)
-        manifest = json.loads((ckpt / "checkpoint.json").read_text())
-        for i, entry in enumerate(manifest["oim"]):
-            entry["queue_len"] = 3
-            write_blob(ckpt / f"oim{i}_queue.sqt", Tensor(np.full((3, 8), float(i))))
-        (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
+        queue = np.repeat(np.arange(3.0)[:, None, None], 3, axis=1) * np.ones(8)
+        write_blob(ckpt / "oim_queue.sqt", Tensor(queue))
         _, state, _ = load_checkpoint(ckpt)
         assert state.queue.tolist() == [[[float(i)] * 8] * 3 for i in range(3)]
         assert state.capacity == 4
@@ -634,6 +688,8 @@ class TestExitCodes:
             ({"data": {"seed": "abc"}}, "data.seed"),
             ({"data": {"seed": 2.5}}, "data.seed"),
             ({"train": {"steps": 2.5}}, "train.steps"),
+            ({"train": {"oim_tau": 0}}, "train.oim_tau"),
+            ({"train": {"oim_momentum": 1.0}}, "train.oim_momentum"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, workspace, tmp_path, capsys, raw, named):
@@ -818,7 +874,8 @@ class TestCorruptBlobs:
         ("data/scenes/scene_00008_l2.sqt", "eval"),
         ("data/bank.sqt", "train"),
         ("checkpoint/model/t0003.sqt", "eval"),
-        ("checkpoint/oim1_lut.sqt", "eval"),
+        ("checkpoint/oim_lut.sqt", "eval"),
+        ("checkpoint/oim_queue.sqt", "eval"),
     ]
 
     @seed(20240611)

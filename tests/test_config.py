@@ -95,6 +95,10 @@ class TestStrictValues:
             ({"model": {"scheme": 3}}, "model.scheme must be a string"),
             ({"model": {"use_self_attention": 1}}, "model.use_self_attention must be true or false"),
             ({"data": {"co_travellers": "yes"}}, "data.co_travellers must be true or false"),
+            ({"train": {"oim_tau": 0}}, "train.oim_tau must be positive, got 0"),
+            ({"train": {"oim_tau": -0.5}}, "train.oim_tau must be positive"),
+            ({"train": {"oim_momentum": 1.0}}, r"train.oim_momentum must be in \[0, 1\), got 1.0"),
+            ({"train": {"oim_momentum": -0.1}}, r"train.oim_momentum must be in \[0, 1\)"),
         ],
     )
     def test_bad_value_names_its_key(self, raw, named):

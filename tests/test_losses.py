@@ -137,6 +137,42 @@ class TestOIMState:
         np.testing.assert_array_equal(OIMState.initial(2, 3, 4, scales=2).classes, np.zeros((2, 3, 2)))
 
 
+    @pytest.mark.parametrize(
+        "lut, queue, kwargs, message",
+        [
+            ((0, 3, 4), (0, 0, 4), {}, "lookup table"),
+            ((2, 0, 4), (2, 0, 4), {}, "lookup table"),
+            ((2, 3, 0), (2, 0, 0), {}, "lookup table"),
+            ((3, 4), (0, 4), {}, "lookup table"),
+            ((2, 3, 4), (1, 0, 4), {}, "queue"),
+            ((2, 3, 4), (2, 0, 5), {}, "queue"),
+            ((2, 3, 4), (2, 3, 4), {}, "queue"),
+            ((2, 3, 4), (0, 4), {}, "queue"),
+            ((2, 3, 4), (2, 0, 4), {"capacity": -1}, "capacity"),
+            ((2, 3, 4), (2, 0, 4), {"capacity": 2.0}, "capacity"),
+            ((2, 3, 4), (2, 0, 4), {"capacity": True}, "capacity"),
+            ((2, 3, 4), (2, 0, 4), {"momentum": 1.0}, "momentum"),
+            ((2, 3, 4), (2, 0, 4), {"momentum": -0.1}, "momentum"),
+            ((2, 3, 4), (2, 0, 4), {"tau": 0.0}, "tau"),
+            ((2, 3, 4), (2, 0, 4), {"tau": float("nan")}, "tau"),
+            ((2, 3, 4), (2, 0, 4), {"tau": "x"}, "tau"),
+            ((2, 3, 4), (2, 0, 4), {"momentum": False}, "momentum"),
+        ],
+        ids=["no-scales", "no-identities", "no-width", "lut-rank", "queue-scales", "queue-width",
+             "queue-past-capacity", "queue-rank", "capacity-negative", "capacity-float", "capacity-bool",
+             "momentum-1", "momentum-negative", "tau-0", "tau-nan", "tau-string", "momentum-bool"],
+    )
+    def test_construction_checks_every_invariant(self, lut, queue, kwargs, message):
+        args = {"capacity": 2, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            OIMState(np.zeros(lut), np.zeros(queue), **args)
+
+    def test_invariants_hold_at_their_bounds(self):
+        s = OIMState(np.zeros((1, 1, 1)), np.zeros((1, 2, 1)), 2, momentum=0.0, tau=1e-300)
+        assert s.queue.shape == (1, 2, 1)
+        assert OIMState.initial(1, 1, 0).queue.shape == (1, 0, 1)
+
+
 class TestOIMLoss:
     def test_uniform_logits_give_log_num_classes(self):
         # A zero lookup table scores every class equally.

@@ -1,6 +1,7 @@
 """Training loop, checkpointing, and the retrieval pipeline."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -513,13 +514,28 @@ class TestCheckpoint:
         assert state.queue.tobytes() == want.queue.tobytes() and state.queue.shape == want.queue.shape
         assert (state.capacity, state.momentum, state.tau) == (want.capacity, want.momentum, want.tau)
 
-    def test_trained_queue_survives_round_trip(self, bench, tmp_path):
+    @pytest.mark.parametrize("scheme, scales", [("shared", 3), ("multi_scale_d", 1)])
+    @pytest.mark.parametrize("queue_size", [0, 4], ids=["empty-queue", "filled-queue"])
+    def test_load_then_save_reproduces_every_file(self, bench, tmp_path, scheme, scales, queue_size):
         # The benchmark has unlabeled identities, so queues fill during training.
-        res = train(tiny_model(), bench, tiny_settings(steps=30), run_seed=5)
-        assert res.oim_state.queue.shape[1] > 0
-        save_checkpoint(tmp_path / "ckpt", res.model, res.oim_state, {"run_seed": 5})
-        _, state, _ = load_checkpoint(tmp_path / "ckpt")
-        assert np.array_equal(state.queue, res.oim_state.queue)
+        res = train(tiny_model(scheme=scheme), bench, tiny_settings(steps=30, queue_size=queue_size), run_seed=5)
+        want = res.oim_state
+        assert want.scales == scales and (want.queue.shape[1] > 0) == (queue_size > 0)
+        save_checkpoint(tmp_path / "a", res.model, want, {"run_seed": 5})
+        model, state, meta = load_checkpoint(tmp_path / "a")
+        for got, expected in ((state.lut, want.lut), (state.queue, want.queue)):
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+        save_checkpoint(tmp_path / "b", model, state, meta)
+
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        saved = files(tmp_path / "a")
+        assert saved == files(tmp_path / "b")
+        assert sorted(f for f in saved if f.startswith("oim")) == ["oim_lut.sqt", "oim_queue.sqt"]
+        manifest = json.loads(saved["checkpoint.json"])
+        assert manifest["format_version"] == 2
+        assert manifest["oim"] == {"capacity": queue_size, "momentum": want.momentum, "tau": want.tau}
 
     def test_loaded_model_scores_identically(self, bench, tmp_path):
         res = train(tiny_model(), bench, tiny_settings(steps=6), run_seed=5)
