@@ -2,19 +2,20 @@
 
 Every section is optional and falls back to defaults, but unknown keys are
 rejected with their full path so typos cannot silently revert a setting to
-its default.  The resolved configuration echoes into each run's summary,
-making outputs self-describing.
+its default.  ``errors.read_section`` reads the file, as it reads the
+configs that dataset and model manifests store.  The resolved
+configuration echoes into each run's summary, making outputs
+self-describing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass, field
 
 from .data import BenchmarkConfig
-from .errors import ConfigError, _accepts, _type_name
+from .errors import ConfigError, read_section
 from .training import TrainSettings
 from .transformer import ReIDConfig
 
@@ -29,60 +30,16 @@ class RunConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
 
     def validate(self) -> None:
+        # Each section validates itself as ``read_section`` builds it.
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        try:
-            self.data.validate()
-            self.model.validate()
-            self.train.validate()
-        except (ValueError, ConfigError) as e:
-            raise ConfigError(str(e)) from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _build_section(cls, section, path):
-    """Instantiate a config dataclass from a dict, rejecting unknown keys
-    and values whose JSON type does not match their field's."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path} must be an object")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in section.items():
-        if key not in hints:
-            raise ConfigError(f"unknown config key {path}.{key}")
-        hint = hints[key]
-        if dataclasses.is_dataclass(hint):
-            value = _build_section(hint, value, f"{path}.{key}")
-        elif not _accepts(hint, value):
-            raise ConfigError(f"{path}.{key} must be {_type_name(hint)}, got {value!r}")
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
-_SECTIONS = {
-    "data": BenchmarkConfig,
-    "model": ReIDConfig,
-    "train": TrainSettings,
-}
-
-
-def run_config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    cfg = RunConfig()
-    for key, value in raw.items():
-        if key == "seed":
-            if not _accepts(int, value):
-                raise ConfigError(f"seed must be an integer, got {value!r}")
-            cfg.seed = value
-        elif key in _SECTIONS:
-            setattr(cfg, key, _build_section(_SECTIONS[key], value, key))
-        else:
-            raise ConfigError(f"unknown config key {key}")
-    cfg.validate()
-    return cfg
+def run_config_from_dict(raw) -> RunConfig:
+    return read_section(RunConfig, raw, "")
 
 
 def read_config_file(path):

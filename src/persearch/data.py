@@ -43,6 +43,9 @@ __all__ = [
 
 PYRAMID_STRIDES = (8, 16, 32)
 
+# manifest.json's format: 2 stores no fact that another field gives.
+_FORMAT_VERSION = 2
+
 
 @dataclass
 class BenchmarkConfig:
@@ -127,10 +130,6 @@ class IdentityBank:
         raw = rng.standard_normal((num_labeled + num_unlabeled, dim))
         vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         return cls(vectors, num_labeled)
-
-    @property
-    def total(self) -> int:
-        return self.vectors.shape[0]
 
 
 def _level_sides(image_size: int) -> list[int]:
@@ -251,21 +250,19 @@ def _scene_identities(
     return picked[: cfg.persons_per_scene]
 
 
-def _build_scene(
-    cfg: BenchmarkConfig, scene_id: int, split: str, forced_first: int | None
-) -> SceneMeta:
+def _scene(cfg: BenchmarkConfig, scene_id: int, rows: Sequence[int], boxes: Sequence[Box]) -> SceneMeta:
+    """Scene ``scene_id`` of persons with bank rows ``rows`` in ``boxes``:
+    the first ``num_train`` scenes are train scenes, and a row below
+    ``labeled_identities`` is its person's label (UNLABELED otherwise)."""
+    labeled = cfg.labeled_identities
+    persons = tuple(Person(box, row if row < labeled else UNLABELED, row) for box, row in zip(boxes, rows))
+    return SceneMeta(scene_id, "train" if scene_id < cfg.num_train else "gallery", persons)
+
+
+def _build_scene(cfg: BenchmarkConfig, scene_id: int, forced_first: int | None) -> SceneMeta:
     rng = np.random.default_rng([cfg.seed, scene_id, 11])
-    indices = _scene_identities(cfg, rng, forced_first)
-    boxes = _scene_boxes(rng, len(indices), cfg.occlusion_rate)
-    persons = tuple(
-        Person(
-            box=box,
-            label=idx if idx < cfg.labeled_identities else UNLABELED,
-            bank_index=idx,
-        )
-        for box, idx in zip(boxes, indices)
-    )
-    return SceneMeta(scene_id, split, persons)
+    rows = _scene_identities(cfg, rng, forced_first)
+    return _scene(cfg, scene_id, rows, _scene_boxes(rng, len(rows), cfg.occlusion_rate))
 
 
 @dataclass
@@ -323,32 +320,23 @@ def make_benchmark(cfg: BenchmarkConfig, out_dir) -> Benchmark:
         cfg.labeled_identities, cfg.unlabeled_identities, cfg.feature_dim, cfg.seed
     )
 
-    scenes: dict[int, SceneMeta] = {}
-    for i in range(cfg.num_train):
-        scenes[i] = _build_scene(cfg, i, "train", forced_first=None)
-    for j in range(cfg.num_gallery):
-        sid = cfg.num_train + j
-        forced = j % cfg.labeled_identities if cfg.labeled_identities else None
-        scenes[sid] = _build_scene(cfg, sid, "gallery", forced_first=forced)
+    scenes = {i: _build_scene(cfg, i, forced_first=None) for i in range(cfg.num_train)}
+    gallery = range(cfg.num_train, cfg.num_train + cfg.num_gallery)
+    for j, sid in enumerate(gallery):
+        scenes[sid] = _build_scene(cfg, sid, forced_first=j % cfg.labeled_identities)
 
     # Identity -> gallery scenes containing it.
     occurrences: dict[int, list[int]] = {}
-    for sid in sorted(scenes):
-        meta = scenes[sid]
-        if meta.split != "gallery":
-            continue
-        for p in meta.persons:
+    for sid in gallery:
+        for p in scenes[sid].persons:
             if p.label >= 0:
                 occurrences.setdefault(p.label, []).append(sid)
-
-    eligible = []
-    for sid in sorted(scenes):
-        meta = scenes[sid]
-        if meta.split != "gallery":
-            continue
-        for j, p in enumerate(meta.persons):
-            if p.label >= 0 and len(occurrences.get(p.label, [])) >= 2:
-                eligible.append({"scene": sid, "person": j, "identity": p.label})
+    eligible = [
+        {"scene": sid, "person": j, "identity": p.label}
+        for sid in gallery
+        for j, p in enumerate(scenes[sid].persons)
+        if p.label >= 0 and len(occurrences.get(p.label, [])) >= 2
+    ]
     if len(eligible) < cfg.num_queries:
         raise ConfigError(
             f"benchmark infeasible: only {len(eligible)} eligible query persons "
@@ -367,26 +355,16 @@ def make_benchmark(cfg: BenchmarkConfig, out_dir) -> Benchmark:
         for level, fmap in enumerate(bench.regenerate_pyramid(sid)):
             write_blob(_scene_blob_path(out_dir, sid, level), fmap)
 
+    # Scene ids, splits, labels and query identities are not stored:
+    # load_benchmark derives them.
     manifest = {
-        "format_version": 1,
+        "format_version": _FORMAT_VERSION,
         "kind": "persearch_benchmark",
         "config": asdict(cfg),
-        "num_labeled": cfg.labeled_identities,
-        "queries": queries,
+        "queries": [{"scene": q["scene"], "person": q["person"]} for q in queries],
         "scenes": [
-            {
-                "id": sid,
-                "split": scenes[sid].split,
-                "persons": [
-                    {
-                        "box": [p.box.x1, p.box.y1, p.box.x2, p.box.y2],
-                        "label": p.label,
-                        "bank": p.bank_index,
-                    }
-                    for p in scenes[sid].persons
-                ],
-            }
-            for sid in sorted(scenes)
+            {"persons": [{"box": p.box.as_array().tolist(), "bank": p.bank_index} for p in meta.persons]}
+            for _, meta in sorted(scenes.items())
         ],
     }
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
@@ -397,39 +375,62 @@ def _scene_blob_path(root: str, scene_id: int, level: int) -> str:
     return os.path.join(root, "scenes", f"scene_{scene_id:05d}_l{level}.sqt")
 
 
+def _record(value, keys: set, what: str) -> dict:
+    """``value``, which must be an object with exactly the keys ``keys``."""
+    if not isinstance(value, dict) or value.keys() != keys:
+        found = sorted(value) if isinstance(value, dict) else type(value).__name__
+        raise ValueError(f"{what} must have exactly the keys {sorted(keys)}, got {found}")
+    return value
+
+
 def load_benchmark(root) -> Benchmark:
     """Read a benchmark written by :func:`make_benchmark`; raises DataError
-    when malformed.  Each person's ``bank`` must index a row of
-    ``bank.sqt``, and its ``label`` must be that row when it is below
-    ``labeled_identities`` and UNLABELED otherwise."""
+    when malformed.
+
+    Scene i of the manifest is scene id i, and a query's identity is its
+    person's label (see ``_scene``).  Every record must have exactly its
+    keys, there must be ``num_train + num_gallery`` scenes, ``bank.sqt``
+    must be (``labeled_identities + unlabeled_identities``,
+    ``feature_dim``), each ``bank`` one of its rows, and each query a
+    labeled person of a gallery scene.
+    """
     root = str(root)
     path = os.path.join(root, "manifest.json")
-    manifest = read_manifest(path, "persearch_benchmark", 1)
+    manifest = read_manifest(path, "persearch_benchmark", _FORMAT_VERSION)
+    bank_path = os.path.join(root, "bank.sqt")
     try:
-        bank_t = read_blob(os.path.join(root, "bank.sqt"))
+        vectors = read_blob(bank_path).data
     except (FileNotFoundError, ValueError) as e:
         raise DataError(f"bad identity bank in {root}: {e}") from e
     with reading(path):
+        _record(manifest, {"format_version", "kind", "config", "scenes", "queries"}, "the manifest")
         cfg = stored_config(BenchmarkConfig, manifest["config"])
-        bank = IdentityBank(np.array(bank_t.data), manifest["num_labeled"])
-        scenes: dict[int, SceneMeta] = {}
-        for entry in manifest["scenes"]:
-            persons = tuple(
-                Person(Box(*rec["box"]), rec["label"], rec["bank"])
-                for rec in entry["persons"]
+        total = cfg.labeled_identities + cfg.unlabeled_identities
+        if vectors.shape != (total, cfg.feature_dim):
+            raise ValueError(
+                f"{bank_path} holds a {vectors.shape} array, but (labeled_identities + "
+                f"unlabeled_identities, feature_dim) is {(total, cfg.feature_dim)}"
             )
-            for p in persons:
-                row, where = p.bank_index, f"of scene {entry['id']!r}"
-                if type(row) is not int or not 0 <= row < bank.total:
-                    raise ValueError(f"person bank {row!r} {where} is not a row of bank.sqt ({bank.total} rows)")
-                if type(p.label) is not int or p.label != (row if row < cfg.labeled_identities else UNLABELED):
-                    raise ValueError(f"person label {p.label!r} {where} does not fit its bank row {row}")
-            scenes[entry["id"]] = SceneMeta(entry["id"], entry["split"], persons)
+        entries = manifest["scenes"]
+        if len(entries) != cfg.num_train + cfg.num_gallery:
+            raise ValueError(
+                f"{len(entries)} scenes, but num_train + num_gallery is {cfg.num_train + cfg.num_gallery}"
+            )
+        scenes: dict[int, SceneMeta] = {}
+        for sid, entry in enumerate(entries):
+            persons = _record(entry, {"persons"}, f"scene {sid}")["persons"]
+            records = [_record(p, {"box", "bank"}, f"a person of scene {sid}") for p in persons]
+            rows = [p["bank"] for p in records]
+            for row in rows:
+                if type(row) is not int or not 0 <= row < total:
+                    raise ValueError(f"person bank {row!r} of scene {sid} is not a row of bank.sqt ({total} rows)")
+            scenes[sid] = _scene(cfg, sid, rows, [Box(*p["box"]) for p in records])
+        queries = []
         for q in manifest["queries"]:
-            meta, person = scenes.get(q["scene"]), q["person"]
-            persons = range(len(meta.persons)) if meta and meta.split == "gallery" else ()
-            if not isinstance(person, int) or person not in persons:
-                raise ValueError(f"query person {person!r} of scene {q['scene']!r} is not a gallery person")
-            if q["identity"] != meta.persons[person].label:
-                raise ValueError(f"query identity {q['identity']!r} is not the label of its person")
-        return Benchmark(root, cfg, bank, scenes, manifest["queries"])
+            sid, person = _record(q, {"scene", "person"}, "a query")["scene"], q["person"]
+            meta = scenes.get(sid) if type(sid) is int else None
+            persons = meta.persons if meta and meta.split == "gallery" else ()
+            if type(person) is not int or not 0 <= person < len(persons) or persons[person].label < 0:
+                raise ValueError(f"query person {person!r} of scene {sid!r} is not a labeled gallery person")
+            queries.append({"scene": sid, "person": person, "identity": persons[person].label})
+        return Benchmark(root, cfg, IdentityBank(vectors, cfg.labeled_identities), scenes, queries)

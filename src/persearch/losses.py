@@ -36,12 +36,13 @@ gradient, so weighting it and adding the detection losses is one taped op.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tt
+from .errors import ConfigError
 from .tensor import Tensor
 
 __all__ = [
@@ -331,6 +332,12 @@ class LossWeights:
     iou: float = 5.0
     l1: float = 2.0
     oim: float = 0.5
+
+    def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0.0:
+                raise ConfigError(f"train.weights.{f.name} must be non-negative, got {value!r}")
 
 
 def total_loss(l_cls: float, l_iou: float, l_l1: float, l_oim, weights: LossWeights = LossWeights()):

@@ -100,6 +100,7 @@ class TrainSettings:
             raise ConfigError(f"train.oim_tau must be positive, got {self.oim_tau!r}")
         if self.grad_clip is not None and self.grad_clip <= 0.0:
             raise ConfigError("grad_clip must be positive when set")
+        self.weights.validate()
 
 
 @dataclass

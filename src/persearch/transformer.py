@@ -52,7 +52,7 @@ from .attention import (
     residual_layernorm,
     ring_offset_bias,
 )
-from .errors import read_manifest, reading, stored_config, write_manifest
+from .errors import ConfigError, read_manifest, reading, stored_config, write_manifest
 from .tensor import Tensor, read_blob, write_blob
 
 __all__ = [
@@ -91,12 +91,12 @@ class ReIDConfig:
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         for name in ("dim", "heads", "points", "m_layers", "k_cross", "num_queries"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
         if self.dim % self.heads != 0:
-            raise ValueError(f"heads ({self.heads}) must divide dim ({self.dim})")
+            raise ConfigError(f"heads ({self.heads}) must divide dim ({self.dim})")
 
     @property
     def query_width(self) -> int:

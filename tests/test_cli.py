@@ -375,9 +375,11 @@ class TestExitCodes:
                 "manifest.json: ValueError: query person 99 of scene ",
             ),
             (
+                # format 2 stores no query identity: its person's label is it
                 "data/manifest.json",
                 lambda m: m["queries"][0].update(identity=-7),
-                "manifest.json: ValueError: query identity -7 ",
+                "manifest.json: ValueError: a query must have exactly the keys ['person', 'scene'], "
+                "got ['identity', 'person', 'scene']",
             ),
             (
                 "data/manifest.json",
@@ -411,9 +413,11 @@ class TestExitCodes:
                 "checkpoint.json: ValueError: format_version 1 is not supported (expected 2)",
             ),
             (
+                # format 2 stores no person label: its bank row gives it
                 "data/manifest.json",
                 lambda m: m["scenes"][0]["persons"][0].update(label=99),
-                "manifest.json: ValueError: person label 99 of scene 0 ",
+                "manifest.json: ValueError: a person of scene 0 must have exactly the keys ['bank', 'box'], "
+                "got ['bank', 'box', 'label']",
             ),
             (
                 "data/manifest.json",
@@ -423,27 +427,74 @@ class TestExitCodes:
             (
                 "data/manifest.json",
                 lambda m: _first_person(m, labeled=True).update(label=-1),
-                "manifest.json: ValueError: person label -1 of scene ",
+                "manifest.json: ValueError: a person of scene 0 must have exactly the keys ",
             ),
             (
                 "data/manifest.json",
                 lambda m: (p := _first_person(m, labeled=False)).update(label=p["bank"]),
-                "manifest.json: ValueError: person label ",
+                "manifest.json: ValueError: a person of scene ",
             ),
             (
                 "data/manifest.json",
                 lambda m: m["config"].update(detector_sigma="x"),
-                "manifest.json: ValueError: config.detector_sigma must be a number, got 'x'",
+                "manifest.json: ConfigError: config.detector_sigma must be a number, got 'x'",
             ),
             (
                 "data/manifest.json",
                 lambda m: m["config"].update(num_train=True),
-                "manifest.json: ValueError: config.num_train must be an integer, got True",
+                "manifest.json: ConfigError: config.num_train must be an integer, got True",
             ),
             (
                 "checkpoint/model/model.json",
                 lambda m: m["config"].update(dim="8"),
-                "model.json: ValueError: config.dim must be an integer, got '8'",
+                "model.json: ConfigError: config.dim must be an integer, got '8'",
+            ),
+            (
+                # the format-1 layout: scene ids and splits, person labels,
+                # query identities and num_labeled stored beside the config
+                "data/manifest.json",
+                lambda m: m.update(
+                    format_version=1,
+                    num_labeled=4,
+                    scenes=[{"id": i, "split": "train" if i < 8 else "gallery", **s} for i, s in enumerate(m["scenes"])],
+                ),
+                "manifest.json: ValueError: format_version 1 is not supported (expected 2)",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m.update(num_labeled=3),
+                "manifest.json: ValueError: the manifest must have exactly the keys ",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["scenes"][0].update(split="gallery"),
+                "manifest.json: ValueError: scene 0 must have exactly the keys ['persons'], got ['persons', 'split']",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["scenes"].pop(),
+                "manifest.json: ValueError: 17 scenes, but num_train + num_gallery is 18",
+            ),
+            (
+                # bank.sqt keeps its 6 rows
+                "data/manifest.json",
+                lambda m: m["config"].update(unlabeled_identities=0),
+                "bank.sqt holds a (6, 8) array, but (labeled_identities + unlabeled_identities, feature_dim) is (4, 8)",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["config"].update(detector_sigma=-1.0),
+                "manifest.json: ConfigError: noise levels must be non-negative",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["config"].update(num_train=-5),
+                "manifest.json: ConfigError: num_train must be >= 1",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["config"].update(sigma_bg=float("nan")),
+                "manifest.json: ConfigError: config.sigma_bg must be a number, got nan",
             ),
         ],
         ids=["model-unknown-key", "model-wrong-kind", "model-blob-corrupt", "model-v1", "model-v2", "model-v3",
@@ -455,7 +506,9 @@ class TestExitCodes:
              "checkpoint-run-seed-negative", "checkpoint-run-seed-bool", "checkpoint-v1",
              "manifest-label-outside-table", "manifest-bank-outside-bank", "manifest-labeled-as-unlabeled",
              "manifest-unlabeled-given-label", "manifest-config-string-number", "manifest-config-bool-integer",
-             "model-config-string-integer"],
+             "model-config-string-integer", "manifest-v1", "manifest-num-labeled", "manifest-scene-split",
+             "manifest-scene-count", "manifest-bank-shape", "manifest-config-negative-sigma",
+             "manifest-config-negative-num-train", "manifest-config-nan"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):
         shutil.copytree(workspace["run"] / "checkpoint", tmp_path / "checkpoint")
@@ -690,6 +743,12 @@ class TestExitCodes:
             ({"train": {"steps": 2.5}}, "train.steps"),
             ({"train": {"oim_tau": 0}}, "train.oim_tau"),
             ({"train": {"oim_momentum": 1.0}}, "train.oim_momentum"),
+            ({"train": {"weight_decay": float("nan")}}, "train.weight_decay"),
+            ({"train": {"focal_gamma": float("nan")}}, "train.focal_gamma"),
+            ({"train": {"learning_rate": float("nan")}}, "train.learning_rate"),
+            ({"train": {"oim_tau": float("inf")}}, "train.oim_tau"),
+            ({"data": {"sigma_bg": float("nan")}}, "data.sigma_bg"),
+            ({"train": {"weights": {"oim": -1.0}}}, "train.weights.oim"),
         ],
     )
     def test_bad_config_value_exits_1_naming_the_key(self, workspace, tmp_path, capsys, raw, named):

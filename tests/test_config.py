@@ -99,6 +99,14 @@ class TestStrictValues:
             ({"train": {"oim_tau": -0.5}}, "train.oim_tau must be positive"),
             ({"train": {"oim_momentum": 1.0}}, r"train.oim_momentum must be in \[0, 1\), got 1.0"),
             ({"train": {"oim_momentum": -0.1}}, r"train.oim_momentum must be in \[0, 1\)"),
+            ({"train": {"weight_decay": float("nan")}}, "train.weight_decay must be a number, got nan"),
+            ({"train": {"focal_gamma": float("nan")}}, "train.focal_gamma must be a number, got nan"),
+            ({"train": {"learning_rate": float("nan")}}, "train.learning_rate must be a number, got nan"),
+            ({"train": {"oim_tau": float("inf")}}, "train.oim_tau must be a number, got inf"),
+            ({"train": {"grad_clip": float("-inf")}}, "train.grad_clip must be a number or null, got -inf"),
+            ({"data": {"sigma_bg": float("nan")}}, "data.sigma_bg must be a number, got nan"),
+            ({"train": {"weights": {"oim": -1.0}}}, "train.weights.oim must be non-negative, got -1.0"),
+            ({"train": {"weights": {"cls": -0.5}}}, "train.weights.cls must be non-negative, got -0.5"),
         ],
     )
     def test_bad_value_names_its_key(self, raw, named):
@@ -124,6 +132,14 @@ class TestFiles:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_is_config_error_naming_the_key(self, tmp_path, literal):
+        # json.load accepts these literals; the type rule refuses them.
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"train": {{"weight_decay": {literal}}}}}')
+        with pytest.raises(ConfigError, match="^train.weight_decay must be a number, got "):
+            load_run_config(path)
 
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -17,7 +17,7 @@ from persearch.data import (
     render_scene,
 )
 from persearch.detector import Box, iou
-from persearch.errors import ConfigError, DataError
+from persearch.errors import ConfigError, DataError, write_manifest
 from persearch.losses import UNLABELED
 from persearch.tensor import Tensor, bilinear_sample_rows
 from persearch.training import detect_scene
@@ -242,6 +242,38 @@ class TestLoadBenchmark:
         sid = made.gallery_ids[0]
         for a, b in zip(made.pyramid(sid), loaded.pyramid(sid)):
             assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"co_travellers": True, "persons_per_scene": 3}, {"unlabeled_identities": 0}],
+        ids=["default", "co-travellers-3", "no-unlabeled"],
+    )
+    def test_load_gives_back_what_make_returned(self, tmp_path, changes):
+        # Scene ids and splits, labels and query identities are derived
+        # on load; they must equal the ones generation drew.
+        made = make_benchmark(small_cfg(**changes), tmp_path / "d")
+        loaded = load_benchmark(tmp_path / "d")
+        assert (loaded.root, loaded.config) == (made.root, made.config)
+        assert loaded.bank.num_labeled == made.bank.num_labeled
+        assert np.array_equal(loaded.bank.vectors, made.bank.vectors)
+        assert loaded.scenes == made.scenes
+        assert loaded.queries == made.queries
+        assert (loaded.train_ids, loaded.gallery_ids) == (made.train_ids, made.gallery_ids)
+
+    def test_manifest_stores_each_fact_once(self, tmp_path):
+        make_benchmark(small_cfg(), tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest.keys() == {"format_version", "kind", "config", "scenes", "queries"}
+        assert manifest["format_version"] == 2
+        assert len(manifest["scenes"]) == 6 + 8
+        assert all(s.keys() == {"persons"} for s in manifest["scenes"])
+        assert all(p.keys() == {"box", "bank"} for s in manifest["scenes"] for p in s["persons"])
+        assert all(q.keys() == {"scene", "person"} for q in manifest["queries"])
+
+    def test_manifest_writer_refuses_non_finite_numbers(self, tmp_path):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                write_manifest(tmp_path / "m.json", {"sigma_bg": value})
 
     def test_missing_dir_raises_data_error(self, tmp_path):
         with pytest.raises(DataError):

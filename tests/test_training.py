@@ -323,6 +323,8 @@ class TestTrainLoop:
             dict(weight_decay=-1.0),
             dict(grad_clip=0.0),
             dict(queue_size=-1),
+            dict(weights=LossWeights(oim=-1.0)),
+            dict(weights=LossWeights(cls=float("nan"))),
         ):
             with pytest.raises(ConfigError):
                 TrainSettings(**bad).validate()

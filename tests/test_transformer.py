@@ -8,6 +8,7 @@ import pytest
 from persearch import tensor as T
 from persearch import attention, transformer
 from persearch.attention import ReferencePoint
+from persearch.errors import ConfigError
 from persearch.tensor import GradTape, Tensor
 from persearch.transformer import (
     SCHEMES,
@@ -134,11 +135,11 @@ class TestStructure:
             assert np.all(np.isfinite(t.data))
 
     def test_heads_must_divide_dim(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             tiny_config(dim=9, heads=2).validate()
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             tiny_config(scheme="pyramid").validate()
 
 
