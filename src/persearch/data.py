@@ -389,8 +389,9 @@ def load_benchmark(root) -> Benchmark:
 
     Scene i of the manifest is scene id i, and a query's identity is its
     person's label (see ``_scene``).  Every record must have exactly its
-    keys, there must be ``num_train + num_gallery`` scenes, ``bank.sqt``
-    must be (``labeled_identities + unlabeled_identities``,
+    keys, there must be ``num_train + num_gallery`` scenes of
+    ``persons_per_scene`` persons each and ``num_queries`` queries,
+    ``bank.sqt`` must be (``labeled_identities + unlabeled_identities``,
     ``feature_dim``), each ``bank`` one of its rows, and each query a
     labeled person of a gallery scene.
     """
@@ -419,12 +420,18 @@ def load_benchmark(root) -> Benchmark:
         scenes: dict[int, SceneMeta] = {}
         for sid, entry in enumerate(entries):
             persons = _record(entry, {"persons"}, f"scene {sid}")["persons"]
+            if len(persons) != cfg.persons_per_scene:
+                raise ValueError(
+                    f"scene {sid} holds {len(persons)} persons, but persons_per_scene is {cfg.persons_per_scene}"
+                )
             records = [_record(p, {"box", "bank"}, f"a person of scene {sid}") for p in persons]
             rows = [p["bank"] for p in records]
             for row in rows:
                 if type(row) is not int or not 0 <= row < total:
                     raise ValueError(f"person bank {row!r} of scene {sid} is not a row of bank.sqt ({total} rows)")
             scenes[sid] = _scene(cfg, sid, rows, [Box(*p["box"]) for p in records])
+        if len(manifest["queries"]) != cfg.num_queries:
+            raise ValueError(f"{len(manifest['queries'])} queries, but num_queries is {cfg.num_queries}")
         queries = []
         for q in manifest["queries"]:
             sid, person = _record(q, {"scene", "person"}, "a query")["scene"], q["person"]

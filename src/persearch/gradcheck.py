@@ -8,11 +8,14 @@ full-model tolerance absorbs the longer chain of float64 cancellations; a
 genuinely wrong partial derivative produces errors orders of magnitude
 above it.
 
-The primitive checks evaluate their function once per central-difference
-probe.  The attention checks run all probes of a check as one call of
-the sublayer over one row block per probe, and the full-model checks run
-all probes of a parameter tensor as one forward; each probe's value is
-bit for bit the value of the unbatched function at that probe.
+Each primitive and attention check runs all its central-difference
+probes as one blocked call of its primitive or sublayer, one block per
+probe.  The full-model checks pack the probes of the tensors that the
+same sublayer reads first into forwards of at most the largest tensor's
+probe count.  Each probe's value is bit for bit the value of the
+unbatched function at that probe, except in the two checks that sample
+one bilinear point, where a probe's output may differ from it in its
+last bit.
 
 ``run_gradcheck(corrupt=True)`` deliberately biases one analytic gradient
 entry before comparison, proving the harness can fail.
@@ -21,6 +24,7 @@ entry before comparison, proving the harness can fail.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -61,8 +65,42 @@ class CheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def check_primitives() -> list[CheckResult]:
-    """Each taped primitive's output contracted with a fixed weight.
+def _rows(probes: np.ndarray) -> Tensor:
+    """(B, N, ...) probes of an (N, ...) input as B blocks of N stacked rows."""
+    return Tensor(probes.reshape(-1, *probes.shape[2:]))
+
+
+def _maps(probes: np.ndarray) -> list[Tensor]:
+    """(B, C, H, W) probes of a feature map as B maps."""
+    return [Tensor(m) for m in probes]
+
+
+def _tiled(t: Tensor, blocks: int) -> Tensor:
+    """The rows of ``t`` repeated for ``blocks`` row blocks."""
+    return t if blocks == 1 else Tensor(np.tile(t.data, (blocks, 1)))
+
+
+def _check(block: str, tol: float, name, function, leaf, w, stack, h=1e-6) -> CheckResult:
+    """One check as :func:`_primitive_checks` and :func:`_attention_checks`
+    describe it: the taped gradient of ``function(x, 1)`` at ``leaf``
+    against central differences whose 2 * leaf.size probes all run as one
+    blocked call, ``function(stack(probes), 2 * leaf.size)``."""
+
+    def f_probes(probes):
+        return function(stack(probes), len(probes)).data.reshape(len(probes), *w.shape)
+
+    err = tt.central_diff_gradcheck(lambda x: function(x, 1), leaf, w, h, f_probes)
+    return CheckResult(f"{block}.{name}", err, tol)
+
+
+def _primitive_checks() -> list[tuple]:
+    """The primitive checks, each as (name, function, leaf, weight, stack).
+
+    ``function(x, blocks)`` is the primitive's output with ``x`` in place
+    of the probed ``leaf``, over ``blocks`` probes; at one block it is the
+    function checked.  ``stack(probes)`` turns the (2 * leaf.size,
+    *leaf.shape) probe array into that ``x``, as for the attention checks:
+    stacked rows, a leading block axis, or one map per probe.
 
     The draws from the one generator are ordered so that a check keeps
     its inputs when checks are added after it.
@@ -77,18 +115,28 @@ def check_primitives() -> list[CheckResult]:
     point = Tensor(np.array([[2.3, 1.7]]))
     wide = Tensor(rng.standard_normal((3, 8)))
     taken_w = Tensor(rng.standard_normal((3, 4)))
-    added, split = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
+    added, split, normed, unit, cat, taken = (Tensor(rng.standard_normal((3, 4))) for _ in range(6))
+    pts = Tensor(rng.uniform(0.5, 4.0, (4, 2)))
     ones = lambda *shape: Tensor(np.ones(shape))
+    take = lambda x, b: tt.take_rows(x, (3 * np.arange(b)[:, None] + [0, 2, 2]).reshape(-1))
+
+    def sample_map(m, b):
+        # One value table of all probe maps; probe k's point samples map k.
+        if b == 1:
+            return tt.bilinear_sample_rows(m, point)
+        return Tensor(tt._bilinear_forward(tt.value_table(m), np.broadcast_to(point.data, (b, 1, 2)))[0])
+
+    sample = lambda p, b: tt.bilinear_sample_rows(fmap, p)
     checks = [
-        ("add", lambda x: tt.add(x, a), added, ones(3, 4)),
-        ("layer_norm_x", lambda x: tt.layer_norm(x, gamma, beta), Tensor(rng.standard_normal((3, 4))), a),
-        ("layer_norm_gamma", lambda g: tt.layer_norm(a, g, beta), gamma, a),
-        ("l2_normalize_rows", tt.l2_normalize_rows, Tensor(rng.standard_normal((3, 4))), a),
-        ("concat_cols", lambda x: tt.concat_cols((x, a)), Tensor(rng.standard_normal((3, 4))), wide),
-        ("take_rows", lambda x: tt.take_rows(x, [0, 2, 2]), Tensor(rng.standard_normal((3, 4))), taken_w),
-        ("bilinear_map", lambda m: tt.bilinear_sample_rows(m, point), fmap, ones(1, 3)),
-        ("bilinear_point", lambda p: tt.bilinear_sample_rows(fmap, p), point, ones(1, 3)),
-        ("bilinear_rows", lambda p: tt.bilinear_sample_rows(fmap, p), Tensor(rng.uniform(0.5, 4.0, (4, 2))), ones(4, 3)),
+        ("add", lambda x, b: tt.add(x, _tiled(a, b)), added, ones(3, 4), _rows),
+        ("layer_norm_x", lambda x, b: tt.layer_norm(x, gamma, beta, b), normed, a, _rows),
+        ("layer_norm_gamma", lambda g, b: tt.layer_norm(_tiled(a, b), g, beta, b), gamma, a, Tensor),
+        ("l2_normalize_rows", lambda x, b: tt.l2_normalize_rows(x), unit, a, _rows),
+        ("concat_cols", lambda x, b: tt.concat_cols((x, _tiled(a, b))), cat, wide, _rows),
+        ("take_rows", take, taken, taken_w, _rows),
+        ("bilinear_map", sample_map, fmap, ones(1, 3), _maps),
+        ("bilinear_point", sample, point, ones(1, 3), _rows),
+        ("bilinear_rows", sample, pts, ones(4, 3), _rows),
     ]
     # Focal OIM over labeled, unlabeled and background rows, against three
     # identities and two queue rows.  A mild temperature keeps every p_t
@@ -97,27 +145,43 @@ def check_primitives() -> list[CheckResult]:
     state = OIMState(table[None, :3], table[None, 3:], capacity=2, tau=0.5)
     labels, per_row = [1, UNLABELED, 0, BACKGROUND, 2, 1], Tensor(rng.standard_normal(4))
     for g in (2.0, 0.0):
-        oim = lambda x, g=g: focal_oim_rows(tt.l2_normalize_rows(x), labels, state, g)
-        checks.append((f"focal_oim_rows_gamma{g:.0f}", oim, Tensor(rng.standard_normal((6, 4))), per_row))
+        oim = lambda x, b, g=g: focal_oim_rows(tt.l2_normalize_rows(x), labels * b, state, g)
+        checks.append((f"focal_oim_rows_gamma{g:.0f}", oim, Tensor(rng.standard_normal((6, 4))), per_row, _rows))
     # The shape tools, layer norm's beta and a gamma with one row per
     # block: the three blocks of two rows each normalize on their own.
     # The (2, 3) draw that no check reads keeps the inputs of the ones after it.
     draw = lambda *shape: Tensor(rng.standard_normal(shape))
     deep, _, held, rows = draw(2, 2, 3), draw(2, 3), draw(2, 2, 3), draw(6, 4)
     blocks_w = draw(4, 2, 3)
+    # Row i of every probe in block i, so that cutting the rows into three
+    # blocks cuts each probe's rows apart.
+    by_row = lambda probes: Tensor(probes.swapaxes(0, 1).reshape(-1, probes.shape[-1]))
+    # A per-scale tensor serves both sets of the check, so the blocked call
+    # gives each probe's two sets that probe's scales: one value per set
+    # and scale.
+    as_sets = lambda probes: Tensor(np.repeat(probes, 2, axis=0))
+    per_set = lambda x, b: tt.broadcast_blocks(x, 2 * b, 2, True, False)
+    per_scale = lambda x, b: tt.broadcast_blocks(x, 2 * b, 2, b > 1, True)
+    block_gamma = lambda g, b: tt.layer_norm(_tiled(rows, b), g, beta, 3 * b)
     checks += [
-        ("tile_rows", lambda x: tt.tile_rows(x, 2), col, draw(6, 1)),
-        ("tile_rows_rank3", lambda x: tt.tile_rows(x, 3), deep, draw(12, 3)),
-        ("split_rows", lambda x: tt.concat_cols(tt.split_rows(x, 3)), split, draw(1, 12)),
-        ("broadcast_blocks_per_set", lambda x: tt.broadcast_blocks(x, 2, 2, True, False), held, blocks_w),
-        ("broadcast_blocks_per_scale", lambda x: tt.broadcast_blocks(x, 2, 2, False, True), held, blocks_w),
-        ("layer_norm_beta", lambda b: tt.layer_norm(a, gamma, b), beta, a),
-        ("layer_norm_block_gamma", lambda g: tt.layer_norm(rows, g, beta, blocks=3), pos, draw(6, 4)),
+        ("tile_rows", lambda x, b: tt.tile_rows(x, 2), col, draw(6, 1), Tensor),
+        ("tile_rows_rank3", lambda x, b: tt.tile_rows(x, 3), deep, draw(12, 3), _rows),
+        ("split_rows", lambda x, b: tt.concat_cols(tt.split_rows(x, 3)), split, draw(1, 12), by_row),
+        ("broadcast_blocks_per_set", per_set, held, blocks_w, _rows),
+        ("broadcast_blocks_per_scale", per_scale, held, blocks_w, as_sets),
+        ("layer_norm_beta", lambda bb, b: tt.layer_norm(_tiled(a, b), gamma, bb, b), beta, a, Tensor),
+        ("layer_norm_block_gamma", block_gamma, pos, draw(6, 4), _rows),
     ]
-    return [
-        CheckResult(f"primitive.{n}", tt.central_diff_gradcheck(f, x, w), PRIMITIVE_TOL)
-        for n, f, x, w in checks
-    ]
+    return checks
+
+
+def check_primitives() -> list[CheckResult]:
+    """Each taped primitive's output contracted with a fixed weight, at 1e-6.
+
+    Each check evaluates all 2 * size probes of its input with one blocked
+    call of the primitive (of the bilinear kernel, for a probed map).
+    """
+    return [_check("primitive", PRIMITIVE_TOL, *spec) for spec in _primitive_checks()]
 
 
 def _gauss(rng, *shape, fan_in=None):
@@ -147,18 +211,8 @@ def _deform_params(rng, d=6, c=4, heads=2, points=2):
     )
 
 
-def _rows(probes: np.ndarray) -> Tensor:
-    """(B, N, D) probes of a sublayer's input as B blocks of N stacked rows."""
-    return Tensor(probes.reshape(-1, probes.shape[-1]))
-
-
-def _tiled(t: Tensor, blocks: int) -> Tensor:
-    """The rows of ``t`` repeated for ``blocks`` row blocks."""
-    return t if blocks == 1 else Tensor(np.tile(t.data, (blocks, 1)))
-
-
 def _attention_checks() -> list[tuple]:
-    """The attention checks, each as (name, sublayer, leaf, weight, h, stack).
+    """The attention checks, each as (name, sublayer, leaf, weight, stack[, h]).
 
     ``sublayer(x, blocks)`` is the sublayer's output with ``x`` in place of
     the probed ``leaf``, over ``blocks`` row blocks; at one block it is the
@@ -172,18 +226,18 @@ def _attention_checks() -> list[tuple]:
     y = Tensor(rng.standard_normal((4, d)))
     mha = _mha_params(rng, d)
     weigh = Tensor(rng.standard_normal((4, d)))
-    checks = [("mha_input", lambda x, b: multi_head_self_attention(x, mha, b), y, weigh, 1e-6, _rows)]
+    checks = [("mha_input", lambda x, b: multi_head_self_attention(x, mha, b), y, weigh, _rows)]
     for attr in MultiHeadAttnParams.TENSORS:
 
         def f(x, b, attr=attr):
             return multi_head_self_attention(_tiled(y, b), dataclasses.replace(mha, **{attr: x}), b)
 
-        checks.append((f"mha_{attr}", f, getattr(mha, attr), weigh, 1e-6, Tensor))
+        checks.append((f"mha_{attr}", f, getattr(mha, attr), weigh, Tensor))
 
     gamma = Tensor(rng.standard_normal(d))
     beta = Tensor(rng.standard_normal(d))
     residual = lambda x, b: residual_layernorm(x, multi_head_self_attention(x, mha, b), gamma, beta, b)
-    checks.append(("residual_layernorm", residual, y, weigh, 1e-6, _rows))
+    checks.append(("residual_layernorm", residual, y, weigh, _rows))
 
     c = 4
     fmap = Tensor(rng.standard_normal((c, 6, 7)))
@@ -196,14 +250,13 @@ def _attention_checks() -> list[tuple]:
         queries = _tiled(z, b) if queries is None else queries
         return deform_attn(queries, refs, maps, dataclasses.replace(dp, **field), b)
 
-    checks.append(("deform_z", lambda x, b: deform(b, queries=x), z, wz, 1e-6, _rows))
+    checks.append(("deform_z", lambda x, b: deform(b, queries=x), z, wz, _rows))
     for field in DeformAttnParams.TENSORS:
         f = lambda x, b, field=field: deform(b, **{field: x})
-        checks.append((f"deform_{field}", f, getattr(dp, field), wz, 1e-6, Tensor))
+        checks.append((f"deform_{field}", f, getattr(dp, field), wz, Tensor))
     # Linear in the map, so a wider step costs no truncation error and
     # drowns less in float roundoff on the tiny corner weights.
-    maps = lambda probes: [Tensor(m) for m in probes]
-    checks.append(("deform_fmap", lambda x, b: deform(b, maps=x), fmap, wz, 1e-4, maps))
+    checks.append(("deform_fmap", lambda x, b: deform(b, maps=x), fmap, wz, _maps, 1e-4))
     return checks
 
 
@@ -211,18 +264,9 @@ def check_attention() -> list[CheckResult]:
     """Both attention sublayers, input and every weight, at 1e-6.
 
     Each check evaluates all 2 * size probes of its input with one call of
-    the sublayer over one row block per probe, as the full-model check
-    runs each tensor's probes through one forward.
+    the sublayer over one row block per probe.
     """
-
-    def check(name, sublayer, leaf, w, h, stack):
-        def f_probes(probes):
-            return sublayer(stack(probes), len(probes)).data.reshape(len(probes), *w.shape)
-
-        err = tt.central_diff_gradcheck(lambda x: sublayer(x, 1), leaf, w, h, f_probes)
-        return CheckResult(f"attention.{name}", err, ATTENTION_TOL)
-
-    return [check(*spec) for spec in _attention_checks()]
+    return [_check("attention", ATTENTION_TOL, *spec) for spec in _attention_checks()]
 
 
 def _gradcheck_scene(dim: int, image_size: int):
@@ -271,8 +315,11 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
 
     The loss is the training loss's identity term: focal OIM per output
     scale, averaged over the scales (``losses.focal_oim_loss``).  The
-    2 * size probes of each parameter tensor run as one batched forward,
-    with one focal-OIM evaluation over all probes of a tensor.
+    tensors that the same sublayer reads first form a group, whose probes
+    all run from that sublayer on.  Each group's coordinates, tensor after
+    tensor in name order, are cut into runs as long as the largest
+    tensor, and the 2 * length probes of a run go through one batched
+    forward and one focal-OIM evaluation.
     """
     model, pyramid, refs, labels, state = _full_model_problem()
 
@@ -286,24 +333,41 @@ def check_full_model(corrupt: bool = False) -> list[CheckResult]:
     if corrupt:
         analytic[0] = analytic[0] + 1e-3
 
-    def probe_losses(name):
-        """All probes of one tensor through one forward, as that tensor's
-        variants, and the loss of each.  The forward runs each probe only
-        from the first sublayer it changes; each probe's value equals the
+    def probe_losses(group, flat, ends, lo):
+        """The probes of a run of ``group``'s coordinates, from ``lo`` on,
+        through one forward, and the loss of each.  ``flat`` holds the
+        group's tensors one after another, tensor i ending at ``ends[i]``.
+        The tensors with a coordinate in the run are the variants, each at
+        its own value outside its probes.  The forward runs each probe
+        only from the group's first reader; each probe's value equals the
         taped loss above evaluated at the probe."""
 
         def f(probes):
-            emb = model.forward(pyramid, refs, variants={name: Tensor(probes)})
-            return loss(emb, len(probes)).data
+            hi = lo + probes.shape[1]
+            values = np.repeat(flat[None], len(probes), axis=0)
+            values[:, lo:hi] = probes
+            variants = {
+                name: Tensor(v.reshape(len(probes), *model.params[name].shape))
+                for name, v, end in zip(group, np.split(values, ends[:-1], axis=1), ends)
+                if end - v.shape[1] < hi and end > lo
+            }
+            return loss(model.forward(pyramid, refs, variants=variants), len(probes)).data
 
         return f
 
+    run = max(t.size for t in model.params.values())
+    numeric = {}
+    for _, group in itertools.groupby(sorted(names, key=model._first_reader), model._first_reader):
+        group = list(group)
+        flat = np.concatenate([model.params[n].data.reshape(-1) for n in group])
+        ends = np.cumsum([model.params[n].size for n in group])
+        grad = np.concatenate([
+            tt.numeric_gradient(probe_losses(group, flat, ends, lo), Tensor(flat[lo : lo + run]))
+            for lo in range(0, len(flat), run)
+        ])
+        numeric.update((n, g.reshape(model.params[n].shape)) for n, g in zip(group, np.split(grad, ends[:-1])))
     return [
-        CheckResult(
-            f"full_model.{name}",
-            max_rel_error(grad, tt.numeric_gradient(probe_losses(name), model.params[name])),
-            FULL_MODEL_TOL,
-        )
+        CheckResult(f"full_model.{name}", max_rel_error(grad, numeric[name]), FULL_MODEL_TOL)
         for name, grad in zip(names, analytic)
     ]
 

@@ -476,6 +476,16 @@ class TestExitCodes:
                 "manifest.json: ValueError: 17 scenes, but num_train + num_gallery is 18",
             ),
             (
+                "data/manifest.json",
+                lambda m: m["queries"].pop(),
+                "manifest.json: ValueError: 3 queries, but num_queries is 4",
+            ),
+            (
+                "data/manifest.json",
+                lambda m: m["scenes"][0]["persons"].pop(),
+                "manifest.json: ValueError: scene 0 holds 1 persons, but persons_per_scene is 2",
+            ),
+            (
                 # bank.sqt keeps its 6 rows
                 "data/manifest.json",
                 lambda m: m["config"].update(unlabeled_identities=0),
@@ -507,7 +517,8 @@ class TestExitCodes:
              "manifest-label-outside-table", "manifest-bank-outside-bank", "manifest-labeled-as-unlabeled",
              "manifest-unlabeled-given-label", "manifest-config-string-number", "manifest-config-bool-integer",
              "model-config-string-integer", "manifest-v1", "manifest-num-labeled", "manifest-scene-split",
-             "manifest-scene-count", "manifest-bank-shape", "manifest-config-negative-sigma",
+             "manifest-scene-count", "manifest-query-count", "manifest-scene-person-count",
+             "manifest-bank-shape", "manifest-config-negative-sigma",
              "manifest-config-negative-num-train", "manifest-config-nan"],
     )
     def test_malformed_artifact_exits_2(self, workspace, tmp_path, capsys, artifact, edit, named):

@@ -1,6 +1,7 @@
 """Gradient-verification suite: positive runs and the corrupt control."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -101,8 +102,40 @@ def one_probe_at_a_time(f, x, h=1e-6):
     return grad.reshape(x.shape)
 
 
+def single_tensor_losses(model, pyramid, refs, labels, state):
+    """For a parameter name, the probe-loss function of the full-model
+    check with only that tensor varied: all its probes through one
+    forward."""
+
+    def probe_losses(name):
+        def f(probes):
+            emb = model.forward(pyramid, refs, variants={name: Tensor(probes)})
+            feats = T.l2_normalize_rows(emb.rows)
+            return gradcheck.focal_oim_loss(feats, labels, state, gamma=2.0, sets=len(probes))[0].data
+
+        return f
+
+    return probe_losses
+
+
+def packed_layout():
+    """The full-model check's parameter names in probe order, sorted by the
+    sublayer that first reads them and then by name; the largest tensor's
+    size; and the expected forward count: one for the analytic pass, then
+    for each group of one first reader one per run of at most that size."""
+    model = _full_model_problem()[0]
+    order = sorted(model.params, key=lambda n: (model._first_reader(n), n))
+    run = max(t.size for t in model.params.values())
+    groups = {}
+    for name in order:
+        groups.setdefault(model._first_reader(name), []).append(name)
+    sizes = [sum(model.params[n].size for n in g) for g in groups.values()]
+    return order, run, 1 + sum(math.ceil(s / run) for s in sizes)
+
+
 class TestBatchedProbes:
-    """The full-model check evaluates each tensor's probes as one batch."""
+    """The full-model check packs the probes of the tensors one sublayer
+    reads first into forwards of at most the largest tensor's probes."""
 
     def test_numeric_gradients_equal_one_probe_at_a_time(self, monkeypatch):
         batched = T.numeric_gradient
@@ -110,26 +143,32 @@ class TestBatchedProbes:
 
         def recording(f, x, h=1e-6):
             grad = batched(f, x, h)
-            calls.append((f, x, grad))
+            calls.append(grad)
             return grad
 
         monkeypatch.setattr(T, "numeric_gradient", recording)
-        results = check_full_model()
-        names = [r.name.removeprefix("full_model.") for r in results]
-        assert len(calls) == len(names)
-        checked = 0
-        for name, (f, x, grad) in zip(names, calls):
-            if name in (
-                "queries",
-                "stack.layer0.cross1.w_out",
-                "stack.layer1.sa.wq",
-                "stack.layer0.cross0_norm.beta",
-            ):
-                assert np.array_equal(grad, one_probe_at_a_time(f, x)), name
-                checked += 1
-        assert checked == 4
+        check_full_model()
+        order, _, forwards = packed_layout()
+        assert len(calls) == forwards - 1
+        problem = _full_model_problem()
+        model = problem[0]
+        # The runs, one after another, cover every parameter in probe order.
+        ends = np.cumsum([model.params[n].size for n in order])
+        grads = dict(zip(order, np.split(np.concatenate(calls), ends[:-1])))
+        probe_losses = single_tensor_losses(*problem)
+        for name in (
+            "queries",
+            "stack.layer0.cross1.w_out",
+            "stack.layer1.sa.wq",
+            "stack.layer0.cross0_norm.beta",
+        ):
+            # Each packed probe's value is bit for bit its value with only
+            # its own tensor varied, one probe per forward.
+            x = model.params[name]
+            per_probe = one_probe_at_a_time(probe_losses(name), x)
+            assert np.array_equal(grads[name].reshape(x.shape), per_probe), name
 
-    def test_one_forward_per_parameter_tensor(self, monkeypatch):
+    def test_probes_packed_into_forwards_of_at_most_the_largest_tensor(self, monkeypatch):
         forward = ReIDTransformer.forward
         calls = []
 
@@ -139,11 +178,13 @@ class TestBatchedProbes:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(ReIDTransformer, "forward", counting)
-        results = check_full_model()
-        assert len(calls) <= len(results) + 1
+        check_full_model()
+        _, run, forwards = packed_layout()
+        assert len(calls) == forwards == 27
+        # The analytic pass, then no forward above the largest tensor's probes.
+        assert calls[0] == 1 and max(calls[1:]) == 2 * run == 128
         # Every probe still runs: 2 per scalar, plus the analytic pass.
         assert sum(calls) == 1 + 2 * 1576
-
 
     def test_shared_tensors_and_maps_pass_once_per_call(self, monkeypatch):
         # One layer view per layer of each forward, and each
@@ -169,8 +210,8 @@ class TestBatchedProbes:
         monkeypatch.setattr(T, "_bilinear_forward", counting_kernel)
         check_full_model()
         model = _full_model_problem()[0]
-        assert len(forwards) == 46
-        assert len(views) == len(forwards) * model.config.m_layers <= 92
+        assert len(forwards) == packed_layout()[2] == 27
+        assert len(views) == len(forwards) * model.config.m_layers <= 54
         assert kernel_maps and max(kernel_maps) <= 3
 
 
@@ -254,6 +295,90 @@ class TestBatchedAttentionProbes:
             assert blocked[1] == 2 * sizes[r.name] * taped[1], r.name
 
 
+def probe_array(x, h=1e-6):
+    """numeric_gradient's (2 * x.size, *x.shape) probes of ``x``."""
+    n = x.size
+    probes = np.repeat(x.data.reshape(1, n), 2 * n, axis=0)
+    probes[2 * np.arange(n), np.arange(n)] += h
+    probes[2 * np.arange(n) + 1, np.arange(n)] -= h
+    return probes.reshape(2 * n, *x.shape)
+
+
+class TestBlockedPrimitiveProbes:
+    """Each primitive check evaluates its probes as one blocked call."""
+
+    # A lone point's bilinear sample at three channels may differ in its
+    # last bit from the same point in a batch (see test_tensor), so these
+    # two checks' probe outputs are bound to one ulp of the one-probe
+    # outputs, and their numeric gradients to 1e-8: a few ulps of samples
+    # below 4 in size, over 2h.
+    ULP_BOUND = ("primitive.bilinear_map", "primitive.bilinear_point")
+
+    def recorded_checks(self, monkeypatch):
+        central = T.central_diff_gradcheck
+        calls = []
+
+        def recording(f, x, w, h=1e-6, f_probes=None):
+            calls.append((f, x, w, h, f_probes))
+            return central(f, x, w, h, f_probes)
+
+        monkeypatch.setattr(T, "central_diff_gradcheck", recording)
+        results = check_primitives()
+        assert len(calls) == len(results) == 18
+        return results, calls
+
+    def test_numeric_gradients_equal_one_probe_at_a_time(self, monkeypatch):
+        results, calls = self.recorded_checks(monkeypatch)
+        for r, (f, x, w, h, f_probes) in zip(results, calls):
+            assert f_probes is not None, r.name
+            probes = probe_array(x, h)
+            outs = f_probes(probes)
+            alone = np.array([f(Tensor(p)).data for p in probes])
+            batched = T.numeric_gradient(lambda probes: weighed(f_probes(probes), w), x, h)
+            per_probe = one_probe_at_a_time(lambda probe: weighed([f(Tensor(probe[0])).data], w), x, h)
+            if r.name in self.ULP_BOUND:
+                assert np.all(np.abs(outs - alone) <= np.spacing(np.abs(alone))), r.name
+                assert np.allclose(batched, per_probe, rtol=0.0, atol=1e-8), r.name
+            else:
+                assert np.array_equal(outs, alone), r.name
+                assert np.array_equal(batched, per_probe), r.name
+
+    def test_one_taped_and_one_blocked_call_per_check(self, monkeypatch):
+        # Each check's primitive (the bilinear checks' kernel) runs twice:
+        # once taped at the leaf, then once over every probe, whose output
+        # is 2 * size times as large.
+        calls = []
+
+        def size(out):
+            if isinstance(out, Tensor):
+                return out.size
+            if isinstance(out[0], np.ndarray):  # the kernel's (samples, residuals)
+                return out[0].size
+            return sum(t.size for t in out)  # split_rows' blocks
+
+        def counting(name, module):
+            def counted(*args, primitive=getattr(module, name), **kwargs):
+                out = primitive(*args, **kwargs)
+                calls.append((name, size(out)))
+                return out
+
+            monkeypatch.setattr(module, name, counted)
+
+        stems = ("add", "layer_norm", "l2_normalize_rows", "concat_cols", "take_rows",
+                 "tile_rows", "split_rows", "broadcast_blocks")
+        for name in stems + ("_bilinear_forward",):
+            counting(name, T)
+        counting("focal_oim_rows", gradcheck)
+        for name, *spec in gradcheck._primitive_checks():
+            calls.clear()
+            gradcheck._check("primitive", PRIMITIVE_TOL, name, *spec)
+            leaf = spec[1]
+            prim = next((s for s in stems + ("focal_oim_rows",) if name.startswith(s)), "_bilinear_forward")
+            own = [c for c in calls if c[0] == prim]
+            assert len(own) == 2, name
+            assert own[1][1] == 2 * leaf.size * own[0][1], name
+
+
 def old_probe_loss(emb, labels, state):
     """The loss of one probe from each scale's own focal OIM rows, each
     scored against a one-scale state of that scale's table and queue: the
@@ -268,48 +393,54 @@ def old_probe_loss(emb, labels, state):
 
 
 class TestBatchedLoss:
-    """The full-model check scores all probes of a tensor, at every scale,
+    """The full-model check scores all probes of a forward, at every scale,
     with one focal-OIM evaluation."""
 
     def test_probe_values_equal_one_loss_per_probe_and_scale(self, monkeypatch):
-        batched = T.numeric_gradient
-        calls = []
+        batched, forward = T.numeric_gradient, ReIDTransformer.forward
+        calls, forwards = [], []
 
         def recording(f, x, h=1e-6):
             def f_recorded(probes):
                 values = f(probes)
-                calls.append((probes, list(values)))
+                calls.append(list(values))
                 return values
 
             return batched(f_recorded, x, h)
 
+        def recording_forward(self, *args, variants=None):
+            emb = forward(self, *args, variants=variants)
+            if variants:
+                forwards.append((set(variants), len(next(iter(variants.values())).data), emb))
+            return emb
+
         monkeypatch.setattr(T, "numeric_gradient", recording)
-        results = check_full_model()
-        names = [r.name.removeprefix("full_model.") for r in results]
-        assert len(calls) == len(names)
-        model, pyramid, refs, labels, state = _full_model_problem()
+        monkeypatch.setattr(ReIDTransformer, "forward", recording_forward)
+        check_full_model()
+        assert len(calls) == len(forwards) == packed_layout()[2] - 1
+        _, _, refs, labels, state = _full_model_problem()
+        n = len(refs)
         checked = 0
-        for name, (probes, values) in zip(names, calls):
-            if name in (
+        for values, (varied, sets, emb) in zip(calls, forwards):
+            if varied & {
                 "queries",
                 "stack.layer0.cross1.w_out",
                 "stack.layer1.sa.wq",
                 "stack.layer0.cross0_norm.beta",
-            ):
-                variants = {name: Tensor(probes)}
-                emb = model.forward(pyramid, refs, variants=variants)
-                n = len(refs)
+            }:
                 own = lambda b: ReIDEmbeddings(
                     Tensor(np.vstack([t.data[b * n : (b + 1) * n] for t in emb.per_scale])),
                     emb.scales,
                     emb.scheme,
                 )
-                want = [old_probe_loss(own(b), labels, state) for b in range(len(probes))]
-                assert np.array_equal(values, want), name
+                want = [old_probe_loss(own(b), labels, state) for b in range(sets)]
+                assert np.array_equal(values, want), varied
                 checked += 1
-        assert checked == 4
+        # The four tensors' probes span five forwards: w_out's two runs and
+        # one run each for the others.
+        assert checked == 5
 
-    def test_one_loss_evaluation_per_parameter_tensor(self, monkeypatch):
+    def test_one_loss_evaluation_per_forward(self, monkeypatch):
         loss = gradcheck.focal_oim_loss
         calls = []
 
@@ -320,9 +451,9 @@ class TestBatchedLoss:
         monkeypatch.setattr(gradcheck, "focal_oim_loss", counting)
         results = check_full_model()
         assert len(results) == 45
-        # One for the taped loss, then one per parameter tensor for all of
-        # its probes and all three scales.
-        assert len(calls) == len(results) + 1
+        # One for the taped loss, then one per forward for all of its probes
+        # and all three scales.
+        assert len(calls) == packed_layout()[2]
         assert all(scales == 3 for _, scales in calls)
         # Every probe's rows are still scored, all scales in one tensor: 3
         # rows per probe and scale.

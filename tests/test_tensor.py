@@ -265,6 +265,18 @@ class TestBilinearKernel:
         want = np.stack([gx, gy], axis=1)
         assert np.linalg.norm(g_pts - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("channels", [8, 32])
+    def test_a_point_alone_samples_the_bits_it_samples_in_a_batch(self, channels):
+        # 400 points in and around a 7x9 map, each sampled alone and all
+        # together.  (At three channels a lone point can differ in its
+        # last bit.)
+        rng = np.random.default_rng(3)
+        table = T.value_table([rand(rng, channels, 7, 9)])
+        pts = rng.uniform(-1.0, 9.0, size=(1, 400, 2))
+        batch, _ = T._bilinear_forward(table, pts)
+        alone = np.vstack([T._bilinear_forward(table, pts[:, i : i + 1])[0] for i in range(400)])
+        assert np.array_equal(alone, batch)
+
 
 class TestGradients:
     """Every primitive's analytic gradient vs central differences (< 1e-6)."""
