@@ -39,13 +39,13 @@ __all__ = ["main"]
 
 
 def _load_config(args) -> tuple[RunConfig, dict]:
-    """The run config, and the ``data`` section as the file wrote it (empty
-    without ``--config`` or without the section)."""
+    """The run config, and the file's JSON object as it wrote it (empty
+    without ``--config``)."""
     raw = read_config_file(args.config) if args.config else {}
     cfg = run_config_from_dict(raw)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    return cfg, raw.get("data", {})
+    return cfg, raw
 
 
 def _check_data_section(written: dict, bench) -> None:
@@ -72,6 +72,19 @@ def _check_feature_dim(bench, dim: int, source: str) -> None:
         )
 
 
+def _check_slots(bench, num_queries: int, source: str, error=DataError) -> None:
+    """Refuse a dataset with more persons per scene than the model has
+    detection slots, before any compute: the detector gives each person a
+    slot.  ``source`` names where ``num_queries`` comes from; ``error`` is
+    the exception to raise."""
+    persons = bench.config.persons_per_scene
+    if num_queries < persons:
+        raise error(
+            f"{os.path.join(bench.root, 'manifest.json')} has persons_per_scene {persons}, "
+            f"but {source} is {num_queries}; a model needs a slot per person"
+        )
+
+
 def cmd_gen_data(args) -> int:
     cfg, _ = _load_config(args)
     if args.seed is not None:
@@ -85,13 +98,17 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, written_data = _load_config(args)
+    cfg, raw = _load_config(args)
     if args.steps is not None:
         cfg.train.steps = args.steps
         cfg.train.validate()
     bench = load_benchmark(args.data)
     _check_feature_dim(bench, cfg.model.dim, "the config key model.dim")
-    _check_data_section(written_data, bench)
+    _check_data_section(raw.get("data", {}), bench)
+    if "num_queries" in raw.get("model", {}):
+        _check_slots(bench, cfg.model.num_queries, "the config key model.num_queries", ConfigError)
+    else:
+        _check_slots(bench, cfg.model.num_queries, "the default model.num_queries")
     # The run records the data section it ran on: the dataset's own.
     cfg.data = bench.config
     model = ReIDTransformer.init(cfg.model, seed=cfg.seed, style="train")
@@ -139,7 +156,9 @@ def _retrieval_inputs(args, detection_seed: int | None = None):
     unless ``detection_seed`` overrides it."""
     model, _, meta = load_checkpoint(args.checkpoint)
     bench = load_benchmark(args.data)
-    _check_feature_dim(bench, model.config.dim, os.path.join(args.checkpoint, "model", "model.json") + "'s dim")
+    model_json = os.path.join(args.checkpoint, "model", "model.json")
+    _check_feature_dim(bench, model.config.dim, f"{model_json}'s dim")
+    _check_slots(bench, model.config.num_queries, f"{model_json}'s num_queries")
     if detection_seed is None:
         detection_seed = meta["run_seed"]
     entries, truth, per_scene = build_gallery(model, bench, detection_seed)

@@ -8,10 +8,12 @@ under study, while keeping the training-time interfaces of a two-stage
 person-search pipeline: per-slot boxes, scores, reference points, and a
 Hungarian assignment of slots to ground-truth persons on IoU cost.
 
-The detection-side losses (binary focal classification, IoU loss and
-smooth-L1 box regression) are computed over the stub outputs.  They carry no
-gradient into the transformer; they exist so the combined training objective
-keeps the standard four-component shape.
+The stub learns nothing, so there are no detection losses: SeqTR's
+classification, IoU and L1 terms would be constants of each scene, and the
+training objective is the identity loss alone (``losses.focal_oim_loss``).
+The assignment solver is imported on the first call of
+``hungarian_assign``, so commands that never match detections do not load
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .attention import ReferencePoint
-from .tensor import Tensor
 
 __all__ = [
     "Box",
@@ -32,8 +32,6 @@ __all__ = [
     "box_center_reference",
     "jitter_detect",
     "assign_detections",
-    "smooth_l1",
-    "focal_cls_loss",
     "hungarian_assign",
     "TRUE_BOX_SCORE",
     "BACKGROUND_SCORE",
@@ -159,6 +157,8 @@ def hungarian_assign(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
         return [], 0.0
     if not np.all(np.isfinite(cost)):
         raise ValueError("assignment costs must be finite")
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     pairs = sorted(zip(rows.tolist(), cols.tolist()))
     total = float(cost[rows, cols].sum())
@@ -177,34 +177,3 @@ def assign_detections(det: DetectionSet, truth_boxes: Sequence[Box]) -> Detectio
     for slot, person in pairs:
         det.assigned[slot] = person
     return det
-
-
-def smooth_l1(pred, target) -> float:
-    """mean over coordinates of 0.5 x^2 if |x| < 1 else |x| - 0.5."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
-    x = np.abs(p - t)
-    per = np.where(x < 1.0, 0.5 * x * x, x - 0.5)
-    return float(per.mean()) if per.size else 0.0
-
-
-def focal_cls_loss(scores, labels, gamma: float = 2.0, alpha: float = 0.25) -> float:
-    """Binary focal loss, mean over slots.
-
-    ``scores`` are detection confidences in (0, 1); ``labels`` are 1 for
-    slots assigned to a person and 0 for background.  Each slot contributes
-    -alpha_t (1 - p_t)^gamma log(p_t) with p_t = p for positives and 1 - p
-    for negatives, alpha_t = alpha for positives and 1 - alpha otherwise.
-    """
-    s = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must align")
-    if np.any((s <= 0.0) | (s >= 1.0)):
-        raise ValueError("scores must lie strictly inside (0, 1)")
-    p_t = np.where(y > 0.5, s, 1.0 - s)
-    alpha_t = np.where(y > 0.5, alpha, 1.0 - alpha)
-    per = -alpha_t * (1.0 - p_t) ** gamma * np.log(p_t)
-    return float(per.mean()) if per.size else 0.0

@@ -1,4 +1,4 @@
-"""Identity supervision: online instance matching (OIM) and the combined loss.
+"""Identity supervision: online instance matching (OIM) and its weight.
 
 OIM keeps a lookup table with one unit-norm prototype row per labeled
 identity plus a circular queue of recent unlabeled-person features.  A batch
@@ -28,15 +28,15 @@ copy of the focal arithmetic and its hand-written VJP for the features;
 the lookup tables and queues are constants of the step, and a state's
 class matrices are built once, on first use.
 
-``total_loss`` combines the four training components cls/iou/l1/oim with
-the standard weights (2.0, 5.0, 2.0, 0.5).  Only the OIM term carries a
-gradient, so weighting it and adding the detection losses is one taped op.
+``LossWeights`` holds the one weight of the objective, ``oim`` (default
+0.5): training replays the tape from the OIM loss seeded with it, so the
+step's gradient is the weighted loss's without a node of its own.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "focal_oim_rows",
     "focal_oim_loss",
     "LossWeights",
-    "total_loss",
 ]
 
 # Per-slot identity labels: 0..L-1 are labeled identities, UNLABELED marks a
@@ -326,32 +325,10 @@ def focal_oim_loss(
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Component weights of the combined objective."""
+    """Weights of the training objective, ``oim * l_oim``."""
 
-    cls: float = 2.0
-    iou: float = 5.0
-    l1: float = 2.0
     oim: float = 0.5
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not value >= 0.0:
-                raise ConfigError(f"train.weights.{f.name} must be non-negative, got {value!r}")
-
-
-def total_loss(l_cls: float, l_iou: float, l_l1: float, l_oim, weights: LossWeights = LossWeights()):
-    """weights.cls * l_cls + weights.iou * l_iou + weights.l1 * l_l1
-    + weights.oim * l_oim.
-
-    The detection terms are floats.  A float ``l_oim`` gives a float; a
-    scalar Tensor gives a Tensor recorded as one tape node, whose gradient
-    is weights.oim times the output's.
-    """
-    const = sum(w * float(v) for v, w in ((l_cls, weights.cls), (l_iou, weights.iou), (l_l1, weights.l1)))
-    if not isinstance(l_oim, Tensor):
-        return const + weights.oim * float(l_oim)
-    if l_oim.size != 1:
-        raise ValueError("loss components must be scalar")
-    w = float(weights.oim)
-    return tt._emit(l_oim.data * w + const, (l_oim,), lambda g: (g * w,))
+        if not self.oim >= 0.0:
+            raise ConfigError(f"train.weights.oim must be non-negative, got {self.oim!r}")

@@ -2,11 +2,11 @@
 
 One step processes one scene: fabricate detections around the ground-truth
 boxes, match them back by Hungarian assignment, run the re-ID transformer
-on the scene pyramid at the detection centers, and descend the combined
-loss.  Detection-side losses (focal classification, IoU, smooth-L1) come
-from the frozen detector stub and carry no gradient; only the identity
-branch (per-scale embeddings against the running OIM class matrices)
-trains the model.
+on the scene pyramid at the detection centers, and descend the objective
+``weights.oim * l_oim``: the focal OIM loss of the per-scale embeddings
+against the running OIM class matrices.  The detector stub learns nothing,
+so the identity loss is the whole objective; the tape is replayed from
+``l_oim`` seeded with ``weights.oim``.
 
 The same detection and embedding path serves retrieval: ``build_gallery``
 embeds every gallery scene, ``build_query_entries`` picks each query's
@@ -24,25 +24,10 @@ import numpy as np
 
 from . import tensor as tt
 from .data import Benchmark
-from .detector import (
-    DetectionSet,
-    assign_detections,
-    focal_cls_loss,
-    iou,
-    jitter_detect,
-    smooth_l1,
-)
+from .detector import DetectionSet, assign_detections, jitter_detect
 from .errors import ConfigError, DataError, NumericError, read_manifest, reading, write_manifest
 from .evaluation import GalleryEntry, QueryEntry, select_query_embedding
-from .losses import (
-    BACKGROUND,
-    DEFAULT_MOMENTUM,
-    DEFAULT_TAU,
-    LossWeights,
-    OIMState,
-    focal_oim_loss,
-    total_loss,
-)
+from .losses import BACKGROUND, DEFAULT_MOMENTUM, DEFAULT_TAU, LossWeights, OIMState, focal_oim_loss
 from .tensor import GradTape, Tensor, read_blob, write_blob
 from .transformer import ReIDTransformer
 
@@ -51,7 +36,6 @@ __all__ = [
     "TrainResult",
     "detect_scene",
     "slot_labels",
-    "detection_losses",
     "train",
     "write_loss_curve",
     "save_checkpoint",
@@ -132,24 +116,7 @@ def slot_labels(det: DetectionSet, bench: Benchmark, scene_id: int) -> list[int]
     ]
 
 
-def detection_losses(det: DetectionSet, bench: Benchmark, scene_id: int):
-    """Gradient-free detector stub losses: (focal cls, IoU, smooth-L1)."""
-    boxes = [b for b, _ in bench.truth(scene_id)]
-    cls_labels = [0 if a is None else 1 for a in det.assigned]
-    l_cls = focal_cls_loss(det.scores, cls_labels)
-    matched = [(d, boxes[a]) for d, a in zip(det.boxes, det.assigned) if a is not None]
-    if matched:
-        l_iou = float(np.mean([1.0 - iou(d, t) for d, t in matched]))
-        l_l1 = float(
-            np.mean([smooth_l1(d.as_array(), t.as_array()) for d, t in matched])
-        )
-    else:
-        l_iou = 0.0
-        l_l1 = 0.0
-    return l_cls, l_iou, l_l1
-
-
-def _scene_losses(
+def _scene_loss(
     model: ReIDTransformer,
     oim_state: OIMState,
     bench: Benchmark,
@@ -157,34 +124,28 @@ def _scene_losses(
     scene: tuple,
     settings: TrainSettings,
 ):
-    """Forward one scene; returns (total Tensor, row dict, new OIM state).
+    """Forward one scene; returns (l_oim Tensor, row dict, new OIM state).
 
-    ``scene`` is the scene's (detections, slot labels, detection losses).
+    ``scene`` is the scene's (detections, slot labels).  The row's
+    ``total`` is the objective, ``weights.oim * l_oim``.
     """
-    det, labels, (l_cls, l_iou, l_l1) = scene
+    det, labels = scene
     rows = model.forward(bench.pyramid(scene_id), det.refs).rows
     if not np.isfinite(rows.data).all():
         raise NumericError("non-finite re-ID embeddings")
     l_oim, new_state = focal_oim_loss(
         tt.l2_normalize_rows(rows), labels, oim_state, gamma=settings.focal_gamma
     )
-
-    total = total_loss(l_cls, l_iou, l_l1, l_oim, settings.weights)
-    if not np.isfinite(float(total.data)):
-        raise NumericError(f"non-finite loss {float(total.data)}")
-    row = {
-        "l_cls": l_cls,
-        "l_iou": l_iou,
-        "l_l1": l_l1,
-        "l_oim": float(l_oim.data),
-        "total": float(total.data),
-    }
-    return total, row, new_state
+    value = float(l_oim.data)
+    total = settings.weights.oim * value
+    if not np.isfinite(total):
+        raise NumericError(f"non-finite loss {total}")
+    return l_oim, {"l_oim": value, "total": total}, new_state
 
 
-def _step_losses(model, oim_state, bench, scene_id, scene, settings, step):
+def _step_loss(model, oim_state, bench, scene_id, scene, settings, step):
     try:
-        return _scene_losses(model, oim_state, bench, scene_id, scene, settings)
+        return _scene_loss(model, oim_state, bench, scene_id, scene, settings)
     except NumericError as e:
         bad = next((n for n in sorted(model.params) if not np.isfinite(model.params[n].data).all()), None)
         where = "every parameter is finite" if bad is None else f"first non-finite parameter {bad}"
@@ -240,7 +201,7 @@ def train(
     run_seed: int,
     progress=None,
 ) -> TrainResult:
-    """Descend the combined loss over epoch-permuted training scenes.
+    """Descend ``weights.oim * l_oim`` over epoch-permuted training scenes.
 
     The loss curve holds one row per step with the losses measured before
     that step's update; zero steps still evaluates one row so a curve file
@@ -255,9 +216,8 @@ def train(
     updates the vector in place, so those Tensors change value after every
     step (the one exception to ``Tensor``'s rule; no tape outlives its
     step).  The caller's parameter arrays are never written.  Each scene's
-    detections, slot labels and detection losses are computed on its first
-    visit and reused on later ones; they depend only on the run seed and
-    the scene.
+    detections and slot labels are computed on its first visit and reused
+    on later ones; they depend only on the run seed and the scene.
 
     The run first pins the C library's heap thresholds
     (``tensor._keep_freed_heap``), so each step reuses the memory the
@@ -279,17 +239,13 @@ def train(
     def scene(scene_id):
         if scene_id not in scenes:
             det = detect_scene(bench, scene_id, model.config.num_queries, run_seed)
-            scenes[scene_id] = (
-                det,
-                slot_labels(det, bench, scene_id),
-                detection_losses(det, bench, scene_id),
-            )
+            scenes[scene_id] = (det, slot_labels(det, bench, scene_id))
         return scenes[scene_id]
 
     curve: list[dict] = []
     if settings.steps == 0:
         sid = train_ids[0]
-        _, row, _ = _step_losses(model, oim_state, bench, sid, scene(sid), settings, 0)
+        _, row, _ = _step_loss(model, oim_state, bench, sid, scene(sid), settings, 0)
         curve.append({"step": 0, **row})
         return TrainResult(model, oim_state, curve)
 
@@ -314,10 +270,11 @@ def train(
                 break
             scene_id = train_ids[idx]
             with GradTape() as tape:
-                total, row, oim_state = _step_losses(
+                l_oim, row, oim_state = _step_loss(
                     model, oim_state, bench, scene_id, scene(scene_id), settings, step
                 )
-                np.concatenate(tape.gradients(total, sources), axis=None, out=grad)
+                # The objective is weights.oim * l_oim: the weight seeds the replay.
+                np.concatenate(tape.gradients(l_oim, sources, settings.weights.oim), axis=None, out=grad)
             if settings.grad_clip is not None:
                 _clip_gradients(grad, grad_views, settings.grad_clip)
             opt.apply(params, grad)
@@ -331,7 +288,7 @@ def train(
 
 def write_loss_curve(path, curve: list[dict]) -> None:
     """CSV with one row per step; floats via repr for exact round-trips."""
-    cols = ["step", "l_cls", "l_iou", "l_l1", "l_oim", "total"]
+    cols = ["step", "l_oim", "total"]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in curve:

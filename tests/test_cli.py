@@ -774,6 +774,14 @@ class TestExitCodes:
             assert len(err) == 1 and err[0].startswith(f"error: {named} must be "), err
         assert not (tmp_path / "d").exists() and not (tmp_path / "r").exists()
 
+    def test_detection_loss_weight_exits_1_as_an_unknown_key(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"weights": {"cls": 2.0, "oim": 0.5}}}))
+        rc = main(["train", "--config", str(bad), "--data", str(workspace["data"]), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().split("\n") == ["error: unknown config key train.weights.cls"]
+        assert not (tmp_path / "r").exists()
+
     def test_repeated_gallery_size_exits_1(self, workspace, tmp_path, capsys):
         rc = main(
             [
@@ -843,6 +851,61 @@ class TestFeatureDimMismatch:
         assert not (tmp_path / "out").exists()
 
 
+class TestSlotsAgainstPersons:
+    """A dataset with more persons per scene than the model has detection
+    slots exits before any compute with one line naming the dataset's
+    manifest and where the slot count comes from: 1 when the train config
+    sets it, 2 otherwise."""
+
+    @pytest.fixture(scope="class")
+    def crowded(self, workspace, tmp_path_factory):
+        # Five persons a scene: more than the workspace model's three slots
+        # and the default model's four.
+        cfg = json.loads(workspace["cfg"].read_text())
+        cfg["data"]["persons_per_scene"] = 5
+        root = tmp_path_factory.mktemp("crowded")
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        del cfg["model"]["num_queries"]
+        (root / "default_slots.json").write_text(json.dumps(cfg))
+        assert main(["gen-data", "--config", str(root / "cfg.json"), "--out", str(root / "data")]) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "command, slots, rc",
+        [("train", "config", 1), ("train", "default", 2), ("eval", "checkpoint", 2), ("sweep", "checkpoint", 2)],
+    )
+    def test_too_few_slots_exit_before_any_compute(self, workspace, crowded, tmp_path, capsys, monkeypatch, command, slots, rc):
+        monkeypatch.setattr(cli.ReIDTransformer, "forward", None)
+        ckpt = workspace["run"] / "checkpoint"
+        model_json = str(ckpt / "model" / "model.json")
+        argv, source, count = {
+            "config": (["--config", str(crowded / "cfg.json")], "the config key model.num_queries", 3),
+            "default": (["--config", str(crowded / "default_slots.json")], "the default model.num_queries", 4),
+            "checkpoint": (["--checkpoint", str(ckpt)], f"{model_json}'s num_queries", 3),
+        }[slots]
+        if command == "sweep":
+            argv = [*argv, "--gallery-sizes", "5"]
+        capsys.readouterr()
+        assert main([command, *argv, "--data", str(crowded / "data"), "--out", str(tmp_path / "out")]) == rc
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [
+            f"error: {crowded / 'data' / 'manifest.json'} has persons_per_scene 5, "
+            f"but {source} is {count}; a model needs a slot per person"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_slot_for_every_person_is_enough(self, workspace, tmp_path):
+        cfg = json.loads(workspace["cfg"].read_text())
+        cfg["data"]["persons_per_scene"] = cfg["model"]["num_queries"]
+        cfg["train"]["steps"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+        assert main(["train", "--config", str(path), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint")
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(tmp_path / "data"), "--out", str(tmp_path / "ev")]) == 0
+
+
 class TestTrainDataSection:
     """``train --config`` runs on the dataset as generated: a data key the
     file sets to another value than the dataset stores exits 1 naming the
@@ -896,6 +959,44 @@ class TestModuleEntryPoint:
         done = self.run(tmp_path, "--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: persearch")
+
+    def solver_modules(self, tmp_path, *argv):
+        """Exit code and loaded ``scipy.optimize`` modules of one command,
+        run through ``cli.main`` in a fresh interpreter."""
+        probe = (
+            "import sys\n"
+            "from persearch.cli import main\n"
+            "try:\n"
+            "    rc = main(sys.argv[1:])\n"
+            "except SystemExit as e:\n"
+            "    rc = e.code\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        return done.stdout.strip().split("\n")[-1], done.stderr
+
+    @pytest.mark.parametrize("command", ["gradcheck", "gen-data", "--help"])
+    def test_commands_that_match_nothing_never_import_the_solver(self, tmp_path, command):
+        # scipy.optimize takes most of a short command's start-up; only
+        # training and CBGM solve an assignment.
+        argv = {
+            "gradcheck": ["gradcheck"],
+            "gen-data": ["gen-data", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "data")],
+            "--help": ["--help"],
+        }[command]
+        (tmp_path / "cfg.json").write_text(json.dumps({"data": {"num_train": 2, "num_gallery": 2, "num_queries": 1}}))
+        last, err = self.solver_modules(tmp_path, *argv)
+        assert last == "0 []", err
+
+    def test_training_imports_the_solver(self, workspace, tmp_path):
+        # The control: the probe sees the solver where one is solved.
+        argv = ["--config", str(workspace["cfg"]), "--data", str(workspace["data"]), "--out", str(tmp_path / "r")]
+        last, err = self.solver_modules(tmp_path, "train", *argv, "--steps", "1")
+        assert last.startswith("0 [") and "'scipy.optimize'" in last, err
 
     def test_corrupt_gradcheck_exits_4_with_one_line_error(self, tmp_path):
         done = self.run(tmp_path, "gradcheck", "--corrupt")

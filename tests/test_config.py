@@ -37,7 +37,6 @@ class TestParsing:
         assert cfg.data.num_train == 10
         assert cfg.train.steps == 50
         assert cfg.train.weights.oim == 1.0
-        assert cfg.train.weights.cls == 2.0
 
     def test_unknown_root_key_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key trian"):
@@ -55,6 +54,13 @@ class TestParsing:
             run_config_from_dict({"model": {"dropout": 0.1}})
         with pytest.raises(ConfigError, match="model.track_reference_gradients"):
             run_config_from_dict({"model": {"track_reference_gradients": True}})
+
+    @pytest.mark.parametrize("key", ["cls", "iou", "l1"])
+    def test_detection_loss_weights_are_unknown(self, key):
+        # The detector stub learns nothing, so the objective has no
+        # detection terms to weigh.
+        with pytest.raises(ConfigError, match=f"^unknown config key train.weights.{key}$"):
+            run_config_from_dict({"train": {"weights": {key: 1.0}}})
 
     def test_non_object_section_is_rejected(self):
         with pytest.raises(ConfigError, match="must be an object"):
@@ -106,7 +112,6 @@ class TestStrictValues:
             ({"train": {"grad_clip": float("-inf")}}, "train.grad_clip must be a number or null, got -inf"),
             ({"data": {"sigma_bg": float("nan")}}, "data.sigma_bg must be a number, got nan"),
             ({"train": {"weights": {"oim": -1.0}}}, "train.weights.oim must be non-negative, got -1.0"),
-            ({"train": {"weights": {"cls": -0.5}}}, "train.weights.cls must be non-negative, got -0.5"),
         ],
     )
     def test_bad_value_names_its_key(self, raw, named):
@@ -153,4 +158,4 @@ class TestEcho:
         d = RunConfig().to_dict()
         json.dumps(d)
         assert set(d) == {"seed", "data", "model", "train"}
-        assert d["train"]["weights"] == {"cls": 2.0, "iou": 5.0, "l1": 2.0, "oim": 0.5}
+        assert d["train"]["weights"] == {"oim": 0.5}

@@ -1,6 +1,4 @@
-"""Detector stub, box math, assignment, and the detection-side losses."""
-
-import math
+"""Detector stub, box math and assignment."""
 
 import numpy as np
 import pytest
@@ -11,11 +9,9 @@ from persearch.detector import (
     Box,
     assign_detections,
     box_center_reference,
-    focal_cls_loss,
     hungarian_assign,
     iou,
     jitter_detect,
-    smooth_l1,
 )
 
 from oracles import hungarian_oracle, iou_oracle
@@ -157,54 +153,3 @@ class TestHungarian:
         assert det.assigned[1] == 1
         assert det.assigned[2] is None and det.assigned[3] is None
 
-
-class TestSmoothL1:
-    def test_zero_at_equal_inputs(self):
-        assert smooth_l1(np.ones(4), np.ones(4)) == 0.0
-
-    def test_quadratic_region(self):
-        # |x| = 0.5 -> 0.5 * 0.25 = 0.125
-        assert smooth_l1(np.array([0.5]), np.array([0.0])) == pytest.approx(0.125)
-
-    def test_linear_region(self):
-        # |x| = 2 -> 2 - 0.5 = 1.5
-        assert smooth_l1(np.array([2.0]), np.array([0.0])) == pytest.approx(1.5)
-
-    def test_mean_over_coordinates(self):
-        pred = np.array([0.5, 2.0])
-        assert smooth_l1(pred, np.zeros(2)) == pytest.approx((0.125 + 1.5) / 2)
-
-    def test_continuity_at_boundary(self):
-        lo = smooth_l1(np.array([1.0 - 1e-9]), np.array([0.0]))
-        hi = smooth_l1(np.array([1.0 + 1e-9]), np.array([0.0]))
-        assert lo == pytest.approx(hi, abs=1e-8)
-        assert lo == pytest.approx(0.5, abs=1e-8)
-
-
-class TestFocalClsLoss:
-    def test_confident_correct_is_small(self):
-        confident = focal_cls_loss(np.array([0.99]), np.array([1.0]))
-        wrong = focal_cls_loss(np.array([0.01]), np.array([1.0]))
-        assert confident < 1e-3
-        assert wrong > 1.0 * confident
-
-    def test_closed_form_single_positive(self):
-        p, gamma, alpha = 0.7, 2.0, 0.25
-        want = -alpha * (1 - p) ** gamma * math.log(p)
-        assert focal_cls_loss(np.array([p]), np.array([1.0])) == pytest.approx(want)
-
-    def test_closed_form_single_negative(self):
-        p, gamma, alpha = 0.7, 2.0, 0.25
-        # p_t = 1 - p for a background slot.
-        want = -(1 - alpha) * p**gamma * math.log(1 - p)
-        assert focal_cls_loss(np.array([p]), np.array([0.0])) == pytest.approx(want)
-
-    def test_gamma_zero_is_weighted_ce(self):
-        p = np.array([0.8, 0.3])
-        y = np.array([1.0, 0.0])
-        want = (-0.25 * math.log(0.8) - 0.75 * math.log(0.7)) / 2
-        assert focal_cls_loss(p, y, gamma=0.0) == pytest.approx(want)
-
-    def test_rejects_degenerate_scores(self):
-        with pytest.raises(ValueError):
-            focal_cls_loss(np.array([1.0]), np.array([1.0]))

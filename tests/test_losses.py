@@ -1,4 +1,4 @@
-"""OIM loss, table/queue dynamics, focal variant, combined objective."""
+"""OIM loss, table/queue dynamics, focal variant, objective weight."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from persearch.losses import (
     OIMState,
     focal_oim_loss,
     focal_oim_rows,
-    total_loss,
 )
 from persearch.tensor import GradTape, Tensor
 
@@ -527,24 +526,6 @@ class TestScaleAveragedOIM:
             focal_oim_loss(Tensor(feats), [0, UNLABELED], state)
 
 
-class TestTotalLoss:
-    def test_unit_components_give_nine_point_five(self):
-        assert total_loss(1.0, 1.0, 1.0, 1.0) == pytest.approx(9.5)
-
+class TestLossWeights:
     def test_default_weights(self):
-        w = LossWeights()
-        assert (w.cls, w.iou, w.l1, w.oim) == (2.0, 5.0, 2.0, 0.5)
-
-    def test_mixed_tensor_and_float(self):
-        out = total_loss(1.0, 0.5, 0.25, Tensor(2.0))
-        assert isinstance(out, Tensor)
-        assert out.item() == pytest.approx(2.0 + 2.5 + 0.5 + 1.0)
-
-    def test_one_node_weights_the_oim_term(self):
-        x = Tensor(4.0)
-        with GradTape() as tape:
-            out = total_loss(1.0, 1.0, 1.0, x)
-        assert [node.inputs for node in tape._nodes] == [(x,)]
-        assert out.item() == 0.5 * 4.0 + 9.0
-        (g,) = tape.gradients(out, [x], 3.0)
-        assert float(g) == 0.5 * 3.0
+        assert dataclasses.astuple(LossWeights()) == (0.5,)

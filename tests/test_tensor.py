@@ -265,11 +265,16 @@ class TestBilinearKernel:
         want = np.stack([gx, gy], axis=1)
         assert np.linalg.norm(g_pts - want) <= 1e-12 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("channels", [8, 32])
+    @pytest.mark.parametrize("channels", [4, 8, 32])
     def test_a_point_alone_samples_the_bits_it_samples_in_a_batch(self, channels):
         # 400 points in and around a 7x9 map, each sampled alone and all
-        # together.  (At three channels a lone point can differ in its
-        # last bit.)
+        # together.  Model forwards sample at ``dim`` channels, 32 by
+        # default, so a scene embeds to the same bits alone or in a chunk
+        # of scenes only while these bits agree.  The
+        # boundary is at four channels: below it a lone point's (1, 4) @
+        # (4, C) corner product goes to BLAS and rounds differently, and
+        # on these points 116, 193 and 231 of the 400 differ in their last
+        # bits at C = 1, 2 and 3, against none at 4 and above.
         rng = np.random.default_rng(3)
         table = T.value_table([rand(rng, channels, 7, 9)])
         pts = rng.uniform(-1.0, 9.0, size=(1, 400, 2))
